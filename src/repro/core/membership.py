@@ -64,6 +64,26 @@ def event_type_for(op_type: TokenOperationType) -> MembershipEventType:
 _EMPTY_STORE: Dict[str, MemberInfo] = {}
 
 
+class _Generation:
+    """An integer cell: importers share the object, so they see every bump."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+#: Process-wide membership generation: bumped by every write that actually
+#: changes a :class:`MembershipView` and by every :class:`LogicalRing` shape
+#: change, at the mutation site — so it moves on every driver, inside or
+#: outside a round, with nothing to wire.  Readers (the serving layer's
+#: snapshot cache) only compare it for equality with an earlier reading: an
+#: unchanged value proves no view or ring version moved in between.  It is
+#: monotonic and shared by every kernel in the process, so a write to an
+#: unrelated view costs a reader one full revalidation, never a stale answer.
+GENERATION = _Generation()
+
+
 class MembershipView:
     """A set of operational member records with change application.
 
@@ -164,6 +184,7 @@ class MembershipView:
             members = self._store()
         members[key] = member
         self.version += 1
+        GENERATION.value += 1
         return True
 
     def remove(self, guid: "GloballyUniqueId | str") -> bool:
@@ -171,6 +192,7 @@ class MembershipView:
         if self._members.pop(self._key(guid), None) is None:
             return False
         self.version += 1
+        GENERATION.value += 1
         return True
 
     def apply(self, operation: TokenOperation, time: float) -> Optional[MembershipEvent]:
@@ -260,7 +282,9 @@ class MembershipView:
                     view_size=len(members),
                 )
             )
-        self.version += changed
+        if changed:
+            self.version += changed
+            GENERATION.value += 1
         return events
 
     def bulk_add(self, members: Iterable[MemberInfo]) -> int:
@@ -274,7 +298,9 @@ class MembershipView:
                     store = self._store()
                 store[key] = member
                 added += 1
-        self.version += added
+        if added:
+            self.version += added
+            GENERATION.value += 1
         return added
 
     # -- comparison ---------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.identifiers import NodeId
+from repro.core.membership import GENERATION
 
 
 class RingError(RuntimeError):
@@ -45,7 +46,8 @@ class LogicalRing:
     members: List[NodeId] = field(default_factory=list)
     leader: Optional[NodeId] = None
     #: Mutation counter: lets callers (e.g. the kernel's per-round member
-    #: set cache) cheaply detect that a ring changed shape.
+    #: set cache) cheaply detect that a ring changed shape.  Every bump also
+    #: moves the process-wide membership ``GENERATION``.
     version: int = field(default=0, repr=False, compare=False)
     _index: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
@@ -70,6 +72,7 @@ class LogicalRing:
         # proxies (111k rings) is a measurable slice of hierarchy builds.
         self._index = dict(zip(self.members, range(len(self.members))))
         self.version += 1
+        GENERATION.value += 1
 
     @classmethod
     def bulk(cls, ring_id: str, tier: int, members: List[NodeId]) -> "LogicalRing":
@@ -178,6 +181,7 @@ class LogicalRing:
             self.members.append(node)
             self._index[node] = len(self.members) - 1
             self.version += 1
+            GENERATION.value += 1
         else:
             idx = self._index_of(after)
             self.members.insert(idx + 1, node)

@@ -5,7 +5,7 @@ optional entry point) and :meth:`~ServingFrontend.drain` answers the whole
 batch against **one** coherent membership frame per fan-out — acquired
 through the :class:`~repro.serving.snapshots.SnapshotCache`, derived through
 the columnar sweeps of :mod:`repro.serving.columnar_query`, and reused
-across batches until a committed round actually changes the answer.
+across batches until a write actually changes the answer.
 
 Answers are :class:`repro.core.query.QueryResult` records that match the
 object path (:class:`~repro.core.query.MembershipQueryService`) bit for bit
@@ -13,10 +13,14 @@ object path (:class:`~repro.core.query.MembershipQueryService`) bit for bit
 intermediate-tier fallback — which is what lets the hypothesis suite pin
 snapshot reads against stop-the-world object reads at the same epoch.
 
-Wired to a :class:`~repro.sim.harness.ScenarioHarness` (via
-``harness.serving_frontend()``), the frontend subscribes to round commits so
-frame reuse between commits is a single integer compare; against a bare
-engine it falls back to full version-key revalidation per acquire.
+Every result served from one frame shares the frame's ``members`` and
+``entities_contacted`` lists (immutable after capture; treat as read-only).
+Nothing is wired to the engine: a warm TMS or IMS query costs the membership
+generation and coverage-epoch compares of :meth:`SnapshotCache.acquire` plus
+result assembly, on a :class:`~repro.sim.harness.ScenarioHarness` and a bare
+:class:`~repro.core.one_round.OneRoundEngine` alike.  A BMS query still asks
+``RingHierarchy.bottom_tier()``, a scan over every ring (docs/PERF.md,
+"Serving reads": the one O(hierarchy) sweep left on the hit path, and why).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.identifiers import NodeId, coerce_node
 from repro.core.query import MembershipScheme, QueryResult
 from repro.serving.columnar_query import tier_leader_fanout, topmost_leader
-from repro.serving.snapshots import MembershipFrame, SnapshotCache
+from repro.serving.snapshots import SnapshotCache
 
 __all__ = ["ServingFrontend"]
 
@@ -39,9 +43,7 @@ class ServingFrontend:
     ----------
     engine:
         Anything exposing ``kernel`` and ``hierarchy`` (a
-        :class:`ScenarioHarness` or :class:`OneRoundEngine`).  When it also
-        exposes ``add_round_listener`` the frontend tracks round commits for
-        the snapshot fast path.
+        :class:`ScenarioHarness` or :class:`OneRoundEngine`).
     intermediate_tier:
         Default tier for IMS queries (same fallback rules as the object
         path when omitted).
@@ -57,11 +59,6 @@ class ServingFrontend:
         self.queries = 0
         self.batches = 0
         self._pending: List[Tuple[MembershipScheme, NodeId]] = []
-        self._generation: Optional[int] = None
-        add_listener = getattr(engine, "add_round_listener", None)
-        if add_listener is not None:
-            self._generation = 0
-            add_listener(self._on_round_commit)
         # Per-epoch routing caches (tiers list, entry tiers, fan-outs): all
         # of it is pure re-derivation until a repair bumps the epoch.
         self._routing_epoch: Optional[int] = None
@@ -69,13 +66,6 @@ class ServingFrontend:
         self._entry_tiers: Dict[NodeId, int] = {}
         self._fanouts: Dict[int, object] = {}
         self._top: Optional[object] = None
-
-    # -- round tracking -----------------------------------------------------
-
-    def _on_round_commit(self, ring_id: str, now: float) -> None:
-        # Any committed round may have changed views; frames validated
-        # before this generation must re-check their version keys.
-        self._generation += 1
 
     # -- routing (per topology epoch) ---------------------------------------
 
@@ -131,11 +121,6 @@ class ServingFrontend:
             raise ValueError(f"tier {tier} does not exist in this hierarchy (tiers: {tiers})")
         return tier
 
-    # -- frames -------------------------------------------------------------
-
-    def _frame(self, slot: object, tier: int, epoch: int, resolve) -> MembershipFrame:
-        return self.cache.acquire(slot, tier, epoch, self._generation, resolve)
-
     # -- the batched API ----------------------------------------------------
 
     def submit(self, scheme: MembershipScheme, entry_point: "NodeId | str | None" = None) -> None:
@@ -180,21 +165,21 @@ class ServingFrontend:
         return self._answer_fanout(scheme, self._ims_tier(), entry, epoch, up_bias=0)
 
     def _answer_topmost(self, entry: NodeId, epoch: int) -> QueryResult:
-        frame = self._frame("tms", -1, epoch, self._top_fanout)
+        frame = self.cache.acquire("tms", -1, epoch, self._top_fanout)
         top_tier = frame.rings[0].tier
         hops = 2 * abs(top_tier - self._entry_tier(entry))
         return QueryResult(
             scheme=MembershipScheme.TMS,
             members=frame.members(),
             message_hops=hops if hops > 0 else 2,
-            entities_contacted=list(frame.leaders),
+            entities_contacted=frame.leaders,
             answered_by_tier=top_tier,
         )
 
     def _answer_fanout(
         self, scheme: MembershipScheme, tier: int, entry: NodeId, epoch: int, up_bias: int
     ) -> QueryResult:
-        frame = self._frame(("tier", tier), tier, epoch, lambda: self._fanout_for(tier))
+        frame = self.cache.acquire(("tier", tier), tier, epoch, lambda: self._fanout_for(tier))
         # All fan-out targets sit in one tier, so the object path's
         # per-leader hop loop collapses to one multiply (BMS adds the extra
         # leader-to-local hop the paper charges: ``up_bias``).
@@ -203,7 +188,7 @@ class ServingFrontend:
             scheme=scheme,
             members=frame.members(),
             message_hops=per_leader * len(frame.leaders),
-            entities_contacted=list(frame.leaders),
+            entities_contacted=frame.leaders,
             answered_by_tier=tier,
         )
 

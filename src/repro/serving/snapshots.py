@@ -21,13 +21,15 @@ Frames are immutable after capture: the record map is copied out of the
 leader views (records themselves are immutable), so later rounds mutate the
 live views without disturbing results already served from the frame.
 
-:class:`SnapshotCache` reuses frames across batches.  Revalidation is
-two-speed: a round-commit **generation** counter (fed by the harness's
-round listener) lets a batch that arrives before any new commit reuse the
-frame with a single integer compare, and after a commit the full version
-key is recomputed — a round that provably did not touch this fan-out's
-views revalidates the frame instead of recapturing it.  Hit, revalidation,
-invalidation, and capture counters are exposed for the serving stats.
+:class:`SnapshotCache` reuses frames across batches by one rule, on every
+driver.  The membership **generation**
+(:data:`repro.core.membership.GENERATION`) moves whenever any view or ring
+version moves, at the mutation site; a frame whose generation *and* coverage
+epoch are unchanged is reused on two integer compares.  Otherwise the full
+version key is recomputed — a write that provably did not touch this
+fan-out's views revalidates the frame instead of recapturing it.  Hit,
+revalidation, invalidation, and capture counters are exposed for the serving
+stats.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.identifiers import NodeId
 from repro.core.member import MemberInfo
-from repro.core.membership import MembershipView
+from repro.core.membership import _EMPTY_STORE, GENERATION, MembershipView
 
 __all__ = ["MembershipFrame", "SnapshotCache"]
 
@@ -75,10 +77,14 @@ class MembershipFrame:
         # in fan-out order — identical last-writer-wins semantics to the
         # object path's per-leader ``merge_from`` chain.  Values are
         # immutable records, so the shallow copy is a full isolation
-        # boundary against later rounds.
+        # boundary against later rounds.  Most leader views of a large
+        # hierarchy never held a member and still sit on the shared empty
+        # store: skip them.
         records: Dict[str, MemberInfo] = {}
         for view in views:
-            records.update(view.raw_records())
+            store = view.raw_records()
+            if store is not _EMPTY_STORE:
+                records.update(store)
         self.records = records
         self._members_sorted: Optional[List[MemberInfo]] = None
 
@@ -106,7 +112,7 @@ class MembershipFrame:
 
 
 class SnapshotCache:
-    """Frame store with two-speed revalidation and serving counters."""
+    """Frame store with generation-gated revalidation and serving counters."""
 
     __slots__ = ("_frames", "captures", "hits", "revalidations", "invalidations")
 
@@ -122,32 +128,28 @@ class SnapshotCache:
         slot: object,
         tier: int,
         epoch: int,
-        generation: Optional[int],
         resolve: Callable[[], Fanout],
     ) -> MembershipFrame:
         """The frame for ``slot``, reused / revalidated / recaptured.
 
-        ``generation`` is the frontend's round-commit counter (``None``
-        disables the fast path when no round listener is wired): a frame
-        whose generation matches was validated since the last commit and is
-        reused with no version reads at all.  Otherwise the full version key
-        is recomputed; a match revalidates the frame, a mismatch counts an
-        invalidation and recaptures from a fresh fan-out resolution.
+        A frame validated at the current membership generation and captured
+        at ``epoch`` is reused with no version reads at all.  Otherwise the
+        full version key is recomputed; a match revalidates the frame, a
+        mismatch counts an invalidation and recaptures from a fresh fan-out
+        resolution.
         """
+        generation = GENERATION.value
         frame = self._frames.get(slot)
         if frame is not None:
-            if generation is not None and frame.generation == generation:
+            if frame.generation == generation and frame.epoch == epoch:
                 self.hits += 1
                 return frame
             if frame.is_current(epoch):
-                if generation is not None:
-                    frame.generation = generation
+                frame.generation = generation
                 self.revalidations += 1
                 return frame
             self.invalidations += 1
-        frame = MembershipFrame(
-            tier, resolve(), epoch, -1 if generation is None else generation
-        )
+        frame = MembershipFrame(tier, resolve(), epoch, generation)
         self.captures += 1
         self._frames[slot] = frame
         return frame

@@ -889,9 +889,11 @@ class ScenarioHarness:
     def add_round_listener(self, listener: Callable[[str, float], None]) -> None:
         """Register a callback fired after every committed kernel round.
 
-        The serving layer hangs its snapshot-invalidation probe here: rounds
-        are the only points where membership views change, so a listener
-        firing at each commit brackets every torn-read window.
+        A probe seam for tests and benchmarks.  Rounds are *not* the only
+        points where membership views change — a handoff's capture updates
+        the old proxy's lists directly, and repair can run outside a round —
+        so nothing that needs to see every change may hang here (the serving
+        layer reads the mutation-site ``GENERATION`` instead).
         """
         self._round_listeners.append(listener)
 
@@ -907,10 +909,10 @@ class ScenarioHarness:
     def serving_frontend(self, intermediate_tier: Optional[int] = None):
         """A :class:`repro.serving.frontend.ServingFrontend` over this harness.
 
-        Convenience wiring: the frontend subscribes to round commits for
-        snapshot invalidation and routes per-scheme queries against the
-        kernel (columnar sweeps when the backend supports them, object walk
-        otherwise).  Imported lazily to keep the sim layer import-light.
+        Convenience constructor: the frontend routes per-scheme queries
+        against the kernel (columnar sweeps when the backend supports them,
+        object walk otherwise).  Imported lazily to keep the sim layer
+        import-light.
         """
         from repro.serving.frontend import ServingFrontend
 

@@ -4,7 +4,9 @@ The contract under test (see ``docs/ARCHITECTURE.md``):
 
 * a batched snapshot read during in-flight rounds equals a stop-the-world
   object-path read at the same instant — for all three schemes, both kernel
-  backends, and at every round-commit point (no torn reads);
+  backends and a bare engine, at every *event* (captures, handoffs, repairs
+  run outside a round, single round commits — no torn or stale reads);
+* a warm read costs O(answer): no hierarchy-sized sweep, on any driver;
 * results already served from a frame are immutable — later rounds never
   reach into them;
 * query routing (entry tier, per-tier leader fan-out, topmost leader) is
@@ -14,14 +16,16 @@ The contract under test (see ``docs/ARCHITECTURE.md``):
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.core.hierarchy import HierarchyBuilder
+from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
 from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipQueryService, MembershipScheme
 from repro.serving.columnar_query import tier_leader_fanout
+from repro.serving.frontend import ServingFrontend
+from repro.serving.snapshots import MembershipFrame
 from repro.sim.harness import HarnessConfig, ScenarioHarness
 from repro.workloads.query_load import (
     QueryLoadConfig,
@@ -45,6 +49,36 @@ def _assert_same_answer(got, want) -> None:
     assert got.message_hops == want.message_hops
     assert got.entities_contacted == want.entities_contacted
     assert got.answered_by_tier == want.answered_by_tier
+
+
+def _assert_batch_matches_object_path(frontend, store, entry) -> None:
+    """One TMS+BMS+IMS batch == a cold object-path read at this instant.
+
+    The reference is read *first*: its scratch merge views move the
+    membership generation, so reading it after the batch would push every
+    later batch onto the revalidation path and leave the generation hit —
+    the path that can go stale — untested.
+    """
+    service = MembershipQueryService(store, entry_point=entry)
+    want = [service.query(scheme) for scheme in SCHEMES]
+    for scheme in SCHEMES:
+        frontend.submit(scheme, entry)
+    for got, expected in zip(frontend.drain(), want):
+        _assert_same_answer(got, expected)
+
+
+#: One scripted event: (kind, site pick, member pick).  Small picks keep
+#: landing on ring leaders and on the same few members, where stale frames
+#: would show.
+_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(("join", "join", "leave", "failure", "handoff", "repair")),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestSnapshotEqualsObjectPath:
@@ -89,7 +123,7 @@ class TestSnapshotEqualsObjectPath:
 
     @pytest.mark.parametrize("backend", ("object", "columnar"))
     def test_every_round_commit_point_matches_object_path(self, backend):
-        """No torn reads: probe at every commit, the only mutation points."""
+        """No torn reads: probe from inside the harness at every round commit."""
         harness = _harness(3, 2, backend)
         aps = harness.access_proxies()
         service = MembershipQueryService(harness.kernel, entry_point=aps[0])
@@ -114,6 +148,182 @@ class TestSnapshotEqualsObjectPath:
         assert probes, "no rounds committed — the probe never ran"
         bad = [p for p in probes if not (p[2] and p[3])]
         assert not bad, f"snapshot read diverged from object path at: {bad[:3]}"
+
+    @given(
+        ring_size=st.integers(min_value=2, max_value=3),
+        height=st.integers(min_value=2, max_value=3),
+        backend=st.sampled_from(("object", "columnar")),
+        events=_EVENTS,
+        gap=st.sampled_from((0.4, 3.0)),
+    )
+    @example(  # a handoff away from a bottom leader, read before its commit
+        ring_size=3,
+        height=2,
+        backend="columnar",
+        events=[("join", 0, 0), ("join", 1, 0), ("join", 2, 0), ("handoff", 4, 0)],
+        gap=0.4,
+    )
+    @example(  # a repair outside any round re-elects the topmost leader
+        ring_size=3,
+        height=2,
+        backend="object",
+        events=[("join", 1, 0), ("join", 2, 0), ("join", 4, 0), ("repair", 0, 0)],
+        gap=0.4,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_event_matches_object_path_on_a_harness(
+        self, ring_size, height, backend, events, gap
+    ):
+        """Reads land between a capture and the next commit, not only on commits."""
+        harness = _harness(ring_size, height, backend)
+        aps = harness.access_proxies()
+        entry = aps[-1]
+        frontend = harness.serving_frontend()
+        # One direct repair (outside any round) at most, never of the entry
+        # point and never of a whole ring.
+        victims = [n for n in harness.kernel.entities if n.value != entry]
+        repaired = False
+        joined = 0
+
+        def repair(victim):
+            kernel, now = harness.kernel, harness.engine.now
+            kernel.fail_entity(victim, now=now)
+            kernel.detect_and_repair(victim, now=now)
+
+        def read():
+            _assert_batch_matches_object_path(frontend, harness.kernel, entry)
+
+        for index, (kind, site, pick) in enumerate(events):
+            # Overlapping propagations, or one (mostly) settled per event.
+            at = gap * (index + 1)
+            if kind == "repair" and not repaired:
+                repaired = True
+                victim = victims[site % len(victims)]
+                harness.schedule_call(at, lambda victim=victim: repair(victim))
+            elif kind == "join" or joined == 0:
+                harness.schedule_join(at, aps[site % len(aps)], guid=f"m{joined}")
+                joined += 1
+            elif kind == "leave":
+                harness.schedule_leave(at, f"m{pick % joined}")
+            elif kind == "failure":
+                harness.schedule_failure(at, f"m{pick % joined}")
+            else:
+                harness.schedule_handoff(at, f"m{pick % joined}", aps[site % len(aps)])
+            # round_delay is 1.0: both reads fall after this event's capture
+            # and before the round that commits it.
+            harness.schedule_call(at + 0.05, read)
+            harness.schedule_call(at + 0.25, read)
+        harness.run()
+        read()
+
+    @given(
+        ring_size=st.integers(min_value=2, max_value=3),
+        height=st.integers(min_value=2, max_value=3),
+        backend=st.sampled_from(("object", "columnar")),
+        events=_EVENTS,
+        rounds_between=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_event_matches_object_path_on_a_bare_engine(
+        self, ring_size, height, backend, events, rounds_between
+    ):
+        """No harness, no listener: reads after every capture, repair and round."""
+        engine = OneRoundEngine(
+            HierarchyBuilder("serving-test").regular(ring_size=ring_size, height=height),
+            config=ProtocolConfig(aggregation_delay=0.0),
+            backend=backend,
+        )
+        aps = engine.hierarchy.access_proxies()
+        entry = aps[-1]
+        frontend = ServingFrontend(engine)
+        victims = [n for n in engine.kernel.entities if n != entry]
+        repaired = False
+        joined = 0
+        location = {}
+
+        def read():
+            _assert_batch_matches_object_path(frontend, engine, entry)
+
+        read()
+        for kind, site, pick in events:
+            ap = aps[site % len(aps)]
+            known = sorted(location)
+            guid = known[pick % len(known)] if known else None
+            if kind == "repair" and not repaired:
+                repaired = True
+                victim = victims[site % len(victims)]
+                engine.fail_entity(victim)
+                engine.detect_and_repair(victim)
+                # Members attached at a crashed proxy are gone with it.
+                location = {g: at for g, at in location.items() if at != victim}
+            elif ap in engine.kernel.failed:
+                continue
+            elif kind == "join" or guid is None:
+                guid = f"m{joined}"
+                joined += 1
+                engine.member_join(ap, guid)
+                location[guid] = ap
+            elif kind == "handoff":
+                if location[guid] != ap:
+                    engine.member_handoff(guid, location[guid], ap)
+                    location[guid] = ap
+            elif kind == "leave":
+                engine.member_leave(location.pop(guid), guid)
+            else:
+                engine.member_failure(location.pop(guid), guid)
+            read()
+            for ring_id in engine.pending_rings()[:rounds_between]:
+                engine.run_round(ring_id)
+                read()
+        engine.propagate()
+        read()
+
+
+class TestWarmReadCost:
+    """A read that changes nothing revalidates nothing, on any driver.
+
+    ``RingHierarchy.tiers`` is deliberately not patched: a BMS query still
+    reaches it through ``bottom_tier()`` (see docs/PERF.md, "Serving reads").
+    """
+
+    @pytest.mark.parametrize("driver", ("harness", "bare"))
+    @pytest.mark.parametrize("backend", ("object", "columnar"))
+    def test_warm_drain_never_reads_version_keys(self, driver, backend, monkeypatch):
+        if driver == "harness":
+            engine = _harness(3, 3, backend)
+            engine.schedule_join(0.1, engine.access_proxies()[0], guid="alice")
+            engine.run()
+        else:
+            engine = OneRoundEngine(
+                HierarchyBuilder("serving-test").regular(ring_size=3, height=3),
+                config=ProtocolConfig(aggregation_delay=0.0),
+                backend=backend,
+            )
+            engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
+            engine.propagate()
+        frontend = ServingFrontend(engine)
+        for scheme in SCHEMES:
+            frontend.submit(scheme)
+        cold = frontend.drain()
+        assert frontend.stats()["captures"] == len(SCHEMES)
+
+        def sweep(*_args, **_kwargs):
+            raise AssertionError("hierarchy-sized sweep on a warm read")
+
+        monkeypatch.setattr(RingHierarchy, "rings_in_tier", sweep)
+        monkeypatch.setattr(MembershipFrame, "is_current", sweep)
+        for scheme in SCHEMES:
+            frontend.submit(scheme)
+        warm = frontend.drain()
+        for got, want in zip(warm, cold):
+            _assert_same_answer(got, want)
+            # Shared per frame, not copied per result.
+            assert got.members is want.members
+            assert got.entities_contacted is want.entities_contacted
+        stats = frontend.stats()
+        assert stats["hits"] == len(SCHEMES)
+        assert stats["captures"] == len(SCHEMES)
+        assert stats["revalidations"] == stats["invalidations"] == 0
 
 
 class TestTornReadRegression:
@@ -148,16 +358,78 @@ class TestTornReadRegression:
         harness.schedule_join(0.1, aps[0], guid="alice")
         harness.run()
         frontend = harness.serving_frontend()
-        for _ in range(3):
+
+        def batch():
             for scheme in SCHEMES:
                 frontend.submit(scheme)
             frontend.drain()
-        stats = frontend.stats()
-        # One capture per distinct frame; every later batch reuses them
-        # without any version reads (no rounds committed in between).
-        assert stats["captures"] <= len(SCHEMES)
-        assert stats["hits"] >= 2 * len(SCHEMES)
-        assert stats["invalidations"] == 0
+            return frontend.cache.stats()
+
+        # Two tiers: IMS falls back to the tier below the top, which is the
+        # bottom tier, so BMS and IMS share one frame — two frames in all.
+        # Batch 1 captures both (TMS, BMS) and IMS hits; batches 2 and 3 are
+        # three generation hits each, with no version reads.
+        for _ in range(3):
+            stats = batch()
+        assert stats == {"captures": 2, "hits": 7, "revalidations": 0, "invalidations": 0}
+
+        # A write that moves the generation but touches neither frame's views
+        # (the object path's scratch merge view): both frames revalidate on
+        # the full version key, once, and IMS hits the revalidated frame.
+        MembershipQueryService(harness.kernel).query(MembershipScheme.BMS)
+        stats = batch()
+        assert stats == {"captures": 2, "hits": 8, "revalidations": 2, "invalidations": 0}
+        assert batch()["hits"] == 11
+
+        # Committed rounds that do change the leaders' views: both frames
+        # are invalidated and recaptured, and reuse resumes from there.
+        harness.schedule_join(harness.engine.now + 0.1, aps[1], guid="bob")
+        harness.run()
+        stats = batch()
+        assert stats == {"captures": 4, "hits": 12, "revalidations": 2, "invalidations": 2}
+        assert batch() == {"captures": 4, "hits": 15, "revalidations": 2, "invalidations": 2}
+
+        # An epoch bump alone (no view or ring version moved, so the
+        # generation did not): the hit compares the epoch too, and the full
+        # key — which includes the epoch — sends both frames to recapture.
+        harness.kernel.invalidate_coverage()
+        stats = batch()
+        assert stats == {"captures": 6, "hits": 16, "revalidations": 2, "invalidations": 4}
+
+    @pytest.mark.parametrize("backend", ("object", "columnar"))
+    def test_handoff_capture_between_commits_is_not_served_stale(self, backend):
+        """A handoff's capture edits the old proxy's lists with no round commit."""
+        harness = _harness(4, 3, backend)
+        aps = harness.access_proxies()
+        ring = harness.hierarchy.bottom_rings()[0]
+        away = next(ap for ap in aps if harness.hierarchy.ring_of(ap) is not ring)
+        entry = aps[-1]
+        harness.schedule_join(0.1, ring.leader, guid="mover")
+        harness.run()
+        frontend = harness.serving_frontend()
+        bms = MembershipScheme.BMS
+        assert frontend.query(bms, entry).guids == ["mover"]
+
+        # Read after the capture event, before the round that commits it:
+        # the old bottom leader already dropped the member, the new ring has
+        # not circulated it yet.
+        at = harness.engine.now + 1.0
+        harness.schedule_handoff(at, "mover", away)
+        reads = []
+        harness.schedule_call(
+            at + 0.25,
+            lambda: reads.append(
+                (
+                    frontend.query(bms, entry),
+                    MembershipQueryService(harness.kernel, entry_point=entry).query(bms),
+                )
+            ),
+        )
+        harness.run()
+        (got, want), = reads
+        assert want.guids == []
+        _assert_same_answer(got, want)
+        _assert_batch_matches_object_path(frontend, harness.kernel, entry)
 
 
 class TestRoutingMemoisation:
@@ -204,10 +476,7 @@ class TestRoutingMemoisation:
 
     def test_frontend_reroutes_after_repair(self):
         engine = self._engine()
-        frontend_engine = engine  # OneRoundEngine: kernel + hierarchy, no listener
-        from repro.serving.frontend import ServingFrontend
-
-        frontend = ServingFrontend(frontend_engine)
+        frontend = ServingFrontend(engine)
         ring = engine.hierarchy.bottom_rings()[0]
         leader = ring.leader
         survivor = next(m for m in ring.members if m != leader)
@@ -226,6 +495,31 @@ class TestRoutingMemoisation:
         _assert_same_answer(
             after,
             MembershipQueryService(engine, entry_point=survivor).query(MembershipScheme.BMS),
+        )
+
+
+    @pytest.mark.parametrize("backend", ("object", "columnar"))
+    def test_frontend_reroutes_after_repair_outside_a_round(self, backend):
+        """The generation hit must also compare the epoch: a repair that runs
+        outside any round re-elects the leader the warm frame still names."""
+        harness = _harness(3, 2, backend)
+        frontend = harness.serving_frontend()
+        ring = harness.hierarchy.bottom_rings()[0]
+        leader = ring.leader
+        survivor = next(m for m in ring.members if m != leader)
+        harness.schedule_join(0.1, survivor, guid="bob")
+        harness.run()
+        bms = MembershipScheme.BMS
+        assert leader in frontend.query(bms, survivor).entities_contacted
+
+        harness.kernel.fail_entity(leader, now=harness.engine.now)
+        harness.kernel.detect_and_repair(leader, now=harness.engine.now)
+        after = frontend.query(bms, survivor)
+        assert leader not in after.entities_contacted
+        assert ring.leader in after.entities_contacted
+        _assert_same_answer(
+            after,
+            MembershipQueryService(harness.kernel, entry_point=survivor).query(bms),
         )
 
 
