@@ -13,6 +13,9 @@ The subpackage implements Section 4 of the paper:
   transport-agnostic token-round state machine (round orchestration,
   notification/acknowledgement routing, seen-set dedup) and the batched
   membership deltas it applies in a single pass.
+* :mod:`repro.core.delivery` — the one reliable-delivery core for
+  notifications (ack-gated retry, sender succession, reroute, dead letters,
+  the round gate), driven by the sim's and the UDP node's dispatches.
 * :mod:`repro.core.one_round` / :mod:`repro.core.protocol` — the two thin
   drivers of the kernel: deterministic structural stepping vs. message
   scheduling on the discrete-event transport (Section 4.3, Figure 3).

@@ -5,56 +5,35 @@ Third driver of the :class:`repro.core.kernel.MessageDispatch` seam (after
 owns whole rings; its kernel replica runs rounds only for those rings, and
 this dispatch routes the round's outbound messages:
 
-* **Notifications** are reliable within a budget, mirroring the sim's
-  ``TransportDispatch`` semantics message for message: every send is
-  tracked, re-sent with backoff until the receiving shard acknowledges
-  insertion, re-routed through the kernel's repair logic when the target
-  crashed in the meantime, abandoned (with a counter, un-marking the
-  seen-set) only after ``resend_limit`` attempts at a live-but-unreachable
-  target.  Receivers dedup by notify id (a resend after a lost ack must
-  not double-insert) and apply the same staleness filter the sim harness
-  applies.
+* **Notifications** are reliable within a budget.  The rules — tracked
+  sends, resend until acknowledged, reroute when an endpoint crashed in the
+  meantime, abandonment only after ``resend_limit`` attempts at a
+  live-but-unreachable target, dead-lettering when no fallback exists — are
+  the shared :class:`repro.core.delivery.ReliableNotifier` (``notifier``),
+  the same object type the simulator drives.  What is the socket's own
+  stays here: the owner-shard lookup, handing a same-shard target straight
+  to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
+  always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
+  must not double-insert).
 * **Holder-acks** are fire-and-forget datagrams when the acked child sender
   lives on another shard (no receiver-side state, as in the sim).
 * **Token hops** circulate between members of one ring — always one shard —
   so the datagram is a self-addressed loopback send: the hop still crosses
   the wire codec and socket (the sim's fire-and-forget ``MSG_TOKEN`` lane,
   made physical) without inventing a phantom remote receiver.
-
-The same dead-letter semantics as the (fixed) sim harness apply: a reroute
-with no usable fallback accounts the operations under
-``harness.notify_dead_lettered`` and stashes them for re-injection when a
-later repair (coverage epoch change) restores a fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
+from repro.core.delivery import Notification, ReliableNotifier
 from repro.core.identifiers import NodeId, coerce_node
-from repro.core.kernel import MessageDispatch, TokenRoundKernel, stale_for
+from repro.core.kernel import MessageDispatch, TokenRoundKernel
 from repro.core.token import TokenOperation
 from repro.runtime import wire
 
-__all__ = ["LiveNotification", "SocketDispatch"]
-
-
-@dataclass
-class LiveNotification:
-    """An in-flight reliable notification (live analogue of the sim's
-    ``_PendingNotification``; ``target_ring_id`` serves the same
-    un-mark-on-reroute purpose)."""
-
-    sender: NodeId
-    target: NodeId
-    operations: Tuple[TokenOperation, ...]
-    target_ring_id: str
-    attempts: int = 1
-    #: Ring the sender belonged to at send time — a dead sender's in-flight
-    #: notifications are taken over by a surviving member of this ring (the
-    #: operations are ring-applied state, not the messenger's private data).
-    sender_ring_id: Optional[str] = None
+__all__ = ["SocketDispatch"]
 
 
 class SocketDispatch(MessageDispatch):
@@ -70,13 +49,22 @@ class SocketDispatch(MessageDispatch):
 
     def __init__(self, node) -> None:
         self.node = node
-        self._pending: Dict[int, LiveNotification] = {}
-        self._timers: Dict[int, object] = {}
-        self._next_id = 1
         #: (sender_shard, notify_id) pairs already inserted (resend dedup).
         self._delivered: Set[Tuple[int, int]] = set()
-        self._dead_letters: List[LiveNotification] = []
-        self._dead_letter_epoch: Optional[int] = None
+
+    def bind(self, kernel: TokenRoundKernel) -> None:
+        """Create the delivery core (the kernel it acts on is itself
+        constructed with this dispatch, so it arrives second)."""
+        node = self.node
+        self.notifier = ReliableNotifier(
+            kernel,
+            node.metrics,
+            now=node.vnow,
+            send=self._send,
+            arm=node.loop.call_later,
+            schedule_round=node.schedule_round,
+            resend_limit=node.config.resend_limit,
+        )
 
     # -- MessageDispatch interface ------------------------------------------
 
@@ -88,19 +76,11 @@ class SocketDispatch(MessageDispatch):
         operations: Sequence[TokenOperation],
         now: float,
     ) -> None:
-        ring_id = kernel.hierarchy.ring_of(target).ring_id
-        entry = LiveNotification(
-            sender,
-            target,
-            tuple(operations),
-            ring_id,
-            sender_ring_id=kernel.hierarchy.ring_of_node.get(sender),
-        )
-        owner = self.node.plan.owner_of_ring(ring_id)
-        if owner == self.node.shard_id:
-            self._deliver_local(entry)
+        entry = self.notifier.notification(sender, target, operations)
+        if self.node.plan.owner_of_ring(entry.target_ring_id) == self.node.shard_id:
+            self.notifier.accept(entry)  # same shard: never touches the socket
         else:
-            self._transmit(entry, self._take_id())
+            self.notifier.submit(entry)
 
     def deliver_holder_ack(
         self, kernel: TokenRoundKernel, holder: NodeId, target: NodeId, now: float
@@ -123,26 +103,21 @@ class SocketDispatch(MessageDispatch):
             wire.MSG_TOKEN, {"sender": sender.value, "receiver": receiver.value}
         )
 
-    # -- reliable notification plumbing -------------------------------------
-
-    def _take_id(self) -> int:
-        notify_id = self._next_id
-        self._next_id += 1
-        return notify_id
+    # -- read surface (the node's idle() and result()) ----------------------
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self.notifier.pending_count()
 
     def dead_letter_count(self) -> int:
-        return len(self._dead_letters)
+        return len(self.notifier.dead_letters)
 
-    def _transmit(self, entry: LiveNotification, notify_id: int) -> None:
+    # -- the notifier's transport -------------------------------------------
+
+    def _send(self, notify_id: int, entry: Notification) -> float:
         node = self.node
         ring_id = entry.target_ring_id
-        owner = node.plan.owner_of_ring(ring_id)
-        self._pending[notify_id] = entry
         node.send_to_shard(
-            owner,
+            node.plan.owner_of_ring(ring_id),
             wire.MSG_NOTIFY,
             {
                 "id": notify_id,
@@ -152,60 +127,7 @@ class SocketDispatch(MessageDispatch):
                 "ops": entry.operations,
             },
         )
-        self._timers[notify_id] = node.loop.call_later(
-            node.config.resend_backoff, lambda: self._check(notify_id)
-        )
-
-    def _check(self, notify_id: int) -> None:
-        entry = self._pending.pop(notify_id, None)
-        self._timers.pop(notify_id, None)
-        if entry is None:
-            return  # acked
-        node = self.node
-        kernel = node.kernel
-        if (
-            entry.target in kernel.failed
-            or not kernel.hierarchy.has_node(entry.target)
-            or entry.sender in kernel.failed
-            or not kernel.hierarchy.has_node(entry.sender)
-        ):
-            # Heartbeat eviction marked an endpoint dead while the message
-            # was in flight: re-route through the repair logic (a dead
-            # sender is succeeded by a surviving member of its ring).
-            self._reroute(entry)
-            return
-        if entry.attempts > node.config.resend_limit:
-            node.metrics.counter("harness.notify_abandoned").increment()
-            seen = kernel.ring_seen.get(entry.target_ring_id)
-            if seen is not None:
-                seen.difference_update(op.sequence for op in entry.operations)
-            return
-        node.metrics.counter("harness.notify_resends").increment()
-        entry.attempts += 1
-        self._transmit(entry, notify_id)
-
-    def _deliver_local(self, entry: LiveNotification) -> None:
-        """Same-shard delivery: the sim's ``_accept_notification`` inline."""
-        node = self.node
-        kernel = node.kernel
-        target = entry.target
-        if target in kernel.failed or not kernel.hierarchy.has_node(target):
-            self._reroute(entry)
-            return
-        entity = kernel.entity(target)
-        ring_id = kernel.hierarchy.ring_of(target).ring_id
-        now = node.vnow()
-        inserted = False
-        applied = kernel.ring_applied_seq.get(ring_id)
-        for op in entry.operations:
-            if stale_for(applied, op):
-                node.metrics.counter("harness.stale_ops_dropped").increment()
-                continue
-            entity.mq.insert(op, sender=entry.sender, now=now)
-            inserted = True
-        node.metrics.counter("harness.notifications_delivered").increment()
-        if inserted:
-            node.schedule_round(ring_id)
+        return node.config.resend_backoff
 
     # -- receiver side (wired from the node's datagram handlers) ------------
 
@@ -221,113 +143,14 @@ class SocketDispatch(MessageDispatch):
             node.metrics.counter("runtime.notify_duplicates").increment()
             return
         self._delivered.add(key)
-        entry = LiveNotification(
-            sender=coerce_node(payload["sender"]),
-            target=coerce_node(payload["target"]),
-            operations=tuple(payload["ops"]),
-            target_ring_id=payload["ring"],
+        self.notifier.accept(
+            Notification(
+                sender=coerce_node(payload["sender"]),
+                target=coerce_node(payload["target"]),
+                operations=tuple(payload["ops"]),
+                target_ring_id=payload["ring"],
+            )
         )
-        self._deliver_local(entry)
 
     def on_notify_ack(self, message: wire.WireMessage) -> None:
-        notify_id = int(message.payload["id"])
-        if self._pending.pop(notify_id, None) is not None:
-            timer = self._timers.pop(notify_id, None)
-            if timer is not None:
-                timer.cancel()
-
-    # -- reroute + dead letters (sim-harness semantics) ----------------------
-
-    def _reroute(self, entry: LiveNotification) -> None:
-        node = self.node
-        kernel = node.kernel
-        target = entry.target
-        sender = self._live_sender(entry)
-        node.metrics.counter("harness.notify_rerouted").increment()
-        seen = kernel.ring_seen.get(entry.target_ring_id)
-        if seen is not None:
-            seen.difference_update(op.sequence for op in entry.operations)
-        if sender is None:
-            node.metrics.counter("harness.notify_dead_lettered").increment()
-            self._dead_letters.append(entry)
-            return
-        if kernel.hierarchy.has_node(target) and target != sender:
-            kernel.forward_notification(sender, target, entry.operations, node.vnow())
-            return
-        fallback = self._fallback(sender, target, entry.target_ring_id)
-        if fallback is not None:
-            kernel.forward_notification(sender, fallback, entry.operations, node.vnow())
-            return
-        node.metrics.counter("harness.notify_dead_lettered").increment()
-        self._dead_letters.append(entry)
-
-    def _live_sender(self, entry: LiveNotification) -> Optional[NodeId]:
-        """The entry's sender if alive, else a surviving member of the
-        sender's ring, else None (sim-harness mirror)."""
-        kernel = self.node.kernel
-        hierarchy = kernel.hierarchy
-        sender = entry.sender
-        if sender not in kernel.failed and hierarchy.has_node(sender):
-            return sender
-        ring_id = entry.sender_ring_id or hierarchy.ring_of_node.get(sender)
-        ring = hierarchy.rings.get(ring_id) if ring_id else None
-        if ring is None:
-            return None
-        candidates = [ring.leader] + list(ring.members)
-        for candidate in candidates:
-            if (
-                candidate is not None
-                and candidate not in kernel.failed
-                and hierarchy.has_node(candidate)
-            ):
-                return candidate
-        return None
-
-    def _fallback(self, sender: NodeId, target: NodeId, target_ring_id: str):
-        """Surviving counterpart for an excised target (sim-harness mirror):
-        the sender's re-attached parent slot for upward notifications, the
-        target ring's post-repair leader for downward dissemination."""
-        kernel = self.node.kernel
-        hierarchy = kernel.hierarchy
-        candidates = []
-        if sender in kernel.entities:
-            candidates.append(kernel.entities[sender].parent)
-            ring_id = hierarchy.ring_of_node.get(sender)
-            candidates.append(hierarchy.parent_node.get(ring_id) if ring_id else None)
-        ring = hierarchy.rings.get(target_ring_id)
-        candidates.append(ring.leader if ring is not None else None)
-        for candidate in candidates:
-            if (
-                candidate is not None
-                and candidate != target
-                and candidate not in kernel.failed
-                and hierarchy.has_node(candidate)
-            ):
-                return candidate
-        return None
-
-    def retry_dead_letters(self) -> bool:
-        """Re-offer dead letters after repair surgery (coverage epoch moved)."""
-        if not self._dead_letters:
-            return False
-        node = self.node
-        kernel = node.kernel
-        epoch = kernel.coverage_epoch
-        if epoch == self._dead_letter_epoch:
-            return False
-        self._dead_letter_epoch = epoch
-        kept: List[LiveNotification] = []
-        reinjected = False
-        for entry in self._dead_letters:
-            sender = self._live_sender(entry)
-            fallback = None
-            if sender is not None:
-                fallback = self._fallback(sender, entry.target, entry.target_ring_id)
-            if fallback is None or fallback == sender:
-                kept.append(entry)
-                continue
-            node.metrics.counter("harness.notify_reinjected").increment()
-            kernel.forward_notification(sender, fallback, entry.operations, node.vnow())
-            reinjected = True
-        self._dead_letters = kept
-        return reinjected
+        self.notifier.acknowledge(int(message.payload["id"]))

@@ -13,7 +13,8 @@
   multiplexed by the single-threaded :class:`~repro.runtime.loop.EventLoop`
   together with round timers, heartbeat timers and the scenario script.
 * replays its slice of the scenario script with the script's pre-assigned
-  sequence/epoch identities, mirroring the sim harness's capture handlers.
+  sequence/epoch identities (the sim harness's capture handlers, with the
+  identities supplied instead of minted).
 * detects peer-shard death by heartbeat silence and feeds every entity the
   dead shard owned into the kernel's existing ``fail_entity``/repair path —
   the same entry point the simulator's ``FaultEvent`` uses.
@@ -129,6 +130,7 @@ class NodeRuntime:
             entities=states,
             entities_pristine=True,
         )
+        self.dispatch.bind(self.kernel)
         # Disjoint per-shard repair-op sequence stream above the script's.
         self.kernel.set_sequence_stream(
             config.script.next_sequence + config.shard_id, self.plan.num_shards
@@ -478,7 +480,7 @@ class NodeRuntime:
         else:
             self.metrics.counter("runtime.unknown_script_ops").increment()
 
-    # -- rounds (the sim harness's scheduling, on real timers) ---------------
+    # -- rounds (real timers; the gate and follow-ups are the notifier's) -----
 
     def schedule_round(self, ring_id: str, delay: Optional[float] = None) -> None:
         if ring_id not in self.owned_rings:
@@ -494,35 +496,12 @@ class NodeRuntime:
 
     def _run_ring_round(self, ring_id: str) -> None:
         self._round_scheduled.discard(ring_id)
-        if self.halted or self.finalized:
+        notifier = self.dispatch.notifier
+        if self.halted or self.finalized or not notifier.round_due(ring_id):
             return
-        kernel = self.kernel
-        ring = self.hierarchy.rings.get(ring_id)
-        if ring is None or ring.is_empty:
-            return
-        failed = kernel.failed
-        entities = kernel.entities
-        has_work = False
-        operational = 0
-        for n in ring.members:
-            if n in failed:
-                continue
-            operational += 1
-            if not has_work and entities[n].has_queued_work():
-                has_work = True
-        if operational == 0:
-            return
-        needs_repair = operational != len(ring.members)
-        if not has_work and not needs_repair:
-            return
-        kernel.run_round(ring_id, now=self.vnow())
+        self.kernel.run_round(ring_id, now=self.vnow())
         self.metrics.counter("harness.rounds").increment()
-        self.dispatch.retry_dead_letters()
-        failed = kernel.failed
-        for n in ring.members:
-            if n not in failed and entities[n].has_queued_work():
-                self.schedule_round(ring_id)
-                break
+        notifier.after_round(ring_id)
 
     # -- liveness / status ----------------------------------------------------
 
@@ -545,7 +524,7 @@ class NodeRuntime:
         for ring_id in self.kernel.pending_rings():
             if ring_id in self.owned_rings:
                 self.schedule_round(ring_id)
-        self.dispatch.retry_dead_letters()
+        self.dispatch.notifier.retry_dead_letters()
         assert self.monitor is not None
         self.send_to_supervisor(
             wire.MSG_STATUS,

@@ -31,12 +31,12 @@ this harness instead of hand-rolling a driver.
 
 from __future__ import annotations
 
-import itertools
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.config import ProtocolConfig
+from repro.core.delivery import Notification, ReliableNotifier
 from repro.core.events import MembershipEventBus
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy, paused_gc
 from repro.core.identifiers import NodeId, coerce_node
@@ -45,7 +45,6 @@ from repro.core.kernel import (
     MessageDispatch,
     TokenRoundKernel,
     create_kernel,
-    stale_for,
 )
 from repro.core.member import MemberInfo
 from repro.core.partition import PartitionReport, detect_partitions
@@ -173,49 +172,42 @@ class HarnessResult:
         return self.converged and self.ring_agreement
 
 
-@dataclass
-class _PendingNotification:
-    """A notification the dispatch has sent but not yet seen delivered.
-
-    ``target_ring_id`` remembers which ring's seen-set the operations were
-    marked against at send time — after a repair excises the target, the ring
-    itself survives, and a re-route must un-mark there or the surviving
-    members would filter the retried operations as duplicates.
-    """
-
-    sender: NodeId
-    target: NodeId
-    operations: Tuple[TokenOperation, ...]
-    target_ring_id: str
-    attempts: int = 1
-    #: Ring the sender belonged to at send time.  The operations a sender
-    #: forwards were applied by its whole ring in the round that produced
-    #: them, so when the sender dies mid-flight any surviving ring member
-    #: can (and must) take over the send — without this, ring-applied state
-    #: dies with the messenger.
-    sender_ring_id: Optional[str] = None
-
-
 class TransportDispatch(MessageDispatch):
     """Kernel dispatch that routes protocol messages over the transport.
 
-    Notifications are *reliable within a budget*: the dispatch tracks every
-    send and re-sends (with backoff) until the receiving entity's handler
-    confirms insertion, re-routing via the kernel's repair logic when the
-    target has crashed in the meantime, and giving up only after
-    ``resend_limit`` attempts at a live target that stayed unreachable the
-    whole time.  Token hops and holder-acknowledgements are fire-and-forget
-    messages — their loss is already modelled by the kernel's retransmission
-    counters and has no receiver-side state to lose.
+    Notifications are *reliable within a budget*: every send goes through the
+    shared :class:`repro.core.delivery.ReliableNotifier` (``notifier``), which
+    re-sends until the receiving entity's handler confirms insertion,
+    re-routes when an endpoint crashed in the meantime, and gives up only
+    after ``resend_limit`` attempts at a live target that stayed unreachable
+    the whole time.  What is the simulator's own stays here: the
+    ``transport.send`` call with its ``no-path`` recovery link, and the
+    arrival-time-plus-backoff wait before the unacked check.  Token hops and
+    holder-acknowledgements are fire-and-forget messages — their loss is
+    already modelled by the kernel's retransmission counters and has no
+    receiver-side state to lose.
     """
 
     emits_token_messages = True
 
     def __init__(self, harness: "ScenarioHarness") -> None:
         self.harness = harness
-        self._pending: Dict[int, _PendingNotification] = {}
-        self._ids = itertools.count(1)
         self._send_ff = harness.transport.send_fire_and_forget
+
+    def bind(self, kernel: TokenRoundKernel) -> None:
+        """Create the delivery core (the kernel it acts on is itself
+        constructed with this dispatch, so it arrives second)."""
+        harness = self.harness
+        engine = harness.engine
+        self.notifier = ReliableNotifier(
+            kernel,
+            harness.metrics,
+            now=lambda: engine.now,
+            send=self._send,
+            arm=self._arm,
+            schedule_round=harness._schedule_round,
+            resend_limit=harness.config.resend_limit,
+        )
 
     # -- MessageDispatch interface ------------------------------------------
 
@@ -227,17 +219,10 @@ class TransportDispatch(MessageDispatch):
         operations: Sequence[TokenOperation],
         now: float,
     ) -> None:
-        ring_id = kernel.hierarchy.ring_of(target).ring_id
-        pending = _PendingNotification(
-            sender,
-            target,
-            tuple(operations),
-            ring_id,
-            sender_ring_id=kernel.hierarchy.ring_of_node.get(sender),
-        )
+        entry = self.notifier.notification(sender, target, operations)
         if self.harness.config.record_sends:
-            self.harness._record_sends(pending)
-        self._transmit(pending)
+            self.harness._record_sends(entry)
+        self.notifier.submit(entry)
 
     def deliver_holder_ack(
         self, kernel: TokenRoundKernel, holder: NodeId, target: NodeId, now: float
@@ -249,76 +234,42 @@ class TransportDispatch(MessageDispatch):
     ) -> None:
         self._send_ff(sender.value, receiver.value, MSG_TOKEN)
 
-    # -- reliable notification plumbing -------------------------------------
+    # -- the notifier's transport -------------------------------------------
 
-    def _transmit(self, pending: _PendingNotification) -> None:
+    def _send(self, notify_id: int, entry: Notification) -> float:
         harness = self.harness
-        dispatch_id = next(self._ids)
-        self._pending[dispatch_id] = pending
-        receipt = harness.transport.send(
-            str(pending.sender),
-            str(pending.target),
-            MSG_NOTIFY,
-            {
-                "dispatch_id": dispatch_id,
-                "sender": str(pending.sender),
-                "operations": pending.operations,
-            },
-            retries=harness.config.transport_retries,
-        )
+        source, destination = str(entry.sender), str(entry.target)
+        payload = {"dispatch_id": notify_id, "sender": source, "operations": entry.operations}
+        retries = harness.config.transport_retries
+        receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload, retries=retries)
         if not receipt.accepted and receipt.reason == "no-path":
             # The minimal link graph lost its route (e.g. repair re-attached a
             # ring under a new parent).  The underlying IP network routes
             # anywhere, so materialise a recovery link and retry immediately.
-            harness._ensure_link(str(pending.sender), str(pending.target))
-            self._pending.pop(dispatch_id, None)
-            self._transmit(pending)
-            return
+            harness._ensure_link(source, destination)
+            receipt = harness.transport.send(
+                source, destination, MSG_NOTIFY, payload, retries=retries
+            )
         if receipt.accepted and receipt.expected_delivery is not None:
-            wait = (receipt.expected_delivery - harness.engine.now) + harness.config.resend_backoff
-        else:
-            wait = harness.config.resend_backoff
+            return (receipt.expected_delivery - harness.engine.now) + harness.config.resend_backoff
+        return harness.config.resend_backoff
 
-        def check(_engine: SimulationEngine) -> None:
-            if dispatch_id not in self._pending:
-                return  # delivered
-            entry = self._pending.pop(dispatch_id)
-            kernel = harness.kernel
-            if (
-                entry.target in kernel.failed
-                or not kernel.hierarchy.has_node(entry.target)
-                or entry.sender in kernel.failed
-                or not kernel.hierarchy.has_node(entry.sender)
-            ):
-                # An endpoint crashed while the message was in flight;
-                # resending as-is is pointless — re-route through the repair
-                # logic now (a dead sender is succeeded by a surviving member
-                # of its ring, a dead target by its repaired counterpart).
-                harness._reroute_notification(entry)
-                return
-            if entry.attempts > harness.config.resend_limit:
-                # The target is alive but has been unreachable for the whole
-                # resend budget (e.g. an unhealed disconnection): genuinely
-                # give up.  Un-mark the seen-set so a later notification from
-                # another path may still carry the operations.
-                harness.metrics.counter("harness.notify_abandoned").increment()
-                seen = kernel.ring_seen.get(entry.target_ring_id)
-                if seen is not None:
-                    seen.difference_update(op.sequence for op in entry.operations)
-                return
-            harness.metrics.counter("harness.notify_resends").increment()
-            entry.attempts += 1
-            self._transmit(entry)
-
-        harness.engine.schedule(wait, check, label=f"notify-check:{pending.target}")
+    def _arm(self, delay: float, callback: Callable[[], None]) -> None:
+        # Never cancelled: an acknowledged check fires as a no-op, and the
+        # engine's dispatched-event count (part of every record fingerprint)
+        # depends on that.
+        self.harness.engine.schedule(delay, lambda _engine: callback(), label="notify-check")
 
     def on_delivered(self, message: Message) -> None:
-        """Called by the harness handler when a notify message arrives."""
+        """Called by the harness handler when a notify message arrives.
+
+        Arrival is the acknowledgement: it pops the sender's pending entry,
+        and a pop that finds nothing is a duplicate (already handled).
+        """
         dispatch_id = message.payload.get("dispatch_id")
-        entry = self._pending.pop(int(dispatch_id), None) if dispatch_id is not None else None
-        if entry is None:
-            return  # duplicate or unknown — already handled
-        self.harness._accept_notification(entry)
+        entry = self.notifier.acknowledge(int(dispatch_id)) if dispatch_id is not None else None
+        if entry is not None:
+            self.notifier.accept(entry)
 
 
 @dataclass(frozen=True)
@@ -481,6 +432,7 @@ class ScenarioHarness:
             entities_pristine=True,
             **kernel_kwargs,
         )
+        self.dispatch.bind(self.kernel)
         self.faults = FaultInjector(
             self.engine,
             self.network,
@@ -498,14 +450,9 @@ class ScenarioHarness:
         # Per-member dispatched-notification log (record_sends only): the
         # first and the most recent send mentioning each member, as
         # single-operation pending entries ready to re-transmit.
-        self._first_sends: Dict[str, _PendingNotification] = {}
-        self._last_sends: Dict[str, _PendingNotification] = {}
+        self._first_sends: Dict[str, Notification] = {}
+        self._last_sends: Dict[str, Notification] = {}
         self._c_rounds = self.metrics.counter("harness.rounds")
-        # Notifications whose reroute found no usable fallback target (the
-        # sender's whole parent ring died).  Held — never silently dropped —
-        # and re-offered whenever a repair re-shapes the hierarchy.
-        self._dead_letters: List[_PendingNotification] = []
-        self._dead_letter_epoch = self.kernel.coverage_epoch
         # Round-commit listeners (the serving layer's interleave seam):
         # called after every kernel round with (ring_id, sim_now), i.e. at
         # the exact point where membership views may have changed.
@@ -700,7 +647,7 @@ class ScenarioHarness:
     # message and fault handling
     # ------------------------------------------------------------------
 
-    def _record_sends(self, pending: _PendingNotification) -> None:
+    def _record_sends(self, pending: Notification) -> None:
         """Log the send per mentioned member (record_sends only).
 
         Each entry is narrowed to the single operation about that member, so
@@ -710,13 +657,7 @@ class ScenarioHarness:
         for op in pending.operations:
             if op.member is None:
                 continue
-            entry = _PendingNotification(
-                pending.sender,
-                pending.target,
-                (op,),
-                pending.target_ring_id,
-                sender_ring_id=pending.sender_ring_id,
-            )
+            entry = replace(pending, operations=(op,))
             key = str(op.member.guid)
             self._first_sends.setdefault(key, entry)
             self._last_sends[key] = entry
@@ -726,7 +667,7 @@ class ScenarioHarness:
 
         The replayed copy goes through the ordinary dispatch machinery —
         transport loss, resends, reroute on a dead endpoint — and lands in
-        :meth:`_accept_notification`, where the kernel's per-member sequence
+        the notifier's ``accept``, where the kernel's per-member sequence
         watermark (:func:`repro.core.kernel.stale_for`) must absorb it.
         """
         record = (self._first_sends if kind == "stale" else self._last_sends).get(member)
@@ -734,139 +675,13 @@ class ScenarioHarness:
             self.metrics.counter("harness.injections_skipped").increment()
             return
         self.metrics.counter(f"harness.injections_{kind}").increment()
-        self.dispatch._transmit(
-            _PendingNotification(
-                record.sender,
-                record.target,
-                record.operations,
-                record.target_ring_id,
-                sender_ring_id=record.sender_ring_id,
-            )
-        )
+        self.dispatch.notifier.submit(replace(record))
 
     def _on_message(self, message: Message) -> None:
         if message.msg_type == MSG_NOTIFY:
             self.dispatch.on_delivered(message)
         # MSG_TOKEN / MSG_HOLDER_ACK carry no receiver-side state: the round
         # outcome is the kernel's, the transport already recorded the traffic.
-
-    def _accept_notification(self, entry: _PendingNotification) -> None:
-        """A notify message reached its destination: insert and run a round."""
-        target = entry.target
-        if target in self.kernel.failed or not self.hierarchy.has_node(target):
-            self._reroute_notification(entry)
-            return
-        kernel = self.kernel
-        entity = kernel.entity(target)
-        ring_id = self.hierarchy.ring_of(target).ring_id
-        now = self.engine.now
-        inserted = False
-        applied = kernel.ring_applied_seq.get(ring_id)
-        for op in entry.operations:
-            # A lost-and-resent notification can arrive after a newer
-            # operation about the same member already circulated here; such
-            # stale operations must not resurrect outdated state.
-            if stale_for(applied, op):
-                self.metrics.counter("harness.stale_ops_dropped").increment()
-                continue
-            entity.mq.insert(op, sender=entry.sender, now=now)
-            inserted = True
-        self.metrics.counter("harness.notifications_delivered").increment()
-        if inserted:
-            self._schedule_round(ring_id)
-
-    def _reroute_notification(self, entry: _PendingNotification) -> None:
-        """The target died (or vanished) while the notification was in flight.
-
-        Un-mark the operations from the target ring's seen-set — they never
-        arrived — and push them back through the kernel's forwarding logic,
-        which repairs the failed target's ring and re-targets the surviving
-        counterpart (new leader or new parent).
-        """
-        kernel = self.kernel
-        target = entry.target
-        sender = self._live_sender(entry)
-        self.metrics.counter("harness.notify_rerouted").increment()
-        # The operations never arrived: un-mark them from the ring they were
-        # marked seen against, or the retry would be filtered as a duplicate.
-        seen = kernel.ring_seen.get(entry.target_ring_id)
-        if seen is not None:
-            seen.difference_update(op.sequence for op in entry.operations)
-        if sender is None:
-            # The sender and its whole ring died with the operations in
-            # flight; stash them — nothing on that side can re-send today,
-            # but a later repair may re-shape a path.
-            self.metrics.counter("harness.notify_dead_lettered").increment()
-            self._dead_letters.append(entry)
-            return
-        if self.hierarchy.has_node(target) and target != sender:
-            kernel.forward_notification(sender, target, entry.operations, self.engine.now)
-            return
-        # Already repaired away: fall back to the surviving counterpart —
-        # the sender's current parent for upward notifications (the repair
-        # surgery re-attached orphaned rings there), or the target ring's
-        # post-repair leader for downward dissemination (mirroring what
-        # ``forward_notification`` does when it runs the repair itself).
-        fallback = self._reroute_fallback(sender, target, entry.target_ring_id)
-        if fallback is not None:
-            kernel.forward_notification(sender, fallback, entry.operations, self.engine.now)
-            return
-        # No usable fallback: the sender's whole parent ring died, so the
-        # re-attachment surgery had nowhere to point the orphaned subtree
-        # and the sender's parent slot still dangles at the excised target.
-        # These operations were already un-marked from the seen-set; dropping
-        # them here would lose them forever with no signal.  Dead-letter
-        # them instead: account the loss and stash the entry so the next
-        # repair that gives the sender a live parent re-injects them.
-        self.metrics.counter("harness.notify_dead_lettered").increment()
-        self._dead_letters.append(entry)
-
-    def _live_sender(self, entry: _PendingNotification) -> Optional[NodeId]:
-        """The entry's sender if it still lives, else a surviving member of
-        the sender's ring (the operations are ring-applied state — any
-        survivor legitimately re-sends them), else None."""
-        kernel = self.kernel
-        sender = entry.sender
-        if sender not in kernel.failed and self.hierarchy.has_node(sender):
-            return sender
-        ring_id = entry.sender_ring_id or self.hierarchy.ring_of_node.get(sender)
-        ring = self.hierarchy.rings.get(ring_id) if ring_id else None
-        if ring is None:
-            return None
-        for candidate in itertools.chain((ring.leader,), ring.members):
-            if (
-                candidate is not None
-                and candidate not in kernel.failed
-                and self.hierarchy.has_node(candidate)
-            ):
-                return candidate
-        return None
-
-    def _reroute_fallback(
-        self, sender: NodeId, target: NodeId, target_ring_id: str
-    ) -> Optional[NodeId]:
-        """The surviving counterpart for a notification whose target was
-        repaired away, or None when there is none (yet)."""
-        kernel = self.kernel
-        hierarchy = self.hierarchy
-        candidates: List[Optional[NodeId]] = []
-        if sender in kernel.entities:
-            # Upward path: the sender's parent slot, as re-attached by repair.
-            candidates.append(kernel.entities[sender].parent)
-            ring_id = hierarchy.ring_of_node.get(sender)
-            candidates.append(hierarchy.parent_node.get(ring_id) if ring_id else None)
-        # Downward/sibling path: the target ring's post-repair leader.
-        ring = hierarchy.rings.get(target_ring_id)
-        candidates.append(ring.leader if ring is not None else None)
-        for candidate in candidates:
-            if (
-                candidate is not None
-                and candidate != target
-                and candidate not in kernel.failed
-                and hierarchy.has_node(candidate)
-            ):
-                return candidate
-        return None
 
     def _on_fault(self, event: FaultEvent) -> None:
         if event.kind is not FaultKind.CRASH:
@@ -930,78 +745,19 @@ class ScenarioHarness:
 
     def _run_ring_round(self, ring_id: str) -> None:
         self._round_scheduled.discard(ring_id)
-        kernel = self.kernel
-        ring = self.hierarchy.rings.get(ring_id)
-        if ring is None or ring.is_empty:
+        notifier = self.dispatch.notifier
+        if not notifier.round_due(ring_id):
             return
-        failed = kernel.failed
-        entities = kernel.entities
-        has_work = False
-        operational = 0
-        for n in ring.members:
-            if n in failed:
-                continue
-            operational += 1
-            if not has_work and entities[n].has_queued_work():
-                has_work = True
-        if operational == 0:
-            return
-        needs_repair = operational != len(ring.members)
-        if not has_work and not needs_repair:
-            return
-        kernel.run_round(ring_id, now=self.engine.now)
+        self.kernel.run_round(ring_id, now=self.engine.now)
         self._c_rounds.increment()
         for listener in self._round_listeners:
             listener(ring_id, self.engine.now)
-        # A round may have run repair surgery; give dead-lettered
-        # notifications a chance to find their re-attached fallback.
-        self._retry_dead_letters()
-        # Repair ops (or work queued at other members) trigger a follow-up
-        # round — control of a fresh token passes along the ring.
-        failed = kernel.failed
-        for n in ring.members:
-            if n not in failed and entities[n].has_queued_work():
-                self._schedule_round(ring_id)
-                break
-
-    def _retry_dead_letters(self) -> bool:
-        """Re-inject dead-lettered notifications once repair re-shapes things.
-
-        A notification is dead-lettered when its reroute found no usable
-        fallback — the sender's parent slot dangled at the excised target
-        because the whole parent ring died.  Any later repair surgery
-        (tracked via the kernel's coverage epoch) may have re-attached the
-        sender's subtree under a live parent; re-offer the stashed
-        operations then.  Entries whose fallback is still unusable stay
-        stashed (and accounted) rather than being dropped.
-        """
-        if not self._dead_letters:
-            return False
-        kernel = self.kernel
-        epoch = kernel.coverage_epoch
-        if epoch == self._dead_letter_epoch:
-            return False
-        self._dead_letter_epoch = epoch
-        kept: List[_PendingNotification] = []
-        reinjected = False
-        for entry in self._dead_letters:
-            sender = self._live_sender(entry)
-            fallback = None
-            if sender is not None:
-                fallback = self._reroute_fallback(sender, entry.target, entry.target_ring_id)
-            if fallback is None or fallback == sender:
-                kept.append(entry)
-                continue
-            self.metrics.counter("harness.notify_reinjected").increment()
-            kernel.forward_notification(sender, fallback, entry.operations, self.engine.now)
-            reinjected = True
-        self._dead_letters = kept
-        return reinjected
+        notifier.after_round(ring_id)
 
     @property
-    def dead_letters(self) -> List[_PendingNotification]:
+    def dead_letters(self) -> List[Notification]:
         """Dead-lettered notifications still awaiting a usable fallback."""
-        return list(self._dead_letters)
+        return self.dispatch.notifier.dead_letters
 
     # ------------------------------------------------------------------
     # execution
@@ -1023,7 +779,7 @@ class ScenarioHarness:
         # sweep also re-offers dead-lettered notifications whose fallback a
         # late repair may have restored.
         while self.engine.pending() == 0 and (
-            self._kick_pending_rings() or self._retry_dead_letters()
+            self._kick_pending_rings() or self.dispatch.notifier.retry_dead_letters()
         ):
             self.engine.run(until=until)
         counters = self.counter_values()

@@ -1,6 +1,6 @@
 """Regression tests for the notification dead-letter path.
 
-The bug: ``ScenarioHarness._reroute_notification`` handled a re-route whose
+The bug: the reroute (now ``ReliableNotifier.reroute``) handled a re-route whose
 fallback was unusable (``fallback is None or fallback == target`` — the
 sender's whole parent ring died and the repair surgery had nowhere to point
 the orphaned subtree) by silently dropping the operations *after* having
@@ -30,7 +30,8 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.harness import HarnessConfig, ScenarioHarness, _PendingNotification
+from repro.core.delivery import Notification
+from repro.sim.harness import HarnessConfig, ScenarioHarness
 
 
 def _orphan_harness():
@@ -69,7 +70,7 @@ def _entry(harness, sender, target, guid="dl-member-0"):
     # its ring at send time, as the dispatch does.
     ring_id = ring_id or harness.hierarchy.topmost_ring().ring_id
     kernel.ring_seen[ring_id].add(op.sequence)
-    return _PendingNotification(
+    return Notification(
         sender=sender, target=target, operations=(op,), target_ring_id=ring_id
     )
 
@@ -77,7 +78,7 @@ def _entry(harness, sender, target, guid="dl-member-0"):
 def test_unusable_fallback_dead_letters_instead_of_dropping():
     harness, sender, target = _orphan_harness()
     entry = _entry(harness, sender, target)
-    harness._reroute_notification(entry)
+    harness.dispatch.notifier.reroute(entry)
 
     assert harness.counter_values().get("harness.notify_dead_lettered", 0) == 1
     assert len(harness.dead_letters) == 1
@@ -90,15 +91,15 @@ def test_unusable_fallback_dead_letters_instead_of_dropping():
 
 def test_dead_letters_stay_stashed_while_fallback_unusable():
     harness, sender, target = _orphan_harness()
-    harness._reroute_notification(_entry(harness, sender, target))
+    harness.dispatch.notifier.reroute(_entry(harness, sender, target))
 
     # Same coverage epoch: retry is a no-op.
-    assert harness._retry_dead_letters() is False
+    assert harness.dispatch.notifier.retry_dead_letters() is False
     assert len(harness.dead_letters) == 1
     # Epoch moved but the parent slot still dangles at the excised target:
     # the entry is re-examined, found unusable, and kept — never dropped.
     harness.kernel.invalidate_coverage()
-    assert harness._retry_dead_letters() is False
+    assert harness.dispatch.notifier.retry_dead_letters() is False
     assert len(harness.dead_letters) == 1
     assert harness.counter_values().get("harness.notify_reinjected", 0) == 0
 
@@ -107,7 +108,7 @@ def test_repair_reinjects_dead_letters():
     harness, sender, target = _orphan_harness()
     kernel = harness.kernel
     entry = _entry(harness, sender, target)
-    harness._reroute_notification(entry)
+    harness.dispatch.notifier.reroute(entry)
     assert len(harness.dead_letters) == 1
 
     # A later repair gives the sender a live parent (here: the other bottom
@@ -122,7 +123,7 @@ def test_repair_reinjects_dead_letters():
     kernel.entities[sender].set_parent(new_parent)
     kernel.invalidate_coverage()
 
-    assert harness._retry_dead_letters() is True
+    assert harness.dispatch.notifier.retry_dead_letters() is True
     assert harness.dead_letters == []
     assert harness.counter_values().get("harness.notify_reinjected", 0) == 1
     # Re-injection went back through forward_notification: the ops are
@@ -137,7 +138,7 @@ def test_round_retry_hook_reinjects_after_real_repair():
     """The in-round retry hook (not just the quiescence sweep) re-offers."""
     harness, sender, target = _orphan_harness()
     kernel = harness.kernel
-    harness._reroute_notification(_entry(harness, sender, target))
+    harness.dispatch.notifier.reroute(_entry(harness, sender, target))
 
     bottom = harness.hierarchy.bottom_tier()
     new_parent = next(
