@@ -242,10 +242,16 @@ class ReliableNotifier:
             # but a later repair may re-shape a path.
             self._dead_letter(entry)
             return
+        if target in kernel.failed and kernel.hierarchy.has_node(target):
+            # Crashed but not yet excised: repair its ring here rather than
+            # inside ``forward_notification``, which returns 0 without a
+            # trace when the repair leaves nobody to re-target — the
+            # operations, already un-marked, would be gone with no counter.
+            kernel.detect_and_repair(target, self._now())
         if kernel.hierarchy.has_node(target) and target != sender:
             kernel.forward_notification(sender, target, entry.operations, self._now())
             return
-        # Already repaired away: fall back to the surviving counterpart —
+        # Repaired away: fall back to the surviving counterpart —
         # the sender's current parent for upward notifications (the repair
         # surgery re-attached orphaned rings there), or the target ring's
         # post-repair leader for downward dissemination (mirroring what

@@ -18,7 +18,9 @@ Layout:
 
 * deterministic tests drive a 2×2 hierarchy into the exact orphaned-subtree
   state (both top-ring entities excluded) and exercise the branch, the
-  stash-keeps semantics, and the repair-then-reinject path;
+  stash-keeps semantics, and the repair-then-reinject path — each body runs
+  through the simulator's adapter, against the core alone, and through the
+  UDP node's adapter (``delivery_rigs``), because the logic exists once;
 * a hypothesis test runs whole scripted scenarios under crash + loss races
   (every ring keeps a survivor, so every re-route must eventually land) and
   asserts the no-drop invariant: the converged global membership is exactly
@@ -27,6 +29,8 @@ Layout:
 
 from __future__ import annotations
 
+import pytest
+from delivery_rigs import RIGS, SimRig
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,126 +38,186 @@ from repro.core.delivery import Notification
 from repro.sim.harness import HarnessConfig, ScenarioHarness
 
 
-def _orphan_harness():
-    """A 2×2 harness whose whole top ring has been repaired away.
+def _orphan(rig):
+    """Drive a 2×2 rig's whole top ring out of the hierarchy.
 
     Every bottom ring's parent slot then dangles at the last-excluded top
     entity: the re-attachment surgery of the first exclusion points the
     orphans at the surviving top node, and the second exclusion has no
-    survivor left to point them at.  Returns (harness, sender, target)
-    where ``sender`` is a bottom-ring leader and ``target`` the dangling
-    parent — the exact state whose re-route used to silently drop ops.
+    survivor left to point them at.  Returns (sender, target) where
+    ``sender`` is a bottom-ring leader and ``target`` the dangling parent —
+    the exact state whose re-route used to silently drop ops.
     """
-    harness = ScenarioHarness(HarnessConfig(ring_size=2, height=2, seed=1))
-    kernel = harness.kernel
-    top = harness.hierarchy.topmost_ring()
-    first, second = list(top.members)
+    kernel = rig.kernel
+    first, second = list(rig.hierarchy.topmost_ring().members)
     kernel.fail_entity(first)
     kernel.detect_and_repair(first)
     kernel.fail_entity(second)
     kernel.detect_and_repair(second)
-    assert not harness.hierarchy.has_node(second)
-    sender = next(
-        ring.leader
-        for ring in harness.hierarchy.rings.values()
-        if ring.tier == harness.hierarchy.bottom_tier()
-    )
+    assert not rig.hierarchy.has_node(second)
+    sender = _bottom_leader(rig)
     assert kernel.entities[sender].parent == second
-    return harness, sender, second
+    return sender, second
 
 
-def _entry(harness, sender, target, guid="dl-member-0"):
-    kernel = harness.kernel
-    op = kernel.make_join_op(sender, guid)
-    ring_id = harness.hierarchy.ring_of_node.get(target)
-    # The target was already excised from the hierarchy; the entry recorded
-    # its ring at send time, as the dispatch does.
-    ring_id = ring_id or harness.hierarchy.topmost_ring().ring_id
-    kernel.ring_seen[ring_id].add(op.sequence)
-    return Notification(
-        sender=sender, target=target, operations=(op,), target_ring_id=ring_id
+def _bottom_leader(rig, other_than=None):
+    bottom = rig.hierarchy.bottom_tier()
+    return next(
+        ring.leader
+        for ring in rig.hierarchy.rings.values()
+        if ring.tier == bottom and (other_than is None or other_than not in ring.members)
     )
 
 
-def test_unusable_fallback_dead_letters_instead_of_dropping():
-    harness, sender, target = _orphan_harness()
-    entry = _entry(harness, sender, target)
-    harness.dispatch.notifier.reroute(entry)
+def _entry(rig, sender, target, guid="dl-member-0"):
+    kernel = rig.kernel
+    op = kernel.make_join_op(sender, guid)
+    # An excised target is in no ring any more; the entry recorded its ring
+    # at send time, as the dispatch does.
+    ring_id = rig.hierarchy.ring_of_node.get(target) or rig.hierarchy.topmost_ring().ring_id
+    kernel.ring_seen[ring_id].add(op.sequence)
+    return Notification(sender=sender, target=target, operations=(op,), target_ring_id=ring_id)
 
-    assert harness.counter_values().get("harness.notify_dead_lettered", 0) == 1
-    assert len(harness.dead_letters) == 1
-    assert harness.dead_letters[0].operations == entry.operations
+
+def _give_live_parent(rig, sender):
+    """What a later repair does for an orphaned subtree: a live parent (here
+    the other bottom ring's leader stands in for a re-attached subtree root)
+    and a coverage-epoch bump."""
+    new_parent = _bottom_leader(rig, other_than=sender)
+    rig.kernel.entities[sender].set_parent(new_parent)
+    rig.kernel.invalidate_coverage()
+    return new_parent
+
+
+def check_unusable_fallback_dead_letters_instead_of_dropping(rig):
+    sender, target = _orphan(rig)
+    entry = _entry(rig, sender, target)
+    rig.notifier.reroute(entry)
+
+    assert rig.counters().get("harness.notify_dead_lettered", 0) == 1
+    assert len(rig.notifier.dead_letters) == 1
+    assert rig.notifier.dead_letters[0].operations == entry.operations
     # The ops were un-marked from the seen-set (they never arrived) AND
     # stashed — the old behaviour un-marked then dropped, losing them.
-    seen = harness.kernel.ring_seen[entry.target_ring_id]
+    seen = rig.kernel.ring_seen[entry.target_ring_id]
     assert entry.operations[0].sequence not in seen
 
 
-def test_dead_letters_stay_stashed_while_fallback_unusable():
-    harness, sender, target = _orphan_harness()
-    harness.dispatch.notifier.reroute(_entry(harness, sender, target))
+def check_crashed_but_unexcised_target_dead_letters_instead_of_vanishing(rig):
+    """The same loss through the other door: the target is crashed but its
+    ring has not been repaired yet, so the reroute reaches it *present*.
+
+    ``forward_notification`` then runs the repair itself, finds the sender's
+    parent slot still dangling at the target (whole parent ring dead) and
+    returns 0 — which the reroute used to ignore, after having un-marked the
+    operations: ``notify_rerouted`` 1, nothing stashed, nothing pending,
+    nothing sent.
+    """
+    kernel = rig.kernel
+    first, second = list(rig.hierarchy.topmost_ring().members)
+    kernel.fail_entity(first)
+    kernel.detect_and_repair(first)
+    kernel.fail_entity(second)  # crashed, not excised
+    assert rig.hierarchy.has_node(second)
+    entry = _entry(rig, _bottom_leader(rig), second)
+    rig.notifier.reroute(entry)
+
+    counters = rig.counters()
+    assert counters.get("harness.notify_rerouted", 0) == 1
+    assert counters.get("harness.notify_dead_lettered", 0) == 1
+    assert [e.operations for e in rig.notifier.dead_letters] == [entry.operations]
+    assert rig.notifier.pending_count() == 0
+    assert entry.operations[0].sequence not in kernel.ring_seen[entry.target_ring_id]
+
+
+def check_dead_letters_stay_stashed_while_fallback_unusable(rig):
+    sender, target = _orphan(rig)
+    rig.notifier.reroute(_entry(rig, sender, target))
 
     # Same coverage epoch: retry is a no-op.
-    assert harness.dispatch.notifier.retry_dead_letters() is False
-    assert len(harness.dead_letters) == 1
+    assert rig.notifier.retry_dead_letters() is False
+    assert len(rig.notifier.dead_letters) == 1
     # Epoch moved but the parent slot still dangles at the excised target:
     # the entry is re-examined, found unusable, and kept — never dropped.
-    harness.kernel.invalidate_coverage()
-    assert harness.dispatch.notifier.retry_dead_letters() is False
-    assert len(harness.dead_letters) == 1
-    assert harness.counter_values().get("harness.notify_reinjected", 0) == 0
+    rig.kernel.invalidate_coverage()
+    assert rig.notifier.retry_dead_letters() is False
+    assert len(rig.notifier.dead_letters) == 1
+    assert rig.counters().get("harness.notify_reinjected", 0) == 0
 
 
-def test_repair_reinjects_dead_letters():
-    harness, sender, target = _orphan_harness()
-    kernel = harness.kernel
-    entry = _entry(harness, sender, target)
-    harness.dispatch.notifier.reroute(entry)
-    assert len(harness.dead_letters) == 1
+def check_repair_reinjects_dead_letters(rig):
+    sender, target = _orphan(rig)
+    kernel = rig.kernel
+    entry = _entry(rig, sender, target)
+    rig.notifier.reroute(entry)
+    assert len(rig.notifier.dead_letters) == 1
 
-    # A later repair gives the sender a live parent (here: the other bottom
-    # ring's leader stands in for a re-attached subtree root) and bumps the
-    # coverage epoch — exactly what real repair surgery does.
-    bottom = harness.hierarchy.bottom_tier()
-    new_parent = next(
-        ring.leader
-        for ring in harness.hierarchy.rings.values()
-        if ring.tier == bottom and sender not in ring.members
-    )
-    kernel.entities[sender].set_parent(new_parent)
-    kernel.invalidate_coverage()
+    new_parent = _give_live_parent(rig, sender)
 
-    assert harness.dispatch.notifier.retry_dead_letters() is True
-    assert harness.dead_letters == []
-    assert harness.counter_values().get("harness.notify_reinjected", 0) == 1
+    assert rig.notifier.retry_dead_letters() is True
+    assert rig.notifier.dead_letters == []
+    assert rig.counters().get("harness.notify_reinjected", 0) == 1
     # Re-injection went back through forward_notification: the ops are
     # marked seen at the new parent's ring and the transport carries them.
-    new_ring = harness.hierarchy.ring_of(new_parent).ring_id
+    new_ring = rig.hierarchy.ring_of(new_parent).ring_id
     assert entry.operations[0].sequence in kernel.ring_seen[new_ring]
-    harness.engine.run()
-    assert harness.counter_values().get("harness.notifications_delivered", 0) >= 1
+    rig.settle()
+    assert rig.counters().get("harness.notifications_delivered", 0) >= 1
 
 
-def test_round_retry_hook_reinjects_after_real_repair():
+def check_round_retry_hook_reinjects_after_real_repair(rig):
     """The in-round retry hook (not just the quiescence sweep) re-offers."""
-    harness, sender, target = _orphan_harness()
-    kernel = harness.kernel
-    harness.dispatch.notifier.reroute(_entry(harness, sender, target))
+    sender, target = _orphan(rig)
+    kernel = rig.kernel
+    rig.notifier.reroute(_entry(rig, sender, target))
 
-    bottom = harness.hierarchy.bottom_tier()
-    new_parent = next(
-        ring.leader
-        for ring in harness.hierarchy.rings.values()
-        if ring.tier == bottom and sender not in ring.members
-    )
-    kernel.entities[sender].set_parent(new_parent)
-    kernel.invalidate_coverage()
+    _give_live_parent(rig, sender)
     # Queue real work at the sender so the round actually executes, then a
     # round on the sender's ring runs the retry hook.
     kernel.capture(sender, kernel.make_join_op(sender, "dl-extra"), 0.0)
-    harness._run_ring_round(harness.hierarchy.ring_of(sender).ring_id)
-    assert harness.dead_letters == []
-    assert harness.counter_values().get("harness.notify_reinjected", 0) == 1
+    rig.run_round(rig.hierarchy.ring_of(sender).ring_id)
+    assert rig.notifier.dead_letters == []
+    assert rig.counters().get("harness.notify_reinjected", 0) == 1
+
+
+def test_unusable_fallback_dead_letters_instead_of_dropping():
+    check_unusable_fallback_dead_letters_instead_of_dropping(SimRig())
+
+
+def test_crashed_but_unexcised_target_dead_letters_instead_of_vanishing():
+    rig = SimRig()
+    check_crashed_but_unexcised_target_dead_letters_instead_of_vanishing(rig)
+    assert len(rig.harness.dead_letters) == 1  # the harness's read surface
+
+
+def test_dead_letters_stay_stashed_while_fallback_unusable():
+    check_dead_letters_stay_stashed_while_fallback_unusable(SimRig())
+
+
+def test_repair_reinjects_dead_letters():
+    check_repair_reinjects_dead_letters(SimRig())
+
+
+def test_round_retry_hook_reinjects_after_real_repair():
+    check_round_retry_hook_reinjects_after_real_repair(SimRig())
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_unusable_fallback_dead_letters_instead_of_dropping,
+        check_crashed_but_unexcised_target_dead_letters_instead_of_vanishing,
+        check_dead_letters_stay_stashed_while_fallback_unusable,
+        check_repair_reinjects_dead_letters,
+        check_round_retry_hook_reinjects_after_real_repair,
+    ],
+    ids=lambda check: check.__name__[len("check_"):],
+)
+@pytest.mark.parametrize("rig", ["core", "socket"])
+def test_dead_letter_cases_on_the_core_and_through_the_socket_adapter(rig, check):
+    """The cases above ran through the simulator's adapter; the same bodies
+    against the core alone and through ``SocketDispatch``."""
+    check(RIGS[rig]())
 
 
 def test_adjacent_failures_salvage_to_surviving_detector():
