@@ -301,16 +301,18 @@ class ReliableNotifier:
     def _fallback(self, sender: NodeId, target: NodeId, target_ring_id: str) -> Optional[NodeId]:
         """The surviving counterpart for a notification whose target was
         repaired away, or None when there is none (yet)."""
-        kernel = self.kernel
-        hierarchy = kernel.hierarchy
-        candidates: List[Optional[NodeId]] = []
-        if sender in kernel.entities:
-            # Upward path: the sender's parent slot, as re-attached by repair.
-            candidates.append(kernel.entities[sender].parent)
-            ring_id = hierarchy.ring_of_node.get(sender)
-            candidates.append(hierarchy.parent_node.get(ring_id) if ring_id else None)
-        # Downward/sibling path: the target ring's post-repair leader.
+        hierarchy = self.kernel.hierarchy
         ring = hierarchy.rings.get(target_ring_id)
+        sender_ring = hierarchy.ring_of(sender)
+        candidates: List[Optional[NodeId]] = []
+        if ring is None or ring.tier >= sender_ring.tier:
+            # Upward path: the sender's parent slot, as re-attached by repair.
+            # Never offered to a downward notification — the parent ring has
+            # already seen its operations and would filter them out unsent.
+            candidates.append(self.kernel.entities[sender].parent)
+            candidates.append(hierarchy.parent_node.get(sender_ring.ring_id))
+        # Downward path (and the upward last resort): the target ring's
+        # post-repair leader.
         candidates.append(ring.leader if ring is not None else None)
         for candidate in candidates:
             if candidate != target and self._alive(candidate):

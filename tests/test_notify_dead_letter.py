@@ -180,6 +180,37 @@ def check_round_retry_hook_reinjects_after_real_repair(rig):
     assert rig.counters().get("harness.notify_reinjected", 0) == 1
 
 
+def check_downward_reroute_goes_to_the_child_rings_new_leader(rig):
+    """A Notification-to-Child whose target was repaired away belongs to the
+    child ring's new leader.  The fallback chain used to offer the sender's
+    own parent first: the parent ring had already seen the operations,
+    filtered them out, and the reroute ended with nothing sent and no
+    counter — the child ring never heard of them."""
+    kernel, hierarchy = rig.kernel, rig.hierarchy
+    child = next(r for r in hierarchy.rings.values() if r.tier == hierarchy.bottom_tier())
+    sender = hierarchy.parent_node[child.ring_id]
+    grandparent_ring = hierarchy.ring_of(kernel.entities[sender].parent).ring_id
+    old_leader = child.leader
+    kernel.fail_entity(old_leader)
+    kernel.detect_and_repair(old_leader)
+    assert child.leader not in (None, old_leader)
+
+    elsewhere = _bottom_leader(rig, other_than=old_leader)
+    op = kernel.make_join_op(elsewhere, "dl-downward")
+    kernel.ring_seen[child.ring_id].add(op.sequence)
+    kernel.ring_seen[grandparent_ring].add(op.sequence)  # it came from above
+    rig.notifier.reroute(
+        Notification(
+            sender=sender, target=old_leader, operations=(op,), target_ring_id=child.ring_id
+        )
+    )
+    rig.settle()
+    assert rig.notifier.dead_letters == [] and rig.notifier.pending_count() == 0
+    assert rig.counters().get("harness.notifications_delivered", 0) >= 1
+    rig.run_round(child.ring_id)
+    assert kernel.ring_applied_seq[child.ring_id]["dl-downward"] == op.sequence
+
+
 def test_unusable_fallback_dead_letters_instead_of_dropping():
     check_unusable_fallback_dead_letters_instead_of_dropping(SimRig())
 
@@ -200,6 +231,11 @@ def test_repair_reinjects_dead_letters():
 
 def test_round_retry_hook_reinjects_after_real_repair():
     check_round_retry_hook_reinjects_after_real_repair(SimRig())
+
+
+@pytest.mark.parametrize("rig", sorted(RIGS))
+def test_downward_reroute_goes_to_the_child_rings_new_leader(rig):
+    check_downward_reroute_goes_to_the_child_rings_new_leader(RIGS[rig](height=3))
 
 
 @pytest.mark.parametrize(
