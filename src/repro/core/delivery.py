@@ -4,26 +4,11 @@ The paper's reliability claim rests on one rule set: a notification is
 retried until it lands, a crashed endpoint (``ParentOK``/``ChildOK`` false)
 is repaired around and the message re-targeted at the surviving counterpart,
 and nothing a ring has applied may die with its messenger.  That rule set
-lives here, once, next to the kernel; the drivers that move bytes — the
-simulator's ``TransportDispatch`` and the UDP node's ``SocketDispatch`` —
-are adapters that supply a clock, a ``send`` and a timer, and never see the
-retry, succession, reroute or dead-letter logic (the shape of a
-``comm.on(type, handler)`` / ``comm.send(next, msg)`` seam, where the ring
-logic never sees the socket).
-
-:class:`ReliableNotifier` holds
-
-* the **pending table** and the unacked check: every submitted notification
-  is tracked under one id for its whole life, re-sent until acknowledged,
-  re-routed when an endpoint died in flight, abandoned (with a counter,
-  un-marking the seen-set) only after ``resend_limit`` attempts at a
-  live-but-unreachable target;
-* **accept**, the receiver side: the staleness filter in front of the
-  target's message queue, then a round for the target's ring;
-* **reroute**: sender succession, the fallback chain, and the dead-letter
-  stash with its coverage-epoch-gated retry;
-* the **round gate**: whether a scheduled ring round has anything to do, and
-  the follow-up round when work remains.
+lives here, once, next to the kernel.  The drivers that move bytes — the
+simulator's ``TransportDispatch``, the UDP node's ``SocketDispatch`` — supply
+a clock, a ``send`` and a timer, and never see the pending table, the resend
+budget, sender succession, the reroute, the dead-letter stash or the round
+gate.
 
 Counters keep the ``harness.*`` names every driver has always reported them
 under, and are created on first increment so a run that never reroutes
@@ -59,37 +44,25 @@ class Notification:
     operations: Tuple[TokenOperation, ...]
     target_ring_id: str
     attempts: int = 1
-    #: Ring the sender belonged to at send time.  The operations a sender
-    #: forwards were applied by its whole ring in the round that produced
-    #: them, so when the sender dies mid-flight any surviving ring member
-    #: can (and must) take over the send — without this, ring-applied state
-    #: dies with the messenger.
+    #: Ring the sender belonged to at send time.  What a sender forwards was
+    #: applied by its whole ring in the round that produced it, so when the
+    #: sender dies mid-flight any surviving ring member can (and must) take
+    #: over the send — else ring-applied state dies with the messenger.
     sender_ring_id: Optional[str] = None
-    #: Whatever ``arm`` returned for the armed unacked check (a cancellable,
-    #: or ``None`` when the driver lets an acknowledged check fire as a no-op).
+    #: What ``arm`` returned for the armed unacked check (see there).
     timer: Optional[object] = None
 
 
 class ReliableNotifier:
     """Ack-gated retry, reroute and dead-lettering over an injected transport.
 
-    Collaborators (all required; none selects behaviour):
-
-    ``kernel``, ``metrics``
-        The kernel whose queues, seen-sets and repair logic the rules act
-        on, and the registry the ``harness.*`` counters go to.
-    ``now()``
-        The driver's protocol clock.
-    ``send(notify_id, entry) -> float``
-        Put one attempt on the wire; returns how long to wait before checking
-        whether it was acknowledged.
-    ``arm(delay, callback)``
-        Run ``callback()`` after ``delay``; may return an object with
-        ``cancel()`` (cancelled on acknowledgement) or ``None``.
-    ``schedule_round(ring_id)``
-        Ask the driver for a token round in ``ring_id``.
-    ``resend_limit``
-        Attempts at a live target before the notification is abandoned.
+    Every argument is a required collaborator; none selects behaviour.
+    ``send(notify_id, entry)`` puts one attempt on the wire and returns how
+    long to wait before checking for its acknowledgement; ``arm(delay,
+    callback)`` runs the check later and may return an object with
+    ``cancel()`` (cancelled on acknowledgement) or ``None`` (the acknowledged
+    check then fires as a no-op); ``schedule_round(ring_id)`` asks the driver
+    for a token round; ``resend_limit`` bounds attempts at a live target.
     """
 
     def __init__(
@@ -118,8 +91,6 @@ class ReliableNotifier:
         self._dead_letters: List[Notification] = []
         self._dead_letter_epoch = kernel.coverage_epoch
 
-    # -- read surface --------------------------------------------------------
-
     def pending_count(self) -> int:
         return len(self._pending)
 
@@ -144,11 +115,9 @@ class ReliableNotifier:
         )
 
     def submit(self, entry: Notification) -> None:
-        """Send ``entry`` and keep re-sending until it is acknowledged.
-
-        The id is minted once and survives every resend: a receiver can only
-        dedup a resend after a lost acknowledgement by a stable id.
-        """
+        """Send ``entry`` and keep re-sending until it is acknowledged.  The
+        id lives as long as the notification: a receiver can only dedup a
+        resend after a lost acknowledgement by a stable id."""
         self._transmit(next(self._ids), entry)
 
     def _transmit(self, notify_id: int, entry: Notification) -> None:
@@ -169,23 +138,20 @@ class ReliableNotifier:
         if entry is None:
             return  # acknowledged
         if not (self._alive(entry.target) and self._alive(entry.sender)):
-            # An endpoint crashed while the message was in flight;
-            # resending as-is is pointless — re-route through the repair
-            # logic now (a dead sender is succeeded by a surviving member
-            # of its ring, a dead target by its repaired counterpart).
+            # An endpoint crashed while the message was in flight; resending
+            # as-is is pointless (a dead sender is succeeded by a survivor of
+            # its ring, a dead target by its repaired counterpart).
             self.reroute(entry)
-            return
-        if entry.attempts > self._resend_limit:
-            # The target is alive but has been unreachable for the whole
-            # resend budget (e.g. an unhealed disconnection): genuinely
-            # give up.  Un-mark the seen-set so a later notification from
-            # another path may still carry the operations.
+        elif entry.attempts > self._resend_limit:
+            # Alive but unreachable for the whole resend budget (e.g. an
+            # unhealed disconnection): genuinely give up.  Un-mark the
+            # seen-set so another path may still carry the operations.
             self.metrics.counter("harness.notify_abandoned").increment()
             self._unmark_seen(entry)
-            return
-        self.metrics.counter("harness.notify_resends").increment()
-        entry.attempts += 1
-        self._transmit(notify_id, entry)
+        else:
+            self.metrics.counter("harness.notify_resends").increment()
+            entry.attempts += 1
+            self._transmit(notify_id, entry)
 
     def _unmark_seen(self, entry: Notification) -> None:
         seen = self.kernel.ring_seen.get(entry.target_ring_id)
@@ -222,13 +188,8 @@ class ReliableNotifier:
     # -- reroute + dead letters ----------------------------------------------
 
     def reroute(self, entry: Notification) -> None:
-        """The target died (or vanished) while the notification was in flight.
-
-        Un-mark the operations from the target ring's seen-set — they never
-        arrived — and push them back through the kernel's forwarding logic,
-        which repairs the failed target's ring and re-targets the surviving
-        counterpart (new leader or new parent).
-        """
+        """An endpoint died (or vanished) with the notification in flight:
+        re-target it at the surviving counterpart, or stash it."""
         kernel = self.kernel
         target = entry.target
         sender = self._live_sender(entry)
@@ -236,40 +197,26 @@ class ReliableNotifier:
         # The operations never arrived: un-mark them from the ring they were
         # marked seen against, or the retry would be filtered as a duplicate.
         self._unmark_seen(entry)
-        if sender is None:
-            # The sender and its whole ring died with the operations in
-            # flight; stash them — nothing on that side can re-send today,
-            # but a later repair may re-shape a path.
-            self._dead_letter(entry)
-            return
-        if target in kernel.failed and kernel.hierarchy.has_node(target):
-            # Crashed but not yet excised: repair its ring here rather than
-            # inside ``forward_notification``, which returns 0 without a
-            # trace when the repair leaves nobody to re-target — the
-            # operations, already un-marked, would be gone with no counter.
-            kernel.detect_and_repair(target, self._now())
-        if kernel.hierarchy.has_node(target) and target != sender:
-            kernel.forward_notification(sender, target, entry.operations, self._now())
-            return
-        # Repaired away: fall back to the surviving counterpart —
-        # the sender's current parent for upward notifications (the repair
-        # surgery re-attached orphaned rings there), or the target ring's
-        # post-repair leader for downward dissemination (mirroring what
-        # ``forward_notification`` does when it runs the repair itself).
-        fallback = self._fallback(sender, target, entry.target_ring_id)
+        fallback = None
+        if sender is not None:
+            if target in kernel.failed and kernel.hierarchy.has_node(target):
+                # Crashed but not yet excised: repair its ring here, not
+                # inside ``forward_notification``, which returns 0 without a
+                # trace when the repair leaves nobody to re-target — the
+                # un-marked operations would be gone with no counter.
+                kernel.detect_and_repair(target, self._now())
+            if kernel.hierarchy.has_node(target) and target != sender:
+                fallback = target  # alive: the sender was the casualty
+            else:
+                fallback = self._fallback(sender, target, entry.target_ring_id)
         if fallback is not None:
             kernel.forward_notification(sender, fallback, entry.operations, self._now())
             return
-        # No usable fallback: the sender's whole parent ring died, so the
-        # re-attachment surgery had nowhere to point the orphaned subtree
-        # and the sender's parent slot still dangles at the excised target.
-        # These operations were already un-marked from the seen-set; dropping
-        # them here would lose them forever with no signal.  Dead-letter
-        # them instead: account the loss and stash the entry so the next
-        # repair that gives the sender a live parent re-injects them.
-        self._dead_letter(entry)
-
-    def _dead_letter(self, entry: Notification) -> None:
+        # Nobody to send from (the sender's whole ring died) or nobody to
+        # send to (the whole parent ring died, so the re-attachment surgery
+        # left the sender's parent slot dangling at the excised target).
+        # Dropping here would lose un-marked operations forever with no
+        # signal: account them and stash the entry for `retry_dead_letters`.
         self.metrics.counter("harness.notify_dead_lettered").increment()
         self._dead_letters.append(entry)
 
@@ -320,25 +267,16 @@ class ReliableNotifier:
         return None
 
     def retry_dead_letters(self) -> bool:
-        """Re-inject dead-lettered notifications once repair re-shapes things.
-
-        A notification is dead-lettered when its reroute found no usable
-        fallback — the sender's parent slot dangled at the excised target
-        because the whole parent ring died.  Any later repair surgery
-        (tracked via the kernel's coverage epoch) may have re-attached the
-        sender's subtree under a live parent; re-offer the stashed
-        operations then.  Entries whose fallback is still unusable stay
-        stashed (and accounted) rather than being dropped.
-        """
-        if not self._dead_letters:
-            return False
+        """Re-inject dead letters once repair surgery (tracked via the
+        kernel's coverage epoch) may have re-attached the sender's subtree
+        under a live parent.  Entries whose fallback is still unusable stay
+        stashed (and accounted) rather than being dropped."""
         kernel = self.kernel
         epoch = kernel.coverage_epoch
-        if epoch == self._dead_letter_epoch:
+        if not self._dead_letters or epoch == self._dead_letter_epoch:
             return False
         self._dead_letter_epoch = epoch
         kept: List[Notification] = []
-        reinjected = False
         for entry in self._dead_letters:
             sender = self._live_sender(entry)
             fallback = None
@@ -349,31 +287,30 @@ class ReliableNotifier:
                 continue
             self.metrics.counter("harness.notify_reinjected").increment()
             kernel.forward_notification(sender, fallback, entry.operations, self._now())
-            reinjected = True
+        reinjected = len(kept) != len(self._dead_letters)
         self._dead_letters = kept
         return reinjected
 
     # -- round gate ----------------------------------------------------------
 
+    def _has_work(self, ring_id: str) -> bool:
+        failed = self.kernel.failed
+        entities = self.kernel.entities
+        for n in self.kernel.hierarchy.rings[ring_id].members:
+            if n not in failed and entities[n].has_queued_work():
+                return True
+        return False
+
     def round_due(self, ring_id: str) -> bool:
         """Whether a scheduled round in ``ring_id`` has anything to do: a
-        live member to run it, and queued work or a dead member to repair
-        around."""
-        kernel = self.kernel
-        ring = kernel.hierarchy.rings.get(ring_id)
-        if ring is None or ring.is_empty:
+        live member to run it, and a dead one to repair around or queued
+        work."""
+        ring = self.kernel.hierarchy.rings.get(ring_id)
+        if ring is None:
             return False
-        failed = kernel.failed
-        entities = kernel.entities
-        has_work = False
-        operational = 0
-        for n in ring.members:
-            if n in failed:
-                continue
-            operational += 1
-            if not has_work and entities[n].has_queued_work():
-                has_work = True
-        return operational > 0 and (has_work or operational != len(ring.members))
+        failed = self.kernel.failed
+        dead = len(failed.intersection(ring.members)) if failed else 0
+        return dead < len(ring.members) and (dead > 0 or self._has_work(ring_id))
 
     def after_round(self, ring_id: str) -> None:
         """Follow-ups of a round the driver just ran in ``ring_id``."""
@@ -382,10 +319,5 @@ class ReliableNotifier:
         self.retry_dead_letters()
         # Repair ops (or work queued at other members) trigger a follow-up
         # round — control of a fresh token passes along the ring.
-        kernel = self.kernel
-        failed = kernel.failed
-        entities = kernel.entities
-        for n in kernel.hierarchy.rings[ring_id].members:
-            if n not in failed and entities[n].has_queued_work():
-                self._schedule_round(ring_id)
-                break
+        if self._has_work(ring_id):
+            self._schedule_round(ring_id)

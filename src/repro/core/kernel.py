@@ -1,10 +1,8 @@
 """The unified token-round kernel (paper Section 4.3, Figure 3).
 
-The seed repository implemented the One-Round Token Passing protocol twice —
-structurally in :mod:`repro.core.one_round` and latency-aware in
-:mod:`repro.core.protocol` — with duplicated round, notification and
-acknowledgement semantics.  This module is the single, transport-agnostic
-state machine both engines now drive:
+The single, transport-agnostic state machine of the One-Round Token Passing
+protocol; round, notification and acknowledgement semantics live here and
+nowhere else, and every driver steps this module:
 
 * **operation factory** — sequence numbers, member epochs, LUID derivation and
   record lookup for Member-Join/Leave/Failure/Handoff and the failure
@@ -25,9 +23,12 @@ state machine both engines now drive:
   paths.
 
 The drivers stay thin: :class:`repro.core.one_round.OneRoundEngine` steps the
-kernel synchronously (shared memory, zero latency) while
+kernel synchronously (shared memory, zero latency),
 :class:`repro.core.protocol.RGBProtocolCluster` schedules the same decisions
-as messages on the discrete-event transport.
+as messages on the discrete-event transport, and the scenario harness and
+the live UDP node bind the :class:`MessageDispatch` seam to their transports
+— sharing one reliable-notification implementation,
+:mod:`repro.core.delivery`.
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ Third driver of the :class:`repro.core.kernel.MessageDispatch` seam (after
 owns whole rings; its kernel replica runs rounds only for those rings, and
 this dispatch routes the round's outbound messages:
 
-* **Notifications** are reliable within a budget.  The rules — tracked
-  sends, resend until acknowledged, reroute when an endpoint crashed in the
-  meantime, abandonment only after ``resend_limit`` attempts at a
-  live-but-unreachable target, dead-lettering when no fallback exists — are
-  the shared :class:`repro.core.delivery.ReliableNotifier` (``notifier``),
-  the same object type the simulator drives.  What is the socket's own
-  stays here: the owner-shard lookup, handing a same-shard target straight
+* **Notifications** are reliable within a budget; the rules (resend until
+  acknowledged, reroute when an endpoint crashed, abandon after
+  ``resend_limit`` attempts at a live target, dead-letter when no fallback
+  exists) are the shared :class:`repro.core.delivery.ReliableNotifier`,
+  ``notifier`` — the object the simulator drives too.  Here is only what is
+  the socket's: the owner-shard lookup, handing a same-shard target straight
   to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
   always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
   must not double-insert).

@@ -175,17 +175,14 @@ class HarnessResult:
 class TransportDispatch(MessageDispatch):
     """Kernel dispatch that routes protocol messages over the transport.
 
-    Notifications are *reliable within a budget*: every send goes through the
-    shared :class:`repro.core.delivery.ReliableNotifier` (``notifier``), which
-    re-sends until the receiving entity's handler confirms insertion,
-    re-routes when an endpoint crashed in the meantime, and gives up only
-    after ``resend_limit`` attempts at a live target that stayed unreachable
-    the whole time.  What is the simulator's own stays here: the
-    ``transport.send`` call with its ``no-path`` recovery link, and the
-    arrival-time-plus-backoff wait before the unacked check.  Token hops and
-    holder-acknowledgements are fire-and-forget messages — their loss is
-    already modelled by the kernel's retransmission counters and has no
-    receiver-side state to lose.
+    Notifications are *reliable within a budget*; the rules (resend until the
+    receiving handler confirms insertion, reroute when an endpoint crashed,
+    give up after ``resend_limit`` attempts at a live target) are the shared
+    :class:`repro.core.delivery.ReliableNotifier`, ``notifier``.  Here is only
+    what is the simulator's: the ``transport.send`` call with its ``no-path``
+    recovery link, and the arrival-time-plus-backoff wait.  Token hops and
+    holder-acknowledgements are fire-and-forget — their loss is modelled by
+    the kernel's retransmission counters and has no receiver-side state.
     """
 
     emits_token_messages = True
@@ -255,17 +252,13 @@ class TransportDispatch(MessageDispatch):
         return harness.config.resend_backoff
 
     def _arm(self, delay: float, callback: Callable[[], None]) -> None:
-        # Never cancelled: an acknowledged check fires as a no-op, and the
-        # engine's dispatched-event count (part of every record fingerprint)
-        # depends on that.
+        # Returns no handle: an acknowledged check must still fire (as a
+        # no-op) — the engine's event count is in every record fingerprint.
         self.harness.engine.schedule(delay, lambda _engine: callback(), label="notify-check")
 
     def on_delivered(self, message: Message) -> None:
-        """Called by the harness handler when a notify message arrives.
-
-        Arrival is the acknowledgement: it pops the sender's pending entry,
-        and a pop that finds nothing is a duplicate (already handled).
-        """
+        """A notify message arrived, which is its acknowledgement: it pops
+        the sender's pending entry (finding nothing means a duplicate)."""
         dispatch_id = message.payload.get("dispatch_id")
         entry = self.notifier.acknowledge(int(dispatch_id)) if dispatch_id is not None else None
         if entry is not None:

@@ -61,6 +61,14 @@ class FakeLoop:
                 handle.callback()
 
 
+def upward_join(kernel, guid: str):
+    """A bottom-ring leader, its parent, and a fresh join to notify about."""
+    hierarchy = kernel.hierarchy
+    ring = next(r for r in hierarchy.rings.values() if r.tier == hierarchy.bottom_tier())
+    sender = ring.leader
+    return sender, kernel.entities[sender].parent, kernel.make_join_op(sender, guid)
+
+
 class _Rig:
     """What the delivery tests need from any driver."""
 
@@ -113,6 +121,8 @@ class CoreRig(_Rig):
         self.loop = FakeLoop()
         self.metrics = MetricRegistry()
         self.wire: List[Tuple[int, Notification]] = []
+        #: Every attempt ever sent, delivered or not (id, entry).
+        self.attempts: List[Tuple[int, Notification]] = []
         self.rounds_requested: List[str] = []
         dispatch = _SubmitDispatch()
         self.kernel = _build_kernel(ring_size, height, self.metrics, dispatch)
@@ -128,6 +138,7 @@ class CoreRig(_Rig):
 
     def _send(self, notify_id: int, entry: Notification) -> float:
         self.wire.append((notify_id, entry))
+        self.attempts.append((notify_id, entry))
         return self.backoff
 
     def deliver(self, index: int = 0, keep: bool = False) -> None:

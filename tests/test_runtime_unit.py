@@ -2,9 +2,12 @@
 
 Everything here runs without sockets-between-processes: the wire codec and
 link tracker are pure functions over bytes, the event loop is exercised
-in-process with real (sub-millisecond) timers and a socketpair, and the
+in-process with real (sub-millisecond) timers and a socketpair, the
 heartbeat monitor is driven by a fake clock — the state machine's whole
-point is that it is clock-injectable and I/O-free.
+point is that it is clock-injectable and I/O-free — and ``SocketDispatch``
+runs over the duck-typed node its docstring describes
+(``delivery_rigs.FakeNode``: datagrams land on a list, timers on a fake
+clock).
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import socket
 
 import pytest
+from delivery_rigs import FakeNode, upward_join
 
+from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor, PeerHealth
 from repro.runtime.loop import EventLoop
 from repro.runtime.wire import (
@@ -224,3 +229,112 @@ def test_unknown_peer_heartbeats_are_ignored():
     assert monitor.state(1) is PeerHealth.SUSPECT
     with pytest.raises(KeyError):
         monitor.state(99)
+
+
+# ---------------------------------------------------------------------------
+# SocketDispatch over the fake node (no sockets, no processes)
+# ---------------------------------------------------------------------------
+
+
+def _upward(node):
+    return upward_join(node.kernel, "unit-member")
+
+
+def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1):
+    payload = {
+        "id": notify_id,
+        "sender": sender.value,
+        "target": target.value,
+        "ring": node.kernel.hierarchy.ring_of(target).ring_id,
+        "ops": (op,),
+    }
+    return wire.WireMessage(
+        kind=wire.MSG_NOTIFY, sender_shard=sender_shard, seq=0, channel=0, payload=payload
+    )
+
+
+def test_on_notify_always_acks_and_inserts_a_duplicate_once():
+    node = FakeNode()
+    sender, target, op = _upward(node)
+    message = _notify_message(node, sender, target, op)
+    node.dispatch.on_notify(message)
+    node.dispatch.on_notify(message)  # the resend after a lost ack
+
+    assert node.sent == [(1, wire.MSG_NOTIFY_ACK, {"id": 7})] * 2
+    assert node.kernel.entity(target).mq.peek() == (op,)
+    assert node.metrics.counter("runtime.notify_duplicates").value == 1
+    assert node.metrics.counter("harness.notifications_delivered").value == 1
+    assert node.rounds_requested == [node.kernel.hierarchy.ring_of(target).ring_id]
+    # The dedup key is (sender_shard, id): another shard's id 7 is another message.
+    other = node.kernel.make_join_op(sender, "unit-member-2")
+    node.dispatch.on_notify(_notify_message(node, sender, target, other, sender_shard=2))
+    assert node.kernel.entity(target).mq.peek() == (op, other)
+
+
+def test_on_notify_ack_cancels_the_armed_check():
+    node = FakeNode()
+    sender, target, op = _upward(node)
+    node.kernel.forward_notification(sender, target, (op,), 0.0)
+    (payload,) = node.datagrams(wire.MSG_NOTIFY)
+    assert node.dispatch.pending_count() == 1 and node.loop.timers_pending() == 1
+
+    ack = wire.WireMessage(
+        kind=wire.MSG_NOTIFY_ACK, sender_shard=1, seq=0, channel=0, payload={"id": payload["id"]}
+    )
+    node.dispatch.on_notify_ack(ack)
+    assert node.dispatch.pending_count() == 0 and node.loop.timers_pending() == 0
+    node.dispatch.on_notify_ack(ack)  # a duplicate ack finds nothing
+    node.loop.advance(10.0)
+    assert len(node.datagrams(wire.MSG_NOTIFY)) == 1  # nothing was re-sent
+    assert "harness.notify_resends" not in node.metrics.counters
+
+
+def test_same_shard_target_never_touches_the_socket():
+    node = FakeNode()
+    sender, target, op = _upward(node)
+    node = FakeNode(local_rings=[node.kernel.hierarchy.ring_of(target).ring_id])
+    node.kernel.forward_notification(sender, target, (op,), 0.0)
+
+    assert node.sent == [] and node.dispatch.pending_count() == 0
+    assert node.loop.timers_pending() == 0
+    assert node.kernel.entity(target).mq.peek() == (op,)
+    assert node.metrics.counter("harness.notifications_delivered").value == 1
+
+
+def test_unacked_send_is_resent_to_the_limit_then_abandoned_and_unmarked():
+    node = FakeNode(resend_limit=3)
+    sender, target, op = _upward(node)
+    ring_id = node.kernel.hierarchy.ring_of(target).ring_id
+    node.kernel.forward_notification(sender, target, (op,), 0.0)
+    assert op.sequence in node.kernel.ring_seen[ring_id]  # marked at send time
+
+    for _ in range(10):
+        node.loop.advance(node.config.resend_backoff)
+    notifies = node.datagrams(wire.MSG_NOTIFY)
+    assert len(notifies) == 1 + 3  # the send and resend_limit resends
+    assert len({payload["id"] for payload in notifies}) == 1  # one id for its whole life
+    assert node.metrics.counter("harness.notify_resends").value == 3
+    assert node.metrics.counter("harness.notify_abandoned").value == 1
+    assert node.dispatch.pending_count() == 0 and node.loop.timers_pending() == 0
+    # Un-marked, so a later notification from another path may still carry it.
+    assert op.sequence not in node.kernel.ring_seen[ring_id]
+
+
+def test_unacked_send_to_an_evicted_shard_reroutes():
+    node = FakeNode(resend_limit=3)
+    kernel = node.kernel
+    sender, target, op = _upward(node)
+    kernel.forward_notification(sender, target, (op,), 0.0)
+    # Heartbeat eviction: every entity the dead shard owned fails (here the
+    # target only; its ring keeps a survivor on a shard that still answers).
+    kernel.fail_entity(target, now=0.0)
+    node.loop.advance(node.config.resend_backoff)
+
+    assert node.metrics.counter("harness.notify_rerouted").value == 1
+    assert "harness.notify_resends" not in node.metrics.counters
+    assert not kernel.hierarchy.has_node(target)  # the reroute ran the repair
+    first, second = node.datagrams(wire.MSG_NOTIFY)
+    survivor = kernel.entities[sender].parent
+    assert second["target"] == survivor.value != first["target"]
+    assert second["id"] != first["id"] and second["ops"] == (op,)
+    assert node.dispatch.pending_count() == 1 and node.dispatch.dead_letter_count() == 0
