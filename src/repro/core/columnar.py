@@ -1032,14 +1032,15 @@ class ColumnarKernel(TokenRoundKernel):
                 if not pairs:
                     return report
                 for _tier, ring_id, ring_idx in pairs:
-                    # Identical sweep semantics to the object kernel.  The
-                    # object loop re-checks each pending ring for queued
-                    # work before its round, but under a clean structure the
-                    # re-check cannot fail: ``_pending_pairs`` verified work
-                    # at sweep start and a round in another ring only ever
-                    # *adds* entries to this ring's queues (drains touch the
-                    # round's own holder; direct acks are no-ops) — any
-                    # repair path that could rewire state sets
+                    # Identical sweep semantics to the object kernel, which
+                    # re-checks each pending ring for queued work before its
+                    # round.  That re-check can fail even under a clean
+                    # structure: ``_pending_pairs`` verified work at sweep
+                    # start, but a round in another ring may since have
+                    # forwarded a leave that MQ aggregation cancelled against
+                    # the queued join.  ``_fused_round`` folds the re-check
+                    # into its holder pick and returns None for an idle
+                    # ring.  Any repair path that could rewire state sets
                     # ``structure_dirty``, which is re-read here per ring.
                     row = rows[ring_idx] if ring_idx is not None else None
                     if (
@@ -1049,9 +1050,11 @@ class ColumnarKernel(TokenRoundKernel):
                     ):
                         ring = ring_objs[ring_idx]
                         if ring.version == ring_version0[ring_idx]:
-                            rounds_append(
-                                fused(ring_idx, ring_id, ring.members, row, now)
+                            result = fused(
+                                ring_idx, ring_id, ring.members, row, now, skip_idle=True
                             )
+                            if result is not None:
+                                rounds_append(result)
                             continue
                     ring = hierarchy_ring(ring_id)
                     if all(node in failed for node in ring.members):
@@ -1131,7 +1134,8 @@ class ColumnarKernel(TokenRoundKernel):
         now: float,
         holder_pos: int = -1,
         holder_id: Optional[NodeId] = None,
-    ) -> RoundResult:
+        skip_idle: bool = False,
+    ) -> Optional[RoundResult]:
         """The proven-no-op round body, minus re-validation.
 
         ``propagate`` calls this directly for every sweep candidate that
@@ -1147,6 +1151,11 @@ class ColumnarKernel(TokenRoundKernel):
         it in O(1) when it names the single position holding queued work
         (first-with-work from the pointer degenerates to exactly that
         position), falling back to the pointer scan otherwise.
+
+        ``skip_idle`` is the sweep's "does this ring still have queued
+        work?" re-check: a picked holder with an empty queue means no member
+        has work, so the round is not run, the candidate is retired and
+        None is returned.
         """
         store = self._store
         hints = store.ring_work_hint
@@ -1168,6 +1177,11 @@ class ColumnarKernel(TokenRoundKernel):
         holder_mq = holder_entity.mq if holder_entity.mq_live else None
         entry_map = holder_mq._entries if holder_mq is not None else None
         entries = tuple(entry_map.values()) if entry_map else ()
+        if skip_idle and not entries:
+            if store.ring_hint_wired[ring_idx]:
+                hints[ring_idx] = -1
+            self._dirty_rings.discard(ring_id)
+            return None
 
         seq_key: Optional[Tuple[int, ...]] = None
         if entries:

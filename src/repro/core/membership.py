@@ -64,23 +64,54 @@ def event_type_for(op_type: TokenOperationType) -> MembershipEventType:
 _EMPTY_STORE: Dict[str, MemberInfo] = {}
 
 
-class _Generation:
-    """An integer cell: importers share the object, so they see every bump."""
+#: Entries the change log keeps.  A reader more than this many bumps behind
+#: has fallen off the log and must assume everything moved.
+LOG_SIZE = 1 << 16
+_LOG_MASK = LOG_SIZE - 1
 
-    __slots__ = ("value",)
+
+class _Generation:
+    """A generation counter with a bounded log of what each bump moved.
+
+    Importers share the object, so they see every bump.  Bump ``n`` stores
+    the object that moved at slot ``n % LOG_SIZE``: generation to log
+    position is arithmetic, and the last ``LOG_SIZE`` bumps can be read back.
+    """
+
+    __slots__ = ("value", "log")
 
     def __init__(self) -> None:
         self.value = 0
+        self.log: List[object] = [None] * LOG_SIZE
+
+    def bump(self, moved: object) -> None:
+        value = self.value + 1
+        self.value = value
+        self.log[value & _LOG_MASK] = moved
+
+    def since(self, generation: int) -> Optional[List[object]]:
+        """The objects bumped after ``generation`` (one per bump), or None
+        when that generation has fallen off the log."""
+        count = self.value - generation
+        if count > LOG_SIZE:
+            return None
+        start = (generation + 1) & _LOG_MASK
+        stop = start + count
+        if stop <= LOG_SIZE:
+            return self.log[start:stop]
+        return self.log[start:] + self.log[: stop - LOG_SIZE]
 
 
 #: Process-wide membership generation: bumped by every write that actually
 #: changes a :class:`MembershipView` and by every :class:`LogicalRing` shape
 #: change, at the mutation site — so it moves on every driver, inside or
-#: outside a round, with nothing to wire.  Readers (the serving layer's
-#: snapshot cache) only compare it for equality with an earlier reading: an
-#: unchanged value proves no view or ring version moved in between.  It is
+#: outside a round, with nothing to wire.  Each bump logs the view or ring
+#: that moved.  An unchanged value proves nothing moved since an earlier
+#: reading; otherwise :meth:`_Generation.since` names what did.  It is
 #: monotonic and shared by every kernel in the process, so a write to an
-#: unrelated view costs a reader one full revalidation, never a stale answer.
+#: unrelated view costs a reader one log scan, never a stale answer.  The log
+#: holds the objects themselves, so an identity in it cannot be reused by a
+#: new object while the entry is still readable.
 GENERATION = _Generation()
 
 
@@ -184,7 +215,7 @@ class MembershipView:
             members = self._store()
         members[key] = member
         self.version += 1
-        GENERATION.value += 1
+        GENERATION.bump(self)
         return True
 
     def remove(self, guid: "GloballyUniqueId | str") -> bool:
@@ -192,7 +223,7 @@ class MembershipView:
         if self._members.pop(self._key(guid), None) is None:
             return False
         self.version += 1
-        GENERATION.value += 1
+        GENERATION.bump(self)
         return True
 
     def apply(self, operation: TokenOperation, time: float) -> Optional[MembershipEvent]:
@@ -284,7 +315,7 @@ class MembershipView:
             )
         if changed:
             self.version += changed
-            GENERATION.value += 1
+            GENERATION.bump(self)
         return events
 
     def bulk_add(self, members: Iterable[MemberInfo]) -> int:
@@ -300,7 +331,7 @@ class MembershipView:
                 added += 1
         if added:
             self.version += added
-            GENERATION.value += 1
+            GENERATION.bump(self)
         return added
 
     # -- comparison ---------------------------------------------------------------

@@ -47,7 +47,7 @@ class LogicalRing:
     leader: Optional[NodeId] = None
     #: Mutation counter: lets callers (e.g. the kernel's per-round member
     #: set cache) cheaply detect that a ring changed shape.  Every bump also
-    #: moves the process-wide membership ``GENERATION``.
+    #: moves the process-wide membership ``GENERATION`` and logs this ring.
     version: int = field(default=0, repr=False, compare=False)
     _index: Dict[NodeId, int] = field(init=False, repr=False, compare=False)
 
@@ -72,7 +72,7 @@ class LogicalRing:
         # proxies (111k rings) is a measurable slice of hierarchy builds.
         self._index = dict(zip(self.members, range(len(self.members))))
         self.version += 1
-        GENERATION.value += 1
+        GENERATION.bump(self)
 
     @classmethod
     def bulk(cls, ring_id: str, tier: int, members: List[NodeId]) -> "LogicalRing":
@@ -181,7 +181,7 @@ class LogicalRing:
             self.members.append(node)
             self._index[node] = len(self.members) - 1
             self.version += 1
-            GENERATION.value += 1
+            GENERATION.bump(self)
         else:
             idx = self._index_of(after)
             self.members.insert(idx + 1, node)

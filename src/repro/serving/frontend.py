@@ -18,9 +18,13 @@ Every result served from one frame shares the frame's ``members`` and
 Nothing is wired to the engine: a warm TMS or IMS query costs the membership
 generation and coverage-epoch compares of :meth:`SnapshotCache.acquire` plus
 result assembly, on a :class:`~repro.sim.harness.ScenarioHarness` and a bare
-:class:`~repro.core.one_round.OneRoundEngine` alike.  A BMS query still asks
+:class:`~repro.core.one_round.OneRoundEngine` alike.  A read after a write
+costs what moved: the change-log slice since the frame's generation,
+intersected with the fan-out's identity index (built here once per fan-out
+per coverage epoch, next to the fan-out itself), and a re-merge of the
+leader views that hold records.  A BMS query still asks
 ``RingHierarchy.bottom_tier()``, a scan over every ring (docs/PERF.md,
-"Serving reads": the one O(hierarchy) sweep left on the hit path, and why).
+"Serving reads": the one O(hierarchy) sweep left on a read, and why).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.identifiers import NodeId, coerce_node
 from repro.core.query import MembershipScheme, QueryResult
 from repro.serving.columnar_query import tier_leader_fanout, topmost_leader
-from repro.serving.snapshots import SnapshotCache
+from repro.serving.snapshots import SnapshotCache, fanout_index
 
 __all__ = ["ServingFrontend"]
 
@@ -59,8 +63,9 @@ class ServingFrontend:
         self.queries = 0
         self.batches = 0
         self._pending: List[Tuple[MembershipScheme, NodeId]] = []
-        # Per-epoch routing caches (tiers list, entry tiers, fan-outs): all
-        # of it is pure re-derivation until a repair bumps the epoch.
+        # Per-epoch routing caches (tiers list, entry tiers, fan-outs with
+        # their identity indexes): all of it is pure re-derivation until a
+        # repair bumps the epoch.
         self._routing_epoch: Optional[int] = None
         self._tiers: Optional[List[int]] = None
         self._entry_tiers: Dict[NodeId, int] = {}
@@ -96,18 +101,18 @@ class ServingFrontend:
         return tier
 
     def _fanout_for(self, tier: int):
-        fanout = self._fanouts.get(tier)
-        if fanout is None:
+        resolved = self._fanouts.get(tier)
+        if resolved is None:
             fanout = tier_leader_fanout(self.kernel, self.hierarchy, tier)
-            self._fanouts[tier] = fanout
-        return fanout
+            resolved = self._fanouts[tier] = (fanout, fanout_index(fanout))
+        return resolved
 
     def _top_fanout(self):
         if self._top is None:
             fanout = topmost_leader(self.kernel, self.hierarchy)
             if fanout is None:
                 raise RuntimeError("topmost ring has no leader")
-            self._top = fanout
+            self._top = (fanout, fanout_index(fanout))
         return self._top
 
     def _ims_tier(self) -> int:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hypothesis_profiles  # noqa: F401  (registers the tier1 / explore profiles)
 import pytest
+from hypothesis import settings
 
 from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
@@ -14,6 +16,9 @@ from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
 from repro.topology.architecture import TopologySpec
 from repro.topology.generator import TopologyGenerator
+
+# The default profile; ``--hypothesis-profile=explore`` replaces it after this.
+settings.load_profile("tier1")
 
 
 @pytest.fixture

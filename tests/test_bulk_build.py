@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.identifiers import NodeId
@@ -41,7 +42,7 @@ SHAPES = [(10, 3), (4, 5), (2, 10), (10, 4)]
 # ---------------------------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=8)
+@settings(deadline=None, max_examples=examples(8))
 @given(shape=st.sampled_from(SHAPES))
 def test_bulk_regular_hierarchy_equals_incremental(shape):
     ring_size, height = shape
@@ -70,7 +71,7 @@ def test_bulk_regular_hierarchy_equals_incremental(shape):
             assert bulk_ring.predecessor(node) == reference.predecessor(node)
 
 
-@settings(deadline=None, max_examples=8)
+@settings(deadline=None, max_examples=examples(8))
 @given(shape=st.sampled_from(SHAPES))
 def test_bulk_entity_states_equal_incremental(shape):
     ring_size, height = shape
@@ -84,7 +85,7 @@ def test_bulk_entity_states_equal_incremental(shape):
         assert bulk_state.aggregate_mq == reference_states[node].aggregate_mq
 
 
-@settings(deadline=None, max_examples=6)
+@settings(deadline=None, max_examples=examples(6))
 @given(shape=st.sampled_from(SHAPES[:3]))
 def test_bulk_kernel_coverage_matches_incremental_and_ancestor_walk(shape):
     ring_size, height = shape

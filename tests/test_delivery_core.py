@@ -21,6 +21,7 @@ from delivery_rigs import CoreRig, upward_join
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis_profiles import examples
 
 from repro.core.kernel import stale_for
 
@@ -279,7 +280,7 @@ def counters_of(rig):
 
 
 DeliveryMachine.TestCase.settings = settings(
-    max_examples=60,
+    max_examples=examples(60),
     stateful_step_count=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.deltas import DeltaBuilder, MembershipDelta
 from repro.core.identifiers import GloballyUniqueId, GroupId, NodeId, make_luid
@@ -77,7 +78,7 @@ def _fresh_view(name: str = "ring") -> MembershipView:
 
 class TestDeltaEquivalence:
     @given(operation_sequences)
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     def test_apply_all_delta_matches_sequential_apply(self, operations):
         """Acceptance: batched apply_all == per-operation apply, any sequence."""
         sequential = _fresh_view()
@@ -91,7 +92,7 @@ class TestDeltaEquivalence:
         assert batched.guids() == sequential.guids()
 
     @given(operation_sequences, operation_sequences)
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_equivalence_from_arbitrary_starting_view(self, seed_ops, operations):
         """The equivalence holds regardless of what the view already contains."""
         sequential = _fresh_view()
@@ -106,7 +107,7 @@ class TestDeltaEquivalence:
         assert batched.snapshot() == sequential.snapshot()
 
     @given(operation_sequences)
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_apply_all_accepts_sequences_and_deltas_identically(self, operations):
         """apply_all(list) and apply_all(delta) land on the same member list."""
         via_list = _fresh_view()
@@ -116,7 +117,7 @@ class TestDeltaEquivalence:
         assert via_delta.snapshot() == via_list.snapshot()
 
     @given(operation_sequences)
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_delta_compilation_is_idempotent_per_guid(self, operations):
         """A compiled delta has at most one entry per member GUID."""
         delta = MembershipDelta.from_operations(operations)
@@ -131,7 +132,7 @@ class TestDeltaEquivalence:
         assert events == []
 
     @given(operation_sequences)
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     def test_builder_incremental_equals_bulk_compile(self, operations):
         builder = DeltaBuilder()
         for op in operations:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.sim.harness import HarnessConfig, ScenarioHarness
 from repro.workloads.churn import ChurnKind, ChurnWorkload
@@ -49,7 +50,7 @@ def run_workload(seed: int, loss: float):
     return result, view
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     loss=st.sampled_from([0.01, 0.05, 0.10]),
@@ -64,7 +65,7 @@ def test_lossy_run_matches_lossless_final_view(seed: int, loss: float):
     assert lossy_view == lossless_view
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=examples(6), deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_lossy_run_is_itself_deterministic(seed: int):
     first_result, first_view = run_workload(seed, loss=0.05)

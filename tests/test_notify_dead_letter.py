@@ -33,6 +33,7 @@ import pytest
 from delivery_rigs import RIGS, SimRig
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.delivery import Notification
 from repro.sim.harness import HarnessConfig, ScenarioHarness
@@ -289,7 +290,7 @@ def test_adjacent_failures_salvage_to_surviving_detector():
 
 
 @settings(
-    max_examples=12,
+    max_examples=examples(12),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

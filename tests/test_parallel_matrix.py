@@ -16,6 +16,7 @@ import multiprocessing
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.identifiers import GroupId, NodeId, _Identifier
 from repro.core.token import Token
@@ -45,7 +46,7 @@ def _fingerprints(report):
 
 
 @settings(
-    max_examples=6,
+    max_examples=examples(6),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

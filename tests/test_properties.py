@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.analysis.reliability import (
     hierarchy_function_well_probability,
@@ -180,7 +181,7 @@ class TestAnalysisProperties:
 
 
 class TestOneRoundProperties:
-    @settings(deadline=None, max_examples=20)
+    @settings(deadline=None, max_examples=examples(20))
     @given(
         st.integers(min_value=2, max_value=4),
         st.integers(min_value=2, max_value=3),

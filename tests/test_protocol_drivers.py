@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.analysis.scalability import (
     hcn_ring,
@@ -86,7 +87,7 @@ def reference_membership(ops: List[Tuple[str, int, int]]) -> set:
 
 
 class TestCrossProtocolConvergence:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     @given(ops=ops_strategy)
     def test_all_protocols_agree_on_lossless_scenarios(self, ops):
         expected = reference_membership(ops)
@@ -98,7 +99,7 @@ class TestCrossProtocolConvergence:
                 f"{name} membership {sorted(driver.members())} != {sorted(expected)}"
             )
 
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     @given(ops=ops_strategy, seed=st.integers(min_value=0, max_value=5))
     def test_lossy_runs_converge_to_the_lossless_view(self, ops, seed):
         expected = reference_membership(ops)

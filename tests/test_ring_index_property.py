@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.identifiers import NodeId
 from repro.core.ring import LogicalRing, RingError
@@ -84,7 +85,7 @@ def mutation_scripts(draw):
     return initial, ops
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(script=mutation_scripts())
 def test_indexed_ring_matches_naive_semantics(script):
     initial, ops = script

@@ -22,6 +22,7 @@ import multiprocessing
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.workloads.matrix import (
     MatrixCell,
@@ -54,7 +55,7 @@ FAMILIES = ("flash_crowd", "correlated_failure", "diurnal_mobility", "replay_inj
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(25), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     family=st.sampled_from(FAMILIES),
     seed=st.integers(min_value=0, max_value=100_000),
@@ -72,7 +73,7 @@ def test_spec_json_roundtrip_compiles_identically(family, seed, events, loss):
     assert (original.ring_size, original.height) == (reparsed.ring_size, reparsed.height)
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(25), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     family=st.sampled_from(FAMILIES),
     seed=st.integers(min_value=0, max_value=100_000),
@@ -92,7 +93,7 @@ def test_script_dumps_loads_roundtrip(family, seed, events):
     )
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(15), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     family=st.sampled_from(FAMILIES),
     seed=st.integers(min_value=0, max_value=100_000),

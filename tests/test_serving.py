@@ -18,12 +18,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
 from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
+from repro.core.identifiers import NodeId
+from repro.core.membership import GENERATION, LOG_SIZE, MembershipView
 from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipQueryService, MembershipScheme
-from repro.serving.columnar_query import tier_leader_fanout
+from repro.serving import frontend as frontend_module
+from repro.serving import snapshots as snapshots_module
+from repro.serving.columnar_query import tier_leader_fanout, topmost_leader
 from repro.serving.frontend import ServingFrontend
 from repro.serving.snapshots import MembershipFrame
 from repro.sim.harness import HarnessConfig, ScenarioHarness
@@ -63,22 +68,31 @@ def _assert_batch_matches_object_path(frontend, store, entry) -> None:
     want = [service.query(scheme) for scheme in SCHEMES]
     for scheme in SCHEMES:
         frontend.submit(scheme, entry)
+    kernel, hierarchy = frontend.kernel, frontend.hierarchy
     for got, expected in zip(frontend.drain(), want):
         _assert_same_answer(got, expected)
+        # However the frame was reached (hit, revalidation, patch or full
+        # capture), it equals one captured from scratch.
+        if got.scheme is MembershipScheme.TMS:
+            fanout = topmost_leader(kernel, hierarchy)
+        else:
+            fanout = tier_leader_fanout(kernel, hierarchy, got.answered_by_tier)
+        assert got.members == MembershipFrame(got.answered_by_tier, fanout, 0, 0).members()
 
 
-#: One scripted event: (kind, site pick, member pick).  Small picks keep
-#: landing on ring leaders and on the same few members, where stale frames
-#: would show.
-_EVENTS = st.lists(
-    st.tuples(
-        st.sampled_from(("join", "join", "leave", "failure", "handoff", "repair")),
-        st.integers(min_value=0, max_value=11),
-        st.integers(min_value=0, max_value=5),
-    ),
-    min_size=1,
-    max_size=8,
-)
+def _events(*extra_kinds: str):
+    """Scripted events: (kind, site pick, member pick).  Small picks keep
+    landing on ring leaders and on the same few members, where stale frames
+    would show."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("join", "join", "leave", "failure", "handoff", "repair") + extra_kinds),
+            st.integers(min_value=0, max_value=11),
+            st.integers(min_value=0, max_value=5),
+        ),
+        min_size=1,
+        max_size=8,
+    )
 
 
 class TestSnapshotEqualsObjectPath:
@@ -91,7 +105,7 @@ class TestSnapshotEqualsObjectPath:
         joins=st.integers(min_value=1, max_value=6),
         run_fraction=st.sampled_from((0.3, 0.7, 1.0)),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_batch_read_matches_object_path_mid_flight(
         self, ring_size, height, backend, joins, run_fraction
     ):
@@ -153,7 +167,7 @@ class TestSnapshotEqualsObjectPath:
         ring_size=st.integers(min_value=2, max_value=3),
         height=st.integers(min_value=2, max_value=3),
         backend=st.sampled_from(("object", "columnar")),
-        events=_EVENTS,
+        events=_events(),
         gap=st.sampled_from((0.4, 3.0)),
     )
     @example(  # a handoff away from a bottom leader, read before its commit
@@ -170,7 +184,7 @@ class TestSnapshotEqualsObjectPath:
         events=[("join", 1, 0), ("join", 2, 0), ("join", 4, 0), ("repair", 0, 0)],
         gap=0.4,
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_every_event_matches_object_path_on_a_harness(
         self, ring_size, height, backend, events, gap
     ):
@@ -220,14 +234,16 @@ class TestSnapshotEqualsObjectPath:
         ring_size=st.integers(min_value=2, max_value=3),
         height=st.integers(min_value=2, max_value=3),
         backend=st.sampled_from(("object", "columnar")),
-        events=_EVENTS,
+        events=_events("burst"),
         rounds_between=st.integers(min_value=0, max_value=3),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_every_event_matches_object_path_on_a_bare_engine(
         self, ring_size, height, backend, events, rounds_between
     ):
-        """No harness, no listener: reads after every capture, repair and round."""
+        """No harness, no listener: reads after every capture, repair, round
+        and write burst.  Every read's reference query also writes the object
+        path's scratch merge views first."""
         engine = OneRoundEngine(
             HierarchyBuilder("serving-test").regular(ring_size=ring_size, height=height),
             config=ProtocolConfig(aggregation_delay=0.0),
@@ -237,6 +253,8 @@ class TestSnapshotEqualsObjectPath:
         entry = aps[-1]
         frontend = ServingFrontend(engine)
         victims = [n for n in engine.kernel.entities if n != entry]
+        scratch = MembershipView("burst", entry, engine.hierarchy.group)
+        record = engine.kernel.make_join_op(entry, "burst").member
         repaired = False
         joined = 0
         location = {}
@@ -256,6 +274,13 @@ class TestSnapshotEqualsObjectPath:
                 engine.detect_and_repair(victim)
                 # Members attached at a crashed proxy are gone with it.
                 location = {g: at for g, at in location.items() if at != victim}
+            elif kind == "burst":
+                # Commit what is pending, then bury those fan-out writes
+                # under more writes than the change log holds.
+                engine.propagate()
+                for _ in range(LOG_SIZE // 2 + 1):
+                    scratch.add(record)
+                    scratch.remove(record.guid)
             elif ap in engine.kernel.failed:
                 continue
             elif kind == "join" or guid is None:
@@ -280,7 +305,8 @@ class TestSnapshotEqualsObjectPath:
 
 
 class TestWarmReadCost:
-    """A read that changes nothing revalidates nothing, on any driver.
+    """A warm hit reads neither the change log nor any version, on any
+    driver; a read after a commit touches only the views that moved.
 
     ``RingHierarchy.tiers`` is deliberately not patched: a BMS query still
     reaches it through ``bottom_tier()`` (see docs/PERF.md, "Serving reads").
@@ -311,7 +337,9 @@ class TestWarmReadCost:
             raise AssertionError("hierarchy-sized sweep on a warm read")
 
         monkeypatch.setattr(RingHierarchy, "rings_in_tier", sweep)
+        monkeypatch.setattr(MembershipFrame, "moved", sweep)
         monkeypatch.setattr(MembershipFrame, "is_current", sweep)
+        monkeypatch.setattr(type(GENERATION), "since", sweep)
         for scheme in SCHEMES:
             frontend.submit(scheme)
         warm = frontend.drain()
@@ -324,6 +352,62 @@ class TestWarmReadCost:
         assert stats["hits"] == len(SCHEMES)
         assert stats["captures"] == len(SCHEMES)
         assert stats["revalidations"] == stats["invalidations"] == 0
+
+    @pytest.mark.parametrize("backend", ("object", "columnar"))
+    def test_read_after_a_commit_touches_only_the_views_that_moved(self, backend, monkeypatch):
+        engine = OneRoundEngine(
+            HierarchyBuilder("serving-test").regular(ring_size=3, height=3),
+            config=ProtocolConfig(aggregation_delay=0.0),
+            backend=backend,
+        )
+        aps = engine.hierarchy.access_proxies()
+        engine.member_join(aps[0], "alice")
+        engine.propagate()
+        frontend = ServingFrontend(engine)
+        for scheme in SCHEMES:
+            frontend.submit(scheme)
+        frontend.drain()
+        assert frontend.stats()["captures"] == len(SCHEMES)
+
+        # Bob joins under another tier-2 ring: each fan-out gains one
+        # non-empty view, every other view stays as empty as it was.
+        engine.member_join(aps[-1], "bob")
+        engine.propagate()
+        touched = []
+        raw_records = MembershipView.raw_records
+
+        def tracked(view):
+            touched.append(view)
+            return raw_records(view)
+
+        def resolve(*_args, **_kwargs):
+            raise AssertionError("fan-out re-resolved for a patch")
+
+        monkeypatch.setattr(MembershipView, "raw_records", tracked)
+        monkeypatch.setattr(RingHierarchy, "rings_in_tier", resolve)
+        monkeypatch.setattr(frontend_module, "tier_leader_fanout", resolve)
+        monkeypatch.setattr(snapshots_module, "fanout_index", resolve)
+        for scheme in SCHEMES:
+            frontend.submit(scheme)
+        patched = frontend.drain()
+        monkeypatch.undo()
+        service = MembershipQueryService(engine)
+        for got, scheme in zip(patched, SCHEMES):
+            _assert_same_answer(got, service.query(scheme))
+
+        stats = frontend.stats()
+        assert stats["invalidations"] == len(SCHEMES)
+        assert stats["captures"] == 2 * len(SCHEMES)
+        # Exactly the fan-out views that hold records, each read once: the
+        # one alice was already in and the one bob moved, per frame.
+        bottom = engine.hierarchy.bottom_tier()
+        _leaders, _rings, views = tier_leader_fanout(engine.kernel, engine.hierarchy, bottom)
+        assert len(views) == 9
+        filled = [view for view in views if len(view)]
+        assert len(filled) == 2
+        assert [view for view in touched if view in filled] == filled
+        assert len(touched) == len(set(map(id, touched)))
+        assert len(touched) == 2 + 2 + 1  # BMS, IMS (tier 2), TMS
 
 
 class TestTornReadRegression:
@@ -368,33 +452,65 @@ class TestTornReadRegression:
         # Two tiers: IMS falls back to the tier below the top, which is the
         # bottom tier, so BMS and IMS share one frame — two frames in all.
         # Batch 1 captures both (TMS, BMS) and IMS hits; batches 2 and 3 are
-        # three generation hits each, with no version reads.
+        # three generation hits each, with no change-log reads.
         for _ in range(3):
             stats = batch()
         assert stats == {"captures": 2, "hits": 7, "revalidations": 0, "invalidations": 0}
 
         # A write that moves the generation but touches neither frame's views
-        # (the object path's scratch merge view): both frames revalidate on
-        # the full version key, once, and IMS hits the revalidated frame.
+        # (the object path's scratch merge view): the change log since each
+        # frame misses its fan-out, so both revalidate, once, and IMS hits
+        # the revalidated frame.
         MembershipQueryService(harness.kernel).query(MembershipScheme.BMS)
         stats = batch()
         assert stats == {"captures": 2, "hits": 8, "revalidations": 2, "invalidations": 0}
         assert batch()["hits"] == 11
 
         # Committed rounds that do change the leaders' views: both frames
-        # are invalidated and recaptured, and reuse resumes from there.
+        # are invalidated and patched (counted as captures), and reuse
+        # resumes from there.
         harness.schedule_join(harness.engine.now + 0.1, aps[1], guid="bob")
         harness.run()
         stats = batch()
         assert stats == {"captures": 4, "hits": 12, "revalidations": 2, "invalidations": 2}
         assert batch() == {"captures": 4, "hits": 15, "revalidations": 2, "invalidations": 2}
 
-        # An epoch bump alone (no view or ring version moved, so the
-        # generation did not): the hit compares the epoch too, and the full
-        # key — which includes the epoch — sends both frames to recapture.
+        # An epoch bump alone (no view or ring moved, so the generation did
+        # not): the hit compares the epoch too, and a moved epoch sends both
+        # frames to a full capture.
         harness.kernel.invalidate_coverage()
         stats = batch()
         assert stats == {"captures": 6, "hits": 16, "revalidations": 2, "invalidations": 4}
+
+    def test_a_moved_fanout_ring_is_captured_in_full(self, monkeypatch):
+        engine = OneRoundEngine(
+            HierarchyBuilder("serving-test").regular(ring_size=3, height=2),
+            config=ProtocolConfig(aggregation_delay=0.0),
+        )
+        engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
+        engine.propagate()
+        frontend = ServingFrontend(engine)
+        bms = MembershipScheme.BMS
+        before = frontend.query(bms)
+
+        # The ring's shape moves (and moves back) with the epoch untouched.
+        ring = engine.hierarchy.bottom_rings()[1]
+        spare = NodeId("spare")
+        ring.insert_member(spare)
+        ring.remove_member(spare)
+        touched = []
+        raw_records = MembershipView.raw_records
+
+        def tracked(view):
+            touched.append(view)
+            return raw_records(view)
+
+        monkeypatch.setattr(MembershipView, "raw_records", tracked)
+        after = frontend.query(bms)
+        assert after.guids == before.guids == ["alice"]
+        assert len(touched) == len(before.entities_contacted) == 3
+        stats = frontend.stats()
+        assert (stats["captures"], stats["invalidations"]) == (2, 1)
 
     @pytest.mark.parametrize("backend", ("object", "columnar"))
     def test_handoff_capture_between_commits_is_not_served_stale(self, backend):
