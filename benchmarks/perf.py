@@ -210,13 +210,12 @@ def _bench_delta() -> Tuple[float, Dict[str, float]]:
 @bench("kernel_propagate_4k", SMALL)
 def _bench_kernel_4k() -> Tuple[float, Dict[str, float]]:
     """Structural one-round propagation of 32 joins at r=8, h=4 (4096 APs)."""
-    from repro.core.config import ProtocolConfig
     from repro.core.hierarchy import HierarchyBuilder
     from repro.core.one_round import OneRoundEngine
 
     build_start = time.perf_counter()
     hierarchy = HierarchyBuilder("bench").regular(ring_size=8, height=4)
-    engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+    engine = OneRoundEngine(hierarchy)
     build_seconds = time.perf_counter() - build_start
     aps = hierarchy.access_proxies()
     stride = max(1, len(aps) // 32)
@@ -240,15 +239,12 @@ def _bench_kernel_4k_columnar() -> Tuple[float, Dict[str, float]]:
     benches keeps the backends' relative cost visible at a size where the
     object kernel is still comfortable.
     """
-    from repro.core.config import ProtocolConfig
     from repro.core.hierarchy import HierarchyBuilder
     from repro.core.one_round import OneRoundEngine
 
     build_start = time.perf_counter()
     hierarchy = HierarchyBuilder("bench").regular(ring_size=8, height=4)
-    engine = OneRoundEngine(
-        hierarchy, config=ProtocolConfig(aggregation_delay=0.0), backend="columnar"
-    )
+    engine = OneRoundEngine(hierarchy, backend="columnar")
     build_seconds = time.perf_counter() - build_start
     aps = hierarchy.access_proxies()
     stride = max(1, len(aps) // 32)
@@ -403,18 +399,13 @@ def _large_scale_bench(height: int) -> Tuple[float, Dict[str, float]]:
     collector itself (the columnar propagate pauses it, exactly as callers
     experience it).
     """
-    from repro.core.config import ProtocolConfig
     from repro.core.hierarchy import HierarchyBuilder, paused_gc
     from repro.core.one_round import OneRoundEngine
 
     build_start = time.perf_counter()
     with paused_gc():
         hierarchy = HierarchyBuilder("bench").regular(ring_size=10, height=height)
-        engine = OneRoundEngine(
-            hierarchy,
-            config=ProtocolConfig(aggregation_delay=0.0),
-            backend="columnar",
-        )
+        engine = OneRoundEngine(hierarchy, backend="columnar")
     build_seconds = time.perf_counter() - build_start
     aps = hierarchy.access_proxies()
     for index in range(4):

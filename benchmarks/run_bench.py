@@ -60,7 +60,7 @@ HEIGHTS = (3, 4, 5)
 
 def measure_configuration(height: int, joins: int, batched: bool) -> dict:
     """Propagate a ``joins``-sized burst on the r=8, h=``height`` hierarchy."""
-    config = ProtocolConfig(aggregation_delay=0.0, batched_apply=batched)
+    config = ProtocolConfig(batched_apply=batched)
     build_start = time.perf_counter()
     hierarchy = HierarchyBuilder("bench").regular(ring_size=RING_SIZE, height=height)
     engine = OneRoundEngine(hierarchy, config=config)

@@ -19,7 +19,7 @@ BURST = 12
 def run_burst(aggregate: bool):
     hierarchy = HierarchyBuilder("a2").regular(ring_size=5, height=2)
     engine = OneRoundEngine(
-        hierarchy, config=ProtocolConfig(aggregation_delay=0.0, aggregate_mq=aggregate)
+        hierarchy, config=ProtocolConfig(aggregate_mq=aggregate)
     )
     ring = hierarchy.bottom_rings()[0]
     # A burst of joins and churny join+leave pairs landing at the same proxies.

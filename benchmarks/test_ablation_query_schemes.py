@@ -8,7 +8,6 @@ populated hierarchy.
 
 from __future__ import annotations
 
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipQueryService, MembershipScheme
@@ -16,7 +15,7 @@ from repro.core.query import MembershipQueryService, MembershipScheme
 
 def build_populated_engine():
     hierarchy = HierarchyBuilder("a1").regular(ring_size=5, height=3)
-    engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+    engine = OneRoundEngine(hierarchy)
     for index, ap in enumerate(hierarchy.access_proxies()):
         if index % 5 == 0:
             engine.member_join(ap, f"member-{index:04d}")

@@ -1,13 +1,14 @@
 """Figure 3 — the One-Round Token Passing Membership algorithm.
 
-Exercises the algorithm end-to-end on both engines: a single membership change
+Exercises the algorithm end-to-end on both drivers — the structural engine
+and the event-driven harness behind the facade: a single membership change
 is captured at an access proxy, circulates each involved ring exactly once,
 climbs to the topmost ring and leaves every ring in agreement.
 """
 
 from __future__ import annotations
 
-from repro.core.config import ProtocolConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.one_round import OneRoundEngine
 from repro.core.simulation import RGBSimulation
@@ -15,7 +16,7 @@ from repro.core.simulation import RGBSimulation
 
 def run_structural_round():
     hierarchy = HierarchyBuilder("fig3").regular(ring_size=5, height=2)
-    engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+    engine = OneRoundEngine(hierarchy)
     engine.member_join(hierarchy.access_proxies()[7], "figure3-member")
     report = engine.propagate()
     return engine, report
@@ -47,29 +48,24 @@ def test_fig3_structural_one_round(benchmark, report):
 
 def run_event_round():
     sim = RGBSimulation(
-        SimulationConfig(
-            num_aps=25,
-            ring_size=5,
-            hosts_per_ap=0,
-            seed=42,
-            engine_mode="event",
-            protocol=ProtocolConfig(aggregation_delay=1.0),
-        )
+        SimulationConfig(num_aps=25, ring_size=5, hosts_per_ap=0, seed=42)
     ).build()
     member = sim.join_member(ap_index=7, guid="figure3-member")
-    sim.run_until_quiescent()
-    return sim, member
+    result = sim.run_until_quiescent()
+    return sim, member, result
 
 
 def test_fig3_event_driven_one_round(benchmark, report):
-    sim, member = benchmark.pedantic(run_event_round, rounds=1, iterations=1)
+    sim, member, result = benchmark.pedantic(run_event_round, rounds=1, iterations=1)
     assert member.guid in sim.global_membership()
-    rounds = sim.metrics.counter("protocol.rounds_completed").value
-    hops = sim.metrics.counter("protocol.token_hops").value
+    assert result.ok
+    rounds = result.counters["rounds.completed"]
+    hops = result.counters["transport.sent.rgb.token"]
     latency = sim.engine.now
-    assert rounds >= 1 and hops > 0
+    # One round per ring, exactly as in the structural engine.
+    assert rounds == sim.hierarchy.total_rings and hops > 0
     report(
-        "Figure 3 — one-round token passing (message-passing engine)",
+        "Figure 3 — one-round token passing (event-driven harness)",
         [
             f"token rounds completed = {rounds}",
             f"token hops on the wire = {hops}",

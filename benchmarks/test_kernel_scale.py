@@ -56,7 +56,7 @@ def _table1_burst(batched: bool, prejoin: int, measured: int, ring_size: int = 8
     propagation switches between the batched delta and the seed's
     per-operation reference path.
     """
-    config = ProtocolConfig(aggregation_delay=0.0, batched_apply=True)
+    config = ProtocolConfig(batched_apply=True)
     hierarchy = HierarchyBuilder("table1").regular(ring_size=ring_size, height=height)
     engine = OneRoundEngine(hierarchy, config=config)
     aps = hierarchy.access_proxies()

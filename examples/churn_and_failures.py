@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Churn + entity failures on the message-passing engine.
+"""Churn + entity failures on the event-driven harness.
 
-Runs the RGB protocol as an actual distributed system over the discrete-event
-transport: membership changes are real messages subject to latency, failure
-detection is driven by token acknowledgement timeouts, and crashed access
-proxies are excluded from their rings by local repair.
+Runs the RGB protocol as a distributed system over the discrete-event
+transport: membership changes are real messages subject to latency, a crashed
+access proxy is detected when a token round next visits it, and it is
+excluded from its ring by local repair.
 
 Run with::
 
@@ -13,22 +13,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.config import ProtocolConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.simulation import RGBSimulation
 from repro.workloads.churn import ChurnKind, ChurnWorkload
 
 
 def main() -> None:
-    config = SimulationConfig(
-        num_aps=25,
-        ring_size=5,
-        hosts_per_ap=0,
-        seed=23,
-        engine_mode="event",
-        protocol=ProtocolConfig(
-            aggregation_delay=2.0, token_timeout=60.0, heartbeat_interval=500.0
-        ),
-    )
+    config = SimulationConfig(num_aps=25, ring_size=5, hosts_per_ap=0, seed=23)
     sim = RGBSimulation(config).build()
     aps = sim.access_proxies()
 
@@ -53,14 +44,13 @@ def main() -> None:
     lost = [m for m, ap in joined.items() if ap in victims]
     for victim in victims:
         sim.crash_entity(victim)
-    # New traffic in the affected rings triggers token-timeout detection
-    # (heartbeat rounds would also catch it, just more slowly).
+    # New traffic in the affected rings triggers detection by the next token
+    # round (the harness's crash-detection probe round would also catch it).
     for index, victim in enumerate(victims):
         ring = sim.ring_of(victim)
         survivor = next(str(n) for n in ring.members if str(n) not in victims)
         sim.join_member(ap_id=survivor, guid=f"post-crash-{index}")
     sim.run_until_quiescent()
-    sim.run_until_quiescent()  # a second heartbeat window flushes repair reports
 
     view = sim.global_membership()
     still_listed = [m for m in lost if m in view]
@@ -71,10 +61,10 @@ def main() -> None:
 
     counters = sim.metrics.counters
     interesting = [
-        "protocol.rounds_completed",
-        "protocol.token_hops",
-        "protocol.token_retransmissions",
-        "protocol.ring_repairs",
+        "rounds.completed",
+        "hops.token",
+        "hops.notify",
+        "repairs.ring",
         "transport.sent",
         "transport.dropped",
     ]

@@ -62,7 +62,7 @@ def main() -> None:
 
     # The application renders the roster with different maintenance schemes.
     workload = QueryWorkload(entry_points=aps, queries=30, duration=60.0, seed=11)
-    aggregates = QueryWorkload.replay(sim.protocol, workload.generate())
+    aggregates = QueryWorkload.replay(sim.kernel, workload.generate())
     print("\nmembership query cost by scheme (mean logical message hops per query):")
     for scheme in MembershipScheme:
         bucket = aggregates.get(scheme.value)

@@ -36,8 +36,9 @@ def main() -> None:
     alice = sim.join_member(ap_id=aps[0], guid="alice")
     bob = sim.join_member(ap_id=aps[7], guid="bob")
     carol = sim.join_member(ap_id=aps[13], guid="carol")
-    report = sim.run_until_quiescent()
-    print(f"propagation used {report.hop_count} message hops over {report.round_count} token rounds")
+    counters = sim.run_until_quiescent().counters
+    hops = counters["hops.token"] + counters["hops.notify"]
+    print(f"propagation used {hops} message hops over {counters['rounds.completed']} token rounds")
     print(f"global membership: {sim.global_membership().guids()}")
     print()
 

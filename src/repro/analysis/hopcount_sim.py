@@ -59,11 +59,8 @@ def measure_ring_hopcount(
     """
     if changes < 1:
         raise ValueError(f"changes must be >= 1, got {changes}")
-    protocol_config = config if config is not None else ProtocolConfig(
-        aggregation_delay=0.0, disseminate_downward=True
-    )
     hierarchy = HierarchyBuilder("hopcount-group").regular(ring_size=ring_size, height=height)
-    engine = OneRoundEngine(hierarchy, config=protocol_config)
+    engine = OneRoundEngine(hierarchy, config=config)
     aps = hierarchy.access_proxies()
 
     total_token = 0

@@ -16,20 +16,19 @@ The subpackage implements Section 4 of the paper:
 * :mod:`repro.core.delivery` — the one reliable-delivery core for
   notifications (ack-gated retry, sender succession, reroute, dead letters,
   the round gate), driven by the sim's and the UDP node's dispatches.
-* :mod:`repro.core.one_round` / :mod:`repro.core.protocol` — the two thin
-  drivers of the kernel: deterministic structural stepping vs. message
-  scheduling on the discrete-event transport (Section 4.3, Figure 3).
+* :mod:`repro.core.one_round` — the structural driver of the kernel:
+  deterministic synchronous stepping (Section 4.3, Figure 3).  The
+  event-driven driver over the discrete-event transport is
+  :mod:`repro.sim.harness`.
 * :mod:`repro.core.query` — the Membership-Query algorithm with the TMS, BMS
   and IMS maintenance schemes (Section 4.4).
-* :mod:`repro.core.handoff` — Member-Handoff fast path using neighbour member
-  lists.
-* :mod:`repro.core.failure_detector` / :mod:`repro.core.repair` — token
-  retransmission based fault detection and local ring repair (Section 5.2
-  assumptions).
-* :mod:`repro.core.partition` — the Membership-Partition/Merge extension the
-  paper lists as future work.
+* :mod:`repro.core.handoff` — Member-Handoff fast-path classification using
+  neighbour member lists.
+* :mod:`repro.core.partition` — partition detection for the
+  Membership-Partition/Merge extension the paper lists as future work (the
+  kernel's ring repair, Section 5.2, is what merges).
 * :mod:`repro.core.simulation` — the :class:`RGBSimulation` facade assembling
-  topology, hierarchy, protocol nodes and workloads into one runnable system.
+  topology, hierarchy and the scenario harness into one runnable system.
 """
 
 from repro.core.config import ProtocolConfig, SimulationConfig

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class ProtocolConfig:
         Notification-to-Child messages so every ring learns every change.
         The paper's hop-count model (Section 5.1) assumes this; turning it off
         gives the cheaper "bottom-to-top only" variant the conclusion sketches.
-    token_timeout:
-        How long a token sender waits for the receiver's acknowledgement
-        before retransmitting (simulation time units).
     token_retry_limit:
         Retransmissions before the receiver is declared faulty and excluded
         from the ring (paper Section 5.2: single faults are detected by token
@@ -43,38 +39,17 @@ class ProtocolConfig:
     holder_ack_enabled:
         Whether the round holder sends Holder-Acknowledgement messages back to
         the children whose notifications it aggregated (Figure 3 lines 17–20).
-    aggregation_delay:
-        How long an entity waits after the first message lands in its queue
-        before it asks for a token round, so that bursts aggregate.
-    heartbeat_interval:
-        When set, every ring leader starts an *empty* token round this often
-        even if no membership change is pending.  The paper's token circulates
-        perpetually, which is what lets silent entity failures be detected in
-        otherwise idle rings; the message-passing engine approximates that
-        with these periodic heartbeat rounds.  ``None`` disables heartbeats
-        (the default for deterministic tests and hop-count measurements).
     """
 
     aggregate_mq: bool = True
     batched_apply: bool = True
     disseminate_downward: bool = True
-    token_timeout: float = 60.0
     token_retry_limit: int = 2
     holder_ack_enabled: bool = True
-    aggregation_delay: float = 5.0
-    heartbeat_interval: float | None = None
 
     def __post_init__(self) -> None:
-        if self.token_timeout <= 0:
-            raise ValueError(f"token_timeout must be positive, got {self.token_timeout}")
         if self.token_retry_limit < 0:
             raise ValueError(f"token_retry_limit must be >= 0, got {self.token_retry_limit}")
-        if self.aggregation_delay < 0:
-            raise ValueError(f"aggregation_delay must be >= 0, got {self.aggregation_delay}")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive or None, got {self.heartbeat_interval}"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,7 +57,8 @@ class SimulationConfig:
     """Configuration of the packaged :class:`repro.core.simulation.RGBSimulation`.
 
     The facade builds a regular 4-tier topology, assembles the ring hierarchy
-    over it and runs the protocol on the discrete-event substrate.
+    over it and runs the protocol on one lossless
+    :class:`repro.sim.harness.ScenarioHarness`.
 
     Parameters
     ----------
@@ -93,11 +69,6 @@ class SimulationConfig:
         only a portion of network entities need participate).
     ring_size:
         Target nodes per logical ring (the paper's ``r``).
-    engine_mode:
-        ``"structural"`` runs the deterministic reference engine
-        (:class:`repro.core.one_round.OneRoundEngine`); ``"event"`` runs the
-        message-passing engine over the discrete-event transport
-        (:class:`repro.core.protocol.RGBProtocolCluster`).
     hosts_per_ap:
         Mobile hosts pre-attached to each access proxy at build time.
     group_id:
@@ -117,7 +88,6 @@ class SimulationConfig:
     seed: int = 0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     trace_enabled: bool = False
-    engine_mode: str = "structural"
 
     def __post_init__(self) -> None:
         if self.num_aps < 1:
@@ -128,7 +98,3 @@ class SimulationConfig:
             raise ValueError(f"hosts_per_ap must be >= 0, got {self.hosts_per_ap}")
         if not self.group_id:
             raise ValueError("group_id must be non-empty")
-        if self.engine_mode not in ("structural", "event"):
-            raise ValueError(
-                f"engine_mode must be 'structural' or 'event', got {self.engine_mode!r}"
-            )

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.identifiers import GloballyUniqueId, NodeId
+from repro.core.identifiers import GloballyUniqueId
 from repro.core.member import MemberInfo, MemberStatus
 from repro.core.token import TokenOperation, TokenOperationType
 
@@ -98,27 +98,6 @@ class MembershipDelta:
         builder = DeltaBuilder()
         for op in operations:
             builder.add(op)
-        return builder.build()
-
-    @classmethod
-    def from_members(
-        cls, members: Iterable[MemberInfo], origin: Optional[NodeId] = None
-    ) -> "MembershipDelta":
-        """A delta that (re-)admits ``members`` — used by partition merges.
-
-        The synthesised join operations carry ``sequence=0`` so they never
-        collide with live token sequence numbers in ring seen-sets.
-        """
-        builder = DeltaBuilder()
-        for member in members:
-            builder.add(
-                TokenOperation(
-                    op_type=TokenOperationType.MEMBER_JOIN,
-                    origin=origin if origin is not None else member.ap,
-                    member=member,
-                    sequence=0,
-                )
-            )
         return builder.build()
 
     # -- inspection ------------------------------------------------------------

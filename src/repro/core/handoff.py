@@ -1,4 +1,4 @@
-"""Member handoff management (fast handoff via neighbour member lists).
+"""Member handoff classification (fast handoff via neighbour member lists).
 
 The paper motivates ``ListOfNeighborMembers`` — the list of operational
 members at neighbouring nodes of the hierarchy — as the ingredient for *fast
@@ -8,19 +8,21 @@ re-admit the member immediately and only propagate the attachment-point change
 asynchronously, instead of treating the arrival as a brand-new join that must
 climb the hierarchy before the member is served.
 
-:class:`HandoffManager` wraps either protocol engine and reports, per handoff,
-whether the fast path applied, which the handoff-storm benchmark aggregates
-into a fast-path hit ratio.
+:class:`HandoffManager` classifies each handoff from the kernel's state just
+before the caller captures it — did the destination proxy's neighbour list
+already hold the member, and does the move stay within one ring — and
+aggregates the fast-path hit ratio the handoff-storm benchmark reports.
+Capturing and propagating the handoff is the driver's job
+(``ScenarioHarness.capture_handoff``; ``OneRoundEngine.capture_many`` +
+``propagate`` for a batch).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 from repro.core.identifiers import NodeId, coerce_guid, coerce_node
-from repro.core.one_round import OneRoundEngine, PropagationReport
-from repro.core.protocol import RGBProtocolCluster
 
 
 @dataclass
@@ -61,97 +63,44 @@ class HandoffStats:
 
 
 class HandoffManager:
-    """Coordinates member handoffs against a protocol engine.
+    """Records, per handoff, whether the fast path applies.
 
-    Works with both the structural :class:`OneRoundEngine` (handoffs are
-    propagated synchronously and the report of each propagation is returned)
-    and the message-passing :class:`RGBProtocolCluster` (the handoff is
-    enqueued and propagates when the simulation engine runs).
+    ``kernel`` is anything exposing ``hierarchy`` and ``entity(node)`` — a
+    :class:`repro.core.kernel.TokenRoundKernel` or a
+    :class:`repro.core.one_round.OneRoundEngine`.
     """
 
-    def __init__(self, engine: Union[OneRoundEngine, RGBProtocolCluster]) -> None:
-        self.engine = engine
+    def __init__(self, kernel) -> None:
+        self.kernel = kernel
         self.stats = HandoffStats()
 
-    @property
-    def hierarchy(self):
-        return self.engine.hierarchy
-
-    def _neighbor_has_member(self, new_ap: NodeId, guid: str) -> bool:
-        entity = self.engine.entity(new_ap)
-        return entity.neighbor_members.get(guid) is not None
-
-    def _same_ring(self, a: NodeId, b: NodeId) -> bool:
-        if not (self.hierarchy.has_node(a) and self.hierarchy.has_node(b)):
-            return False
-        return self.hierarchy.ring_of(a).ring_id == self.hierarchy.ring_of(b).ring_id
-
-    def handoff(
-        self,
-        guid: "str",
-        from_ap: "NodeId | str",
-        to_ap: "NodeId | str",
-        now: float = 0.0,
-    ) -> HandoffRecord:
-        """Perform one handoff and record whether the fast path applied."""
-        guid_id = coerce_guid(guid)
-        old_ap = coerce_node(from_ap)
-        new_ap = coerce_node(to_ap)
-        fast = self._neighbor_has_member(new_ap, str(guid_id))
-        same_ring = self._same_ring(old_ap, new_ap)
-
-        if isinstance(self.engine, OneRoundEngine):
-            self.engine.member_handoff(guid_id, old_ap, new_ap, now=now)
-        else:
-            self.engine.handoff_member(guid_id, old_ap, new_ap)
-
-        record = HandoffRecord(
-            guid=str(guid_id),
-            from_ap=str(old_ap),
-            to_ap=str(new_ap),
-            fast_path=fast,
-            same_ring=same_ring,
-            time=now,
-        )
-        self.stats.records.append(record)
-        return record
-
-    def handoff_batch(
-        self,
-        moves: "List[tuple]",
-        now: float = 0.0,
-        propagate: bool = True,
-    ) -> Optional[PropagationReport]:
-        """Capture a storm of ``(guid, from_ap, to_ap)`` moves, then propagate once.
-
-        All handoffs are enqueued before any token round runs, so they
-        aggregate into shared rounds and the kernel applies each ring's
-        operations as one compiled :class:`repro.core.deltas.MembershipDelta`
-        (the batched path) — the per-handoff fast-path statistics are still
-        recorded individually.
-        """
-        for guid, from_ap, to_ap in moves:
-            self.handoff(guid, from_ap, to_ap, now=now)
-        if not propagate:
-            return None
-        if isinstance(self.engine, OneRoundEngine):
-            return self.engine.propagate(now=now)
-        self.engine.run_until_quiescent()
-        return None
-
-    def handoff_and_propagate(
+    def classify(
         self,
         guid: str,
         from_ap: "NodeId | str",
         to_ap: "NodeId | str",
         now: float = 0.0,
-    ) -> Optional[PropagationReport]:
-        """Handoff, then propagate to quiescence (structural engine only)."""
-        self.handoff(guid, from_ap, to_ap, now=now)
-        if isinstance(self.engine, OneRoundEngine):
-            return self.engine.propagate(now=now)
-        self.engine.run_until_quiescent()
-        return None
+    ) -> HandoffRecord:
+        """Record one handoff; call it before the handoff is captured."""
+        key = str(coerce_guid(guid))
+        old_ap = coerce_node(from_ap)
+        new_ap = coerce_node(to_ap)
+        hierarchy = self.kernel.hierarchy
+        same_ring = (
+            hierarchy.has_node(old_ap)
+            and hierarchy.has_node(new_ap)
+            and hierarchy.ring_of(old_ap) is hierarchy.ring_of(new_ap)
+        )
+        record = HandoffRecord(
+            guid=key,
+            from_ap=str(old_ap),
+            to_ap=str(new_ap),
+            fast_path=self.kernel.entity(new_ap).neighbor_members.get(key) is not None,
+            same_ring=same_ring,
+            time=now,
+        )
+        self.stats.records.append(record)
+        return record
 
     def fast_path_ratio(self) -> float:
         return self.stats.fast_path_ratio

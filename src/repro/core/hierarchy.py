@@ -69,8 +69,8 @@ class RingHierarchy:
     """The assembled ring-based hierarchy.
 
     Structural queries only — protocol execution lives in
-    :mod:`repro.core.one_round` and :mod:`repro.core.protocol`, which operate
-    on the per-entity local state this class helps initialise.
+    :mod:`repro.core.kernel`, which operates on the per-entity local state
+    this class helps initialise.
     """
 
     group: GroupId
@@ -444,21 +444,39 @@ class HierarchyBuilder:
 
     # -- from a generated 4-tier topology --------------------------------------------
 
-    def from_topology(self, topology: GeneratedTopology) -> RingHierarchy:
-        """Three-tier hierarchy: AP rings per AG, AG rings per BR, one BR ring."""
+    def from_topology(
+        self, topology: GeneratedTopology, access_proxies: Optional[Iterable[str]] = None
+    ) -> RingHierarchy:
+        """Three-tier hierarchy: AP rings per AG, AG rings per BR, one BR ring.
+
+        ``access_proxies`` restricts the hierarchy to those participating
+        proxies (the paper notes only a portion of the network entities need
+        run the protocol); gateways and border routers with no participating
+        proxy below them are left out too.
+        """
         arch = topology.architecture
         hierarchy = RingHierarchy(group=self.group)
         hierarchy.tier_labels.update(_TIER_NAMES)
+        aps_of_ag = {ag: sorted(arch.aps_of_ag(ag)) for ag in arch.access_gateways}
+        ags_of_br = {br: sorted(arch.ags_of_br(br)) for br in arch.border_routers}
+        border_routers = list(arch.border_routers)
+        if access_proxies is not None:
+            keep = set(access_proxies)
+            aps_of_ag = {ag: [ap for ap in aps if ap in keep] for ag, aps in aps_of_ag.items()}
+            ags_of_br = {
+                br: [ag for ag in ags if aps_of_ag[ag]] for br, ags in ags_of_br.items()
+            }
+            border_routers = [br for br in border_routers if ags_of_br[br]]
 
         # Topmost: one ring of all border routers.
-        br_nodes = [NodeId(br) for br in arch.border_routers]
+        br_nodes = [NodeId(br) for br in border_routers]
         br_ring = LogicalRing(ring_id="brt-ring", tier=3, members=br_nodes)
         br_ring.elect_leader()
         hierarchy.add_ring(br_ring)
 
         # Access gateway rings: one per border router.
-        for br in arch.border_routers:
-            ags = [NodeId(ag) for ag in sorted(arch.ags_of_br(br))]
+        for br in border_routers:
+            ags = [NodeId(ag) for ag in ags_of_br[br]]
             if not ags:
                 continue
             ring = LogicalRing(ring_id=f"agt-ring-{br}", tier=2, members=ags)
@@ -467,7 +485,7 @@ class HierarchyBuilder:
 
         # Access proxy rings: one per access gateway.
         for ag in arch.access_gateways:
-            aps = [NodeId(ap) for ap in sorted(arch.aps_of_ag(ag))]
+            aps = [NodeId(ap) for ap in aps_of_ag[ag]]
             if not aps:
                 continue
             ring = LogicalRing(ring_id=f"apt-ring-{ag}", tier=1, members=aps)

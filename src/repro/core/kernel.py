@@ -23,11 +23,10 @@ nowhere else, and every driver steps this module:
   paths.
 
 The drivers stay thin: :class:`repro.core.one_round.OneRoundEngine` steps the
-kernel synchronously (shared memory, zero latency),
-:class:`repro.core.protocol.RGBProtocolCluster` schedules the same decisions
-as messages on the discrete-event transport, and the scenario harness and
-the live UDP node bind the :class:`MessageDispatch` seam to their transports
-— sharing one reliable-notification implementation,
+kernel synchronously (shared memory, zero latency), while the scenario
+harness (:mod:`repro.sim.harness`, also behind the ``RGBSimulation`` facade)
+and the live UDP node bind the :class:`MessageDispatch` seam to their
+transports — sharing one reliable-notification implementation,
 :mod:`repro.core.delivery`.
 """
 
@@ -267,13 +266,8 @@ class TokenRoundKernel:
         Protocol tunables and shared instrumentation.
     entities:
         Per-entity local state.  Built from the hierarchy when not supplied;
-        the event-driven driver passes the states its protocol nodes wrap so
-        both layers observe the same lists.
-    emit_prune_events:
-        Whether removing a member record that moved *out* of a ring's coverage
-        area emits a membership event at the observing entity.  The structural
-        engine historically reported these; the message-passing engine did
-        not.  Both behaviours are preserved per driver.
+        the scenario harness and the live node pass states they bulk-built
+        themselves (see ``entities_pristine``).
     dispatch:
         The :class:`MessageDispatch` seam through which notifications,
         holder-acknowledgements and (optionally) token hops leave an entity.
@@ -296,7 +290,6 @@ class TokenRoundKernel:
         event_bus: Optional[MembershipEventBus] = None,
         trace: Optional[TraceRecorder] = None,
         entities: Optional[Mapping[NodeId, NetworkEntityState]] = None,
-        emit_prune_events: bool = True,
         dispatch: Optional[MessageDispatch] = None,
         entities_pristine: bool = False,
     ) -> None:
@@ -368,7 +361,6 @@ class TokenRoundKernel:
                     for node, entity in entities_map.items():
                         if node not in ring_of_node:
                             entity.set_mq_wiring(aggregate, entity.mq_hook)
-        self.emit_prune_events = emit_prune_events
         # Per-ring member sets for the bottom-tier bookkeeping of the batched
         # apply path, invalidated by the ring's mutation counter.
         self._ring_set_cache: Dict[str, Tuple[int, Set[NodeId]]] = {}
@@ -426,7 +418,7 @@ class TokenRoundKernel:
         return [n for n in self.entities if n not in self.failed]
 
     # ------------------------------------------------------------------
-    # operation factory (shared by both drivers)
+    # operation factory (shared by every driver)
     # ------------------------------------------------------------------
 
     def next_sequence(self) -> int:
@@ -647,26 +639,8 @@ class TokenRoundKernel:
             seen.add(op.sequence)
 
     # ------------------------------------------------------------------
-    # round plumbing shared by both drivers
+    # round plumbing
     # ------------------------------------------------------------------
-
-    def drain_for_round(
-        self, entity: NetworkEntityState, ring_members: Sequence[NodeId]
-    ) -> Tuple[Tuple[TokenOperation, ...], List[NodeId]]:
-        """Drain the holder's queue into the token's aggregated operations.
-
-        Returns the operations plus the distinct out-of-ring senders whose
-        notifications the holder aggregated (Holder-Acknowledgement targets,
-        Figure 3 lines 17-20).
-        """
-        entries = entity.mq.drain_entries()
-        operations = tuple(e.operation for e in entries)
-        holder = entity.current
-        members = set(ring_members)
-        child_senders = [
-            e.sender for e in entries if e.sender != holder and e.sender not in members
-        ]
-        return operations, child_senders
 
     def upward_target(
         self, entity: NetworkEntityState, leader: Optional[NodeId]
@@ -680,12 +654,6 @@ class TokenRoundKernel:
         ):
             return entity.parent
         return None
-
-    def downward_targets(self, entity: NetworkEntityState) -> List[NodeId]:
-        """Figure 3 lines 14-16: child ring leaders to notify."""
-        if not self.config.disseminate_downward:
-            return []
-        return list(entity.children)
 
     def ack_targets(self, child_senders: Sequence) -> List:
         """Distinct Holder-Acknowledgement recipients, first-seen order."""
@@ -857,7 +825,6 @@ class TokenRoundKernel:
         local_store = local._members if local is not None else _EMPTY_STORE
         neighbor_store = neighbor._members if neighbor is not None else _EMPTY_STORE
         ring_store = ring_view._members if ring_view is not None else _EMPTY_STORE
-        emit_prune = self.emit_prune_events
         for position, entry in enumerate(delta.entries):
             op = entry.operation
             member = op.member
@@ -897,9 +864,9 @@ class TokenRoundKernel:
                         # swaps its store, leaving the hoisted handle stale.
                         event = self._event(op, node, now, len(ring_view._members))
                 elif guid_value in ring_store:
+                    # The member moved out of this ring's coverage area.
                     ring_view.remove(guid_value)
-                    if emit_prune:
-                        event = self._event(op, node, now, len(ring_store))
+                    event = self._event(op, node, now, len(ring_store))
             elif guid_value in ring_store:
                 ring_view.remove(guid_value)
                 event = self._event(op, node, now, len(ring_store))
@@ -967,9 +934,7 @@ class TokenRoundKernel:
                 elif str(member.guid) in entity.ring_members.guids():
                     removed = entity.ring_members.remove(member.guid)
                     event = (
-                        self._event(op, node, now, len(entity.ring_members))
-                        if removed and self.emit_prune_events
-                        else None
+                        self._event(op, node, now, len(entity.ring_members)) if removed else None
                     )
                 else:
                     event = None
@@ -993,7 +958,7 @@ class TokenRoundKernel:
         )
 
     # ------------------------------------------------------------------
-    # entity failure and repair (hierarchy surgery shared by both drivers)
+    # entity failure and repair (hierarchy surgery shared by every driver)
     # ------------------------------------------------------------------
 
     def fail_entity(self, node: "NodeId | str", now: float = 0.0) -> None:
@@ -1011,20 +976,13 @@ class TokenRoundKernel:
         self.metrics.counter("faults.entity").increment()
         self.trace.record(now, "fault", str(key), "entity crashed")
 
-    def exclude_entity(
-        self,
-        failed: NodeId,
-        repoint_survivors: bool = False,
-        patch_parent_link: bool = False,
-    ) -> LogicalRing:
+    def exclude_entity(self, failed: NodeId) -> LogicalRing:
         """Exclude ``failed`` from its ring and patch the hierarchy around it.
 
-        ``repoint_survivors`` re-installs the surviving members' previous /
-        next / leader pointers from global knowledge (structural driver);
-        the message-passing driver leaves survivors to learn the repaired
-        view from the token (Totem-style) and passes ``False``.
-        ``patch_parent_link`` moves the failed node's slot in its parent's
-        child list to the ring's (new) leader.
+        The surviving members' previous / next / leader pointers are
+        re-installed, orphaned child rings re-attach to the ring's (new)
+        leader, and the failed node's slot in its parent's child list moves
+        to that leader.
         """
         ring = self.hierarchy.ring_of(failed)
         was_leader = ring.remove_member(failed)
@@ -1033,7 +991,7 @@ class TokenRoundKernel:
         self.hierarchy.ring_of_node.pop(failed, None)
         self.invalidate_coverage()
 
-        if repoint_survivors and ring.leader is not None:
+        if ring.leader is not None:
             for member in ring.members:
                 self.entity(member).set_ring_pointers(
                     ring_id=ring.ring_id,
@@ -1057,13 +1015,12 @@ class TokenRoundKernel:
 
         # The failed entity's parent loses a child pointer; the ring's (new)
         # leader takes over as that parent's child so the upward path survives.
-        if patch_parent_link:
-            parent = self.hierarchy.parent_node.get(ring.ring_id)
-            if parent is not None and parent in self.entities:
-                self.entities[parent].remove_child(failed)
-                if ring.leader is not None:
-                    self.entities[parent].add_child(ring.leader)
-                    self.entities[ring.leader].set_parent(parent)
+        parent = self.hierarchy.parent_node.get(ring.ring_id)
+        if parent is not None and parent in self.entities:
+            self.entities[parent].remove_child(failed)
+            if ring.leader is not None:
+                self.entities[parent].add_child(ring.leader)
+                self.entities[ring.leader].set_parent(parent)
         return ring
 
     def repair_ring(
@@ -1073,8 +1030,8 @@ class TokenRoundKernel:
         detector: Optional[NodeId],
         now: float,
     ) -> List[TokenOperation]:
-        """Structural local repair: exclude ``failed`` and report the losses."""
-        self.exclude_entity(failed, repoint_survivors=True, patch_parent_link=True)
+        """Local repair: exclude ``failed`` and report the losses."""
+        self.exclude_entity(failed)
         failure_source = detector if detector is not None else ring.leader
         ops = self.failure_operations(failed, failure_source)
         self.metrics.counter("repairs.ring").increment()
@@ -1156,8 +1113,9 @@ class TokenRoundKernel:
             raise ProtocolError(f"holder {holder_id} has failed")
 
         holder_entity = self.entity(holder_id)
-        # Inlined drain_for_round, reusing the cached ring-member set.  Peek
-        # the lazy queue: a pure repair round has no queue to drain.
+        # Drain the holder's queue into the token; out-of-ring senders are the
+        # Holder-Acknowledgement targets (Figure 3 lines 17-20).  Peek the
+        # lazy queue: a pure repair round has no queue to drain.
         holder_mq = holder_entity._mq_if_materialized()
         entries = holder_mq.drain_entries() if holder_mq is not None else ()
         operations = tuple(e.operation for e in entries)

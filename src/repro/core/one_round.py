@@ -6,16 +6,16 @@ deterministically (shared memory, zero latency) over a
 :class:`repro.core.hierarchy.RingHierarchy` and the per-entity local state.
 It is the reference implementation used by
 
-* the quickstart / deterministic semantics tests,
+* the deterministic semantics tests,
 * the hop-count measurement that validates Table I
   (:mod:`repro.analysis.hopcount_sim`), and
-* the :class:`repro.core.simulation.RGBSimulation` facade, which drives it
-  from timed mobility / fault events.
+* the large-scale propagation benchmarks.
 
-The message-passing, latency-aware driver that exercises the transport and
-failure-detection timers lives in :mod:`repro.core.protocol`; both share the
-kernel's round state machine (drain, circulation, notification/ack routing,
-seen-set dedup, batched delta application).
+The latency-aware driver that runs the same rounds as events over the
+discrete-event transport is :class:`repro.sim.harness.ScenarioHarness` (also
+behind the :class:`repro.core.simulation.RGBSimulation` facade); both share
+the kernel's round state machine (drain, circulation, notification/ack
+routing, seen-set dedup, batched delta application).
 
 Execution model
 ---------------
@@ -108,7 +108,6 @@ class OneRoundEngine:
             metrics=metrics,
             event_bus=event_bus,
             trace=trace,
-            emit_prune_events=True,
         )
         self.hierarchy = hierarchy
 

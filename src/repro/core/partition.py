@@ -9,23 +9,24 @@ This module implements that extension on top of the ring-based hierarchy:
   still exchange membership information.  A ring with two or more faulty
   members is itself split (paper Section 5.2), and a child ring whose parent
   node is faulty is cut off from the tiers above it.
-* :class:`PartitionManager` — tracks partitions over time, exposes the
-  Function-Well predicate (at most ``k`` partitions) used by the reliability
-  analysis, and performs *merge*: when failed entities recover or rings are
-  repaired, detached sub-hierarchies re-attach to the main hierarchy and the
-  membership views are reconciled by union-merge, matching the paper's remark
-  that partitioned rings "will merge with other partitions later".
+* :meth:`PartitionReport.function_well` — the Function-Well predicate (at
+  most ``k`` partitions) used by the reliability analysis.
+
+*Merge* is the kernel's repair path: a ring repaired around a crashed entity
+re-attaches its orphaned child rings to the surviving leader
+(:meth:`repro.core.kernel.TokenRoundKernel.exclude_entity`), and the detached
+sub-hierarchy's members reach the rest of the hierarchy through ordinary
+notifications — the paper's remark that partitioned rings "will merge with
+other partitions later".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.deltas import MembershipDelta
 from repro.core.hierarchy import RingHierarchy
 from repro.core.identifiers import NodeId, coerce_node
-from repro.core.membership import MembershipView
 from repro.core.ring import LogicalRing
 
 
@@ -188,77 +189,3 @@ def detect_partitions(
             )
         )
     return report
-
-
-class PartitionManager:
-    """Tracks partitions over a run and reconciles views on merge."""
-
-    def __init__(self, hierarchy: RingHierarchy) -> None:
-        self.hierarchy = hierarchy
-        self.history: List[Tuple[float, int]] = []
-
-    def assess(self, operational: Iterable["NodeId | str"], now: float = 0.0) -> PartitionReport:
-        """Detect partitions and record the count in the history."""
-        report = detect_partitions(self.hierarchy, operational)
-        self.history.append((now, report.count))
-        return report
-
-    def function_well(
-        self, operational: Iterable["NodeId | str"], max_partitions: int = 1
-    ) -> bool:
-        return detect_partitions(self.hierarchy, operational).function_well(max_partitions)
-
-    def max_partitions_seen(self) -> int:
-        return max((count for _, count in self.history), default=0)
-
-    # -- merge -----------------------------------------------------------------
-
-    @staticmethod
-    def merge_delta(detached: Sequence[MembershipView]) -> MembershipDelta:
-        """Compile the records of detached partitions into one re-admission delta.
-
-        Records for the same member GUID across several detached views are
-        net-filtered up front, so applying the delta to the primary view (and
-        to every view the downward dissemination reaches) is a single pass.
-        """
-        return MembershipDelta.from_members(
-            member for view in detached for member in view.members()
-        )
-
-    @classmethod
-    def merge_views(cls, primary: MembershipView, detached: Sequence[MembershipView]) -> int:
-        """Union-merge detached partitions' views into the primary view.
-
-        Returns the number of member records the primary view gained.  The
-        merge is applied as one batched :class:`MembershipDelta` rather than
-        per-record.  The reciprocal direction (primary into detached) is
-        performed by the caller per detached view if it also survives; in RGB
-        the detached sub-hierarchy re-joins below some parent node and then
-        receives the merged view through the normal downward dissemination.
-        """
-        return len(primary.apply_delta(cls.merge_delta(detached), time=0.0))
-
-    def reattach_ring(self, ring_id: str, new_parent: "NodeId | str") -> None:
-        """Re-attach a detached ring under a new parent node (self-organisation).
-
-        Used after repair when the original parent entity crashed: the
-        detached ring's leader contacts an operational entity of the tier
-        above (locality criterion is out of scope here) and becomes its child.
-        """
-        parent = coerce_node(new_parent)
-        if not self.hierarchy.has_node(parent):
-            raise ValueError(f"new parent {new_parent} is not part of the hierarchy")
-        ring = self.hierarchy.ring(ring_id)
-        parent_ring = self.hierarchy.ring_of(parent)
-        if parent_ring.tier != ring.tier + 1:
-            raise ValueError(
-                f"ring {ring_id!r} (tier {ring.tier}) can only re-attach to tier "
-                f"{ring.tier + 1}, got entity in tier {parent_ring.tier}"
-            )
-        old_parent = self.hierarchy.parent_node.get(ring_id)
-        if old_parent is not None:
-            siblings = self.hierarchy.child_rings.get(old_parent, [])
-            if ring_id in siblings:
-                siblings.remove(ring_id)
-        self.hierarchy.parent_node[ring_id] = parent
-        self.hierarchy.child_rings.setdefault(parent, []).append(ring_id)

@@ -13,9 +13,9 @@ The paper distinguishes three membership maintenance schemes:
 * **IMS** (Intermediate Membership Schemes) — membership is maintained at an
   intermediate tier; queries fan out only to that tier's ring leaders.
 
-The query service works against either protocol engine (structural or
-message-passing) through the small :class:`MembershipStore` protocol: it only
-needs per-entity ring member views and the hierarchy structure.  Query cost is
+The query service works against any kernel or driver through the small
+:class:`MembershipStore` protocol: it only needs per-entity ring member views
+and the hierarchy structure.  Query cost is
 reported in logical message hops so the ablation benchmark can compare the
 schemes the way the paper discusses them.
 """
@@ -90,10 +90,9 @@ class MembershipQueryService:
     Parameters
     ----------
     store:
-        A protocol engine exposing ``hierarchy`` and ``entity(node)`` with a
-        ``ring_members`` view per entity (both :class:`OneRoundEngine` and
-        :class:`RGBProtocolCluster` qualify — the latter via the adapter
-        below).
+        Anything exposing ``hierarchy`` and ``entity(node)`` with a
+        ``ring_members`` view per entity — a :class:`TokenRoundKernel` or a
+        :class:`OneRoundEngine`.
     entry_point:
         The network entity the requesting application first contacts
         ("the requesting application tries to find some NE with GID").

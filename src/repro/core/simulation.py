@@ -15,37 +15,35 @@ The facade:
 * generates a 4-tier mobile Internet topology big enough for the requested
   number of access proxies,
 * assembles the ring-based hierarchy over the participating proxies,
-* instantiates either the structural reference engine or the message-passing
-  engine (``engine_mode``),
+* runs the protocol on one lossless :class:`repro.sim.harness.ScenarioHarness`
+  — the event-driven driver every scenario, golden trace and benchmark
+  workload runs on — capturing each operation at the current simulated time,
 * exposes the application-facing membership operations (join, leave, handoff,
-  member failure, entity crash), membership queries, handoff management,
+  member failure, entity crash), membership queries, fast-handoff statistics,
   partition assessment and the collected metrics.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+import zlib
+from typing import Dict, List, Optional
 
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.events import MembershipEventBus
+from repro.core.config import SimulationConfig
 from repro.core.handoff import HandoffManager, HandoffRecord
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
-from repro.core.identifiers import GroupId, NodeId, coerce_guid, coerce_node
+from repro.core.identifiers import NodeId, coerce_node
+from repro.core.kernel import TokenRoundKernel
 from repro.core.member import MemberInfo
 from repro.core.membership import MembershipEvent, MembershipView
-from repro.core.one_round import OneRoundEngine, PropagationReport
-from repro.core.partition import PartitionManager, PartitionReport
-from repro.core.protocol import RGBProtocolCluster
+from repro.core.partition import PartitionReport
 from repro.core.query import MembershipQueryService, MembershipScheme, QueryResult
 from repro.core.ring import LogicalRing
 from repro.sim.engine import SimulationEngine
-from repro.sim.faults import FaultInjector
+from repro.sim.harness import HarnessConfig, HarnessResult, ScenarioHarness
 from repro.sim.mobility import AttachmentEvent, HandoffEvent, MobilityModel, MobilityTrace
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry
-from repro.sim.trace import TraceRecorder
-from repro.sim.transport import Transport
 from repro.topology.architecture import TopologySpec
 from repro.topology.generator import GeneratedTopology, TopologyGenerator
 
@@ -60,168 +58,79 @@ class RGBSimulation:
     def __init__(self, config: Optional[SimulationConfig] = None) -> None:
         self.config = config if config is not None else SimulationConfig()
         self.streams = RandomStreams(self.config.seed)
-        self.metrics = MetricRegistry()
-        self.trace = TraceRecorder(enabled=self.config.trace_enabled)
-        self.event_bus = MembershipEventBus()
-        self.engine = SimulationEngine()
         self.topology: Optional[GeneratedTopology] = None
         self.hierarchy: Optional[RingHierarchy] = None
-        self.protocol: Optional[Union[OneRoundEngine, RGBProtocolCluster]] = None
-        self.transport: Optional[Transport] = None
-        self.faults: Optional[FaultInjector] = None
-        self.partition_manager: Optional[PartitionManager] = None
-        self._handoff_manager: Optional[HandoffManager] = None
+        self.harness: Optional[ScenarioHarness] = None
+        self._handoffs: Optional[HandoffManager] = None
         self._member_counter = 0
-        self._member_location: Dict[str, NodeId] = {}
-        self._built = False
-        self._now = 0.0
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _topology_spec(self) -> TopologySpec:
-        r = self.config.ring_size
-        aps_needed = self.config.num_aps
-        num_br = max(1, math.ceil(aps_needed / (r * r)))
-        return TopologySpec(
-            num_border_routers=num_br,
+    def build(self) -> "RGBSimulation":
+        """Generate topology, assemble the hierarchy and start the protocol."""
+        cfg = self.config
+        r = cfg.ring_size
+        spec = TopologySpec(
+            num_border_routers=max(1, math.ceil(cfg.num_aps / (r * r))),
             ags_per_br=r,
             aps_per_ag=r,
             hosts_per_ap=0,  # hosts are attached through join_member below
         )
-
-    def build(self) -> "RGBSimulation":
-        """Generate topology, assemble the hierarchy and start the protocol."""
-        spec = self._topology_spec()
         self.topology = TopologyGenerator(spec, self.streams).generate()
-        arch = self.topology.architecture
-
-        participating = sorted(arch.access_proxies)[: self.config.num_aps]
-        self.hierarchy = self._build_hierarchy(participating)
-        self.partition_manager = PartitionManager(self.hierarchy)
-
-        if self.config.engine_mode == "event":
-            self.transport = Transport(
-                self.engine,
-                self.topology.network,
-                self.streams,
-                metrics=self.metrics,
-                trace=self.trace,
-            )
-            self.protocol = RGBProtocolCluster(
-                hierarchy=self.hierarchy,
-                engine=self.engine,
-                network=self.topology.network,
-                transport=self.transport,
-                config=self.config.protocol,
-                metrics=self.metrics,
-                event_bus=self.event_bus,
-                trace=self.trace,
-            )
-            self.faults = FaultInjector(
-                self.engine,
-                self.topology.network,
-                self.streams,
-                metrics=self.metrics,
-                trace=self.trace,
-            )
-        else:
-            self.protocol = OneRoundEngine(
-                hierarchy=self.hierarchy,
-                config=self.config.protocol,
-                metrics=self.metrics,
-                event_bus=self.event_bus,
-                trace=self.trace,
-            )
-        self._handoff_manager = HandoffManager(self.protocol)
-        self._built = True
+        participating = sorted(self.topology.architecture.access_proxies)[: cfg.num_aps]
+        self.hierarchy = HierarchyBuilder(cfg.group_id).from_topology(
+            self.topology, access_proxies=participating
+        )
+        self.harness = ScenarioHarness(
+            HarnessConfig(seed=cfg.seed, protocol=cfg.protocol, trace_enabled=cfg.trace_enabled),
+            hierarchy=self.hierarchy,
+        )
+        self._handoffs = HandoffManager(self.harness.kernel)
 
         # Pre-attach the configured number of hosts per access proxy.
-        if self.config.hosts_per_ap > 0:
+        if cfg.hosts_per_ap > 0:
             for ap in self.access_proxies():
-                for _ in range(self.config.hosts_per_ap):
+                for _ in range(cfg.hosts_per_ap):
                     self.join_member(ap_id=ap)
             self.run_until_quiescent()
         return self
 
-    def _build_hierarchy(self, participating_aps: List[str]) -> RingHierarchy:
-        """Rings over exactly the participating access proxies."""
-        assert self.topology is not None
-        arch = self.topology.architecture
-        builder = HierarchyBuilder(self.config.group_id)
-        hierarchy = RingHierarchy(group=GroupId(self.config.group_id))
-        hierarchy.tier_labels.update(
-            {1: "Access Proxy Tier (APT)", 2: "Access Gateway Tier (AGT)", 3: "Border Router Tier (BRT)"}
-        )
-        participating = set(participating_aps)
-
-        aps_by_ag: Dict[str, List[str]] = {}
-        for ap in sorted(participating):
-            aps_by_ag.setdefault(arch.ap_parent[ap], []).append(ap)
-        involved_ags = sorted(aps_by_ag)
-        ags_by_br: Dict[str, List[str]] = {}
-        for ag in involved_ags:
-            ags_by_br.setdefault(arch.ag_parent[ag], []).append(ag)
-        involved_brs = sorted(ags_by_br)
-
-        br_ring = LogicalRing(ring_id="brt-ring", tier=3, members=[NodeId(b) for b in involved_brs])
-        br_ring.elect_leader()
-        hierarchy.add_ring(br_ring)
-        for br in involved_brs:
-            ag_ring = LogicalRing(
-                ring_id=f"agt-ring-{br}",
-                tier=2,
-                members=[NodeId(a) for a in ags_by_br[br]],
-            )
-            ag_ring.elect_leader()
-            hierarchy.add_ring(ag_ring, parent=NodeId(br))
-        for ag in involved_ags:
-            ap_ring = LogicalRing(
-                ring_id=f"apt-ring-{ag}",
-                tier=1,
-                members=[NodeId(a) for a in aps_by_ag[ag]],
-            )
-            ap_ring.elect_leader()
-            hierarchy.add_ring(ap_ring, parent=NodeId(ag))
-
-        hierarchy.validate()
-        del builder  # builder only supplies group coercion today; kept for parity
-        return hierarchy
-
-    def _require_built(self) -> None:
-        if not self._built or self.protocol is None or self.hierarchy is None:
+    def _built(self) -> ScenarioHarness:
+        if self.harness is None:
             raise SimulationNotBuilt("call RGBSimulation.build() before using the simulation")
+        return self.harness
 
     # ------------------------------------------------------------------
     # structural information
     # ------------------------------------------------------------------
 
     @property
-    def kernel(self):
-        """The shared token-round kernel behind whichever engine is active."""
-        self._require_built()
-        assert self.protocol is not None
-        return self.protocol.kernel
+    def kernel(self) -> TokenRoundKernel:
+        """The token-round kernel the harness drives."""
+        return self._built().kernel
 
-    def access_proxies(self) -> List[str]:
-        self._require_built()
-        assert self.hierarchy is not None
-        return [str(n) for n in self.hierarchy.access_proxies()]
+    @property
+    def engine(self) -> SimulationEngine:
+        return self._built().engine
 
-    def ring_of(self, node_id: str) -> LogicalRing:
-        self._require_built()
-        assert self.hierarchy is not None
-        return self.hierarchy.ring_of(node_id)
+    @property
+    def metrics(self) -> MetricRegistry:
+        return self._built().metrics
 
     @property
     def now(self) -> float:
-        if self.config.engine_mode == "event":
-            return self.engine.now
-        return self._now
+        return self.engine.now
+
+    def access_proxies(self) -> List[str]:
+        return self._built().access_proxies()
+
+    def ring_of(self, node_id: str) -> LogicalRing:
+        return self._built().hierarchy.ring_of(node_id)
 
     # ------------------------------------------------------------------
-    # membership operations
+    # membership operations (captured now; run_until_quiescent propagates)
     # ------------------------------------------------------------------
 
     def _pick_ap(self, ap_index: Optional[int], ap_id: Optional[str]) -> NodeId:
@@ -235,27 +144,26 @@ class RGBSimulation:
             raise ValueError(f"ap_index {index} out of range (have {len(aps)} proxies)")
         return coerce_node(aps[index])
 
+    def _known_member(self, guid: str) -> str:
+        key = str(guid)
+        if self._built().member_location(key) is None:
+            raise ValueError(f"unknown member {guid!r}")
+        return key
+
     def join_member(
         self,
         ap_index: Optional[int] = None,
         ap_id: Optional[str] = None,
         guid: Optional[str] = None,
-    ) -> MemberInfo:
-        """Join a new mobile host at an access proxy; returns its member record."""
-        self._require_built()
+    ) -> Optional[MemberInfo]:
+        """Join a new mobile host at an access proxy; returns its member record
+        (``None`` when the proxy has crashed and the capture is skipped)."""
+        harness = self._built()
         ap = self._pick_ap(ap_index, ap_id)
         if guid is None:
             guid = f"member-{self._member_counter:06d}"
             self._member_counter += 1
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            op = self.protocol.member_join(ap, guid, now=self._now)
-            member = op.member
-        else:
-            member = self.protocol.join_member(ap, guid)
-        assert member is not None
-        self._member_location[str(member.guid)] = ap
-        return member
+        return harness.capture_join(ap, str(guid))
 
     def join_members(
         self,
@@ -270,7 +178,7 @@ class RGBSimulation:
         one :meth:`run_until_quiescent` call aggregates them into shared token
         rounds instead of propagating each join individually.
         """
-        self._require_built()
+        self._built()
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         aps = ap_ids if ap_ids is not None else self.access_proxies()
@@ -285,76 +193,46 @@ class RGBSimulation:
 
     def leave_member(self, guid: str) -> None:
         """The named member voluntarily leaves the group."""
-        self._require_built()
-        ap = self._member_location.get(str(coerce_guid(guid)))
-        if ap is None:
-            raise ValueError(f"unknown member {guid!r}")
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.member_leave(ap, guid, now=self._now)
-        else:
-            self.protocol.leave_member(ap, guid)
-        self._member_location.pop(str(coerce_guid(guid)), None)
+        self._built().capture_leave(self._known_member(guid))
 
     def fail_member(self, guid: str) -> None:
         """The named member is detected faulty by its access proxy."""
-        self._require_built()
-        ap = self._member_location.get(str(coerce_guid(guid)))
-        if ap is None:
-            raise ValueError(f"unknown member {guid!r}")
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.member_failure(ap, guid, now=self._now)
-        else:
-            self.protocol.fail_member(ap, guid)
-        self._member_location.pop(str(coerce_guid(guid)), None)
+        self._built().capture_member_failure(self._known_member(guid))
 
     def handoff_member(self, guid: str, to_ap: str) -> HandoffRecord:
-        """Move the named member to another access proxy."""
-        self._require_built()
-        key = str(coerce_guid(guid))
-        old_ap = self._member_location.get(key)
-        if old_ap is None:
-            raise ValueError(f"unknown member {guid!r}")
-        assert self._handoff_manager is not None
-        record = self._handoff_manager.handoff(guid, old_ap, to_ap, now=self.now)
-        self._member_location[key] = coerce_node(to_ap)
+        """Move the named member to another participating access proxy."""
+        harness = self._built()
+        key = self._known_member(guid)
+        target = self._pick_ap(None, to_ap)
+        assert self._handoffs is not None
+        record = self._handoffs.classify(
+            key, harness.member_location(key), target, now=self.now
+        )
+        harness.capture_handoff(key, target)
         return record
 
     def crash_entity(self, node_id: str) -> None:
-        """Crash a network entity (access proxy, gateway or border router)."""
-        self._require_built()
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            self.protocol.fail_entity(node_id, now=self._now)
-        else:
-            self.protocol.crash_entity(node_id)
+        """Crash a network entity (access proxy, gateway or border router) now.
+
+        The ring's next token round — or, without traffic, the harness's
+        crash-detection probe round — detects it and repairs the ring.
+        """
+        harness = self._built()
+        if not harness.hierarchy.has_node(node_id):
+            raise ValueError(f"{node_id!r} is not an entity of the hierarchy")
+        harness.schedule_crash(self.now, node_id)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
-    def run_until_quiescent(self, max_time: Optional[float] = None) -> Union[PropagationReport, int]:
-        """Propagate all pending membership changes.
-
-        Returns the :class:`PropagationReport` (structural mode) or the number
-        of dispatched events (event mode).
-        """
-        self._require_built()
-        assert self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            report = self.protocol.propagate(now=self._now)
-            self._now += 1.0
-            return report
-        if max_time is None and self.config.protocol.heartbeat_interval is not None:
-            # Heartbeat rounds reschedule themselves forever, so an unbounded
-            # run would never drain the event queue; give it a generous window.
-            max_time = self.engine.now + 20.0 * self.config.protocol.heartbeat_interval
-        return self.engine.run(until=max_time)
+    def run_until_quiescent(self, max_time: Optional[float] = None) -> HarnessResult:
+        """Propagate every pending change (and repair every crash) to quiescence."""
+        return self._built().run(until=max_time)
 
     def apply_mobility_trace(self, trace: MobilityTrace) -> Dict[str, int]:
         """Replay a mobility trace as join / handoff / leave operations."""
-        self._require_built()
+        self._built()
         counts = {"joins": 0, "handoffs": 0, "leaves": 0, "skipped": 0}
         for event in trace.all_events():
             if isinstance(event, AttachmentEvent):
@@ -380,18 +258,17 @@ class RGBSimulation:
         aps = self.access_proxies()
         if ap_id in aps:
             return ap_id
-        # Deterministic fallback: hash the requested id onto a participating proxy.
-        return aps[hash(ap_id) % len(aps)]
+        # Deterministic fallback: map the requested id onto a participating
+        # proxy with a stable hash (``hash`` of a str is salted per process).
+        return aps[zlib.crc32(ap_id.encode()) % len(aps)]
 
     def default_mobility_model(
         self, mean_residency: float = 200.0, mean_session: float = 2000.0
     ) -> MobilityModel:
         """A mobility model over the participating proxies with ring neighbourhoods."""
-        self._require_built()
-        assert self.hierarchy is not None
         neighbor_map = {}
         for ap in self.access_proxies():
-            ring = self.hierarchy.ring_of(ap)
+            ring = self.ring_of(ap)
             neighbor_map[ap] = [str(n) for n in ring.members if str(n) != ap]
         return MobilityModel(
             ap_ids=self.access_proxies(),
@@ -405,47 +282,32 @@ class RGBSimulation:
     # observation
     # ------------------------------------------------------------------
 
+    def _top_leader(self) -> NodeId:
+        leader = self._built().hierarchy.topmost_ring().leader
+        assert leader is not None
+        return leader
+
     def global_membership(self) -> MembershipView:
         """The global membership view maintained at the topmost ring leader."""
-        self._require_built()
-        assert self.protocol is not None and self.hierarchy is not None
-        leader = self.hierarchy.topmost_ring().leader
-        assert leader is not None
-        return self.protocol.entity(leader).ring_members.copy("global")
+        return self.kernel.entity(self._top_leader()).ring_members.copy("global")
 
     def membership_events(self) -> List[MembershipEvent]:
         """Events observed at the topmost ring leader (the canonical stream)."""
-        self._require_built()
-        assert self.hierarchy is not None
-        leader = self.hierarchy.topmost_ring().leader
-        return [e for e in self.event_bus.history if e.observer == leader]
+        leader = self._top_leader()
+        return [e for e in self._built().event_bus.history if e.observer == leader]
 
     def query(self, scheme: MembershipScheme = MembershipScheme.TMS) -> QueryResult:
         """Run a membership query under the given maintenance scheme."""
-        self._require_built()
-        assert self.protocol is not None
-        service = MembershipQueryService(self.protocol)
-        return service.query(scheme)
+        return MembershipQueryService(self.kernel).query(scheme)
 
     def handoff_statistics(self) -> Dict[str, float]:
-        self._require_built()
-        assert self._handoff_manager is not None
-        return self._handoff_manager.summary()
+        self._built()
+        assert self._handoffs is not None
+        return self._handoffs.summary()
 
     def partition_report(self) -> PartitionReport:
         """Assess the current partitioning of the hierarchy."""
-        self._require_built()
-        assert self.partition_manager is not None and self.protocol is not None
-        if isinstance(self.protocol, OneRoundEngine):
-            operational = self.protocol.operational_entities()
-        else:
-            assert self.topology is not None
-            operational = [
-                NodeId(n.node_id)
-                for n in self.topology.network.nodes()
-                if n.is_operational and self.hierarchy is not None and self.hierarchy.has_node(n.node_id)
-            ]
-        return self.partition_manager.assess(operational, now=self.now)
+        return self._built().partition_report()
 
     def metric_snapshot(self) -> Dict[str, object]:
         return self.metrics.snapshot()

@@ -42,7 +42,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.config import ProtocolConfig
 from repro.core.events import MembershipEventBus
 from repro.core.identifiers import NodeId, coerce_guid, coerce_node
 from repro.core.kernel import create_kernel
@@ -122,7 +121,6 @@ class NodeRuntime:
         self.kernel = create_kernel(
             self.hierarchy,
             backend="object",
-            config=ProtocolConfig(aggregation_delay=0.0),
             metrics=self.metrics,
             event_bus=MembershipEventBus(),
             trace=self.trace,

@@ -13,7 +13,7 @@ Design notes
 * Cancellation: events carry a handle; cancelling marks the heap entry dead
   rather than removing it (lazy deletion), which keeps cancellation O(1).
 * The engine knows nothing about networks or protocols — those live in
-  :mod:`repro.sim.transport` and :mod:`repro.core.protocol` and simply
+  :mod:`repro.sim.transport` and :mod:`repro.sim.harness` and simply
   schedule callbacks here.
 """
 

@@ -76,7 +76,8 @@ class HarnessConfig:
     ----------
     ring_size, height:
         Shape of the regular hierarchy (``ring_size ** height`` access
-        proxies), the paper's analytical topology.
+        proxies), the paper's analytical topology.  Unused when the harness
+        is handed the hierarchy to run over.
     seed:
         Master seed for every named random stream of the run.
     loss:
@@ -100,8 +101,7 @@ class HarnessConfig:
         assumed to notice it (schedules a probe round in the crashed
         entity's ring).
     protocol:
-        Kernel tunables; ``aggregation_delay`` is ignored by the harness
-        (``round_delay`` plays that role on the event queue).
+        Kernel tunables.
     trace_enabled, trace_capacity:
         Structured trace recording (golden-trace tests switch this on).
     record_sends:
@@ -127,7 +127,7 @@ class HarnessConfig:
     resend_backoff: float = 20.0
     round_delay: float = 1.0
     crash_detection_delay: float = 5.0
-    protocol: ProtocolConfig = field(default_factory=lambda: ProtocolConfig(aggregation_delay=0.0))
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     trace_enabled: bool = False
     trace_capacity: Optional[int] = None
     record_sends: bool = False
@@ -357,16 +357,20 @@ def _build_harness_network(hierarchy: RingHierarchy, latency: LatencyModel) -> N
 class ScenarioHarness:
     """Drives the token-round kernel through the discrete-event sim stack.
 
-    ``snapshot`` (optional) supplies a :class:`TopologySnapshot` of the same
-    hierarchy shape; the harness then rehydrates the frozen topology instead
-    of rebuilding it — observable behaviour is bit-identical either way
-    (pinned by ``tests/test_bulk_build.py``).
+    The hierarchy to run over is the config's regular shape, built fresh,
+    unless the caller supplies it: ``snapshot`` is a
+    :class:`TopologySnapshot` of the same shape, rehydrated instead of
+    rebuilt — observable behaviour is bit-identical either way (pinned by
+    ``tests/test_bulk_build.py``) — and ``hierarchy`` is any ring hierarchy
+    the harness then owns (the ``RGBSimulation`` facade's topology-derived
+    one).
     """
 
     def __init__(
         self,
         config: Optional[HarnessConfig] = None,
         snapshot: Optional[TopologySnapshot] = None,
+        hierarchy: Optional[RingHierarchy] = None,
     ) -> None:
         self.config = config if config is not None else HarnessConfig()
         cfg = self.config
@@ -378,13 +382,15 @@ class ScenarioHarness:
 
         with paused_gc():
             if snapshot is not None:
+                if hierarchy is not None:
+                    raise HarnessError("pass a snapshot or a hierarchy, not both")
                 if (snapshot.ring_size, snapshot.height) != (cfg.ring_size, cfg.height):
                     raise HarnessError(
                         f"snapshot shape r={snapshot.ring_size} h={snapshot.height} does "
                         f"not match config r={cfg.ring_size} h={cfg.height}"
                     )
                 hierarchy = pickle.loads(snapshot.payload)
-            else:
+            elif hierarchy is None:
                 hierarchy = HierarchyBuilder("harness").regular(
                     ring_size=cfg.ring_size, height=cfg.height
                 )
@@ -528,21 +534,21 @@ class ScenarioHarness:
             guid = f"member-{self._member_counter:06d}"
             self._member_counter += 1
         self.engine.schedule_at(
-            time, lambda _e: self._capture_join(ap, guid), label=f"join:{guid}"
+            time, lambda _e: self.capture_join(ap, guid), label=f"join:{guid}"
         )
         return guid
 
     def schedule_leave(self, time: float, guid: str) -> None:
-        self.engine.schedule_at(time, lambda _e: self._capture_leave(guid), label=f"leave:{guid}")
+        self.engine.schedule_at(time, lambda _e: self.capture_leave(guid), label=f"leave:{guid}")
 
     def schedule_failure(self, time: float, guid: str) -> None:
         self.engine.schedule_at(
-            time, lambda _e: self._capture_member_failure(guid), label=f"fail:{guid}"
+            time, lambda _e: self.capture_member_failure(guid), label=f"fail:{guid}"
         )
 
     def schedule_handoff(self, time: float, guid: str, to_ap: str) -> None:
         self.engine.schedule_at(
-            time, lambda _e: self._capture_handoff(guid, to_ap), label=f"handoff:{guid}"
+            time, lambda _e: self.capture_handoff(guid, to_ap), label=f"handoff:{guid}"
         )
 
     def schedule_crash(self, time: float, node_id: str) -> None:
@@ -586,8 +592,15 @@ class ScenarioHarness:
         return count
 
     # ------------------------------------------------------------------
-    # capture handlers (run at their simulated times)
+    # capture handlers (run at their simulated times, or called directly to
+    # capture now); each returns the captured member record, or ``None`` when
+    # the capture is skipped (counted as ``harness.captures_skipped``)
     # ------------------------------------------------------------------
+
+    def member_location(self, guid: str) -> Optional[NodeId]:
+        """The access proxy ``guid`` was last captured at (``None``: unknown
+        or departed)."""
+        return self._member_location.get(guid)
 
     def _capturable(self, ap: "NodeId | str") -> Optional[NodeId]:
         key = coerce_node(ap)
@@ -596,45 +609,49 @@ class ScenarioHarness:
             return None
         return key
 
-    def _capture_join(self, ap: str, guid: str) -> None:
+    def capture_join(self, ap: "NodeId | str", guid: str) -> Optional[MemberInfo]:
         key = self._capturable(ap)
         if key is None:
-            return
+            return None
         op = self.kernel.make_join_op(key, guid)
         self.kernel.capture(key, op, self.engine.now)
         self._member_location[guid] = key
         self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return op.member
 
-    def _capture_leave(self, guid: str) -> None:
+    def capture_leave(self, guid: str) -> Optional[MemberInfo]:
         location = self._member_location.get(guid)
         key = self._capturable(location) if location is not None else None
         if key is None:
-            return
+            return None
         op = self.kernel.make_leave_op(key, guid)
         self.kernel.capture(key, op, self.engine.now)
         self._member_location.pop(guid, None)
         self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return op.member
 
-    def _capture_member_failure(self, guid: str) -> None:
+    def capture_member_failure(self, guid: str) -> Optional[MemberInfo]:
         location = self._member_location.get(guid)
         key = self._capturable(location) if location is not None else None
         if key is None:
-            return
+            return None
         op = self.kernel.make_failure_op(key, guid)
         self.kernel.capture(key, op, self.engine.now)
         self._member_location.pop(guid, None)
         self._schedule_round(self.hierarchy.ring_of(key).ring_id)
+        return op.member
 
-    def _capture_handoff(self, guid: str, to_ap: str) -> None:
+    def capture_handoff(self, guid: str, to_ap: "NodeId | str") -> Optional[MemberInfo]:
         old = self._member_location.get(guid)
         new = self._capturable(to_ap)
         if old is None or new is None or old == new:
             self.metrics.counter("harness.captures_skipped").increment()
-            return
+            return None
         op = self.kernel.make_handoff_op(guid, old, new)
         self.kernel.capture(new, op, self.engine.now)
         self._member_location[guid] = new
         self._schedule_round(self.hierarchy.ring_of(new).ring_id)
+        return op.member
 
     # ------------------------------------------------------------------
     # message and fault handling

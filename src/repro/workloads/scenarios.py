@@ -99,7 +99,6 @@ def run_large_scale_scenario(
     if joins < 1:
         raise ValueError(f"joins must be >= 1, got {joins}")
     config = ProtocolConfig(
-        aggregation_delay=0.0,
         batched_apply=batched_apply,
         disseminate_downward=disseminate_downward,
     )

@@ -6,7 +6,7 @@ import hypothesis_profiles  # noqa: F401  (registers the tier1 / explore profile
 import pytest
 from hypothesis import settings
 
-from repro.core.config import ProtocolConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
 from repro.core.one_round import OneRoundEngine
 from repro.core.simulation import RGBSimulation
@@ -70,25 +70,12 @@ def deep_hierarchy() -> RingHierarchy:
 
 @pytest.fixture
 def one_round_engine(deep_hierarchy) -> OneRoundEngine:
-    return OneRoundEngine(deep_hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+    return OneRoundEngine(deep_hierarchy)
 
 
 @pytest.fixture
-def structural_sim() -> RGBSimulation:
+def sim() -> RGBSimulation:
+    """The facade over 12 access proxies in rings of 4, no members yet."""
     return RGBSimulation(
         SimulationConfig(num_aps=12, ring_size=4, hosts_per_ap=0, seed=3)
-    ).build()
-
-
-@pytest.fixture
-def event_sim() -> RGBSimulation:
-    return RGBSimulation(
-        SimulationConfig(
-            num_aps=12,
-            ring_size=4,
-            hosts_per_ap=0,
-            seed=3,
-            engine_mode="event",
-            protocol=ProtocolConfig(aggregation_delay=1.0),
-        )
     ).build()

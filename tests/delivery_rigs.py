@@ -21,7 +21,6 @@ import itertools
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import ProtocolConfig
 from repro.core.delivery import Notification, ReliableNotifier
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.kernel import DirectDispatch, create_kernel
@@ -105,7 +104,6 @@ def _build_kernel(ring_size: int, height: int, metrics: MetricRegistry, dispatch
     return create_kernel(
         hierarchy,
         backend="object",
-        config=ProtocolConfig(aggregation_delay=0.0),
         metrics=metrics,
         dispatch=dispatch,
     )

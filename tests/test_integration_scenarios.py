@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import pickle
 
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.protocol import _decode_member, _decode_op, _encode_member, _encode_op
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis_profiles import examples
+
+from repro.core.config import SimulationConfig
+from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipScheme
 from repro.core.simulation import RGBSimulation
 from repro.workloads.scenarios import run_churn_scenario, run_conferencing_scenario
+
+#: One trace step: (kind, which member / proxy / entity, handoff target).
+_TRACES = st.lists(
+    st.tuples(
+        st.sampled_from(["join", "join", "leave", "fail", "handoff", "crash"]),
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    max_size=14,
+)
 
 
 class TestPackagedScenarios:
@@ -37,42 +51,100 @@ class TestPackagedScenarios:
 
 
 class TestEngineEquivalence:
-    """The structural and message-passing engines agree on membership outcomes."""
+    """The facade (the event-driven harness) and a bare structural
+    :class:`OneRoundEngine` over a copy of the same hierarchy agree on
+    membership outcomes."""
 
-    def _run(self, mode: str):
+    @staticmethod
+    def _pair():
         sim = RGBSimulation(
-            SimulationConfig(
-                num_aps=9,
-                ring_size=3,
-                hosts_per_ap=0,
-                seed=6,
-                engine_mode=mode,
-                protocol=ProtocolConfig(aggregation_delay=1.0),
-            )
+            SimulationConfig(num_aps=9, ring_size=3, hosts_per_ap=0, seed=6)
         ).build()
-        aps = sim.access_proxies()
-        sim.join_member(ap_id=aps[0], guid="alice")
-        sim.join_member(ap_id=aps[4], guid="bob")
-        sim.join_member(ap_id=aps[8], guid="carol")
-        sim.run_until_quiescent()
-        sim.handoff_member("alice", aps[5])
-        sim.run_until_quiescent()
-        sim.leave_member("bob")
-        sim.run_until_quiescent()
-        return sim
+        engine = OneRoundEngine(pickle.loads(pickle.dumps(sim.hierarchy)))
+        return sim, engine
 
-    def test_same_final_membership(self):
-        structural = self._run("structural")
-        event = self._run("event")
-        assert structural.global_membership().guids() == event.global_membership().guids()
+    @staticmethod
+    def _outcome(view) -> dict:
+        return {str(m.guid): str(m.ap) for m in view.members()}
+
+    @staticmethod
+    def _engine_view(engine):
+        return engine.entity(engine.hierarchy.topmost_ring().leader).ring_members
+
+    @settings(max_examples=examples(60))
+    @given(trace=_TRACES)
+    def test_same_final_membership(self, trace):
+        """Random join / leave / fail / handoff / crash traces, each step run
+        to quiescence on both drivers, end with equal global views —
+        members and their access proxies alike."""
+        sim, engine = self._pair()
+        top = sim.hierarchy.topmost_ring().ring_id
+        location = {}
+        for step, (kind, pick, target) in enumerate(trace):
+            aps = sim.access_proxies()
+            members = sorted(location)
+            if kind == "join":
+                guid = f"m{step}"
+                ap = aps[pick % len(aps)]
+                sim.join_member(ap_id=ap, guid=guid)
+                engine.member_join(ap, guid)
+                location[guid] = ap
+            elif kind in ("leave", "fail") and members:
+                guid = members[pick % len(members)]
+                if kind == "leave":
+                    sim.leave_member(guid)
+                    engine.member_leave(location.pop(guid), guid)
+                else:
+                    sim.fail_member(guid)
+                    engine.member_failure(location.pop(guid), guid)
+            elif kind == "handoff" and members:
+                guid = members[pick % len(members)]
+                to_ap = aps[target % len(aps)]
+                if to_ap == location[guid]:
+                    continue
+                sim.handoff_member(guid, to_ap)
+                engine.member_handoff(guid, location[guid], to_ap)
+                location[guid] = to_ap
+            elif kind == "crash":
+                # Any entity outside the top ring whose ring keeps at least
+                # two survivors (whole-ring death is a known model gap).
+                candidates = [
+                    str(node)
+                    for ring_id, ring in sorted(sim.hierarchy.rings.items())
+                    if ring_id != top and len(ring) >= 3
+                    for node in ring.members
+                ]
+                if not candidates:
+                    continue
+                victim = candidates[pick % len(candidates)]
+                sim.crash_entity(victim)
+                engine.fail_entity(victim)
+                engine.detect_and_repair(victim)
+                location = {g: ap for g, ap in location.items() if ap != victim}
+            sim.run_until_quiescent()
+            engine.propagate()
+        facade, structural = sim.global_membership(), self._engine_view(engine)
+        assert self._outcome(facade) == self._outcome(structural) == location
 
     def test_same_member_location_after_handoff(self):
-        structural = self._run("structural")
-        event = self._run("event")
-        for sim in (structural, event):
-            record = sim.global_membership().get("alice")
-            assert record is not None
-            assert str(record.ap) == sim.access_proxies()[5]
+        sim, engine = self._pair()
+        aps = sim.access_proxies()
+        for guid, ap in (("alice", aps[0]), ("bob", aps[4]), ("carol", aps[8])):
+            sim.join_member(ap_id=ap, guid=guid)
+            engine.member_join(ap, guid)
+        sim.run_until_quiescent()
+        engine.propagate()
+        sim.handoff_member("alice", aps[5])
+        engine.member_handoff("alice", aps[0], aps[5])
+        sim.run_until_quiescent()
+        engine.propagate()
+        sim.leave_member("bob")
+        engine.member_leave(aps[4], "bob")
+        sim.run_until_quiescent()
+        engine.propagate()
+        assert sim.global_membership().guids() == engine.global_guids() == ["alice", "carol"]
+        for view in (sim.global_membership(), self._engine_view(engine)):
+            assert str(view.get("alice").ap) == aps[5]
 
 
 class TestCrashRecoveryEndToEnd:
@@ -92,14 +164,7 @@ class TestCrashRecoveryEndToEnd:
 
     def test_event_mode_survives_multiple_ap_crashes(self):
         sim = RGBSimulation(
-            SimulationConfig(
-                num_aps=12,
-                ring_size=4,
-                hosts_per_ap=0,
-                seed=9,
-                engine_mode="event",
-                protocol=ProtocolConfig(aggregation_delay=1.0),
-            )
+            SimulationConfig(num_aps=12, ring_size=4, hosts_per_ap=0, seed=9)
         ).build()
         aps = sim.access_proxies()
         members = {}
@@ -134,41 +199,3 @@ class TestCrashRecoveryEndToEnd:
             else:
                 assert member in view
         assert sim.partition_report().count == 1
-
-
-class TestWireEncoding:
-    """The message-passing engine's operation encoding round-trips."""
-
-    def test_member_round_trip(self):
-        from tests.test_core_datastructures import make_member
-
-        member = make_member("alice", ap="ap-7")
-        assert _decode_member(_encode_member(member)) == member
-
-    def test_operation_round_trip(self):
-        from tests.test_core_datastructures import make_member
-        from repro.core.identifiers import NodeId
-        from repro.core.token import TokenOperation, TokenOperationType
-
-        op = TokenOperation(
-            op_type=TokenOperationType.MEMBER_HANDOFF,
-            origin=NodeId("ap-2"),
-            member=make_member("alice", ap="ap-2"),
-            previous_ap=NodeId("ap-1"),
-            sequence=42,
-        )
-        decoded = _decode_op(_encode_op(op))
-        assert decoded == op
-
-    def test_ne_operation_round_trip(self):
-        from repro.core.identifiers import NodeId
-        from repro.core.token import TokenOperation, TokenOperationType
-
-        op = TokenOperation(
-            op_type=TokenOperationType.NE_FAILURE,
-            origin=NodeId("ap-3"),
-            entity=NodeId("ap-9"),
-            sequence=7,
-        )
-        decoded = _decode_op(_encode_op(op))
-        assert decoded == op

@@ -4,38 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import ProtocolConfig
-from repro.core.deltas import MembershipDelta
+from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.handoff import HandoffManager
 from repro.core.hierarchy import HierarchyBuilder
-from repro.core.identifiers import GloballyUniqueId, GroupId, NodeId, make_luid
+from repro.core.identifiers import NodeId
 from repro.core.kernel import ProtocolError, TokenRoundKernel
-from repro.core.member import MemberInfo, MemberStatus
-from repro.core.membership import MembershipView
 from repro.core.one_round import OneRoundEngine
-from repro.core.partition import PartitionManager
+from repro.core.simulation import RGBSimulation
 from repro.workloads.scenarios import run_large_scale_scenario
 
 
 def make_engine(ring_size=3, height=2, **protocol_kwargs) -> OneRoundEngine:
-    protocol_kwargs.setdefault("aggregation_delay", 0.0)
     hierarchy = HierarchyBuilder("kernel-test").regular(ring_size=ring_size, height=height)
     return OneRoundEngine(hierarchy, config=ProtocolConfig(**protocol_kwargs))
 
 
 class TestKernelSharedMachinery:
     def test_both_drivers_expose_the_same_kernel_type(self):
-        from repro.core.simulation import RGBSimulation
-        from repro.core.config import SimulationConfig
-
-        structural = RGBSimulation(
+        structural = make_engine()
+        event = RGBSimulation(
             SimulationConfig(num_aps=6, ring_size=3, hosts_per_ap=0)
         ).build()
-        event = RGBSimulation(
-            SimulationConfig(num_aps=6, ring_size=3, hosts_per_ap=0, engine_mode="event")
-        ).build()
-        assert isinstance(structural.kernel, TokenRoundKernel)
-        assert isinstance(event.kernel, TokenRoundKernel)
+        assert type(structural.kernel) is type(event.kernel) is TokenRoundKernel
 
     def test_coverage_matches_ancestry_definition(self):
         engine = make_engine(ring_size=3, height=3)
@@ -50,16 +40,21 @@ class TestKernelSharedMachinery:
             assert kernel.coverage(ring_id) == expected
 
     def test_drain_for_round_reports_out_of_ring_senders(self):
+        """The round's queue drain aggregates every queued operation and
+        names only out-of-ring senders as Holder-Acknowledgement targets."""
         engine = make_engine()
         kernel = engine.kernel
         ring = engine.hierarchy.bottom_rings()[0]
         holder = ring.members[0]
         op = kernel.make_join_op(holder, "alice")
         outside = engine.hierarchy.topmost_ring().members[0]
+        inside = ring.members[1]
         kernel.entity(holder).mq.insert(op, sender=outside, now=0.0)
-        operations, child_senders = kernel.drain_for_round(kernel.entity(holder), ring.members)
-        assert operations == (op,)
-        assert child_senders == [outside]
+        kernel.entity(holder).mq.insert(kernel.make_join_op(holder, "bob"), sender=inside, now=0.0)
+        result = kernel.run_round(ring.ring_id, holder=holder)
+        assert op in result.operations and len(result.operations) == 2
+        # Only the out-of-ring sender is a Holder-Acknowledgement target.
+        assert result.ack_hops == 1
 
     def test_upward_target_requires_leader_and_healthy_parent(self):
         engine = make_engine()
@@ -104,54 +99,28 @@ class TestBatchedEquivalenceInEngines:
         assert reference.global_guids() == engine.global_guids()
 
     def test_handoff_batch_propagates_once(self):
-        engine = make_engine(ring_size=3, height=2)
+        engine, one_by_one = make_engine(ring_size=3, height=2), make_engine(ring_size=3, height=2)
         aps = [str(a) for a in engine.hierarchy.access_proxies()]
-        for i in range(3):
-            engine.member_join(aps[i], f"m-{i}")
-        engine.propagate()
+        for driver in (engine, one_by_one):
+            for i in range(3):
+                driver.member_join(aps[i], f"m-{i}")
+            driver.propagate()
         manager = HandoffManager(engine)
         moves = [(f"m-{i}", aps[i], aps[(i + 1) % len(aps)]) for i in range(3)]
-        report = manager.handoff_batch(moves, now=1.0)
-        assert report is not None
+        for guid, from_ap, to_ap in moves:
+            manager.classify(guid, from_ap, to_ap, now=1.0)
+        engine.capture_many([("handoff", *move) for move in moves], now=1.0)
+        report = engine.propagate(now=1.0)
+        sequential = sum(
+            one_by_one.handoff_and_propagate(*move, now=1.0).round_count for move in moves
+        )
+        # The storm aggregates into shared rounds.
+        assert 0 < report.round_count < sequential
         assert manager.stats.total == 3
         assert sorted(engine.global_guids()) == ["m-0", "m-1", "m-2"]
         for i in range(3):
             record = engine.entity(aps[(i + 1) % len(aps)]).local_members.get(f"m-{i}")
             assert record is not None
-
-
-class TestPartitionMergeDelta:
-    def _view(self, name, members):
-        view = MembershipView(name, NodeId("obs"), GroupId("g"))
-        for guid, ap in members:
-            view.add(
-                MemberInfo(
-                    guid=GloballyUniqueId(guid),
-                    group=GroupId("g"),
-                    ap=NodeId(ap),
-                    luid=make_luid(ap, guid, 1),
-                    status=MemberStatus.OPERATIONAL,
-                )
-            )
-        return view
-
-    def test_merge_views_applies_single_delta(self):
-        primary = self._view("primary", [("a", "ap-1")])
-        detached = [
-            self._view("d1", [("b", "ap-2"), ("c", "ap-3")]),
-            self._view("d2", [("c", "ap-3"), ("d", "ap-4")]),
-        ]
-        gained = PartitionManager.merge_views(primary, detached)
-        assert gained == 3
-        assert primary.guids() == ["a", "b", "c", "d"]
-
-    def test_merge_delta_net_filters_across_views(self):
-        detached = [
-            self._view("d1", [("x", "ap-1")]),
-            self._view("d2", [("x", "ap-2")]),
-        ]
-        delta = PartitionManager.merge_delta(detached)
-        assert delta.guids() == ["x"]
 
 
 class TestLargeScaleScenarioSmall:

@@ -13,7 +13,7 @@ from repro.core.one_round import OneRoundEngine, ProtocolError
 
 def engine_for(ring_size=3, height=2, **config_kwargs) -> OneRoundEngine:
     hierarchy = HierarchyBuilder("g").regular(ring_size=ring_size, height=height)
-    return OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0, **config_kwargs))
+    return OneRoundEngine(hierarchy, config=ProtocolConfig(**config_kwargs))
 
 
 class TestSingleJoinPropagation:

@@ -11,7 +11,6 @@ from repro.analysis.reliability import (
     ring_function_well_probability,
 )
 from repro.analysis.scalability import hcn_ring, hcn_tree, hcn_tree_without_representatives
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.identifiers import GloballyUniqueId, GroupId, NodeId, make_luid
 from repro.core.member import MemberInfo, MemberStatus
@@ -189,7 +188,7 @@ class TestOneRoundProperties:
     )
     def test_global_view_always_equals_joined_set(self, ring_size, height, member_ids):
         hierarchy = HierarchyBuilder("g").regular(ring_size=ring_size, height=height)
-        engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+        engine = OneRoundEngine(hierarchy)
         aps = hierarchy.access_proxies()
         expected = set()
         for index, member_id in enumerate(member_ids):

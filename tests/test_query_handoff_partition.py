@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.core.handoff import HandoffManager
 from repro.core.hierarchy import HierarchyBuilder
-from repro.core.identifiers import NodeId
 from repro.core.one_round import OneRoundEngine
-from repro.core.partition import PartitionManager, detect_partitions
+from repro.core.partition import detect_partitions
 from repro.core.query import MembershipQueryService, MembershipScheme
 
 
 @pytest.fixture
 def populated_engine() -> OneRoundEngine:
     hierarchy = HierarchyBuilder("g").regular(ring_size=3, height=3)
-    engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+    engine = OneRoundEngine(hierarchy)
     for index, ap in enumerate(hierarchy.access_proxies()):
         if index % 3 == 0:
             engine.member_join(ap, f"member-{index:03d}")
@@ -84,13 +82,14 @@ class TestMembershipQuery:
 class TestHandoffManager:
     def test_intra_ring_handoff_hits_fast_path(self):
         hierarchy = HierarchyBuilder("g").regular(ring_size=3, height=2)
-        engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
-        manager = HandoffManager(engine)
+        engine = OneRoundEngine(hierarchy)
+        manager = HandoffManager(engine.kernel)
         ring = hierarchy.bottom_rings()[0]
         a, b = ring.members[0], ring.members[1]
         engine.member_join(a, "alice")
         engine.propagate()
-        record = manager.handoff("alice", a, b)
+        record = manager.classify("alice", a, b)
+        engine.member_handoff("alice", a, b)
         engine.propagate()
         assert record.fast_path
         assert record.same_ring
@@ -98,25 +97,27 @@ class TestHandoffManager:
 
     def test_inter_ring_handoff_misses_fast_path(self):
         hierarchy = HierarchyBuilder("g").regular(ring_size=3, height=2)
-        engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
-        manager = HandoffManager(engine)
+        engine = OneRoundEngine(hierarchy)
+        manager = HandoffManager(engine.kernel)
         aps = hierarchy.access_proxies()
         engine.member_join(aps[0], "alice")
         engine.propagate()
-        record = manager.handoff("alice", aps[0], aps[-1])
+        record = manager.classify("alice", aps[0], aps[-1])
+        engine.member_handoff("alice", aps[0], aps[-1])
         engine.propagate()
         assert not record.same_ring
         assert not record.fast_path
 
     def test_handoff_and_propagate_returns_report(self):
         hierarchy = HierarchyBuilder("g").regular(ring_size=3, height=2)
-        engine = OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+        engine = OneRoundEngine(hierarchy)
         manager = HandoffManager(engine)
         aps = hierarchy.access_proxies()
         engine.member_join(aps[0], "alice")
         engine.propagate()
-        report = manager.handoff_and_propagate("alice", aps[0], aps[1])
-        assert report is not None and report.round_count > 0
+        manager.classify("alice", aps[0], aps[1])
+        report = engine.handoff_and_propagate("alice", aps[0], aps[1])
+        assert report.round_count > 0
         summary = manager.summary()
         assert summary["handoffs"] == 1.0
 
@@ -162,36 +163,3 @@ class TestPartitionDetection:
         operational = [n for n in deep_hierarchy.ring_of_node if n != victim]
         report = detect_partitions(deep_hierarchy, operational)
         assert str(victim) in report.faulty_entities
-
-    def test_partition_manager_history_and_merge(self):
-        hierarchy = HierarchyBuilder("g").regular(ring_size=4, height=2)
-        manager = PartitionManager(hierarchy)
-        all_nodes = list(hierarchy.ring_of_node)
-        manager.assess(all_nodes, now=0.0)
-        ring = hierarchy.bottom_rings()[0]
-        operational = [n for n in all_nodes if n not in {ring.members[0], ring.members[2]}]
-        report = manager.assess(operational, now=1.0)
-        assert manager.max_partitions_seen() == report.count == 2
-
-        from repro.core.identifiers import GroupId
-        from repro.core.membership import MembershipView
-        from tests.test_core_datastructures import make_member
-
-        primary = MembershipView("global", NodeId("x"), GroupId("g"))
-        detached = MembershipView("detached", NodeId("y"), GroupId("g"))
-        primary.add(make_member("a"))
-        detached.add(make_member("b"))
-        gained = PartitionManager.merge_views(primary, [detached])
-        assert gained == 1 and primary.guids() == ["a", "b"]
-
-    def test_reattach_ring_validates_tier(self, deep_hierarchy):
-        manager = PartitionManager(deep_hierarchy)
-        bottom_ring = deep_hierarchy.bottom_rings()[0]
-        other_parent = next(
-            node
-            for node in deep_hierarchy.rings_in_tier(2)[1].members
-        )
-        manager.reattach_ring(bottom_ring.ring_id, other_parent)
-        assert deep_hierarchy.parent_of_ring(bottom_ring.ring_id) == other_parent
-        with pytest.raises(ValueError):
-            manager.reattach_ring(bottom_ring.ring_id, deep_hierarchy.topmost_ring().members[0])

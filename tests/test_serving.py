@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis_profiles import examples
 
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
 from repro.core.identifiers import NodeId
 from repro.core.membership import GENERATION, LOG_SIZE, MembershipView
@@ -246,7 +245,6 @@ class TestSnapshotEqualsObjectPath:
         path's scratch merge views first."""
         engine = OneRoundEngine(
             HierarchyBuilder("serving-test").regular(ring_size=ring_size, height=height),
-            config=ProtocolConfig(aggregation_delay=0.0),
             backend=backend,
         )
         aps = engine.hierarchy.access_proxies()
@@ -322,7 +320,6 @@ class TestWarmReadCost:
         else:
             engine = OneRoundEngine(
                 HierarchyBuilder("serving-test").regular(ring_size=3, height=3),
-                config=ProtocolConfig(aggregation_delay=0.0),
                 backend=backend,
             )
             engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
@@ -357,7 +354,6 @@ class TestWarmReadCost:
     def test_read_after_a_commit_touches_only_the_views_that_moved(self, backend, monkeypatch):
         engine = OneRoundEngine(
             HierarchyBuilder("serving-test").regular(ring_size=3, height=3),
-            config=ProtocolConfig(aggregation_delay=0.0),
             backend=backend,
         )
         aps = engine.hierarchy.access_proxies()
@@ -483,10 +479,7 @@ class TestTornReadRegression:
         assert stats == {"captures": 6, "hits": 16, "revalidations": 2, "invalidations": 4}
 
     def test_a_moved_fanout_ring_is_captured_in_full(self, monkeypatch):
-        engine = OneRoundEngine(
-            HierarchyBuilder("serving-test").regular(ring_size=3, height=2),
-            config=ProtocolConfig(aggregation_delay=0.0),
-        )
+        engine = OneRoundEngine(HierarchyBuilder("serving-test").regular(ring_size=3, height=2))
         engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
         engine.propagate()
         frontend = ServingFrontend(engine)
@@ -553,7 +546,7 @@ class TestRoutingMemoisation:
         hierarchy = HierarchyBuilder("serving-test").regular(
             ring_size=ring_size, height=height
         )
-        return OneRoundEngine(hierarchy, config=ProtocolConfig(aggregation_delay=0.0))
+        return OneRoundEngine(hierarchy)
 
     def test_tier_leaders_cached_per_epoch(self):
         engine = self._engine()
@@ -683,10 +676,7 @@ class TestColumnarFanout:
 
 class TestQueryResultCaching:
     def test_guids_cached_and_len_fast_path(self):
-        engine = OneRoundEngine(
-            HierarchyBuilder("serving-test").regular(ring_size=3, height=2),
-            config=ProtocolConfig(aggregation_delay=0.0),
-        )
+        engine = OneRoundEngine(HierarchyBuilder("serving-test").regular(ring_size=3, height=2))
         ap = engine.hierarchy.access_proxies()[0]
         engine.member_join(ap, "alice")
         engine.propagate()

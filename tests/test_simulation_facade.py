@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -11,6 +16,8 @@ from repro.workloads.churn import ChurnKind, ChurnWorkload
 from repro.workloads.handoffs import HandoffStorm
 from repro.workloads.queries import QueryWorkload
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 class TestFacadeConstruction:
     def test_requires_build_before_use(self):
@@ -18,15 +25,15 @@ class TestFacadeConstruction:
         with pytest.raises(SimulationNotBuilt):
             sim.join_member()
 
-    def test_participating_ap_count_matches_config(self, structural_sim):
-        assert len(structural_sim.access_proxies()) == 12
+    def test_participating_ap_count_matches_config(self, sim):
+        assert len(sim.access_proxies()) == 12
 
-    def test_rings_respect_ring_size(self, structural_sim):
-        for ap in structural_sim.access_proxies():
-            assert len(structural_sim.ring_of(ap)) <= 4
+    def test_rings_respect_ring_size(self, sim):
+        for ap in sim.access_proxies():
+            assert len(sim.ring_of(ap)) <= 4
 
-    def test_hierarchy_is_valid(self, structural_sim):
-        structural_sim.hierarchy.validate()
+    def test_hierarchy_is_valid(self, sim):
+        sim.hierarchy.validate()
 
     def test_hosts_per_ap_preattached(self):
         sim = RGBSimulation(SimulationConfig(num_aps=6, ring_size=3, hosts_per_ap=2, seed=1)).build()
@@ -37,87 +44,108 @@ class TestFacadeConstruction:
             SimulationConfig(num_aps=0)
         with pytest.raises(ValueError):
             SimulationConfig(ring_size=1)
-        with pytest.raises(ValueError):
-            SimulationConfig(engine_mode="quantum")
 
 
 class TestFacadeOperations:
-    def test_join_leave_cycle(self, structural_sim):
-        member = structural_sim.join_member(ap_index=0, guid="alice")
-        structural_sim.run_until_quiescent()
-        assert member.guid in structural_sim.global_membership()
-        structural_sim.leave_member("alice")
-        structural_sim.run_until_quiescent()
-        assert "alice" not in structural_sim.global_membership()
+    def test_join_leave_cycle(self, sim):
+        member = sim.join_member(ap_index=0, guid="alice")
+        sim.run_until_quiescent()
+        assert member.guid in sim.global_membership()
+        sim.leave_member("alice")
+        sim.run_until_quiescent()
+        assert "alice" not in sim.global_membership()
 
-    def test_fail_member(self, structural_sim):
-        structural_sim.join_member(ap_index=1, guid="bob")
-        structural_sim.run_until_quiescent()
-        structural_sim.fail_member("bob")
-        structural_sim.run_until_quiescent()
-        assert "bob" not in structural_sim.global_membership()
+    def test_fail_member(self, sim):
+        sim.join_member(ap_index=1, guid="bob")
+        sim.run_until_quiescent()
+        sim.fail_member("bob")
+        sim.run_until_quiescent()
+        assert "bob" not in sim.global_membership()
 
-    def test_unknown_member_operations_rejected(self, structural_sim):
+    def test_unknown_member_operations_rejected(self, sim):
         with pytest.raises(ValueError):
-            structural_sim.leave_member("ghost")
+            sim.leave_member("ghost")
         with pytest.raises(ValueError):
-            structural_sim.handoff_member("ghost", structural_sim.access_proxies()[0])
+            sim.handoff_member("ghost", sim.access_proxies()[0])
+        sim.join_member(ap_index=0, guid="alice")
+        with pytest.raises(ValueError):
+            sim.handoff_member("alice", "not-an-ap")
+        with pytest.raises(ValueError):
+            sim.crash_entity("not-an-entity")
 
-    def test_handoff_updates_location(self, structural_sim):
-        aps = structural_sim.access_proxies()
-        structural_sim.join_member(ap_id=aps[0], guid="alice")
-        structural_sim.run_until_quiescent()
-        record = structural_sim.handoff_member("alice", aps[1])
-        structural_sim.run_until_quiescent()
+    def test_handoff_updates_location(self, sim):
+        aps = sim.access_proxies()
+        sim.join_member(ap_id=aps[0], guid="alice")
+        sim.run_until_quiescent()
+        record = sim.handoff_member("alice", aps[1])
+        sim.run_until_quiescent()
         assert record.to_ap == aps[1]
-        stats = structural_sim.handoff_statistics()
+        stats = sim.handoff_statistics()
         assert stats["handoffs"] == 1.0
 
-    def test_query_schemes_agree(self, structural_sim):
+    def test_query_schemes_agree(self, sim):
         for i in range(4):
-            structural_sim.join_member(ap_index=i)
-        structural_sim.run_until_quiescent()
-        tms = structural_sim.query(MembershipScheme.TMS)
-        bms = structural_sim.query(MembershipScheme.BMS)
+            sim.join_member(ap_index=i)
+        sim.run_until_quiescent()
+        tms = sim.query(MembershipScheme.TMS)
+        bms = sim.query(MembershipScheme.BMS)
         assert tms.guids == bms.guids
         assert len(tms) == 4
 
-    def test_membership_events_filtered_to_top_leader(self, structural_sim):
-        structural_sim.join_member(ap_index=0, guid="alice")
-        structural_sim.run_until_quiescent()
-        events = structural_sim.membership_events()
+    def test_membership_events_filtered_to_top_leader(self, sim):
+        sim.join_member(ap_index=0, guid="alice")
+        sim.run_until_quiescent()
+        events = sim.membership_events()
         assert len(events) == 1
         assert str(events[0].member.guid) == "alice"
 
-    def test_crash_entity_and_partition_report(self, structural_sim):
-        aps = structural_sim.access_proxies()
-        structural_sim.join_member(ap_id=aps[0], guid="alice")
-        structural_sim.run_until_quiescent()
-        structural_sim.crash_entity(aps[1])
-        structural_sim.join_member(ap_id=aps[0], guid="bob")
-        structural_sim.run_until_quiescent()
-        report = structural_sim.partition_report()
+    def test_crash_entity_and_partition_report(self, sim):
+        aps = sim.access_proxies()
+        sim.join_member(ap_id=aps[0], guid="alice")
+        sim.run_until_quiescent()
+        sim.crash_entity(aps[1])
+        sim.join_member(ap_id=aps[0], guid="bob")
+        sim.run_until_quiescent()
+        report = sim.partition_report()
         assert report.count == 1
-        assert "alice" in structural_sim.global_membership()
+        assert "alice" in sim.global_membership()
 
-    def test_metric_snapshot_has_round_counters(self, structural_sim):
-        structural_sim.join_member(ap_index=0)
-        structural_sim.run_until_quiescent()
-        snapshot = structural_sim.metric_snapshot()
+    def test_metric_snapshot_has_round_counters(self, sim):
+        sim.join_member(ap_index=0)
+        sim.run_until_quiescent()
+        snapshot = sim.metric_snapshot()
         assert snapshot["counter.rounds.completed"] > 0
 
-    def test_ap_index_out_of_range(self, structural_sim):
+    def test_ap_index_out_of_range(self, sim):
         with pytest.raises(ValueError):
-            structural_sim.join_member(ap_index=99)
+            sim.join_member(ap_index=99)
         with pytest.raises(ValueError):
-            structural_sim.join_member(ap_id="not-an-ap")
+            sim.join_member(ap_id="not-an-ap")
 
-    def test_mobility_trace_replay(self, structural_sim):
-        model = structural_sim.default_mobility_model(mean_residency=50.0, mean_session=150.0)
+    def test_mobility_trace_replay(self, sim):
+        model = sim.default_mobility_model(mean_residency=50.0, mean_session=150.0)
         trace = model.generate_population(num_hosts=5, arrival_rate=1.0, horizon=200.0)
-        counts = structural_sim.apply_mobility_trace(trace)
+        counts = sim.apply_mobility_trace(trace)
         assert counts["joins"] == 5
-        assert counts["joins"] - counts["leaves"] == len(structural_sim.global_membership())
+        assert counts["joins"] - counts["leaves"] == len(sim.global_membership())
+
+    def test_foreign_ap_fallback_is_stable_across_processes(self):
+        """A trace naming a non-participating proxy replays onto the same
+        proxy in every process, whatever the interpreter's hash seed."""
+        script = (
+            "from repro import RGBSimulation, SimulationConfig\n"
+            "sim = RGBSimulation(SimulationConfig(num_aps=25, ring_size=5, hosts_per_ap=0))\n"
+            "print(sim.build()._nearest_participating('ap-999-000-000'))\n"
+        )
+        proxies = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            proxies.add(out.stdout.strip())
+        assert len(proxies) == 1 and proxies.pop().startswith("ap-")
 
 
 class TestWorkloads:
@@ -174,14 +202,14 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             HandoffStorm(attachment={"m": "a"}, neighbor_map={}, locality=2.0)
 
-    def test_query_workload_replay(self, structural_sim):
+    def test_query_workload_replay(self, sim):
         for i in range(3):
-            structural_sim.join_member(ap_index=i)
-        structural_sim.run_until_quiescent()
-        workload = QueryWorkload(entry_points=structural_sim.access_proxies(), queries=12, seed=5)
+            sim.join_member(ap_index=i)
+        sim.run_until_quiescent()
+        workload = QueryWorkload(entry_points=sim.access_proxies(), queries=12, seed=5)
         requests = workload.generate()
         assert len(requests) == 12
-        aggregates = QueryWorkload.replay(structural_sim.protocol, requests)
+        aggregates = QueryWorkload.replay(sim.kernel, requests)
         assert aggregates
         for bucket in aggregates.values():
             assert bucket["mean_members"] == 3.0
