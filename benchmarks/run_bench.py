@@ -91,12 +91,13 @@ def measure_configuration(height: int, joins: int, batched: bool) -> dict:
 def run_matrix(sizes, events, out_path: Path, jobs: int = 1, scenarios=None) -> None:
     """Sweep the event-driven scenario matrix and archive cell throughput."""
     from repro.analysis.tables import render_matrix
-    from repro.workloads.matrix import LOSS_RATES, SCENARIOS, ScenarioMatrix, get_scenario
+    from repro.workloads.matrix import LOSS_RATES, SCENARIOS, ScenarioMatrix
     from repro.workloads.parallel import run_matrix as run_matrix_parallel
+    from repro.workloads.spec import get_family
 
     scenarios = tuple(scenarios) if scenarios else tuple(SCENARIOS)
     for name in scenarios:
-        get_scenario(name)  # fail fast, listing the registered scenarios
+        get_family(name)  # fail fast, listing the registered families
     matrix = ScenarioMatrix(sizes=tuple(sizes), events_per_cell=events, scenarios=scenarios)
     report = run_matrix_parallel(matrix, jobs=jobs, progress=True)
     report.raise_if_failed()
@@ -193,7 +194,6 @@ def run_ablation(sizes, losses, scenarios, events, out_path: Path, jobs: int = 1
     """Drive every protocol through the same workloads; archive the costs."""
     from repro.analysis.scalability import hcn_ring, hcn_tree
     from repro.analysis.tables import render_ablation, render_family_head_to_head
-    from repro.workloads.spec import available_families
     from repro.baselines.driver import (
         PROTOCOL_NAMES,
         ring_shape_for_proxies,
@@ -211,13 +211,8 @@ def run_ablation(sizes, losses, scenarios, events, out_path: Path, jobs: int = 1
     results = report.results
     print()
     print(render_ablation([r.record for r in results]))
-    family_records = [
-        r.record for r in results
-        if str(r.record.params.get("scenario", "")) in available_families()
-    ]
-    if family_records:
-        print()
-        print(render_family_head_to_head(family_records))
+    print()
+    print(render_family_head_to_head([r.record for r in results]))
 
     closed_form = []
     for n in sizes:
@@ -290,9 +285,8 @@ def main(argv=None) -> int:
         nargs="+",
         default=None,
         metavar="NAME",
-        help="with --matrix: restrict the sweep to these scenarios — legacy "
-        "matrix scenarios or adversarial families (flash_crowd, "
-        "correlated_failure, diurnal_mobility, replay_injection)",
+        help="with --matrix: restrict the sweep to these scenario families "
+        "(any of `python -m repro.workloads.spec --list`)",
     )
     parser.add_argument(
         "--ablation",

@@ -119,7 +119,7 @@ def render_matrix(records: Sequence["RunRecord"]) -> str:
 
 
 def render_family_head_to_head(records: Sequence["RunRecord"]) -> str:
-    """Per-family head-to-head table for the adversarial scenario families.
+    """Per-family protocol head-to-head table for the scenario families.
 
     Consumes the records of :func:`repro.workloads.matrix.run_ablation_cell`
     for family cells (one per protocol) and renders, per family, the honest
@@ -132,7 +132,7 @@ def render_family_head_to_head(records: Sequence["RunRecord"]) -> str:
     by_family: Dict[str, list] = {}
     for record in records:
         by_family.setdefault(str(record.params.get("scenario", record.name)), []).append(record)
-    lines = ["Adversarial families: protocol head-to-head (same compiled fault script)"]
+    lines = ["Scenario families: protocol head-to-head (same compiled fault script)"]
     for family, rows in by_family.items():
         lines.append("")
         lines.append(

@@ -91,8 +91,11 @@ def build_churn_script(
 ) -> ScenarioScript:
     """The scenario matrix's churn cell as a portable script.
 
-    Same workload parameters as ``repro.workloads.matrix._schedule_churn``:
-    joins dominate, departures (leave/failure) route to the member's join
+    Same workload parameters as the ``churn`` scenario family
+    (``repro.workloads.families.churn``); unlike that family's fault script,
+    every event up to the horizon is kept (no truncation at ``events``) and
+    carries the pre-assigned sequence number live shards need.  Joins
+    dominate; departures (leave/failure) route to the member's join
     AP (the churn generator records it), so a script needs no runtime
     member-location tracking to route departures — which is exactly what
     lets a live shard replay its slice independently.

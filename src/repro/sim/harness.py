@@ -22,8 +22,7 @@ that gap:
   :class:`repro.sim.faults.FaultInjector` crash marks the entity failed in
   the kernel and lets the next token circulation *discover* it — the
   kernel's ring-repair surgery runs, instead of being simulated around.
-  :class:`repro.sim.mobility.MobilityTrace` events replay as timed
-  join/handoff/leave captures.
+  Mobility arrives as timed join/handoff/leave captures.
 
 Every scenario-matrix cell (:mod:`repro.workloads.matrix`) composes against
 this harness instead of hand-rolling a driver.
@@ -51,7 +50,6 @@ from repro.core.partition import PartitionReport, detect_partitions
 from repro.core.token import TokenOperation
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.sim.mobility import AttachmentEvent, HandoffEvent, MobilityTrace
 from repro.sim.network import LatencyModel, Network, NetworkNode, NodeState
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry, RunRecord
@@ -456,6 +454,8 @@ class ScenarioHarness:
         # called after every kernel round with (ring_id, sim_now), i.e. at
         # the exact point where membership views may have changed.
         self._round_listeners: List[Callable[[str, float], None]] = []
+        # Partition counts recorded by schedule_partition_probe, in time order.
+        self.partition_probes: List[int] = []
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -577,19 +577,13 @@ class ScenarioHarness:
             time, lambda _e: self._inject_replay(kind, member), label=f"inject-{kind}:{member}"
         )
 
-    def schedule_mobility_trace(self, trace: MobilityTrace) -> int:
-        """Replay attachment/handoff events as timed captures; returns count."""
-        count = 0
-        for event in trace.all_events():
-            if isinstance(event, AttachmentEvent):
-                if event.attach:
-                    self.schedule_join(event.time, event.ap_id, guid=event.host_id)
-                else:
-                    self.schedule_leave(event.time, event.host_id)
-            elif isinstance(event, HandoffEvent):
-                self.schedule_handoff(event.time, event.host_id, event.to_ap)
-            count += 1
-        return count
+    def schedule_partition_probe(self, time: float) -> None:
+        """Append the partition count at ``time`` to ``partition_probes``."""
+        self.engine.schedule_at(
+            time,
+            lambda _e: self.partition_probes.append(self.partition_report().count),
+            label="probe:partitions",
+        )
 
     # ------------------------------------------------------------------
     # capture handlers (run at their simulated times, or called directly to

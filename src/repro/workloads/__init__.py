@@ -10,9 +10,9 @@
 * :mod:`repro.workloads.matrix` — the {protocol} × {scenario} × {scale} ×
   {loss} sweep over the event-driven harness (:mod:`repro.sim.harness`) and
   the protocol-driver ablation replay (:mod:`repro.baselines.driver`).
-* :mod:`repro.workloads.spec` — declarative adversarial scenario specs
-  compiled by a pass pipeline into replayable fault scripts; the families
-  themselves live in :mod:`repro.workloads.families`.
+* :mod:`repro.workloads.spec` — declarative scenario specs compiled by a
+  pass pipeline into replayable fault scripts; the families themselves (every
+  matrix scenario) live in :mod:`repro.workloads.families`.
 """
 
 from repro.workloads.churn import ChurnEvent, ChurnKind, ChurnWorkload
@@ -26,13 +26,10 @@ from repro.workloads.matrix import (
     CellResult,
     MatrixCell,
     ScenarioMatrix,
-    WorkloadOp,
-    ablation_workload,
     replay_workload,
     run_ablation_cell,
     run_matrix_cell,
     replay_script,
-    scenario_names,
     shape_for_proxies,
 )
 from repro.workloads.queries import QueryWorkload, QueryRequest
@@ -55,13 +52,10 @@ __all__ = [
     "CellResult",
     "MatrixCell",
     "ScenarioMatrix",
-    "WorkloadOp",
-    "ablation_workload",
     "replay_workload",
     "run_ablation_cell",
     "run_matrix_cell",
     "replay_script",
-    "scenario_names",
     "shape_for_proxies",
     "FaultScript",
     "ScenarioSpec",

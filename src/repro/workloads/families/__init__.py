@@ -1,7 +1,18 @@
-"""Adversarial scenario families (declarative, compiled by the spec pipeline).
+"""Scenario families (declarative, compiled by the spec pipeline).
 
 Importing this package registers every built-in family with
-:mod:`repro.workloads.spec`:
+:mod:`repro.workloads.spec`.  The matrix's original four:
+
+* :mod:`~repro.workloads.families.churn` — Poisson joins, leaves and member
+  failures at random proxies;
+* :mod:`~repro.workloads.families.handoff_storm` — a burst of mostly
+  ring-local handoffs over an attached population;
+* :mod:`~repro.workloads.families.partition_merge` — transient
+  disconnections split a bottom ring, which then heals;
+* :mod:`~repro.workloads.families.mobility_trace` — hosts attach, hand off
+  and detach over time;
+
+and the adversarial four:
 
 * :mod:`~repro.workloads.families.flash_crowd` — a burst of joins worth ~10%
   of the proxy count lands in one region within seconds;
@@ -14,18 +25,26 @@ Importing this package registers every built-in family with
 
 Each family contributes *events*, never harness code: the compiled
 :class:`repro.workloads.spec.FaultScript` replays identically through the
-event-driven RGB harness and — via the protocol-neutral op replay in
-:mod:`repro.workloads.matrix` — through every baseline protocol driver.
+event-driven RGB harness and — via :func:`repro.workloads.matrix.replay_workload`
+— through every baseline protocol driver.
 """
 
+from repro.workloads.families.churn import ChurnFamily
 from repro.workloads.families.correlated_failure import CorrelatedFailureFamily
 from repro.workloads.families.diurnal_mobility import DiurnalMobilityFamily
 from repro.workloads.families.flash_crowd import FlashCrowdFamily
+from repro.workloads.families.handoff_storm import HandoffStormFamily
+from repro.workloads.families.mobility_trace import MobilityTraceFamily
+from repro.workloads.families.partition_merge import PartitionMergeFamily
 from repro.workloads.families.replay_injection import ReplayInjectionFamily
 
 __all__ = [
+    "ChurnFamily",
     "CorrelatedFailureFamily",
     "DiurnalMobilityFamily",
     "FlashCrowdFamily",
+    "HandoffStormFamily",
+    "MobilityTraceFamily",
+    "PartitionMergeFamily",
     "ReplayInjectionFamily",
 ]

@@ -2,11 +2,13 @@
 
 Sweeps the event-driven :class:`repro.sim.harness.ScenarioHarness` over
 
-* **scenarios** — ``churn`` (Poisson join/leave/failure),
-  ``handoff_storm`` (a mobility burst over an attached population),
-  ``partition_merge`` (transient disconnections splitting a ring, then
-  healing) and ``mobility_trace`` (a full attach/handoff/detach population
-  trace);
+* **scenarios** — every scenario is a registered family of
+  :mod:`repro.workloads.families`.  The default sweep is the original four:
+  ``churn`` (Poisson join/leave/failure), ``handoff_storm`` (a mobility
+  burst over an attached population), ``partition_merge`` (transient
+  disconnections splitting a ring, then healing) and ``mobility_trace`` (a
+  full attach/handoff/detach population trace); the adversarial families
+  (``flash_crowd``, ``correlated_failure``, …) run the same way;
 * **scales** — 1 000 / 10 000 / 100 000 access proxies (the paper's regular
   hierarchies at r=10, h=3/4/5; any ``r**h`` with 2 ≤ r ≤ 16 works);
 * **loss rates** — 0 / 1 / 5 % per-link message loss;
@@ -14,12 +16,14 @@ Sweeps the event-driven :class:`repro.sim.harness.ScenarioHarness` over
   baselines behind the :class:`repro.baselines.driver.MembershipProtocol`
   seam: ``flat_ring``, ``gossip`` and ``tree``.
 
-RGB cells run the full event-driven harness (batched rounds, faults and
-mobility at their simulated times); baseline cells replay the *same seeded
-workload trace* sequentially through the protocol driver, which is also what
-:func:`run_ablation_cell` does for every protocol — including RGB — when a
-head-to-head per-change cost comparison is wanted
-(``benchmarks/run_bench.py --ablation`` → ``BENCH_ablation.json``).
+Every cell does the same thing: compile the cell's
+:class:`repro.workloads.spec.ScenarioSpec` to a fault script, then either
+schedule it on the harness (RGB cells: batched rounds, faults and mobility
+at their simulated times) or replay it sequentially through a protocol
+driver (:func:`replay_workload`; baseline cells, and every protocol —
+including RGB — in :func:`run_ablation_cell` when a head-to-head per-change
+cost comparison is wanted: ``benchmarks/run_bench.py --ablation`` →
+``BENCH_ablation.json``).
 
 Every cell is fully seeded through :class:`repro.sim.rng.RandomStreams`, so
 cells are independently reproducible, and emits one
@@ -40,8 +44,8 @@ import gc
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.driver import (
     PROTOCOL_NAMES,
@@ -51,109 +55,28 @@ from repro.baselines.driver import (
 )
 from repro.core.identifiers import clear_intern_tables
 from repro.core.kernel import KERNEL_BACKENDS
-from repro.sim.faults import FaultPlan
 from repro.sim.harness import (
     HarnessConfig,
     ScenarioHarness,
     TopologySnapshot,
     build_topology_snapshot,
 )
-from repro.sim.mobility import AttachmentEvent, HandoffEvent, MobilityModel
-from repro.sim.rng import RandomStreams
 from repro.sim.stats import RunRecord
-from repro.workloads.churn import ChurnKind, ChurnWorkload
-from repro.workloads.handoffs import HandoffStorm
-from repro.workloads.spec import FaultScript, ScenarioSpec, compile_spec, schedule_script
+from repro.workloads.spec import (
+    FaultScript,
+    ScenarioSpec,
+    ScriptEvent,
+    compile_spec,
+    get_family,
+    schedule_script,
+)
 
-#: The original (non-adversarial) matrix scenarios.  Adversarial families
-#: from :mod:`repro.workloads.families` register themselves as additional
-#: scenarios; :func:`scenario_names` lists everything runnable.
+#: The default sweep: the matrix's original scenarios.  Every registered
+#: family (:func:`repro.workloads.spec.available_families`) is runnable.
 SCENARIOS: Tuple[str, ...] = ("churn", "handoff_storm", "partition_merge", "mobility_trace")
 SIZES: Tuple[int, ...] = (1_000, 10_000, 100_000)
 LOSS_RATES: Tuple[float, ...] = (0.0, 0.01, 0.05)
 PROTOCOLS: Tuple[str, ...] = PROTOCOL_NAMES
-
-
-@dataclass(frozen=True)
-class ScenarioDefinition:
-    """One runnable scenario: how to schedule it on the RGB harness and how
-    to express it as a protocol-neutral op list for the ablation replay.
-
-    ``schedule(harness, cell, events)`` returns the scheduled event count (or
-    ``(count, partition_counts)`` for scenarios that probe partitions);
-    ``ops(cell, events, sites)`` returns :class:`WorkloadOp` records;
-    ``record_sends`` asks the harness to log dispatch sends (replay-injection
-    scenarios).
-    """
-
-    name: str
-    schedule: Callable[[ScenarioHarness, "MatrixCell", int], object]
-    ops: Callable[["MatrixCell", int, Sequence[str]], List["WorkloadOp"]]
-    record_sends: bool = False
-
-
-_SCENARIO_REGISTRY: Dict[str, ScenarioDefinition] = {}
-
-
-def register_scenario(definition: ScenarioDefinition) -> ScenarioDefinition:
-    """Register a scenario; later registrations with the same name win."""
-    _SCENARIO_REGISTRY[definition.name] = definition
-    return definition
-
-
-def _compile_cell_script(cell: "MatrixCell", events: int) -> FaultScript:
-    return compile_spec(
-        ScenarioSpec(
-            family=cell.scenario,
-            num_proxies=cell.num_proxies,
-            loss=cell.loss,
-            seed=cell.seed,
-            events=events,
-        )
-    ).script
-
-
-def _family_definition(name: str, record_sends: bool) -> ScenarioDefinition:
-    """Adapt a declarative scenario family to the matrix registry: compile
-    the cell's spec to a fault script, then either schedule it on the
-    harness or lower it to neutral ops — one code path per direction for
-    *every* family."""
-
-    def schedule(harness: ScenarioHarness, cell: "MatrixCell", events: int) -> int:
-        return schedule_script(harness, _compile_cell_script(cell, events))
-
-    def ops(cell: "MatrixCell", events: int, sites: Sequence[str]) -> List["WorkloadOp"]:
-        return script_to_ops(_compile_cell_script(cell, events), sites)
-
-    return ScenarioDefinition(name=name, schedule=schedule, ops=ops, record_sends=record_sends)
-
-
-def _register_families() -> None:
-    from repro.workloads import spec as spec_mod
-
-    for name in spec_mod.available_families():
-        if name not in _SCENARIO_REGISTRY:
-            register_scenario(
-                _family_definition(name, spec_mod.get_family(name).record_sends)
-            )
-
-
-def scenario_names() -> Tuple[str, ...]:
-    """Every runnable scenario: the legacy four plus registered families."""
-    _register_families()
-    return tuple(sorted(_SCENARIO_REGISTRY))
-
-
-def get_scenario(name: str) -> ScenarioDefinition:
-    if name not in _SCENARIO_REGISTRY:
-        _register_families()
-    try:
-        return _SCENARIO_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r} (available: "
-            f"{', '.join(sorted(_SCENARIO_REGISTRY))})"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -175,7 +98,7 @@ class MatrixCell:
     backend: str = "object"
 
     def __post_init__(self) -> None:
-        get_scenario(self.scenario)  # raises with the available-scenario list
+        get_family(self.scenario)  # raises with the available-family list
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r} (have {PROTOCOLS})")
         if self.backend not in KERNEL_BACKENDS:
@@ -193,6 +116,18 @@ class MatrixCell:
         if self.backend != "object":
             base += f"/backend={self.backend}"
         return base
+
+    def script(self, events: int) -> FaultScript:
+        """The cell's scenario compiled to a fault script (site indices)."""
+        return compile_spec(
+            ScenarioSpec(
+                family=self.scenario,
+                num_proxies=self.num_proxies,
+                loss=self.loss,
+                seed=self.seed,
+                events=events,
+            )
+        ).script
 
 
 @dataclass
@@ -291,313 +226,45 @@ class TopologySnapshotCache:
 
 
 # ----------------------------------------------------------------------
-# per-scenario workload wiring
+# the baseline replay
 # ----------------------------------------------------------------------
 
 
-def _schedule_churn(harness: ScenarioHarness, cell: MatrixCell, events: int) -> int:
-    workload = ChurnWorkload(
-        ap_ids=harness.access_proxies(),
-        join_rate=1.0,
-        leave_rate=0.02,
-        failure_rate=0.01,
-        horizon=max(4.0 * events, 8.0),
-        seed=cell.seed,
-    )
-    scheduled = 0
-    for event in workload.generate():
-        if scheduled >= events:
-            break
-        if event.kind is ChurnKind.JOIN:
-            harness.schedule_join(event.time, event.ap, guid=event.member)
-        elif event.kind is ChurnKind.LEAVE:
-            harness.schedule_leave(event.time, event.member)
-        else:
-            harness.schedule_failure(event.time, event.member)
-        scheduled += 1
-    return scheduled
+def replay_workload(driver: BaseProtocolDriver, events: Sequence[ScriptEvent]) -> int:
+    """Apply fault-script events through a protocol driver, in time order.
 
-
-def _schedule_handoff_storm(harness: ScenarioHarness, cell: MatrixCell, events: int) -> int:
-    aps = harness.access_proxies()
-    population = min(max(4, events // 2), len(aps), 64)
-    attachment = {f"hs-{i:04d}": aps[i % len(aps)] for i in range(population)}
-    for index, (member, ap) in enumerate(attachment.items()):
-        harness.schedule_join(0.5 * index, ap, guid=member)
-    storm_start = 0.5 * population + 25.0
-    storm = HandoffStorm(
-        attachment=attachment,
-        neighbor_map=harness.ring_neighbor_map(),
-        handoffs=events,
-        locality=0.8,
-        duration=max(2.0 * events, 10.0),
-        seed=cell.seed,
-    )
-    generated = storm.generate()
-    for event in generated:
-        harness.schedule_handoff(storm_start + event.time, event.member, event.to_ap)
-    return population + len(generated)
-
-
-def _schedule_partition_merge(
-    harness: ScenarioHarness, cell: MatrixCell, events: int
-) -> Tuple[int, List[int]]:
-    """Split one bottom ring with ≥2 transient disconnections, then heal.
-
-    Returns the scheduled event count and a list the partition counts are
-    recorded into at the split and post-heal instants.
+    Site indices bind to ``driver.sites``.  ``leave`` and ``failure`` both
+    remove the member (every protocol pays one removal propagation);
+    ``disconnect`` is a crash (the toys have no transient disconnection);
+    a ``crash`` above tier 1 goes to ``fail_internal``, which protocols
+    without an internal hierarchy skip and count.  ``probe_partitions`` is
+    a harness observation, so it is skipped and not counted.  Returns the
+    number of events replayed.
     """
-    aps = harness.access_proxies()
-    joins = min(max(4, events), len(aps), 48)
-    for index in range(joins):
-        harness.schedule_join(0.5 * index, aps[index % len(aps)], guid=f"pm-{index:04d}")
-    victim_ring = harness.hierarchy.bottom_rings()[0]
-    # Two *non-adjacent* members: a ring with two faults splits into separate
-    # arcs (paper §5.2), which is what makes the partition count exceed one.
-    # Rings smaller than 4 cannot split that way (any two members are
-    # adjacent), so those shapes get a single disconnection — still a
-    # disconnect/heal cycle, just without a guaranteed split.
-    members = victim_ring.members
-    if len(members) >= 4:
-        victims = [members[0].value, members[2].value]
-    else:
-        victims = [members[0].value]
-    split_at = 0.5 * joins + 40.0
-    downtime = 120.0
-    plan = FaultPlan()
-    for victim in victims:
-        plan.disconnect(victim, time=split_at, duration=downtime)
-    harness.schedule_fault_plan(plan)
-    # Joins captured elsewhere while the ring is split keep the rest of the
-    # hierarchy moving; they must still converge globally after the heal.
-    spare_aps = [ap for ap in aps if ap not in victims]
-    for index in range(min(8, len(spare_aps))):
-        harness.schedule_join(
-            split_at + 10.0 + index, spare_aps[index], guid=f"pm-mid-{index:02d}"
-        )
-    partition_counts: List[int] = []
-    harness.engine.schedule_at(
-        split_at + downtime / 2.0,
-        lambda _e: partition_counts.append(harness.partition_report().count),
-        label="assess:split",
-    )
-    harness.engine.schedule_at(
-        split_at + downtime + 60.0,
-        lambda _e: partition_counts.append(harness.partition_report().count),
-        label="assess:healed",
-    )
-    return joins + min(8, len(spare_aps)), partition_counts
-
-
-def _schedule_mobility_trace(harness: ScenarioHarness, cell: MatrixCell, events: int) -> int:
-    model = MobilityModel(
-        ap_ids=harness.access_proxies(),
-        streams=harness.streams,
-        neighbor_map=harness.ring_neighbor_map(),
-        mean_residency=30.0,
-        mean_session=120.0,
-        stream_name="mobility.matrix",
-    )
-    hosts = max(3, events // 6)
-    trace = model.generate_population(
-        num_hosts=hosts, arrival_rate=0.25, horizon=max(40.0 * hosts, 200.0)
-    )
-    return harness.schedule_mobility_trace(trace)
-
-
-# ----------------------------------------------------------------------
-# protocol-agnostic workload extraction (the ablation path)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadOp:
-    """One protocol-neutral workload event, replayable through any driver.
-
-    ``tier`` qualifies ``crash`` ops: 1 crashes the capture site itself,
-    ``t > 1`` crashes its tier-``t`` ancestor (protocols without an internal
-    hierarchy skip those, counted).
-    """
-
-    time: float
-    kind: str  # join / leave / handoff / crash / inject_duplicate / inject_stale
-    member: str = ""
-    site: str = ""  # join origin, handoff destination, or crashed site
-    tier: int = 1
-
-
-def _block_neighbor_map(sites: Sequence[str], block: int) -> Dict[str, List[str]]:
-    """Index-blocked adjacency mirroring the RGB bottom rings, so handoff
-    locality is defined identically for every protocol."""
-    out: Dict[str, List[str]] = {}
-    for start in range(0, len(sites), block):
-        chunk = list(sites[start : start + block])
-        for site in chunk:
-            out[site] = [s for s in chunk if s != site]
-    return out
-
-
-def _ops_churn(cell: MatrixCell, events: int, sites: Sequence[str]) -> List[WorkloadOp]:
-    ops: List[WorkloadOp] = []
-    workload = ChurnWorkload(
-        ap_ids=list(sites),
-        join_rate=1.0,
-        leave_rate=0.02,
-        failure_rate=0.01,
-        horizon=max(4.0 * events, 8.0),
-        seed=cell.seed,
-    )
-    for event in workload.generate()[:events]:
-        if event.kind is ChurnKind.JOIN:
-            ops.append(WorkloadOp(event.time, "join", event.member, event.ap))
-        else:
-            # Voluntary leave and member failure both remove the member;
-            # every protocol pays one full removal propagation.
-            ops.append(WorkloadOp(event.time, "leave", event.member))
-    return ops
-
-
-def _ops_handoff_storm(cell: MatrixCell, events: int, sites: Sequence[str]) -> List[WorkloadOp]:
-    ring_size, _ = shape_for_proxies(cell.num_proxies)
-    ops: List[WorkloadOp] = []
-    population = min(max(4, events // 2), len(sites), 64)
-    attachment = {f"hs-{i:04d}": sites[i % len(sites)] for i in range(population)}
-    for index, (member, site) in enumerate(attachment.items()):
-        ops.append(WorkloadOp(0.5 * index, "join", member, site))
-    storm_start = 0.5 * population + 25.0
-    storm = HandoffStorm(
-        attachment=attachment,
-        neighbor_map=_block_neighbor_map(sites, ring_size),
-        handoffs=events,
-        locality=0.8,
-        duration=max(2.0 * events, 10.0),
-        seed=cell.seed,
-    )
-    for event in storm.generate():
-        ops.append(WorkloadOp(storm_start + event.time, "handoff", event.member, event.to_ap))
-    return ops
-
-
-def _ops_partition_merge(cell: MatrixCell, events: int, sites: Sequence[str]) -> List[WorkloadOp]:
-    ops: List[WorkloadOp] = []
-    joins = min(max(4, events), len(sites), 48)
-    for index in range(joins):
-        ops.append(WorkloadOp(0.5 * index, "join", f"pm-{index:04d}", sites[index % len(sites)]))
-    # The toys have no transient-disconnection notion, so the generic
-    # replay crashes two non-adjacent sites of the first block instead —
-    # the same victims the harness path disconnects.
-    victims = [sites[0], sites[2]] if len(sites) >= 4 else [sites[0]]
-    split_at = 0.5 * joins + 40.0
-    for victim in victims:
-        ops.append(WorkloadOp(split_at, "crash", site=victim))
-    spare = [s for s in sites if s not in victims]
-    for index in range(min(8, len(spare))):
-        ops.append(WorkloadOp(split_at + 10.0 + index, "join", f"pm-mid-{index:02d}", spare[index]))
-    return ops
-
-
-def _ops_mobility_trace(cell: MatrixCell, events: int, sites: Sequence[str]) -> List[WorkloadOp]:
-    ring_size, _ = shape_for_proxies(cell.num_proxies)
-    ops: List[WorkloadOp] = []
-    model = MobilityModel(
-        ap_ids=list(sites),
-        streams=RandomStreams(cell.seed),
-        neighbor_map=_block_neighbor_map(sites, ring_size),
-        mean_residency=30.0,
-        mean_session=120.0,
-        stream_name="mobility.matrix",
-    )
-    hosts = max(3, events // 6)
-    trace = model.generate_population(
-        num_hosts=hosts, arrival_rate=0.25, horizon=max(40.0 * hosts, 200.0)
-    )
-    for event in trace.all_events():
-        if isinstance(event, AttachmentEvent):
-            kind = "join" if event.attach else "leave"
-            ops.append(WorkloadOp(event.time, kind, event.host_id, event.ap_id))
-        elif isinstance(event, HandoffEvent):
-            ops.append(WorkloadOp(event.time, "handoff", event.host_id, event.to_ap))
-    return ops
-
-
-def script_to_ops(script: FaultScript, sites: Sequence[str]) -> List[WorkloadOp]:
-    """Lower a compiled fault script to protocol-neutral workload ops.
-
-    Site indices bind to the driver's site list; ``leave`` and ``failure``
-    both lower to a removal (the churn convention); ``disconnect`` lowers to
-    a crash (the partition-merge convention — the toys have no transient
-    disconnections); interior crashes keep their tier for
-    ``fail_internal``-capable drivers.
-    """
-    sites = list(sites)
-    ops: List[WorkloadOp] = []
-    for event in script.events:
-        if event.kind == "join":
-            ops.append(WorkloadOp(event.time, "join", event.member, sites[event.site]))
-        elif event.kind in ("leave", "failure"):
-            ops.append(WorkloadOp(event.time, "leave", event.member))
-        elif event.kind == "handoff":
-            ops.append(WorkloadOp(event.time, "handoff", event.member, sites[event.site]))
-        elif event.kind == "crash":
-            ops.append(WorkloadOp(event.time, "crash", site=sites[event.site], tier=event.tier))
-        elif event.kind == "disconnect":
-            ops.append(WorkloadOp(event.time, "crash", site=sites[event.site]))
-        elif event.kind in ("inject_duplicate", "inject_stale"):
-            ops.append(WorkloadOp(event.time, event.kind, event.member))
+    sites = driver.sites
+    replayed = 0
+    for event in sorted(events, key=lambda e: e.time):
+        kind = event.kind
+        if kind == "join":
+            driver.join(sites[event.site], event.member)
+        elif kind in ("leave", "failure"):
+            driver.leave(event.member)
+        elif kind == "handoff":
+            driver.handoff(event.member, sites[event.site])
+        elif kind == "crash" and event.tier > 1:
+            driver.fail_internal(sites[event.site], event.tier)
+        elif kind in ("crash", "disconnect"):
+            driver.fail_site(sites[event.site])
+        elif kind == "inject_duplicate":
+            driver.inject_duplicate(event.member)
+        elif kind == "inject_stale":
+            driver.inject_stale(event.member)
+        elif kind == "probe_partitions":
+            continue
         else:  # pragma: no cover - ScriptEvent validates kinds
-            raise ValueError(f"unknown script event kind {event.kind!r}")
-    return ops
-
-
-def ablation_workload(cell: MatrixCell, events: int, sites: Sequence[str]) -> List[WorkloadOp]:
-    """The cell's seeded workload as a time-ordered, protocol-neutral op list.
-
-    The generators draw by *index* into the site list, so two protocols with
-    equally sized site populations replay structurally identical traces (same
-    members, same site indices, same times) regardless of site naming.
-    """
-    ops = get_scenario(cell.scenario).ops(cell, events, list(sites))
-    ops.sort(key=lambda op: op.time)
-    return ops
-
-
-# The legacy scenarios, registered with their original generators — their
-# harness schedules and op lists are bit-identical to the pre-registry
-# dispatch (pinned by the golden-trace and ablation golden tests).
-register_scenario(ScenarioDefinition("churn", _schedule_churn, _ops_churn))
-register_scenario(ScenarioDefinition("handoff_storm", _schedule_handoff_storm, _ops_handoff_storm))
-register_scenario(
-    ScenarioDefinition("partition_merge", _schedule_partition_merge, _ops_partition_merge)
-)
-register_scenario(
-    ScenarioDefinition("mobility_trace", _schedule_mobility_trace, _ops_mobility_trace)
-)
-
-
-def replay_workload(driver: BaseProtocolDriver, ops: Sequence[WorkloadOp]) -> int:
-    """Apply a neutral op list through a protocol driver, in time order."""
-    applied = 0
-    for op in ops:
-        if op.kind == "join":
-            report = driver.join(op.site, op.member)
-        elif op.kind == "leave":
-            report = driver.leave(op.member)
-        elif op.kind == "handoff":
-            report = driver.handoff(op.member, op.site)
-        elif op.kind == "crash":
-            if op.tier > 1:
-                report = driver.fail_internal(op.site, op.tier)
-            else:
-                report = driver.fail_site(op.site)
-        elif op.kind == "inject_duplicate":
-            report = driver.inject_duplicate(op.member)
-        elif op.kind == "inject_stale":
-            report = driver.inject_stale(op.member)
-        else:
-            raise ValueError(f"unknown workload op kind {op.kind!r}")
-        if report.applied:
-            applied += 1
-    return applied
+            raise ValueError(f"unknown script event kind {kind!r}")
+        replayed += 1
+    return replayed
 
 
 def run_ablation_cell(
@@ -608,26 +275,23 @@ def run_ablation_cell(
     Unlike the harness path, changes apply *sequentially* (each propagates to
     quiescence before the next), so per-change hop/message/round costs are
     well-defined and directly comparable across protocols.  ``script``
-    replays a recorded fault script instead of regenerating the workload;
-    compiling the cell's spec fresh produces the identical op list, which is
-    what makes recorded scripts replay to bit-identical records.
+    replays a recorded fault script instead of compiling the cell's spec;
+    both are the same events, which is what makes recorded scripts replay
+    to bit-identical records.
     """
     if events < 1:
         raise ValueError(f"events must be >= 1, got {events}")
     with _gc_paused():
         build_start = time.perf_counter()
         driver = build_protocol(cell.protocol, cell.num_proxies, loss=cell.loss, seed=cell.seed)
-        if script is not None:
-            ops = script_to_ops(script, driver.sites)
-            ops.sort(key=lambda op: op.time)
-        else:
-            ops = ablation_workload(cell, events, driver.sites)
+        if script is None:
+            script = cell.script(events)
         # Wall time measures the replay only: construction cost (hierarchy /
         # tree build) would otherwise drown 24 changes at 10k proxies and the
         # column would compare setup, not protocol cost.
         start = time.perf_counter()
         build_seconds = start - build_start
-        replay_workload(driver, ops)
+        replayed = replay_workload(driver, script.events)
         agreement = driver.global_agreement()
         wall = time.perf_counter() - start
     totals = driver.totals
@@ -637,7 +301,7 @@ def run_ablation_cell(
         {
             "wall_seconds": wall,
             "build_seconds": build_seconds,
-            "workload_events": float(len(ops)),
+            "workload_events": float(replayed),
             "converged": 1.0 if agreement else 0.0,
             "ring_agreement": 1.0 if agreement else 0.0,
             "membership": float(len(driver.members())),
@@ -663,7 +327,7 @@ def run_ablation_cell(
         cell=cell,
         record=record,
         wall_seconds=wall,
-        workload_events=len(ops),
+        workload_events=replayed,
         dispatched_events=(
             driver.harness.engine.dispatched_events if cell.protocol == "rgb" else totals.messages
         ),
@@ -687,36 +351,28 @@ def run_matrix_cell(
 ) -> CellResult:
     """Run one matrix cell.
 
-    ``rgb`` cells drive the full event-driven harness (the original matrix
-    semantics); baseline-protocol cells replay the same seeded workload
+    ``rgb`` cells schedule the cell's compiled script on the full
+    event-driven harness; baseline-protocol cells replay the same script
     through the :class:`repro.baselines.driver.MembershipProtocol` seam.
     With ``snapshot`` the harness rehydrates a pre-built topology instead of
     rebuilding it; the cell's record is bit-identical either way.  With
-    ``script`` a recorded fault script is replayed instead of regenerating
-    the scenario's workload.
+    ``script`` a recorded fault script is replayed instead of compiling the
+    cell's spec.  Partition probes in the script land in the record as
+    ``partitions_split`` (the first) and ``partitions_healed`` (the last).
     """
     if cell.protocol != "rgb":
         return run_ablation_cell(cell, events=events, script=script)
     if events < 1:
         raise ValueError(f"events must be >= 1, got {events}")
-    definition = get_scenario(cell.scenario)
     with _gc_paused():
         start = time.perf_counter()
         harness = _build_harness(
             cell,
             trace_enabled=trace_enabled,
             snapshot=snapshot,
-            record_sends=definition.record_sends,
+            record_sends=get_family(cell.scenario).record_sends,
         )
-        partition_counts: List[int] = []
-        if script is not None:
-            scheduled = schedule_script(harness, script)
-        else:
-            outcome_sched = definition.schedule(harness, cell, events)
-            if isinstance(outcome_sched, tuple):
-                scheduled, partition_counts = outcome_sched
-            else:
-                scheduled = int(outcome_sched)
+        scheduled = schedule_script(harness, script if script is not None else cell.script(events))
         outcome = harness.run()
         wall = time.perf_counter() - start
 
@@ -727,9 +383,10 @@ def run_matrix_cell(
         "converged": 1.0 if outcome.converged else 0.0,
         "ring_agreement": 1.0 if outcome.ring_agreement else 0.0,
     }
-    if partition_counts:
-        extra_values["partitions_split"] = float(partition_counts[0])
-        extra_values["partitions_healed"] = float(partition_counts[-1])
+    probes = harness.partition_probes
+    if probes:
+        extra_values["partitions_split"] = float(probes[0])
+        extra_values["partitions_healed"] = float(probes[-1])
     record = harness.run_record(
         f"matrix.{cell.scenario}",
         extra_values=extra_values,
@@ -757,8 +414,10 @@ def replay_script(
     scheduled verbatim — no family RNG stream is touched — and the resulting
     :class:`repro.sim.stats.RunRecord` is bit-identical to the run that
     produced the script (``repro.workloads.parallel.record_fingerprint``
-    pins this).
+    pins this).  Events are range-checked against the script's topology
+    first (:meth:`FaultScript.validate`).
     """
+    script.validate()
     source = ScenarioSpec.from_json(script.provenance["spec"])
     cell = MatrixCell(
         scenario=source.family,
@@ -870,8 +529,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--losses", type=float, nargs="+", default=list(LOSS_RATES))
     parser.add_argument(
         "--scenarios", nargs="+", default=list(SCENARIOS),
-        help=f"scenarios to run (legacy: {', '.join(SCENARIOS)}; "
-        "plus any registered adversarial family — see scenario_names())",
+        help=f"scenario families to run (default: {', '.join(SCENARIOS)}; "
+        "any family of `python -m repro.workloads.spec --list`)",
     )
     parser.add_argument(
         "--protocols", nargs="+", default=["rgb"], choices=PROTOCOLS,

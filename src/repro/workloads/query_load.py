@@ -176,12 +176,8 @@ def run_serving_cell(
     """
     from time import perf_counter
 
-    from repro.workloads.matrix import (
-        MatrixCell,
-        _build_harness,
-        _gc_paused,
-        _schedule_churn,
-    )
+    from repro.workloads.matrix import MatrixCell, _build_harness, _gc_paused
+    from repro.workloads.spec import schedule_script
 
     cell = MatrixCell(
         scenario="churn", num_proxies=num_proxies, loss=0.0, seed=seed, backend=backend
@@ -192,7 +188,7 @@ def run_serving_cell(
     with _gc_paused():
         build_start = perf_counter()
         harness = _build_harness(cell)
-        _schedule_churn(harness, cell, events)
+        schedule_script(harness, cell.script(events))
         build_seconds = perf_counter() - build_start
         result = run_query_load(harness, load)
     result["num_proxies"] = num_proxies

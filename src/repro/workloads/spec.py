@@ -1,6 +1,6 @@
 """Declarative scenario specs compiled to replayable fault scripts.
 
-A :class:`ScenarioSpec` describes one adversarial scenario as *plain data*:
+A :class:`ScenarioSpec` describes one scenario as *plain data*:
 the topology shape (a proxy count resolving to the paper's regular ``r**h``
 hierarchy), a master seed, a loss rate, a size knob and a family-specific
 parameter dict.  An ordered **pass pipeline** (:data:`PASS_PIPELINE`,
@@ -14,11 +14,11 @@ so a recorded script replays bit-identically (the STS model: fault scripts
 are reconstructable artifacts, not side effects).
 
 Scenario families (:mod:`repro.workloads.families`) subclass
-:class:`ScenarioFamily` and register themselves; the scenario matrix
-(:mod:`repro.workloads.matrix`) exposes every registered family as a matrix
-scenario, runnable through the event-driven RGB harness *and* — via the
-protocol-neutral op replay — through every baseline behind the
-:class:`repro.baselines.driver.MembershipProtocol` seam.
+:class:`ScenarioFamily` and register themselves; every scenario of the matrix
+(:mod:`repro.workloads.matrix`) is a registered family, runnable through the
+event-driven RGB harness (:func:`schedule_script`) *and* — via
+:func:`repro.workloads.matrix.replay_workload` — through every baseline
+behind the :class:`repro.baselines.driver.MembershipProtocol` seam.
 
 Script events reference capture sites **by index** into the run's site list,
 never by name, so one compiled script replays across protocols whose sites
@@ -55,6 +55,8 @@ from repro.sim.rng import RandomStreams
 #: ``site`` — only hierarchical protocols can honour it); ``inject_duplicate``
 #: and ``inject_stale`` re-deliver a member's recorded propagation message at
 #: the dispatch seam (most recent / original message respectively).
+#: ``probe_partitions`` is an observation, not an event: the harness records
+#: its partition count at that instant and the baselines skip it.
 EVENT_KINDS: Tuple[str, ...] = (
     "join",
     "leave",
@@ -64,6 +66,7 @@ EVENT_KINDS: Tuple[str, ...] = (
     "disconnect",
     "inject_duplicate",
     "inject_stale",
+    "probe_partitions",
 )
 
 _SCRIPT_VERSION = 1
@@ -97,7 +100,7 @@ class ScriptEvent:
             raise SpecError(f"event time must be finite and >= 0, got {self.time}")
         if self.tier < 1:
             raise SpecError(f"event tier must be >= 1, got {self.tier}")
-        if self.kind in ("join", "handoff") and self.site < 0:
+        if self.kind in ("join", "handoff", "crash", "disconnect") and self.site < 0:
             raise SpecError(f"{self.kind} event needs a site index")
         if self.kind in ("join", "leave", "failure", "handoff") and not self.member:
             raise SpecError(f"{self.kind} event needs a member id")
@@ -166,7 +169,17 @@ class FaultScript:
         return cls(
             events=tuple(ScriptEvent.from_json(e) for e in data["events"]),
             provenance=dict(data.get("provenance", {})),
-        )
+        ).validate()
+
+    def validate(self) -> "FaultScript":
+        """Range-check every event against the provenance's topology (the
+        compiler's own finalize check); returns ``self``."""
+        try:
+            _, height = ring_shape_for_proxies(self.num_proxies)
+        except ValueError as exc:
+            raise SpecError(f"fault script has no valid topology: {exc}") from None
+        _check_ranges(self.events, self.num_proxies, height)
+        return self
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
@@ -191,7 +204,7 @@ def _plain(value: object) -> object:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One adversarial scenario as plain JSON-serialisable data."""
+    """One scenario as plain JSON-serialisable data."""
 
     family: str
     num_proxies: int = 16
@@ -238,7 +251,7 @@ class ScenarioSpec:
 
 
 class ScenarioFamily:
-    """Base class for adversarial scenario families.
+    """Base class for scenario families.
 
     A family contributes events to the compile context in up to three passes
     (workload, faults, injections); each hook is optional.  All randomness
@@ -382,18 +395,22 @@ def _injection_pass(ctx: CompileContext) -> None:
     ctx.family.build_injections(ctx)
 
 
-def _finalize_pass(ctx: CompileContext) -> None:
-    for event in ctx.events:
-        if event.site >= ctx.num_sites:
+def _check_ranges(events: Sequence[ScriptEvent], num_sites: int, height: int) -> None:
+    for event in events:
+        if event.site >= num_sites:
             raise SpecError(
                 f"event {event} references site {event.site} "
-                f"but the topology has {ctx.num_sites} sites"
+                f"but the topology has {num_sites} sites"
             )
-        if event.kind == "crash" and event.tier > ctx.height:
+        if event.kind == "crash" and event.tier > height:
             raise SpecError(
                 f"event {event} targets tier {event.tier} "
-                f"but the hierarchy has height {ctx.height}"
+                f"but the hierarchy has height {height}"
             )
+
+
+def _finalize_pass(ctx: CompileContext) -> None:
+    _check_ranges(ctx.events, ctx.num_sites, ctx.height)
     # Stable sort: ties keep emission order, so the compile is deterministic
     # and the fault ordering a family chose at one instant survives.
     ctx.events.sort(key=lambda e: e.time)
@@ -445,7 +462,9 @@ def schedule_script(harness, script: FaultScript) -> int:
 
     Site indices bind to ``harness.access_proxies()`` (index order); ``crash``
     events with ``tier > 1`` resolve to the tier-``t`` ancestor of the AP at
-    the event's site index.  Returns the number of scheduled events.
+    the event's site index; ``probe_partitions`` appends the partition count
+    at its instant to ``harness.partition_probes``.  Returns the number of
+    scheduled workload and fault events (probes are not counted).
     """
     from repro.sim.faults import FaultPlan
 
@@ -476,6 +495,9 @@ def schedule_script(harness, script: FaultScript) -> int:
             harness.schedule_injection(event.time, "duplicate", event.member)
         elif event.kind == "inject_stale":
             harness.schedule_injection(event.time, "stale", event.member)
+        elif event.kind == "probe_partitions":
+            harness.schedule_partition_probe(event.time)
+            continue
         else:  # pragma: no cover - ScriptEvent validates kinds
             raise SpecError(f"unknown script event kind {event.kind!r}")
         count += 1
@@ -489,7 +511,7 @@ def schedule_script(harness, script: FaultScript) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Compile declarative adversarial scenarios to replayable fault scripts"
+        description="Compile declarative scenarios to replayable fault scripts"
     )
     parser.add_argument("--list", action="store_true", help="list registered families")
     parser.add_argument("--family", type=str, default=None, help="family to compile")

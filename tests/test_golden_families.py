@@ -1,8 +1,8 @@
 """Golden cross-protocol traces for the adversarial scenario families.
 
 One small seeded cell of each family (16 proxies, seed 0) compiles to a
-single fault script that replays — verbatim, through the protocol-neutral op
-list — across all four protocols behind the ``MembershipProtocol`` seam.
+single fault script whose events replay verbatim (``replay_workload``)
+across all four protocols behind the ``MembershipProtocol`` seam.
 The per-protocol cost/membership values and the cross-protocol conformance
 verdicts are canonicalised against ``tests/golden/families_small.json``.
 Regenerate after an intentional change::
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
 from repro.baselines.driver import PROTOCOL_NAMES, build_protocol
-from repro.workloads.matrix import replay_workload, script_to_ops
+from repro.workloads.matrix import replay_workload
 from repro.workloads.spec import ScenarioSpec, compile_spec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -46,9 +46,7 @@ def _replay(family: str, protocol: str) -> Tuple[Dict[str, float], Set[str]]:
         ScenarioSpec(family=family, num_proxies=16, loss=0.0, seed=0, events=12)
     ).script
     driver = build_protocol(protocol, 16, loss=0.0, seed=0)
-    ops = script_to_ops(script, driver.sites)
-    ops.sort(key=lambda op: op.time)
-    replay_workload(driver, ops)
+    replay_workload(driver, script.events)
     values = {key: round(float(v), 6) for key, v in driver.totals.as_values().items()}
     values["converged"] = 1.0 if driver.global_agreement() else 0.0
     values["membership"] = float(len(driver.members()))

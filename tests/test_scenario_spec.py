@@ -11,25 +11,34 @@ The contracts under test (``repro.workloads.spec``):
   (``--jobs 4``): replaying consumes only event data, never a family RNG
   stream.
 * **Diagnosability.**  Unknown families and unknown family params fail at
-  compile time with errors that *list* the valid choices.
+  compile time with errors that *list* the valid choices, and a script read
+  from disk is range-checked against its topology before it runs.
+
+Every matrix scenario is a family, so each property covers all eight.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis_profiles import examples
 
+from repro.baselines.driver import build_protocol, ring_shape_for_proxies
+from repro.sim.harness import HarnessConfig, ScenarioHarness
+from repro.workloads.families.handoff_storm import block_neighbor_map
 from repro.workloads.matrix import (
+    SCENARIOS,
     MatrixCell,
-    get_scenario,
     replay_script,
+    replay_workload,
     run_matrix_cell,
-    scenario_names,
 )
 from repro.workloads.parallel import result_fingerprint, run_cells
 from repro.workloads.spec import (
@@ -43,11 +52,19 @@ from repro.workloads.spec import (
     available_families,
     compile_spec,
     main as spec_main,
+    schedule_script,
 )
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-FAMILIES = ("flash_crowd", "correlated_failure", "diurnal_mobility", "replay_injection")
+FAMILIES = available_families()
+#: The matrix's original families run the generators they always ran, which
+#: draw from these substreams of ``RandomStreams(seed)`` themselves.
+GENERATOR_STREAMS = {
+    "churn": "churn",
+    "handoff_storm": "handoff-storm",
+    "mobility_trace": "mobility.matrix",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +122,10 @@ def test_compile_is_deterministic_and_time_sorted(family, seed):
     assert a.to_json() == b.to_json()
     times = [event.time for event in a.events]
     assert times == sorted(times)
-    # Every stream the family drew from is recorded, namespaced to it.
+    # Every stream the family drew from is recorded, namespaced to it (or
+    # the generator's own substream).
     for name in a.provenance["streams"]:
-        assert name.startswith(f"family.{family}.")
+        assert name.startswith(f"family.{family}.") or name == GENERATOR_STREAMS.get(family)
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +148,16 @@ class TestValidation:
         assert "fraction" in str(err.value)
 
     def test_matrix_unknown_scenario_lists_available(self):
-        with pytest.raises(ValueError) as err:
-            get_scenario("nope")
+        with pytest.raises(SpecError) as err:
+            MatrixCell(scenario="nope", num_proxies=16, loss=0.0)
         assert "churn" in str(err.value)
         assert "flash_crowd" in str(err.value)
 
     def test_families_registered_as_matrix_scenarios(self):
-        names = scenario_names()
+        assert len(FAMILIES) == 8
+        assert set(SCENARIOS) < set(FAMILIES)
         for family in FAMILIES:
-            assert family in names
-        assert set(available_families()) == set(FAMILIES)
+            assert MatrixCell(scenario=family, num_proxies=16, loss=0.0).scenario == family
 
     def test_event_validation(self):
         with pytest.raises(SpecError):
@@ -152,6 +170,15 @@ class TestValidation:
             ScriptEvent(time=1.0, kind="leave")  # no member
         with pytest.raises(SpecError):
             ScriptEvent(time=1.0, kind="crash", site=0, tier=0)
+        for kind in ("crash", "disconnect"):
+            with pytest.raises(SpecError, match="site"):
+                ScriptEvent(time=1.0, kind=kind)  # no site: would hit aps[-1]
+        with pytest.raises(SpecError, match="site"):
+            ScriptEvent.from_json({"time": 5, "kind": "crash"})
+        assert ScriptEvent(time=1.0, kind="probe_partitions").to_json() == {
+            "time": 1.0,
+            "kind": "probe_partitions",
+        }
 
     def test_finalize_rejects_out_of_range_site_and_tier(self):
         class Rogue(ScenarioFamily):
@@ -178,6 +205,28 @@ class TestValidation:
         rogue.build_workload(ctx)
         with pytest.raises(SpecError, match="tier"):
             PASS_PIPELINE[-1][1](ctx)
+
+    @pytest.mark.parametrize(
+        "event, match",
+        [
+            ({"time": 5.0, "kind": "join", "member": "m", "site": 99}, "site"),
+            ({"time": 5.0, "kind": "crash", "site": 0, "tier": 7}, "tier"),
+            ({"time": 5.0, "kind": "crash"}, "site"),
+        ],
+    )
+    def test_script_from_disk_is_range_checked(self, event, match):
+        script = compile_spec(ScenarioSpec(family="flash_crowd", num_proxies=16)).script
+        data = script.to_json()
+        data["events"].append(event)
+        with pytest.raises(SpecError, match=match):
+            FaultScript.from_json(data)
+        if "site" in event:  # a well-formed event, out of range for 16 proxies
+            rogue = FaultScript(
+                events=script.events + (ScriptEvent.from_json(event),),
+                provenance=script.provenance,
+            )
+            with pytest.raises(SpecError, match=match):
+                replay_script(rogue)
 
     def test_script_version_gate(self):
         script = compile_spec(ScenarioSpec(family="flash_crowd", num_proxies=16)).script
@@ -264,3 +313,92 @@ class TestCli:
         assert spec_main(["--run", str(path), "--protocol", "gossip"]) == 0
         out = capsys.readouterr().out
         assert "flash_crowd/gossip" in out
+
+    def test_module_lists_every_family(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.workloads.spec", "--list"],
+            env={"PYTHONPATH": str(src), "PATH": ""},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert [line.split()[0] for line in out.splitlines()] == list(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_dumps_and_runs_to_its_cell_verdict(self, family, tmp_path, capsys):
+        path = tmp_path / f"{family}.script.json"
+        args = ["--family", family, "--proxies", "16", "--events", "12"]
+        assert spec_main(args + ["--out", str(path)]) == 0
+        cell = run_matrix_cell(MatrixCell(scenario=family, num_proxies=16, loss=0.0), events=12)
+        verdict = 0 if (cell.converged and cell.ring_agreement) else 1
+        assert spec_main(["--run", str(path)]) == verdict
+        assert f"{family}/rgb" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the matrix's original four, as families
+# ---------------------------------------------------------------------------
+
+
+def _harness(proxies: int) -> ScenarioHarness:
+    ring_size, height = ring_shape_for_proxies(proxies)
+    return ScenarioHarness(HarnessConfig(ring_size=ring_size, height=height))
+
+
+@pytest.mark.parametrize("proxies", (16, 27, 64))
+def test_block_neighbor_map_is_the_harness_ring_map_by_index(proxies):
+    harness = _harness(proxies)
+    aps = harness.access_proxies()
+    # HandoffStorm sorts proxies: index sites must sort like the AP names.
+    assert aps == sorted(aps)
+    index = {ap: i for i, ap in enumerate(aps)}
+    by_index = {
+        index[ap]: [index[peer] for peer in peers]
+        for ap, peers in harness.ring_neighbor_map().items()
+    }
+    assert by_index == block_neighbor_map(proxies, ring_shape_for_proxies(proxies)[0])
+
+
+@pytest.mark.parametrize("proxies, victims", [(8, [0]), (16, [0, 2]), (27, [0])])
+def test_partition_merge_victims_agree_across_replays(proxies, victims, monkeypatch):
+    """Two non-adjacent victims only when the *ring* has >= 4 members, for
+    the harness schedule and the baseline replay alike."""
+    script = MatrixCell(scenario="partition_merge", num_proxies=proxies, loss=0.0).script(24)
+    harness = _harness(proxies)
+    aps = harness.access_proxies()
+    disconnected = []
+    monkeypatch.setattr(
+        harness,
+        "schedule_fault_plan",
+        lambda plan: disconnected.extend(aps.index(e.target) for e in plan.events),
+    )
+    schedule_script(harness, script)
+    ring = [member.value for member in harness.hierarchy.bottom_rings()[0].members]
+    assert [aps[i] for i in disconnected] == [ring[i] for i in victims]
+
+    driver = build_protocol("gossip", proxies)
+    crashed = []
+    fail_site = driver.fail_site
+    monkeypatch.setattr(
+        driver, "fail_site", lambda site: crashed.append(driver.sites.index(site)) or fail_site(site)
+    )
+    replay_workload(driver, script.events)
+    assert disconnected == crashed == victims
+
+
+def test_partition_probes_are_neither_workload_nor_skipped_events():
+    cell = MatrixCell(scenario="partition_merge", num_proxies=16, loss=0.0)
+    script = cell.script(24)
+    probes = [e for e in script.events if e.kind == "probe_partitions"]
+    assert len(probes) == 2
+    harness = _harness(16)
+    assert schedule_script(harness, script) == len(script.events) - 2
+    harness.run()
+    assert harness.partition_probes == [2, 1]  # split into two arcs, then healed
+    baseline = run_matrix_cell(
+        MatrixCell(scenario="partition_merge", num_proxies=16, loss=0.0, protocol="gossip"),
+        events=24,
+    )
+    assert baseline.workload_events == len(script.events) - 2
+    assert baseline.record.value("skipped_events") == 0
