@@ -1,27 +1,10 @@
 """Scenario families (declarative, compiled by the spec pipeline).
 
 Importing this package registers every built-in family with
-:mod:`repro.workloads.spec`.  The matrix's original four:
-
-* :mod:`~repro.workloads.families.churn` — Poisson joins, leaves and member
-  failures at random proxies;
-* :mod:`~repro.workloads.families.handoff_storm` — a burst of mostly
-  ring-local handoffs over an attached population;
-* :mod:`~repro.workloads.families.partition_merge` — transient
-  disconnections split a bottom ring, which then heals;
-* :mod:`~repro.workloads.families.mobility_trace` — hosts attach, hand off
-  and detach over time;
-
-and the adversarial four:
-
-* :mod:`~repro.workloads.families.flash_crowd` — a burst of joins worth ~10%
-  of the proxy count lands in one region within seconds;
-* :mod:`~repro.workloads.families.correlated_failure` — a branch router's
-  whole subtree dies top-down, killing many rings at once;
-* :mod:`~repro.workloads.families.diurnal_mobility` — sinusoidal arrivals
-  with heavy-tailed (Pareto) session lengths and local handoffs;
-* :mod:`~repro.workloads.families.replay_injection` — duplicate and stale
-  message replay at the dispatch seam.
+:mod:`repro.workloads.spec`: the matrix's original ``churn``,
+``handoff_storm``, ``partition_merge`` and ``mobility_trace``, and the
+adversarial ``flash_crowd``, ``correlated_failure``, ``diurnal_mobility``
+and ``replay_injection``.  Each module's docstring describes its scenario.
 
 Each family contributes *events*, never harness code: the compiled
 :class:`repro.workloads.spec.FaultScript` replays identically through the
@@ -29,22 +12,14 @@ event-driven RGB harness and — via :func:`repro.workloads.matrix.replay_worklo
 — through every baseline protocol driver.
 """
 
-from repro.workloads.families.churn import ChurnFamily
-from repro.workloads.families.correlated_failure import CorrelatedFailureFamily
-from repro.workloads.families.diurnal_mobility import DiurnalMobilityFamily
-from repro.workloads.families.flash_crowd import FlashCrowdFamily
-from repro.workloads.families.handoff_storm import HandoffStormFamily
-from repro.workloads.families.mobility_trace import MobilityTraceFamily
-from repro.workloads.families.partition_merge import PartitionMergeFamily
-from repro.workloads.families.replay_injection import ReplayInjectionFamily
-
-__all__ = [
-    "ChurnFamily",
-    "CorrelatedFailureFamily",
-    "DiurnalMobilityFamily",
-    "FlashCrowdFamily",
-    "HandoffStormFamily",
-    "MobilityTraceFamily",
-    "PartitionMergeFamily",
-    "ReplayInjectionFamily",
-]
+# Each module registers its family on import.
+from repro.workloads.families import (  # noqa: F401
+    churn,
+    correlated_failure,
+    diurnal_mobility,
+    flash_crowd,
+    handoff_storm,
+    mobility_trace,
+    partition_merge,
+    replay_injection,
+)

@@ -279,8 +279,6 @@ def run_ablation_cell(
     both are the same events, which is what makes recorded scripts replay
     to bit-identical records.
     """
-    if events < 1:
-        raise ValueError(f"events must be >= 1, got {events}")
     with _gc_paused():
         build_start = time.perf_counter()
         driver = build_protocol(cell.protocol, cell.num_proxies, loss=cell.loss, seed=cell.seed)
@@ -362,8 +360,6 @@ def run_matrix_cell(
     """
     if cell.protocol != "rgb":
         return run_ablation_cell(cell, events=events, script=script)
-    if events < 1:
-        raise ValueError(f"events must be >= 1, got {events}")
     with _gc_paused():
         start = time.perf_counter()
         harness = _build_harness(

@@ -174,7 +174,7 @@ class TestValidation:
             with pytest.raises(SpecError, match="site"):
                 ScriptEvent(time=1.0, kind=kind)  # no site: would hit aps[-1]
         with pytest.raises(SpecError, match="site"):
-            ScriptEvent.from_json({"time": 5, "kind": "crash"})
+            ScriptEvent.from_json({"time": 5, "kind": "crash"})  # from a script on disk
         assert ScriptEvent(time=1.0, kind="probe_partitions").to_json() == {
             "time": 1.0,
             "kind": "probe_partitions",
@@ -206,21 +206,17 @@ class TestValidation:
         with pytest.raises(SpecError, match="tier"):
             PASS_PIPELINE[-1][1](ctx)
 
-    @pytest.mark.parametrize(
-        "event, match",
-        [
+        # A script read from disk, or handed to replay_script, gets the same
+        # range checks before anything is scheduled.
+        script = compile_spec(ScenarioSpec(family="flash_crowd", num_proxies=16)).script
+        for event, match in (
             ({"time": 5.0, "kind": "join", "member": "m", "site": 99}, "site"),
             ({"time": 5.0, "kind": "crash", "site": 0, "tier": 7}, "tier"),
-            ({"time": 5.0, "kind": "crash"}, "site"),
-        ],
-    )
-    def test_script_from_disk_is_range_checked(self, event, match):
-        script = compile_spec(ScenarioSpec(family="flash_crowd", num_proxies=16)).script
-        data = script.to_json()
-        data["events"].append(event)
-        with pytest.raises(SpecError, match=match):
-            FaultScript.from_json(data)
-        if "site" in event:  # a well-formed event, out of range for 16 proxies
+        ):
+            data = script.to_json()
+            data["events"].append(event)
+            with pytest.raises(SpecError, match=match):
+                FaultScript.from_json(data)
             rogue = FaultScript(
                 events=script.events + (ScriptEvent.from_json(event),),
                 provenance=script.provenance,
