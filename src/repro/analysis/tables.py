@@ -161,7 +161,8 @@ def render_family_head_to_head(records: Sequence["RunRecord"]) -> str:
         if len(memberships) > 1:
             lines.append(
                 "  membership DISAGREE across protocols — see the pinned "
-                "conformance verdicts in tests/golden/families_small.json"
+                "conformance verdicts in tests/golden/ (families_small.json, "
+                "ablation_small.json)"
             )
     return "\n".join(lines)
 

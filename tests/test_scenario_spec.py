@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,8 +125,11 @@ def test_compile_is_deterministic_and_time_sorted(family, seed):
     assert times == sorted(times)
     # Every stream the family drew from is recorded, namespaced to it (or
     # the generator's own substream).
-    for name in a.provenance["streams"]:
-        assert name.startswith(f"family.{family}.") or name == GENERATOR_STREAMS.get(family)
+    if family in GENERATOR_STREAMS:
+        assert a.provenance["streams"] == [GENERATOR_STREAMS[family]]
+    else:
+        for name in a.provenance["streams"]:
+            assert name.startswith(f"family.{family}.")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,7 @@ class TestCli:
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
             [sys.executable, "-m", "repro.workloads.spec", "--list"],
-            env={"PYTHONPATH": str(src), "PATH": ""},
+            env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True,
             text=True,
             check=True,
