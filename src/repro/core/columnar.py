@@ -7,26 +7,22 @@ million proxies the propagation of a small join burst spends ~95% of its
 time discovering, one identifier-keyed dict probe at a time, that there is
 nothing to do.  This module assigns every proxy a **dense integer index**
 (rings in hierarchy iteration order, members ring-contiguous within each
-ring) and keeps the hot per-proxy/per-ring state in numpy arrays owned by
-:class:`ColumnarStore`:
+ring) and keeps the hot per-proxy/per-ring state in plain int/bool lists
+owned by :class:`ColumnarStore`:
 
 ``ring_start``
     CSR offsets: ring ``r`` owns dense node indices
     ``ring_start[r]:ring_start[r+1]`` (ring-contiguous layout, so a ring's
     circulation order is one contiguous index range).
-``node_ring`` / ``node_pos``
-    Per-node ring index and position within the ring's circulation order.
 ``alive`` / ``ring_dead``
     Per-node liveness flags and the per-ring dead-member counts they roll
     up to.
-``ring_applied_max``
-    Per-ring applied-sequence high-water mark (columnar mirror of the
-    per-GUID ``ring_applied_seq`` maps, maintained by the fast round).
-``ring_tier`` / ``ring_parent_ring`` / ``ring_leader_pos`` /
-``ring_child_total`` / ``ring_version0``
-    Structural columns: tier, parent-ring index (-1 at the top), leader
-    position in circulation order, number of child rings bridged by the
-    ring's members, and each ring's mutation counter at store build time.
+``ring_tier`` / ``ring_parent_ring`` / ``ring_parent_pos`` /
+``ring_leader_pos`` / ``ring_child_total`` / ``ring_version0``
+    Structural columns: tier, parent-ring index (-1 at the top) and the
+    parent's position in it, leader position in circulation order, number
+    of child rings bridged by the ring's members, and each ring's mutation
+    counter at store build time.
 ``ring_has_state``
     Conservative per-ring flag: True once a ring may hold membership-view
     state (see :class:`ColumnarKernel`).
@@ -35,11 +31,13 @@ ring) and keeps the hot per-proxy/per-ring state in numpy arrays owned by
     with the kernel's ``_ring_holder`` pointer by the fast round (and
     re-derived whenever an object-path round moved the pointer behind the
     column's back).
+``ring_work_hint`` / ``ring_hint_wired``
+    Per-ring queued-work hint and whether the ring's dirty marker feeds it.
 
-Coverage checks are vectorised: a batch's covered-ring set is computed by
-sweeping the ``ring_parent_ring`` column from the operations' access-proxy
-ring indices to the root (one gather per tier, all operations at once)
-instead of climbing dict chains per entry per visit.
+A batch's covered-ring set is computed once per distinct batch (and
+memoised) by climbing ``ring_parent_ring`` from each operation's access-proxy
+ring, stopping at the first ring already covered, instead of climbing dict
+chains per entry per visit.
 
 :class:`ColumnarKernel` subclasses :class:`TokenRoundKernel` and keeps
 **all** protocol state (queues, seen-sets, applied maps, counters, holder
@@ -51,8 +49,8 @@ change any membership view:
   happened (``structure_dirty``);
 * the ring's shape is unchanged (``version`` matches ``ring_version0``)
   and none of its members has failed (``ring_dead == 0``);
-* every drained operation is a member operation whose coverage chain —
-  computed by the vectorised parent sweep — does not include this ring;
+* every drained operation is a member operation whose coverage chain does
+  not include this ring;
 * the ring has never held membership-view state (``ring_has_state``).
 
 Under those conditions the object kernel's per-visit delta application is a
@@ -78,11 +76,8 @@ should use the object backend.
 
 from __future__ import annotations
 
-import io
-import warnings
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import accumulate
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.entity import NetworkEntityState
 from repro.core.hierarchy import RingHierarchy, paused_gc
@@ -90,11 +85,11 @@ from repro.core.identifiers import NodeId, coerce_node
 from repro.core.kernel import (
     DirectDispatch,
     PropagationReport,
+    ProtocolError,
     RoundResult,
     TokenRoundKernel,
     _RingDirtyMarker,
 )
-from repro.core.message_queue import QueuedMessage
 
 __all__ = ["ColumnarStore", "ColumnarKernel"]
 
@@ -102,10 +97,9 @@ __all__ = ["ColumnarStore", "ColumnarKernel"]
 class ColumnarStore:
     """Dense-index struct-of-arrays view of a :class:`RingHierarchy`.
 
-    Built once per kernel (or rehydrated from a topology snapshot's shipped
-    arrays); the structural columns describe the hierarchy *at build time*
-    and every consumer gates on ``structure_dirty`` / per-ring versions
-    before trusting them.
+    Built once per kernel; the structural columns describe the hierarchy
+    *at build time* and every consumer gates on ``structure_dirty`` /
+    per-ring versions before trusting them.
     """
 
     __slots__ = (
@@ -118,42 +112,29 @@ class ColumnarStore:
         "ring_leader_pos",
         "ring_version0",
         "ring_child_total",
-        "ring_version0_i",
-        "ring_leader_pos_i",
-        "ring_child_total_i",
-        "ring_parent_ring_i",
-        "ring_parent_pos_i",
-        "ring_start_i",
-        "ring_tier_i",
         "ring_dead",
         "ring_has_state",
-        "ring_applied_max",
         "ring_holder_pos",
         "ring_work_hint",
         "ring_hint_wired",
-        "node_ring",
-        "node_pos",
         "alive",
-        "alive_i",
         "bottom_tier",
         "structure_dirty",
-        "rebuilt_from_mismatch",
     )
 
     def __init__(
         self,
         ring_ids: List[str],
-        ring_start: np.ndarray,
-        ring_tier: np.ndarray,
-        ring_parent_ring: np.ndarray,
-        ring_parent_pos: np.ndarray,
-        ring_leader_pos: np.ndarray,
-        ring_version0: np.ndarray,
-        ring_child_total: np.ndarray,
+        ring_start: List[int],
+        ring_tier: List[int],
+        ring_parent_ring: List[int],
+        ring_parent_pos: List[int],
+        ring_leader_pos: List[int],
+        ring_version0: List[int],
+        ring_child_total: List[int],
         bottom_tier: int,
     ) -> None:
         ring_count = len(ring_ids)
-        node_count = int(ring_start[-1]) if ring_count else 0
         self.ring_ids = ring_ids
         # dict(zip(...)) runs the insert loop in C (same trick as the ring's
         # position index).
@@ -166,25 +147,8 @@ class ColumnarStore:
         self.ring_version0 = ring_version0
         self.ring_child_total = ring_child_total
         self.bottom_tier = bottom_tier
-        # Scalar mirrors of the structural columns.  The fast round reads
-        # these once per ring per round; a numpy scalar index boxes a new
-        # array scalar (~10x a list index), so the per-round gates go
-        # through plain int lists while the arrays stay canonical for the
-        # vectorised sweeps and the snapshot payload.
-        self.ring_version0_i = ring_version0.tolist()
-        self.ring_leader_pos_i = ring_leader_pos.tolist()
-        self.ring_child_total_i = ring_child_total.tolist()
-        self.ring_parent_ring_i = ring_parent_ring.tolist()
-        self.ring_parent_pos_i = ring_parent_pos.tolist()
-        self.ring_start_i = ring_start.tolist()
-        self.ring_tier_i = ring_tier.tolist()
-        # Mutable per-ring / per-node hot state.  The per-ring columns are
-        # written every round (holder position, applied high-water), so they
-        # live as plain int lists for the same boxing reason; the per-node
-        # columns stay numpy (bulk-built, rarely written).
         self.ring_dead = [0] * ring_count
         self.ring_has_state = [False] * ring_count
-        self.ring_applied_max = [0] * ring_count
         self.ring_holder_pos = [-1] * ring_count
         # Per-ring queued-work hint: -2 = unknown (scan the row), -1 = no
         # member holds queued work, p >= 0 = *only* position p may hold
@@ -194,25 +158,8 @@ class ColumnarStore:
         # to -2, so a "no work" claim can never go stale-low.
         self.ring_work_hint = [-2] * ring_count
         self.ring_hint_wired = [False] * ring_count
-        counts = np.diff(ring_start) if ring_count else np.zeros(0, dtype=np.int64)
-        self.node_ring = np.repeat(np.arange(ring_count, dtype=np.int32), counts)
-        self.node_pos = (
-            np.arange(node_count, dtype=np.int32)
-            - np.repeat(ring_start[:-1], counts).astype(np.int32)
-            if ring_count
-            else np.zeros(0, dtype=np.int32)
-        )
-        self.alive = np.ones(node_count, dtype=np.bool_)
-        # List mirror of ``alive``: the dense forward path reads one flag
-        # per candidate target and a numpy scalar read would dominate it.
-        self.alive_i = [True] * node_count
+        self.alive = [True] * ring_start[-1]
         self.structure_dirty = False
-        # True when a shipped snapshot payload failed shape validation and
-        # the store was rebuilt from the hierarchy instead (observable via
-        # the ``harness.columnar_snapshot_rebuilt`` metric on the kernel).
-        self.rebuilt_from_mismatch = False
-
-    # -- construction -------------------------------------------------------
 
     @classmethod
     def from_hierarchy(cls, hierarchy: RingHierarchy) -> "ColumnarStore":
@@ -221,27 +168,11 @@ class ColumnarStore:
         ring_ids = list(rings.keys())
         ring_count = len(ring_ids)
         ring_values = list(rings.values())
-        counts = np.fromiter(
-            (len(r.members) for r in ring_values), dtype=np.int64, count=ring_count
-        )
-        ring_start = np.zeros(ring_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=ring_start[1:])
-        ring_tier = np.fromiter(
-            (r.tier for r in ring_values), dtype=np.int32, count=ring_count
-        )
-        ring_version0 = np.fromiter(
-            (r.version for r in ring_values), dtype=np.int64, count=ring_count
-        )
-        ring_leader_pos = np.fromiter(
-            (_leader_position(r) for r in ring_values),
-            dtype=np.int32,
-            count=ring_count,
-        )
         ring_index = dict(zip(ring_ids, range(ring_count)))
         parent_node = hierarchy.parent_node
         ring_of_node = hierarchy.ring_of_node
-        ring_parent_ring = np.full(ring_count, -1, dtype=np.int64)
-        ring_parent_pos = np.full(ring_count, -1, dtype=np.int32)
+        ring_parent_ring = [-1] * ring_count
+        ring_parent_pos = [-1] * ring_count
         for r, ring_id in enumerate(ring_ids):
             parent = parent_node.get(ring_id)
             if parent is None:
@@ -258,157 +189,43 @@ class ColumnarStore:
                     )
                 except ValueError:
                     pass
-        ring_child_total = np.zeros(ring_count, dtype=np.int64)
+        ring_child_total = [0] * ring_count
         for node, child_ring_ids in hierarchy.child_rings.items():
-            node_ring_id = ring_of_node.get(node)
-            if node_ring_id is None:
+            owner_ring_id = ring_of_node.get(node)
+            if owner_ring_id is None:
                 continue
-            ring_child_total[ring_index[node_ring_id]] += len(child_ring_ids)
+            ring_child_total[ring_index[owner_ring_id]] += len(child_ring_ids)
         return cls(
             ring_ids,
-            ring_start,
-            ring_tier,
+            list(accumulate((len(r.members) for r in ring_values), initial=0)),
+            [r.tier for r in ring_values],
             ring_parent_ring,
             ring_parent_pos,
-            ring_leader_pos,
-            ring_version0,
+            [_leader_position(r) for r in ring_values],
+            [r.version for r in ring_values],
             ring_child_total,
             hierarchy.bottom_tier() if ring_count else 0,
         )
 
-    # -- snapshot transport -------------------------------------------------
-
-    def to_payload(self) -> bytes:
-        """Serialise the structural columns (npz, no pickle)."""
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            ring_start=self.ring_start,
-            ring_tier=self.ring_tier,
-            ring_parent_ring=self.ring_parent_ring,
-            ring_parent_pos=self.ring_parent_pos,
-            ring_leader_pos=self.ring_leader_pos,
-            ring_version0=self.ring_version0,
-            ring_child_total=self.ring_child_total,
-            bottom_tier=np.asarray([self.bottom_tier], dtype=np.int64),
-        )
-        return buffer.getvalue()
-
-    @classmethod
-    def from_payload(cls, hierarchy: RingHierarchy, payload: bytes) -> "ColumnarStore":
-        """Rehydrate from shipped arrays; ring ids come from the hierarchy.
-
-        Falls back to :meth:`from_hierarchy` when the arrays do not match
-        the hierarchy's shape (a snapshot/hierarchy pairing bug would
-        otherwise corrupt the fast path silently).  The fallback is loud:
-        it emits a :class:`RuntimeWarning` and flags the returned store
-        (``rebuilt_from_mismatch``) so the kernel can surface a metric — a
-        stale pairing costs every cell its fast path, which used to happen
-        with zero signal.
-        """
-        with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-            ring_start = arrays["ring_start"]
-            ring_tier = arrays["ring_tier"]
-            ring_parent_ring = arrays["ring_parent_ring"]
-            ring_parent_pos = arrays["ring_parent_pos"]
-            ring_leader_pos = arrays["ring_leader_pos"]
-            ring_version0 = arrays["ring_version0"]
-            ring_child_total = arrays["ring_child_total"]
-            bottom_tier = int(arrays["bottom_tier"][0])
-        rings = hierarchy.rings
-        ring_ids = list(rings.keys())
-        if len(ring_ids) != len(ring_tier) or int(ring_start[-1]) != sum(
-            len(r.members) for r in rings.values()
-        ):
-            warnings.warn(
-                "columnar snapshot payload does not match the hierarchy shape "
-                f"(payload: {len(ring_tier)} rings / {int(ring_start[-1])} nodes, "
-                f"hierarchy: {len(ring_ids)} rings / "
-                f"{sum(len(r.members) for r in rings.values())} nodes); "
-                "rebuilding the store from the hierarchy — the snapshot "
-                "pairing is stale and the shipped arrays were discarded",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            store = cls.from_hierarchy(hierarchy)
-            store.rebuilt_from_mismatch = True
-            return store
-        return cls(
-            ring_ids,
-            ring_start,
-            ring_tier,
-            ring_parent_ring,
-            ring_parent_pos,
-            ring_leader_pos,
-            ring_version0,
-            ring_child_total,
-            bottom_tier,
-        )
-
-    # -- vectorised sweeps --------------------------------------------------
-
-    def covered_ring_indices(self, ap_ring_indices: Sequence[int]) -> FrozenSet[int]:
+    def covered_ring_indices(self, ap_ring_indices: Iterable[int]) -> FrozenSet[int]:
         """Ring indices covering any of the given (bottom-tier) AP rings.
 
-        Vectorised ancestor sweep: one ``ring_parent_ring`` gather per tier
-        moves *all* chains up one level at once.  Matches
-        ``TokenRoundKernel.ring_covers`` on an unmodified hierarchy: a
-        non-bottom start ring covers nothing, chains include the start ring
-        itself and stop at the root.
+        Matches ``TokenRoundKernel.ring_covers`` on an unmodified hierarchy:
+        a non-bottom start ring covers nothing, chains include the start
+        ring itself and stop at the root.  Each climb stops at the first
+        ring an earlier chain already covered (its ancestors are in too).
         """
-        if not ap_ring_indices:
-            return frozenset()
-        current = np.unique(np.asarray(ap_ring_indices, dtype=np.int64))
-        current = current[self.ring_tier[current] == self.bottom_tier]
-        levels: List[np.ndarray] = []
-        while current.size:
-            levels.append(current)
-            current = self.ring_parent_ring[current]
-            current = np.unique(current[current >= 0])
-        if not levels:
-            return frozenset()
-        return frozenset(np.concatenate(levels).tolist())
-
-    def tier_ring_indices(self, tier: int) -> np.ndarray:
-        """Store-order indices of every ring in ``tier`` (vectorised).
-
-        Store order follows hierarchy iteration order, which for regular
-        hierarchies is also lexicographic ring-id order — the same fan-out
-        order the object query path derives from ``rings_in_tier``.  Only
-        valid while ``structure_dirty`` is False; the serving layer gates on
-        that before trusting the structural columns.
-        """
-        return np.nonzero(self.ring_tier == tier)[0]
-
-    def tier_leader_rows(self, tier: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(ring indices, dense leader rows) for every led ring of ``tier``.
-
-        The snapshot export hook for the serving layer: one boolean sweep
-        over the structural columns yields the leader row of every ring in
-        the tier (rings without a leader are dropped), so a fan-out query
-        can gather all leader views without touching ring objects.
-        """
-        rings = self.tier_ring_indices(tier)
-        leader_pos = self.ring_leader_pos[rings]
-        led = leader_pos >= 0
-        rings = rings[led]
-        rows = self.ring_start[rings] + leader_pos[led]
-        return rings, rows
-
-    def dead_ring_count(self) -> int:
-        """Rings with at least one failed member (diagnostics)."""
-        return sum(1 for dead in self.ring_dead if dead)
-
-    def summary(self) -> Dict[str, int]:
-        """Cheap structural summary for tests and diagnostics."""
-        return {
-            "rings": len(self.ring_ids),
-            "nodes": int(self.alive.shape[0]),
-            "bottom_rings": int(np.count_nonzero(self.ring_tier == self.bottom_tier)),
-            "rings_with_state": sum(1 for flag in self.ring_has_state if flag),
-            "dead_nodes": int(np.count_nonzero(~self.alive)),
-            "applied_max": max(self.ring_applied_max, default=0),
-        }
+        covered = set()
+        parent = self.ring_parent_ring
+        tier = self.ring_tier
+        bottom = self.bottom_tier
+        for r in ap_ring_indices:
+            if tier[r] != bottom:
+                continue
+            while r >= 0 and r not in covered:
+                covered.add(r)
+                r = parent[r]
+        return frozenset(covered)
 
 
 def _leader_position(ring) -> int:
@@ -434,23 +251,17 @@ class ColumnarKernel(TokenRoundKernel):
     the module docstring for the fast-path gates.
     """
 
-    def __init__(self, *args, store_payload: Optional[bytes] = None, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         with paused_gc():
-            if store_payload is not None:
-                self._store = ColumnarStore.from_payload(self.hierarchy, store_payload)
-                if self._store.rebuilt_from_mismatch:
-                    self.metrics.counter("harness.columnar_snapshot_rebuilt").increment()
-            else:
-                self._store = ColumnarStore.from_hierarchy(self.hierarchy)
+            self._store = ColumnarStore.from_hierarchy(self.hierarchy)
             self._ring_rows = self._build_entity_rows()
             self._parent_plan, self._child_plan = self._build_forward_plans()
-            # Ring objects in store order (ring ids always come from the
-            # hierarchy's iteration order, payload path included).  Ring
-            # objects are identity-stable after construction — the rings
-            # dict is only assigned during hierarchy building — so the fast
-            # paths can reach ``version``/``members`` by dense index
-            # instead of probing the million-entry rings dict per round.
+            # Ring objects in store order.  Ring objects are identity-stable
+            # after construction — the rings dict is only assigned during
+            # hierarchy building — so the fast paths can reach
+            # ``version``/``members`` by dense index instead of probing the
+            # million-entry rings dict per round.
             self._ring_objs = list(self.hierarchy.rings.values())
             self._wire_work_hints()
         #: Covered-ring sets per drained batch, keyed by the operations'
@@ -491,8 +302,7 @@ class ColumnarKernel(TokenRoundKernel):
         """Per-ring ``(ring, leader entity)`` pairs for ``tier``, ring-id order.
 
         The serving layer's leader-row gather: ring selection and leader
-        rows come from one vectorised sweep over the structural columns
-        (:meth:`ColumnarStore.tier_leader_rows`) and each leader entity is
+        positions come from the structural columns and each leader entity is
         reached positionally through the dense per-ring rows — no rings-dict
         scan, no identifier-keyed entity probes.  Returns ``None`` whenever
         the columns cannot be trusted (hierarchy surgery happened, or a ring
@@ -502,17 +312,22 @@ class ColumnarKernel(TokenRoundKernel):
         store = self._store
         if store.structure_dirty:
             return None
-        rings_idx, rows = store.tier_leader_rows(tier)
         ring_objs = self._ring_objs
         entity_rows = self._ring_rows
         ring_ids = store.ring_ids
-        ring_start = store.ring_start_i
+        led = [
+            (r, pos)
+            for r, (ring_tier, pos) in enumerate(
+                zip(store.ring_tier, store.ring_leader_pos)
+            )
+            if ring_tier == tier and pos >= 0
+        ]
         out = []
-        for r, row in zip(rings_idx.tolist(), rows.tolist()):
+        for r, pos in led:
             entities = entity_rows[r]
             if entities is None:
                 return None
-            out.append((ring_ids[r], ring_objs[r], entities[row - ring_start[r]]))
+            out.append((ring_ids[r], ring_objs[r], entities[pos]))
         out.sort(key=lambda item: item[0])
         return [(ring, entity) for _, ring, entity in out]
 
@@ -599,8 +414,11 @@ class ColumnarKernel(TokenRoundKernel):
         structure the build-time wiring is authoritative and the fast round
         can forward by (ring index, position) without identifier-keyed dict
         probes.  Each plan entry is validated against the live entity
-        pointers at build time; anything that does not line up stays
-        ``None`` and falls back to the generic forward.
+        pointers at build time.  A ring whose leader has a parent but no
+        valid parent plan, or whose members bridge child rings without a
+        valid child plan, is marked ``ring_has_state``: every
+        operation-carrying round there then takes the object path, so the
+        fast round only ever forwards through a plan.
 
         Returns ``(parent_plan, child_plan)``:
 
@@ -617,7 +435,7 @@ class ColumnarKernel(TokenRoundKernel):
         rings = self.hierarchy.rings
         ring_of_node = self.hierarchy.ring_of_node
         ring_index = store.ring_index
-        ring_start = store.ring_start_i
+        ring_start = store.ring_start
         ring_count = len(store.ring_ids)
         parent_plan: List[Optional[Tuple[int, int, int]]] = [None] * ring_count
         child_plan: List[Optional[List[Tuple]]] = [None] * ring_count
@@ -625,18 +443,19 @@ class ColumnarKernel(TokenRoundKernel):
             row = rows[r]
             if row is None:
                 continue
-            lp = store.ring_leader_pos_i[r]
-            pidx = store.ring_parent_ring_i[r]
-            ppos = store.ring_parent_pos_i[r]
-            if lp >= 0 and pidx >= 0 and ppos >= 0:
-                prow = rows[pidx]
+            lp = store.ring_leader_pos[r]
+            pidx = store.ring_parent_ring[r]
+            ppos = store.ring_parent_pos[r]
+            parent = row[lp].parent if lp >= 0 else None
+            if parent is not None:
+                prow = rows[pidx] if pidx >= 0 and ppos >= 0 else None
                 if prow is not None and ppos < len(prow):
-                    leader_entity = row[lp]
                     target = prow[ppos].current
-                    parent = leader_entity.parent
-                    if parent is not None and (parent is target or parent == target):
+                    if parent is target or parent == target:
                         parent_plan[r] = (pidx, ppos, ring_start[pidx] + ppos)
-            if not store.ring_child_total_i[r]:
+                if parent_plan[r] is None:
+                    store.ring_has_state[r] = True
+            if not store.ring_child_total[r]:
                 continue
             plan: List[Tuple] = []
             ok = True
@@ -668,6 +487,8 @@ class ColumnarKernel(TokenRoundKernel):
                 plan.append(tuple(triples))
             if ok:
                 child_plan[r] = plan
+            else:
+                store.ring_has_state[r] = True
         return parent_plan, child_plan
 
     # -- state tracking overrides ------------------------------------------
@@ -687,14 +508,12 @@ class ColumnarKernel(TokenRoundKernel):
             return
         store.ring_dead[ring_idx] += 1
         ring = self.hierarchy.rings[ring_id]
-        if ring.version == store.ring_version0_i[ring_idx]:
+        if ring.version == store.ring_version0[ring_idx]:
             try:
                 pos = ring.members.index(key)
             except ValueError:
                 return
-            dense = store.ring_start_i[ring_idx] + pos
-            store.alive[dense] = False
-            store.alive_i[dense] = False
+            store.alive[store.ring_start[ring_idx] + pos] = False
 
     def invalidate_coverage(self) -> None:
         # Hierarchy surgery: the structural columns no longer describe the
@@ -745,86 +564,13 @@ class ColumnarKernel(TokenRoundKernel):
         self._batch_cover[key] = covered
         return covered
 
-    def _fast_forward(
-        self, sender: NodeId, target: NodeId, operations, now, seq_key=None
-    ) -> int:
-        """``forward_notification`` for the proven-no-op round.
-
-        Identical filtering and delivery; the crashed-target repair path
-        delegates to the inherited implementation.
-        """
-        target_entity = self.entities.get(target)
-        if target_entity is None:
-            return 0
-        failed = self.failed
-        if failed and target in failed:
-            return self.forward_notification(sender, target, operations, now)
-        target_ring_id = self.hierarchy.ring_of_node.get(target)
-        if target_ring_id is None:
-            return 0
-        if target_ring_id not in self.hierarchy.rings:
-            raise KeyError(target_ring_id)
-        if seq_key is not None and (target_ring_id, seq_key) in self._fully_seen:
-            return 0
-        seen = self.ring_seen[target_ring_id]
-        applied = self.ring_applied_seq.get(target_ring_id)
-        if applied:
-            # Inlined stale_for (one Python call per op adds up at scale).
-            applied_get = applied.get
-            fresh = []
-            for op in operations:
-                sequence = op.sequence
-                if sequence in seen:
-                    continue
-                member = op.member
-                if member is not None and sequence <= applied_get(member.guid.value, 0):
-                    continue
-                fresh.append(op)
-        else:
-            fresh = [op for op in operations if op.sequence not in seen]
-        if not fresh:
-            if seq_key is not None:
-                self._fully_seen.add((target_ring_id, seq_key))
-            return 0
-        for op in fresh:
-            seen.add(op.sequence)
-        if self._direct_dispatch:
-            # Inlined DirectDispatch.deliver_notification.  When the queue
-            # has standard kernel wiring, also inline the no-pending-entry
-            # insert case: the dirty-marking hook is an idempotent set add
-            # (one call covers the batch) and a member op whose aggregation
-            # key is absent is stored as-is, so the queue state is identical
-            # to per-op ``insert`` calls.  Any op with a pending entry — and
-            # any non-standard queue — goes through the real insert path.
-            target_mq = target_entity.mq
-            hook = target_mq.on_enqueue
-            if target_mq.aggregate and type(hook) is _RingDirtyMarker:
-                entries_map = target_mq._store()
-                hook()
-                for op in fresh:
-                    key = op.member.guid.value
-                    if key in entries_map:
-                        target_mq.insert(op, sender=sender, now=now)
-                    else:
-                        target_mq.total_enqueued += 1
-                        entries_map[key] = QueuedMessage(
-                            operation=op, sender=sender, enqueued_at=now
-                        )
-            else:
-                for op in fresh:
-                    target_mq.insert(op, sender=sender, now=now)
-        else:
-            self.dispatch.deliver_notification(self, sender, target, fresh, now)
-        self._c_notifications.increment()
-        return 1
-
     def _dense_forward(
         self, sender: NodeId, target_idx: int, target_pos: int, operations, now, seq_key
     ) -> int:
-        """``_fast_forward`` addressed by (ring index, position).
+        """``forward_notification`` addressed by (ring index, position).
 
         Callers resolve the target through a build-time forward plan and
-        check liveness through ``alive_i`` first, so the per-forward work
+        check liveness through ``alive`` first, so the per-forward work
         collapses to the seen/applied filter and the queue insert — no
         entity, ring or seen-set lookups through identifier-keyed maps.
         Only valid under a clean structure (plan wiring == live wiring).
@@ -844,6 +590,7 @@ class ColumnarKernel(TokenRoundKernel):
             if applied is not None:
                 self._applied_rows[target_idx] = applied
         if applied:
+            # Inlined stale_for (one Python call per op adds up at scale).
             applied_get = applied.get
             fresh = []
             for op in operations:
@@ -863,37 +610,24 @@ class ColumnarKernel(TokenRoundKernel):
             seen.add(op.sequence)
         target_entity = self._ring_rows[target_idx][target_pos]
         if self._direct_dispatch:
-            # Same inlined delivery as ``_fast_forward``.
+            # Inlined DirectDispatch.deliver_notification plus a work-hint
+            # refinement: every insert's hook degrades the target ring's
+            # hint to -2 ("unknown"); when the pre-insert hint proved no
+            # *other* position held work (-1, or already this position) the
+            # post-insert state is known precisely, so the target ring's
+            # next round can skip its holder scan entirely.
             target_mq = target_entity.mq
             hook = target_mq.on_enqueue
-            if target_mq.aggregate and type(hook) is _RingDirtyMarker:
-                # Work-hint refinement: the hook degrades the target ring's
-                # hint to -2 ("unknown"); when the pre-insert hint proved no
-                # *other* position held work (-1, or already this position)
-                # the post-insert state is known precisely, so the target
-                # ring's next round can skip its holder scan entirely.
-                hints = hook._hints
-                old_hint = (
-                    hints[target_idx]
-                    if hints is not None and hook._hint_idx == target_idx
-                    else -2
-                )
-                entries_map = target_mq._store()
-                hook()
-                for op in fresh:
-                    key = op.member.guid.value
-                    if key in entries_map:
-                        target_mq.insert(op, sender=sender, now=now)
-                    else:
-                        target_mq.total_enqueued += 1
-                        entries_map[key] = QueuedMessage(
-                            operation=op, sender=sender, enqueued_at=now
-                        )
-                if old_hint == -1 or old_hint == target_pos:
-                    hints[target_idx] = target_pos if entries_map else -1
-            else:
-                for op in fresh:
-                    target_mq.insert(op, sender=sender, now=now)
+            hints = (
+                hook._hints
+                if type(hook) is _RingDirtyMarker and hook._hint_idx == target_idx
+                else None
+            )
+            old_hint = hints[target_idx] if hints is not None else -2
+            for op in fresh:
+                target_mq.insert(op, sender=sender, now=now)
+            if old_hint == -1 or old_hint == target_pos:
+                hints[target_idx] = target_pos if target_mq._entries else -1
         else:
             self.dispatch.deliver_notification(
                 self, sender, target_entity.current, fresh, now
@@ -909,7 +643,7 @@ class ColumnarKernel(TokenRoundKernel):
             return super().pending_rings()
         return [ring_id for _, ring_id, _ in self._pending_pairs()]
 
-    def _pending_pairs(self) -> List[Tuple[int, str, int]]:
+    def _pending_pairs(self) -> List[Tuple[int, str, Optional[int]]]:
         """Verified pending candidates as ``(tier, ring_id, ring_idx)``.
 
         Same dirty-set verification and cleanup as the object kernel's
@@ -931,51 +665,37 @@ class ColumnarKernel(TokenRoundKernel):
         dirty = self._dirty_rings
         if not dirty:
             return []
-        pending: List[Tuple[int, str, int]] = []
+        pending: List[Tuple[int, str, Optional[int]]] = []
         clean: List[str] = []
-        failed = self.failed
-        entities = self.entities
+        rings = self.hierarchy.rings
         ring_index = store.ring_index
         ring_dead = store.ring_dead
-        ring_tier = store.ring_tier_i
+        ring_tier = store.ring_tier
         hints = store.ring_work_hint
         wired = store.ring_hint_wired
         rows = self._ring_rows
         for ring_id in dirty:
             ring_idx = ring_index.get(ring_id)
-            has_work = False
-            tier = 0
-            if ring_idx is not None:
+            row = rows[ring_idx] if ring_idx is not None else None
+            if row is not None and not ring_dead[ring_idx]:
                 tier = ring_tier[ring_idx]
-                row = rows[ring_idx]
-                if row is not None and not ring_dead[ring_idx]:
-                    hint = hints[ring_idx]
-                    if hint >= 0:
-                        has_work = True
-                    elif hint == -2:
-                        # No failed member: scan the dense row positionally.
-                        for entity in row:
-                            if entity.mq_live and entity.mq._entries:
-                                has_work = True
-                                break
-                        else:
-                            if wired[ring_idx]:
-                                hints[ring_idx] = -1
-                    # hint == -1: provably no queued work, zero probes.
-                else:
-                    ring = self._ring_objs[ring_idx]
-                    for node in ring.members:
-                        if node not in failed and entities[node].has_queued_work():
+                hint = hints[ring_idx]
+                # hint == -1: provably no queued work, zero probes.
+                has_work = hint >= 0
+                if hint == -2:
+                    # No failed member: scan the dense row positionally.
+                    for entity in row:
+                        if entity.mq_live and entity.mq._entries:
                             has_work = True
                             break
+                    else:
+                        if wired[ring_idx]:
+                            hints[ring_idx] = -1
             else:
-                ring = self.hierarchy.rings.get(ring_id)
-                if ring is not None:
-                    tier = ring.tier
-                    for node in ring.members:
-                        if node not in failed and entities[node].has_queued_work():
-                            has_work = True
-                            break
+                # No usable row (missing entities or a failed member).
+                ring = rings.get(ring_id)
+                has_work = ring is not None and self._ring_has_work(ring)
+                tier = ring.tier if has_work else 0
             if has_work:
                 pending.append((tier, ring_id, ring_idx))
             else:
@@ -992,10 +712,8 @@ class ColumnarKernel(TokenRoundKernel):
         report = PropagationReport()
         rounds_append = report.rounds.append
         run_round = self.run_round
-        failed = self.failed
-        entities = self.entities
         ring_dead = store.ring_dead
-        ring_version0 = store.ring_version0_i
+        ring_version0 = store.ring_version0
         rows = self._ring_rows
         ring_objs = self._ring_objs
         hierarchy_ring = self.hierarchy.ring
@@ -1007,41 +725,27 @@ class ColumnarKernel(TokenRoundKernel):
         # doubles large-scale propagate time.
         with paused_gc():
             for _ in range(max_iterations):
-                if (
-                    not self._fast_enabled
-                    or store.structure_dirty
-                    or self.trace.enabled
+                if self._fast_enabled and not (
+                    store.structure_dirty or self.trace.enabled
                 ):
-                    # Generic sweep: identical to the object kernel's loop
-                    # (``pending_rings`` delegates to the object scan too).
-                    pending = self.pending_rings()
-                    if not pending:
-                        return report
-                    for ring_id in pending:
-                        ring = hierarchy_ring(ring_id)
-                        if all(node in failed for node in ring.members):
-                            continue
-                        if not any(
-                            node not in failed and entities[node].has_queued_work()
-                            for node in ring.members
-                        ):
-                            continue
-                        rounds_append(run_round(ring_id, now=now))
-                    continue
-                pairs = self._pending_pairs()
+                    pairs = self._pending_pairs()
+                else:
+                    # The object kernel's sweep: no store index, so every
+                    # candidate takes the generic arm below.
+                    pairs = [(0, ring_id, None) for ring_id in super().pending_rings()]
                 if not pairs:
                     return report
                 for _tier, ring_id, ring_idx in pairs:
                     # Identical sweep semantics to the object kernel, which
                     # re-checks each pending ring for queued work before its
                     # round.  That re-check can fail even under a clean
-                    # structure: ``_pending_pairs`` verified work at sweep
-                    # start, but a round in another ring may since have
-                    # forwarded a leave that MQ aggregation cancelled against
-                    # the queued join.  ``_fused_round`` folds the re-check
-                    # into its holder pick and returns None for an idle
-                    # ring.  Any repair path that could rewire state sets
-                    # ``structure_dirty``, which is re-read here per ring.
+                    # structure: the sweep verified work at its start, but a
+                    # round in another ring may since have forwarded a leave
+                    # that MQ aggregation cancelled against the queued join.
+                    # ``_fused_round`` folds the re-check into its holder pick
+                    # and returns None for an idle ring.  Any repair path
+                    # that could rewire state sets ``structure_dirty``, which
+                    # is re-read here per ring.
                     row = rows[ring_idx] if ring_idx is not None else None
                     if (
                         row is not None
@@ -1056,17 +760,8 @@ class ColumnarKernel(TokenRoundKernel):
                             if result is not None:
                                 rounds_append(result)
                             continue
-                    ring = hierarchy_ring(ring_id)
-                    if all(node in failed for node in ring.members):
-                        continue
-                    if not any(
-                        node not in failed and entities[node].has_queued_work()
-                        for node in ring.members
-                    ):
-                        continue
-                    rounds_append(run_round(ring_id, now=now))
-        from repro.core.kernel import ProtocolError
-
+                    if self._ring_has_work(hierarchy_ring(ring_id)):
+                        rounds_append(run_round(ring_id, now=now))
         raise ProtocolError(
             f"propagation did not converge within {max_iterations} iterations"
         )
@@ -1099,11 +794,11 @@ class ColumnarKernel(TokenRoundKernel):
         if (
             size == 0
             or row is None
-            or ring.version != store.ring_version0_i[ring_idx]
+            or ring.version != store.ring_version0[ring_idx]
             or store.ring_dead[ring_idx]
         ):
             return self._object_round(ring_idx, ring_id, holder, now)
-        leader_pos = store.ring_leader_pos_i[ring_idx]
+        leader_pos = store.ring_leader_pos[ring_idx]
         if leader_pos >= 0:
             leader = members[leader_pos]
             if leader is not ring.leader and leader != ring.leader:
@@ -1226,17 +921,12 @@ class ColumnarKernel(TokenRoundKernel):
             applied = self.ring_applied_seq.setdefault(ring_id, {})
             self._applied_rows[ring_idx] = applied
         applied_get = applied.get
-        max_sequence = 0
         for operation in operations:
             sequence = operation.sequence
             seen.add(sequence)
             guid = operation.member.guid.value
             if sequence > applied_get(guid, 0):
                 applied[guid] = sequence
-            if sequence > max_sequence:
-                max_sequence = sequence
-        if max_sequence > store.ring_applied_max[ring_idx]:
-            store.ring_applied_max[ring_idx] = max_sequence
 
         next(self._token_ids)  # same token-id stream as the object path
         order = members[holder_pos:] + members[:holder_pos]
@@ -1262,15 +952,17 @@ class ColumnarKernel(TokenRoundKernel):
         emit_token = dispatch.emits_token_messages
         failed = self.failed
         has_children = (
-            self._disseminate_downward and store.ring_child_total_i[ring_idx]
+            self._disseminate_downward and store.ring_child_total[ring_idx]
         )
         size = len(members)
         token_hops = size if size >= 2 else 0
         notify_hops = 0
         forwarded_up = False
-        forward = self._fast_forward
-        lp = store.ring_leader_pos_i[ring_idx]
+        lp = store.ring_leader_pos[ring_idx]
 
+        # Every forward below goes through a build-time plan: a ring whose
+        # plan failed validation is marked ``ring_has_state``, so its
+        # operation-carrying rounds never reach this point.
         if (operations or emit_token) and not emit_token and not has_children:
             # Childless ring, dispatch without token messages: the only
             # observable effect of the whole circulation is the leader's
@@ -1279,35 +971,28 @@ class ColumnarKernel(TokenRoundKernel):
             # probes: those flags only change through ``exclude_entity``
             # (structure goes dirty first), so under a clean structure the
             # build-time plan is the live wiring.
-            if lp >= 0:
-                pp = self._parent_plan[ring_idx]
-                if pp is not None:
-                    if store.alive_i[pp[2]]:
-                        # Inlined ``_dense_forward`` early-out: when the
-                        # parent ring already saw this whole batch the
-                        # forward filters to nothing, so skip the call.
-                        # This is every bottom ring's round after the
-                        # first sibling reported the batch back up.
-                        if (pp[0], seq_key) not in self._fully_seen:
-                            notify_hops += self._dense_forward(
-                                members[lp], pp[0], pp[1], operations, now, seq_key
-                            )
-                    else:
-                        # Crashed parent: the inherited repair hook.
-                        notify_hops += self.forward_notification(
-                            members[lp], row[lp].parent, operations, now
+            pp = self._parent_plan[ring_idx]
+            if pp is not None:
+                if store.alive[pp[2]]:
+                    # Inlined ``_dense_forward`` early-out: when the parent
+                    # ring already saw this whole batch the forward filters
+                    # to nothing, so skip the call.  This is every bottom
+                    # ring's round after the first sibling reported the
+                    # batch back up.
+                    if (pp[0], seq_key) not in self._fully_seen:
+                        notify_hops += self._dense_forward(
+                            members[lp], pp[0], pp[1], operations, now, seq_key
                         )
-                    forwarded_up = True
                 else:
-                    entity = row[lp]
-                    if entity.parent_ok and entity.parent is not None:
-                        notify_hops += forward(
-                            members[lp], entity.parent, operations, now, seq_key
-                        )
-                        forwarded_up = True
+                    # Crashed parent: the inherited repair hook.
+                    notify_hops += self.forward_notification(
+                        members[lp], row[lp].parent, operations, now
+                    )
+                forwarded_up = True
         elif operations or emit_token:
-            cplan = self._child_plan[ring_idx] if has_children else None
-            alive_i = store.alive_i
+            pp = self._parent_plan[ring_idx]
+            cplan = self._child_plan[ring_idx]
+            alive = store.alive
             dense = self._dense_forward
             previous_node = holder_id
             pos = holder_pos
@@ -1318,49 +1003,29 @@ class ColumnarKernel(TokenRoundKernel):
                     previous_node = node
                 if operations:
                     # Figure 3 lines 10-13: leader forwards to its parent.
-                    # (Plan-first: see the collapse branch for why a built
-                    # plan subsumes the ``parent_ok`` probes.)
-                    if pos == lp:
-                        pp = self._parent_plan[ring_idx]
-                        if pp is not None:
-                            if alive_i[pp[2]]:
-                                notify_hops += dense(
-                                    node, pp[0], pp[1], operations, now, seq_key
-                                )
-                            else:
-                                notify_hops += self.forward_notification(
-                                    node, row[pos].parent, operations, now
-                                )
-                            forwarded_up = True
+                    # (See the collapse branch for why a built plan
+                    # subsumes the ``parent_ok`` probes.)
+                    if pos == lp and pp is not None:
+                        if alive[pp[2]]:
+                            notify_hops += dense(
+                                node, pp[0], pp[1], operations, now, seq_key
+                            )
                         else:
-                            entity = row[pos]
-                            if entity.parent_ok and entity.parent is not None:
-                                notify_hops += forward(
-                                    node, entity.parent, operations, now, seq_key
-                                )
-                                forwarded_up = True
+                            notify_hops += self.forward_notification(
+                                node, row[pos].parent, operations, now
+                            )
+                        forwarded_up = True
                     # Figure 3 lines 14-16: notify child rings.  The
                     # child-total column keeps bottom rings (the vast
                     # majority) from ever probing the lazy children lists;
                     # the plan mirrors each member's children list (the
                     # object path skips crashed children without a forward).
                     if has_children:
-                        if cplan is not None:
-                            for cidx, cpos, cdense in cplan[pos]:
-                                if not alive_i[cdense]:
-                                    continue
+                        for cidx, cpos, cdense in cplan[pos]:
+                            if alive[cdense]:
                                 notify_hops += dense(
                                     node, cidx, cpos, operations, now, seq_key
                                 )
-                        else:
-                            entity = row[pos]
-                            if entity.children:
-                                for child in list(entity.children):
-                                    if child in failed:
-                                        continue
-                                    notify_hops += forward(
-                                        node, child, operations, now, seq_key
-                                    )
                 pos += 1
                 if pos >= size:
                     pos = 0

@@ -1385,6 +1385,15 @@ class TokenRoundKernel:
     # propagation to quiescence
     # ------------------------------------------------------------------
 
+    def _ring_has_work(self, ring: LogicalRing) -> bool:
+        """True when some operational member of ``ring`` has queued work."""
+        failed = self.failed
+        entities = self.entities
+        for node in ring.members:
+            if node not in failed and entities[node].has_queued_work():
+                return True
+        return False
+
     def pending_rings(self) -> List[str]:
         """Rings that currently have at least one queued operation.
 
@@ -1399,18 +1408,10 @@ class TokenRoundKernel:
             return []
         pending: List[str] = []
         clean: List[str] = []
-        failed = self.failed
-        entities = self.entities
         rings = self.hierarchy.rings
         for ring_id in dirty:
             ring = rings.get(ring_id)
-            has_work = False
-            if ring is not None:
-                for node in ring.members:
-                    if node not in failed and entities[node].has_queued_work():
-                        has_work = True
-                        break
-            if has_work:
+            if ring is not None and self._ring_has_work(ring):
                 pending.append(ring_id)
             else:
                 clean.append(ring_id)
@@ -1424,23 +1425,14 @@ class TokenRoundKernel:
     def propagate(self, now: float = 0.0, max_iterations: int = 10_000) -> PropagationReport:
         """Run token rounds until every message queue is empty."""
         report = PropagationReport()
-        failed = self.failed
-        entities = self.entities
         for _ in range(max_iterations):
             pending = self.pending_rings()
             if not pending:
                 return report
             for ring_id in pending:
-                ring = self.hierarchy.ring(ring_id)
-                if all(node in failed for node in ring.members):
-                    continue
                 # Skip if the work was consumed by an earlier round this sweep.
-                if not any(
-                    node not in failed and entities[node].has_queued_work()
-                    for node in ring.members
-                ):
-                    continue
-                report.rounds.append(self.run_round(ring_id, now=now))
+                if self._ring_has_work(self.hierarchy.ring(ring_id)):
+                    report.rounds.append(self.run_round(ring_id, now=now))
         raise ProtocolError(
             f"propagation did not converge within {max_iterations} iterations"
         )
@@ -1461,25 +1453,19 @@ def create_kernel(
     hierarchy: RingHierarchy,
     *,
     backend: str = "object",
-    store_payload: Optional[bytes] = None,
     **kwargs,
 ) -> TokenRoundKernel:
     """Construct a kernel for ``hierarchy`` with the selected backend.
 
-    ``store_payload`` (columnar only) is the serialised
-    :class:`repro.core.columnar.ColumnarStore` structural arrays shipped by
-    a topology snapshot, so rehydration skips re-deriving them from the
-    object graph.  All other keyword arguments pass straight through to the
-    kernel constructor.
+    Keyword arguments pass straight through to the kernel constructor.
     """
     if backend not in KERNEL_BACKENDS:
         raise ProtocolError(
             f"unknown kernel backend {backend!r}; expected one of {KERNEL_BACKENDS}"
         )
     if backend == "columnar":
-        # Imported lazily: the object backend must keep working on
-        # interpreters without numpy.
+        # Imported lazily: repro.core.columnar imports this module.
         from repro.core.columnar import ColumnarKernel
 
-        return ColumnarKernel(hierarchy, store_payload=store_payload, **kwargs)
+        return ColumnarKernel(hierarchy, **kwargs)
     return TokenRoundKernel(hierarchy, **kwargs)

@@ -4,10 +4,9 @@ The object query path (:mod:`repro.core.query`) derives a tier's fan-out
 set by scanning the full rings dict, filtering by tier and sorting by ring
 id — at 100k proxies that is a 10k-ring scan *per query*.  When the kernel
 is columnar and no hierarchy surgery has happened, the same set falls out of
-one vectorised sweep: ``ring_tier == tier`` selects the rings, the CSR
-offsets plus ``ring_leader_pos`` turn into dense leader rows, and each
-leader entity is gathered positionally (:meth:`ColumnarKernel.
-tier_leader_views`).  Store order is hierarchy build order, which for the
+one pass over the store's columns: ``ring_tier == tier`` selects the rings,
+``ring_leader_pos`` names each leader, and each leader entity is gathered
+positionally (:meth:`ColumnarKernel.tier_leader_views`).  Store order is hierarchy build order, which for the
 regular builds every benchmark uses matches the object path's ring-id sort —
 the gather re-sorts by ring id anyway, so the fan-out order (and therefore
 the last-writer-wins merge result and hop accounting) is identical by
@@ -15,7 +14,7 @@ construction, not by coincidence.
 
 Every helper returns the object-path derivation whenever the columns cannot
 be trusted (object backend, ``structure_dirty`` after surgery, misaligned
-entity rows) — the columnar sweep is an accelerator for the pinned
+entity rows) — the columnar pass is an accelerator for the pinned
 reference semantics, never a second source of truth.
 """
 
@@ -35,7 +34,7 @@ Fanout = Tuple[List[NodeId], List[object], List[MembershipView]]
 def tier_leader_fanout(kernel, hierarchy: RingHierarchy, tier: int) -> Fanout:
     """(leaders, rings, views) of ``tier`` in the object path's fan-out order.
 
-    Columnar sweep when the kernel supports it and its structural columns
+    Columnar pass when the kernel supports it and its structural columns
     are clean; hierarchy walk otherwise.  Both produce the same triple.
     """
     gather = getattr(kernel, "tier_leader_views", None)

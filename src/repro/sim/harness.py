@@ -110,8 +110,9 @@ class HarnessConfig:
         unless a scenario injects replays.
     backend:
         Kernel implementation (``"object"`` or ``"columnar"``); both produce
-        bit-identical protocol state, the columnar backend trades a denser
-        in-memory layout for large-scale propagation speed.
+        bit-identical protocol state.  The columnar backend adds dense
+        per-ring lists and a fast path for rounds that provably change no
+        membership view, which pays at large scale.
     """
 
     ring_size: int = 4
@@ -283,22 +284,14 @@ class TopologySnapshot:
     with the cell's latency model and all RNG draws happen after rehydration.
     Anything that changes the *built structure* (builder logic, ring layout)
     invalidates by construction: snapshots are process-local, never persisted
-    to disk, and rebuilt on first use by every new process.
-
-    ``columnar`` optionally ships the columnar backend's structural arrays
-    (``ColumnarStore.to_payload``), so a cell running ``backend="columnar"``
-    rehydrates the store straight from the arrays instead of re-deriving it
-    from rehydrated ring objects.  The store validates the arrays against
-    the hierarchy's shape on load and rebuilds on mismatch — loudly: the
-    rebuild emits a :class:`RuntimeWarning` and increments the kernel's
-    ``harness.columnar_snapshot_rebuilt`` metric, so a stale pairing costs
-    speed, never correctness, and never goes unnoticed.
+    to disk, and rebuilt on first use by every new process.  A cell on the
+    columnar backend builds its store from the rehydrated hierarchy, like a
+    fresh cell.
     """
 
     ring_size: int
     height: int
     payload: bytes
-    columnar: Optional[bytes] = None
 
 
 def build_topology_snapshot(ring_size: int, height: int) -> TopologySnapshot:
@@ -306,15 +299,7 @@ def build_topology_snapshot(ring_size: int, height: int) -> TopologySnapshot:
     with paused_gc():
         hierarchy = HierarchyBuilder("harness").regular(ring_size=ring_size, height=height)
         payload = pickle.dumps(hierarchy, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            from repro.core.columnar import ColumnarStore
-
-            columnar = ColumnarStore.from_hierarchy(hierarchy).to_payload()
-        except ImportError:  # pragma: no cover - numpy is a hard dep in CI
-            columnar = None
-    return TopologySnapshot(
-        ring_size=ring_size, height=height, payload=payload, columnar=columnar
-    )
+    return TopologySnapshot(ring_size=ring_size, height=height, payload=payload)
 
 
 def _build_harness_network(hierarchy: RingHierarchy, latency: LatencyModel) -> Network:
@@ -414,9 +399,6 @@ class ScenarioHarness:
         # the fully evented path inside the transport.
         self.transport.mark_fire_and_forget(MSG_TOKEN, MSG_HOLDER_ACK)
         self.dispatch = TransportDispatch(self)
-        kernel_kwargs = {}
-        if cfg.backend != "object" and snapshot is not None and snapshot.columnar:
-            kernel_kwargs["store_payload"] = snapshot.columnar
         self.kernel = create_kernel(
             self.hierarchy,
             backend=cfg.backend,
@@ -427,7 +409,6 @@ class ScenarioHarness:
             dispatch=self.dispatch,
             entities=states,
             entities_pristine=True,
-            **kernel_kwargs,
         )
         self.dispatch.bind(self.kernel)
         self.faults = FaultInjector(

@@ -18,10 +18,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis_profiles import examples
 
-from repro.core.columnar import ColumnarKernel, ColumnarStore
+from repro.core.columnar import ColumnarKernel
+from repro.core.config import SimulationConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.identifiers import clear_intern_tables
+from repro.core.kernel import create_kernel
 from repro.core.one_round import OneRoundEngine
+from repro.core.simulation import RGBSimulation
 from repro.sim.harness import HarnessConfig, ScenarioHarness, build_topology_snapshot
 from repro.workloads.matrix import MatrixCell, run_matrix_cell
 from repro.workloads.parallel import record_fingerprint, result_fingerprint, run_cells
@@ -35,11 +38,11 @@ LOSSES = (0.0, 0.01, 0.05)
 # ---------------------------------------------------------------------------
 
 
-def _engine_state(engine: OneRoundEngine, reports) -> dict:
-    """Everything observable about an engine run, in comparable form."""
-    kernel = engine.kernel
+def _engine_state(kernel, reports) -> dict:
+    """Everything observable about a kernel run, in comparable form."""
+    top_leader = kernel.entity(kernel.hierarchy.topmost_ring().leader)
     return {
-        "guids": sorted(engine.global_guids()),
+        "guids": sorted(str(m.guid) for m in top_leader.ring_members.members()),
         "rounds": [
             (
                 len(rep.rounds),
@@ -55,7 +58,7 @@ def _engine_state(engine: OneRoundEngine, reports) -> dict:
             )
             for rep in reports
         ],
-        "counters": {name: c.value for name, c in sorted(engine.metrics.counters.items())},
+        "counters": {name: c.value for name, c in sorted(kernel.metrics.counters.items())},
         "applied": {
             rid: dict(sorted(m.items()))
             for rid, m in sorted(kernel.ring_applied_seq.items())
@@ -71,7 +74,7 @@ def _engine_state(engine: OneRoundEngine, reports) -> dict:
                 if e.local_live
                 else None,
             )
-            for node, e in sorted(engine.entities.items(), key=lambda kv: str(kv[0]))
+            for node, e in sorted(kernel.entities.items(), key=lambda kv: str(kv[0]))
         },
     }
 
@@ -100,11 +103,27 @@ def _run_structural_workout(backend: str) -> dict:
     engine.member_join(aps[5], "guid-after-repair")
     engine.member_handoff("guid-late", aps[4], aps[0])
     reports.append(engine.propagate(now=3.0))
-    return _engine_state(engine, reports)
+    return _engine_state(engine.kernel, reports)
 
 
 def test_structural_workout_identical():
     assert _run_structural_workout("object") == _run_structural_workout("columnar")
+
+
+#: ``("regular", ring_size, height)``: ``HierarchyBuilder.regular`` shapes.
+REGULAR_SHAPES = [("regular", r, h) for r in (3, 4) for h in (2, 3)]
+#: ``("facade", num_aps, ring_size)``: the irregular three-tier hierarchies
+#: ``RGBSimulation`` builds through ``HierarchyBuilder.from_topology``
+#: (partly filled rings, rings of different sizes within one tier).
+FACADE_SHAPES = [("facade", 13, 3), ("facade", 25, 5), ("facade", 40, 4)]
+
+
+def _hierarchy(shape):
+    kind, a, b = shape
+    if kind == "regular":
+        return HierarchyBuilder().regular(ring_size=a, height=b)
+    config = SimulationConfig(num_aps=a, ring_size=b, hosts_per_ap=0)
+    return RGBSimulation(config).build().hierarchy
 
 
 @settings(
@@ -113,8 +132,7 @@ def test_structural_workout_identical():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    ring_size=st.sampled_from((3, 4)),
-    height=st.sampled_from((2, 3)),
+    shape=st.sampled_from(REGULAR_SHAPES + FACADE_SHAPES),
     trace=st.lists(
         st.tuples(
             st.sampled_from(("join", "leave", "failure", "handoff", "crash", "wave")),
@@ -126,18 +144,19 @@ def test_structural_workout_identical():
 )
 # One wave whose operations cancel in MQ aggregation: the parent ring's queue
 # empties after the sweep verified it, so the sweep must re-check for work.
-@example(ring_size=3, height=2, trace=[("join", 12), ("handoff", 28), ("leave", 0)])
 @example(
-    ring_size=3,
-    height=2,
+    shape=("regular", 3, 2), trace=[("join", 12), ("handoff", 28), ("leave", 0)]
+)
+@example(
+    shape=("regular", 3, 2),
     trace=[("join", 0), ("join", 463), ("leave", 0), ("handoff", 1155), ("leave", 0)],
 )
-def test_random_op_traces_identical(ring_size, height, trace):
+def test_random_op_traces_identical(shape, trace):
     """Random capture/failure traces produce identical state on both backends."""
 
     def run(backend: str) -> dict:
         clear_intern_tables()
-        hierarchy = HierarchyBuilder().regular(ring_size=ring_size, height=height)
+        hierarchy = _hierarchy(shape)
         engine = OneRoundEngine(hierarchy, backend=backend)
         aps = hierarchy.access_proxies()
         guids: list = []
@@ -182,9 +201,50 @@ def test_random_op_traces_identical(ring_size, height, trace):
             elif kind == "wave":
                 reports.append(engine.propagate())
         reports.append(engine.propagate())
-        return _engine_state(engine, reports)
+        return _engine_state(engine.kernel, reports)
 
     assert run("object") == run("columnar")
+
+
+def _run_decline_case(case: str, backend: str) -> dict:
+    """Joins and a leave from APs outside one tier-2 ring's subtree.
+
+    ``misrouted_parent``: that ring's leader points at a sibling of its
+    build-time parent, so the ring's parent forward plan fails validation.
+    ``reversed_entities``: the entity map arrives out of (ring, member)
+    order, so the dense entity rows come from per-node lookups.
+    """
+    clear_intern_tables()
+    hierarchy = HierarchyBuilder().regular(ring_size=3, height=3)
+    states = hierarchy.build_entity_states()
+    ring = next(r for r in hierarchy.rings.values() if r.tier == 2)
+    if case == "misrouted_parent":
+        leader = states[ring.leader]
+        leader.parent = next(
+            node for node in hierarchy.topmost_ring().members if node != leader.parent
+        )
+    else:
+        states = dict(reversed(list(states.items())))
+    kernel = create_kernel(hierarchy, backend=backend, entities=states)
+    if backend == "columnar" and case == "misrouted_parent":
+        store = kernel.store
+        assert store.ring_has_state[store.ring_index[ring.ring_id]]
+    subtree = {rid for node in ring.members for rid in hierarchy.child_rings.get(node, ())}
+    aps = [ap for ap in hierarchy.access_proxies() if hierarchy.ring_of_node[ap] not in subtree]
+    reports = []
+    for i, ap in enumerate(aps[:4]):
+        kernel.capture(ap, kernel.make_join_op(ap, f"m-{i}"), 0.0)
+    reports.append(kernel.propagate())
+    kernel.capture(aps[1], kernel.make_leave_op(aps[1], "m-1"), 1.0)
+    kernel.capture(aps[5], kernel.make_join_op(aps[5], "m-late"), 1.0)
+    reports.append(kernel.propagate(now=1.0))
+    return _engine_state(kernel, reports)
+
+
+@pytest.mark.parametrize("case", ["misrouted_parent", "reversed_entities"])
+def test_columnar_decline_paths_identical(case):
+    """Rings the fast path cannot plan for fall back without diverging."""
+    assert _run_decline_case(case, "object") == _run_decline_case(case, "columnar")
 
 
 # ---------------------------------------------------------------------------
@@ -242,76 +302,11 @@ def test_columnar_cells_shard_bit_identically():
 
 
 # ---------------------------------------------------------------------------
-# columnar store plumbing
+# snapshots and configuration
 # ---------------------------------------------------------------------------
 
 
-def test_store_payload_roundtrip():
-    hierarchy = HierarchyBuilder().regular(ring_size=4, height=3)
-    store = ColumnarStore.from_hierarchy(hierarchy)
-    clone = ColumnarStore.from_payload(hierarchy, store.to_payload())
-    assert clone.ring_ids == store.ring_ids
-    assert clone.ring_start_i == store.ring_start_i
-    assert clone.ring_tier.tolist() == store.ring_tier.tolist()
-    assert clone.ring_parent_ring_i == store.ring_parent_ring_i
-    assert clone.ring_parent_pos_i == store.ring_parent_pos_i
-    assert clone.ring_leader_pos_i == store.ring_leader_pos_i
-    assert clone.ring_version0_i == store.ring_version0_i
-    assert clone.ring_child_total_i == store.ring_child_total_i
-    assert clone.bottom_tier == store.bottom_tier
-
-
-def test_store_payload_shape_mismatch_warns_and_rebuilds():
-    small = HierarchyBuilder().regular(ring_size=3, height=2)
-    big = HierarchyBuilder().regular(ring_size=4, height=2)
-    payload = ColumnarStore.from_hierarchy(small).to_payload()
-    # Shape mismatch: rebuilt from the hierarchy (never mispaired) — and
-    # loudly, because a stale snapshot pairing silently throwing away the
-    # shipped arrays hides real bugs at the call site.
-    with pytest.warns(RuntimeWarning, match="does not match the hierarchy shape"):
-        rebuilt = ColumnarStore.from_payload(big, payload)
-    assert rebuilt.rebuilt_from_mismatch
-    assert len(rebuilt.ring_ids) == len(big.rings)
-    assert rebuilt.ring_start_i[-1] == sum(len(r.members) for r in big.rings.values())
-
-
-def test_store_payload_match_is_silent():
-    import warnings
-
-    hierarchy = HierarchyBuilder().regular(ring_size=3, height=2)
-    payload = ColumnarStore.from_hierarchy(hierarchy).to_payload()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        clone = ColumnarStore.from_payload(hierarchy, payload)
-    assert not clone.rebuilt_from_mismatch
-
-
-def test_kernel_counts_snapshot_rebuilds():
-    from repro.core.config import ProtocolConfig
-    from repro.core.events import MembershipEventBus
-    from repro.sim.stats import MetricRegistry
-    from repro.sim.trace import TraceRecorder
-
-    mismatched = HierarchyBuilder().regular(ring_size=3, height=2)
-    target = HierarchyBuilder().regular(ring_size=4, height=2)
-    payload = ColumnarStore.from_hierarchy(mismatched).to_payload()
-    metrics = MetricRegistry()
-    with pytest.warns(RuntimeWarning, match="does not match the hierarchy shape"):
-        ColumnarKernel(
-            target,
-            config=ProtocolConfig(),
-            metrics=metrics,
-            event_bus=MembershipEventBus(),
-            trace=TraceRecorder(enabled=False),
-            store_payload=payload,
-        )
-    assert metrics.counter("harness.columnar_snapshot_rebuilt").value == 1
-
-
-def test_snapshot_ships_columnar_arrays_and_matches_fresh_build():
-    snapshot = build_topology_snapshot(ring_size=4, height=2)
-    assert snapshot.columnar is not None
-
+def test_snapshot_rehydrated_columnar_cell_matches_fresh_build():
     def run(with_snapshot):
         clear_intern_tables()
         config = HarnessConfig(ring_size=4, height=2, backend="columnar")
