@@ -35,30 +35,34 @@ Quickstart::
     assert member.guid in sim.global_membership()
 """
 
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.simulation import RGBSimulation
-from repro.core.membership import MembershipEvent, MembershipEventType, MembershipView
-from repro.analysis.scalability import hcn_ring, hcn_tree, table1_rows
-from repro.analysis.reliability import (
-    ring_function_well_probability,
-    hierarchy_function_well_probability,
-    table2_rows,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "RGBSimulation",
-    "SimulationConfig",
-    "ProtocolConfig",
-    "MembershipEvent",
-    "MembershipEventType",
-    "MembershipView",
-    "hcn_ring",
-    "hcn_tree",
-    "table1_rows",
-    "ring_function_well_probability",
-    "hierarchy_function_well_probability",
-    "table2_rows",
-    "__version__",
-]
+#: Public name -> the module that defines it.  PEP 562 ``__getattr__``
+#: imports a module on the first use of one of its names, so ``import repro``
+#: alone loads no submodule (a live shard never pays for the simulator,
+#: numpy or the analysis code).
+_EXPORTS = {
+    "RGBSimulation": "repro.core.simulation",
+    "SimulationConfig": "repro.core.config",
+    "ProtocolConfig": "repro.core.config",
+    "MembershipEvent": "repro.core.membership",
+    "MembershipEventType": "repro.core.membership",
+    "MembershipView": "repro.core.membership",
+    "hcn_ring": "repro.analysis.scalability",
+    "hcn_tree": "repro.analysis.scalability",
+    "table1_rows": "repro.analysis.scalability",
+    "ring_function_well_probability": "repro.analysis.reliability",
+    "hierarchy_function_well_probability": "repro.analysis.reliability",
+    "table2_rows": "repro.analysis.reliability",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

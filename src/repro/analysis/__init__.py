@@ -13,46 +13,3 @@
 * :mod:`repro.analysis.tables` — text renderings of Tables I and II plus the
   ``rgb-tables`` console entry point.
 """
-
-from repro.analysis.scalability import (
-    ScalabilityRow,
-    hcn_ring,
-    hcn_tree,
-    hcn_tree_without_representatives,
-    hopcount_ring,
-    hopcount_tree,
-    table1_rows,
-)
-from repro.analysis.reliability import (
-    ReliabilityRow,
-    hierarchy_function_well_probability,
-    ring_function_well_probability,
-    table2_rows,
-    tree_function_well_probability,
-)
-from repro.analysis.hopcount_sim import measure_ring_hopcount, HopCountMeasurement
-from repro.analysis.montecarlo import (
-    MonteCarloResult,
-    simulate_hierarchy_function_well,
-    simulate_tree_function_well,
-)
-
-__all__ = [
-    "ScalabilityRow",
-    "hcn_ring",
-    "hcn_tree",
-    "hcn_tree_without_representatives",
-    "hopcount_ring",
-    "hopcount_tree",
-    "table1_rows",
-    "ReliabilityRow",
-    "hierarchy_function_well_probability",
-    "ring_function_well_probability",
-    "tree_function_well_probability",
-    "table2_rows",
-    "measure_ring_hopcount",
-    "HopCountMeasurement",
-    "MonteCarloResult",
-    "simulate_hierarchy_function_well",
-    "simulate_tree_function_well",
-]

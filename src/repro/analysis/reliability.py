@@ -28,10 +28,9 @@ faults — are locally absorbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-from scipy.stats import binom
 
 from repro.analysis.scalability import ring_access_proxy_count, ring_total_rings
 
@@ -39,6 +38,39 @@ from repro.analysis.scalability import ring_access_proxy_count, ring_total_rings
 def _validate_probability(f: float, name: str = "fault probability") -> None:
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {f}")
+
+
+def _binom_cdf(k: int, n: int, p: float) -> float:
+    """``P[X <= k]`` for ``X ~ Binomial(n, p)``.
+
+    Each term ``C(n, i) p**i (1-p)**(n-i)`` is built in log space and the
+    terms are summed with :func:`math.fsum`: the direct product overflows a
+    float once ``C(n, i)`` passes ~1e308 (n = 2000, i = 1500).  Summing the
+    lower tail, never ``1 - upper``, keeps the relative error of a tiny
+    result at that of its largest term.  ``lgamma`` rounding can lift a
+    near-certain sum just above 1 (~1e-10 at n = 100 000), so it is clamped.
+    """
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    if p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n_fact = math.lgamma(n + 1)
+    total = math.fsum(
+        math.exp(
+            log_n_fact
+            - math.lgamma(i + 1)
+            - math.lgamma(n - i + 1)
+            + i * log_p
+            + (n - i) * log_q
+        )
+        for i in range(k + 1)
+    )
+    return min(1.0, total)
 
 
 def ring_function_well_probability(ring_size: int, fault_probability: float) -> float:
@@ -75,7 +107,7 @@ def hierarchy_function_well_probability(
     t = ring_function_well_probability(ring_size, fault_probability)
     tn = ring_total_rings(height, ring_size)
     # Binomial tail: at most (k-1) of the tn rings fail to function well.
-    return float(binom.cdf(max_partitions - 1, tn, 1.0 - t))
+    return _binom_cdf(max_partitions - 1, tn, 1.0 - t)
 
 
 def tree_function_well_probability(
@@ -106,7 +138,7 @@ def tree_function_well_probability(
         raise ValueError(f"max_partitions must be >= 1, got {max_partitions}")
     _validate_probability(fault_probability)
     representatives = sum(branching**i for i in range(height - 1))
-    return float(binom.cdf(max_partitions - 1, representatives, fault_probability))
+    return _binom_cdf(max_partitions - 1, representatives, fault_probability)
 
 
 # ---------------------------------------------------------------------------

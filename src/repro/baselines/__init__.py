@@ -15,43 +15,3 @@
   that puts the RGB kernel and all three baselines behind one propagate /
   fail / converge-check / cost-report interface for the ablation matrix.
 """
-
-from repro.baselines.tree_hierarchy import TreeHierarchy, TreeNode
-from repro.baselines.tree_membership import TreeMembershipProtocol, TreePropagationReport
-from repro.baselines.flat_ring import FlatRingMembership, FlatRingReport
-from repro.baselines.gossip import GossipMembership, GossipReport
-from repro.baselines.driver import (
-    PROTOCOL_NAMES,
-    BaseProtocolDriver,
-    ChangeReport,
-    CostTotals,
-    FlatRingProtocol,
-    GossipProtocol,
-    RGBRingProtocol,
-    TreeProtocol,
-    build_protocol,
-    ring_shape_for_proxies,
-    tree_shape_for_leaves,
-)
-
-__all__ = [
-    "TreeHierarchy",
-    "TreeNode",
-    "TreeMembershipProtocol",
-    "TreePropagationReport",
-    "FlatRingMembership",
-    "FlatRingReport",
-    "GossipMembership",
-    "GossipReport",
-    "PROTOCOL_NAMES",
-    "BaseProtocolDriver",
-    "ChangeReport",
-    "CostTotals",
-    "FlatRingProtocol",
-    "GossipProtocol",
-    "RGBRingProtocol",
-    "TreeProtocol",
-    "build_protocol",
-    "ring_shape_for_proxies",
-    "tree_shape_for_leaves",
-]

@@ -30,53 +30,3 @@ The subpackage implements Section 4 of the paper:
 * :mod:`repro.core.simulation` — the :class:`RGBSimulation` facade assembling
   topology, hierarchy and the scenario harness into one runnable system.
 """
-
-from repro.core.config import ProtocolConfig, SimulationConfig
-from repro.core.deltas import DeltaBuilder, DeltaEntry, MembershipDelta
-from repro.core.kernel import PropagationReport, RoundResult, TokenRoundKernel
-from repro.core.identifiers import GroupId, NodeId, GloballyUniqueId, LocallyUniqueId
-from repro.core.member import MemberInfo, MemberStatus, MobileHostState
-from repro.core.entity import EntityRole, NetworkEntityState
-from repro.core.token import Token, TokenOperation, TokenOperationType
-from repro.core.message_queue import MessageQueue, QueuedMessage
-from repro.core.membership import MembershipEvent, MembershipEventType, MembershipView
-from repro.core.ring import LogicalRing, RingError
-from repro.core.hierarchy import RingHierarchy, HierarchyBuilder
-from repro.core.query import MembershipQueryService, MembershipScheme, QueryResult
-from repro.core.simulation import RGBSimulation
-
-__all__ = [
-    "ProtocolConfig",
-    "SimulationConfig",
-    "DeltaBuilder",
-    "DeltaEntry",
-    "MembershipDelta",
-    "TokenRoundKernel",
-    "RoundResult",
-    "PropagationReport",
-    "GroupId",
-    "NodeId",
-    "GloballyUniqueId",
-    "LocallyUniqueId",
-    "MemberInfo",
-    "MemberStatus",
-    "MobileHostState",
-    "EntityRole",
-    "NetworkEntityState",
-    "Token",
-    "TokenOperation",
-    "TokenOperationType",
-    "MessageQueue",
-    "QueuedMessage",
-    "MembershipEvent",
-    "MembershipEventType",
-    "MembershipView",
-    "LogicalRing",
-    "RingError",
-    "RingHierarchy",
-    "HierarchyBuilder",
-    "MembershipQueryService",
-    "MembershipScheme",
-    "QueryResult",
-    "RGBSimulation",
-]

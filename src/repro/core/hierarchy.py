@@ -23,12 +23,14 @@ import contextlib
 import gc
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.entity import EntityRole, NetworkEntityState
 from repro.core.identifiers import GroupId, NodeId, coerce_group
 from repro.core.ring import LogicalRing, RingError
-from repro.topology.generator import GeneratedTopology
+
+if TYPE_CHECKING:
+    from repro.topology.generator import GeneratedTopology
 
 
 class HierarchyError(RuntimeError):

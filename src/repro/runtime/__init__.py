@@ -18,22 +18,3 @@ the shard processes (crash injection is a real ``SIGKILL``), and
 live runtime and the simulator and checks golden-trace conformance: the two
 runs must produce equivalent membership traces.
 """
-
-from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor, PeerHealth
-from repro.runtime.loop import EventLoop
-from repro.runtime.scenario import ScenarioScript, ScriptOp, ShardPlan, build_churn_script
-from repro.runtime.wire import WireCodec, WireError, WireMessage
-
-__all__ = [
-    "EventLoop",
-    "HeartbeatConfig",
-    "HeartbeatMonitor",
-    "PeerHealth",
-    "ScenarioScript",
-    "ScriptOp",
-    "ShardPlan",
-    "WireCodec",
-    "WireError",
-    "WireMessage",
-    "build_churn_script",
-]

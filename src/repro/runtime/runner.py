@@ -29,16 +29,16 @@ import shutil
 import socket
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
 from repro.runtime.heartbeat import HeartbeatConfig
 from repro.runtime.node import LOOPBACK, NodeConfig
 from repro.runtime.scenario import (
     ScenarioScript,
+    ScriptOp,
     ShardPlan,
     apply_script_to_harness,
-    build_churn_script,
     quiet_crash_time,
 )
 from repro.runtime.supervisor import (
@@ -49,6 +49,7 @@ from repro.runtime.supervisor import (
     scratch_dir,
 )
 from repro.sim.harness import HarnessConfig, ScenarioHarness
+from repro.workloads.churn import ChurnKind, ChurnWorkload
 
 __all__ = ["ConformanceResult", "LiveScenarioConfig", "LiveScenarioRunner"]
 
@@ -117,6 +118,57 @@ def _free_udp_port() -> int:
     port = probe.getsockname()[1]
     probe.close()
     return port
+
+
+def build_churn_script(
+    ap_ids: Sequence[str],
+    *,
+    events: int,
+    seed: int,
+    join_rate: float = 1.0,
+    leave_rate: float = 0.02,
+    failure_rate: float = 0.01,
+) -> ScenarioScript:
+    """The scenario matrix's churn cell as a portable script.
+
+    Same workload parameters as the ``churn`` scenario family
+    (``repro.workloads.families.churn``); unlike that family's fault script,
+    every event up to the horizon is kept (no truncation at ``events``) and
+    carries the pre-assigned sequence number live shards need.  Joins
+    dominate; departures (leave/failure) route to the member's join
+    AP (the churn generator records it), so a script needs no runtime
+    member-location tracking to route departures — which is exactly what
+    lets a live shard replay its slice independently.
+    """
+    horizon = max(4.0 * events, 8.0)
+    workload = ChurnWorkload(
+        ap_ids=list(ap_ids),
+        join_rate=join_rate,
+        leave_rate=leave_rate,
+        failure_rate=failure_rate,
+        horizon=horizon,
+        seed=seed,
+    )
+    ops: List[ScriptOp] = []
+    epochs: Dict[str, int] = {}
+    sequence = 0
+    for event in workload.generate():
+        sequence += 1
+        epoch = 0
+        if event.kind is ChurnKind.JOIN:
+            epoch = epochs.get(event.member, 0) + 1
+            epochs[event.member] = epoch
+        ops.append(
+            ScriptOp(
+                time=event.time,
+                kind=event.kind.value,
+                member=event.member,
+                ap=event.ap,
+                sequence=sequence,
+                epoch=epoch,
+            )
+        )
+    return ScenarioScript(ops=tuple(ops), horizon=horizon, next_sequence=sequence + 1)
 
 
 class LiveScenarioRunner:

@@ -1,8 +1,9 @@
 """Scenario scripts and shard plans shared by the live runtime and the sim.
 
 Golden-trace conformance needs both drivers to replay *the same* scenario.
-The script is generated centrally (the same :class:`ChurnWorkload` the
-scenario matrix uses) and then:
+The script is generated centrally
+(:func:`repro.runtime.runner.build_churn_script`, from the same
+:class:`ChurnWorkload` the scenario matrix uses) and then:
 
 * the simulator replays it through :class:`repro.sim.harness.ScenarioHarness`
   (``apply_script_to_harness``) where the shared kernel draws its own
@@ -27,14 +28,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.hierarchy import RingHierarchy
-from repro.workloads.churn import ChurnKind, ChurnWorkload
 
 __all__ = [
     "ScenarioScript",
     "ScriptOp",
     "ShardPlan",
     "apply_script_to_harness",
-    "build_churn_script",
 ]
 
 #: Script op kinds (ChurnKind values plus the handoff pair).
@@ -78,57 +77,6 @@ class ScenarioScript:
             counts[op.kind] = counts.get(op.kind, 0) + 1
         counts["total"] = len(self.ops)
         return counts
-
-
-def build_churn_script(
-    ap_ids: Sequence[str],
-    *,
-    events: int,
-    seed: int,
-    join_rate: float = 1.0,
-    leave_rate: float = 0.02,
-    failure_rate: float = 0.01,
-) -> ScenarioScript:
-    """The scenario matrix's churn cell as a portable script.
-
-    Same workload parameters as the ``churn`` scenario family
-    (``repro.workloads.families.churn``); unlike that family's fault script,
-    every event up to the horizon is kept (no truncation at ``events``) and
-    carries the pre-assigned sequence number live shards need.  Joins
-    dominate; departures (leave/failure) route to the member's join
-    AP (the churn generator records it), so a script needs no runtime
-    member-location tracking to route departures — which is exactly what
-    lets a live shard replay its slice independently.
-    """
-    horizon = max(4.0 * events, 8.0)
-    workload = ChurnWorkload(
-        ap_ids=list(ap_ids),
-        join_rate=join_rate,
-        leave_rate=leave_rate,
-        failure_rate=failure_rate,
-        horizon=horizon,
-        seed=seed,
-    )
-    ops: List[ScriptOp] = []
-    epochs: Dict[str, int] = {}
-    sequence = 0
-    for event in workload.generate():
-        sequence += 1
-        epoch = 0
-        if event.kind is ChurnKind.JOIN:
-            epoch = epochs.get(event.member, 0) + 1
-            epochs[event.member] = epoch
-        ops.append(
-            ScriptOp(
-                time=event.time,
-                kind=event.kind.value,
-                member=event.member,
-                ap=event.ap,
-                sequence=sequence,
-                epoch=epoch,
-            )
-        )
-    return ScenarioScript(ops=tuple(ops), horizon=horizon, next_sequence=sequence + 1)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,3 @@ serves TMS/BMS/IMS answers while churn rounds are in flight, built from
 * :mod:`repro.serving.frontend` — the batched submit/drain front-end with
   per-scheme routing and snapshot reuse across batches.
 """
-
-from repro.serving.columnar_query import tier_leader_fanout, topmost_leader
-from repro.serving.frontend import ServingFrontend
-from repro.serving.snapshots import MembershipFrame, SnapshotCache
-
-__all__ = [
-    "MembershipFrame",
-    "ServingFrontend",
-    "SnapshotCache",
-    "tier_leader_fanout",
-    "topmost_leader",
-]

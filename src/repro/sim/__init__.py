@@ -18,60 +18,3 @@ instead.  The substrate provides:
 * :mod:`repro.sim.harness` — the event-driven scenario harness that drives
   the token-round kernel through all of the above.
 """
-
-from repro.sim.clock import VirtualClock
-from repro.sim.engine import Event, EventQueue, SimulationEngine
-from repro.sim.rng import RandomStreams
-from repro.sim.network import Link, Network, NetworkNode, NodeState
-from repro.sim.transport import Message, Transport, DeliveryReceipt
-from repro.sim.faults import FaultInjector, FaultKind, FaultEvent, FaultPlan
-from repro.sim.mobility import MobilityModel, HandoffEvent, AttachmentEvent
-from repro.sim.stats import Counter, Histogram, MetricRegistry, RunRecord, TimeSeries
-from repro.sim.trace import TraceEvent, TraceRecorder
-
-# The harness sits *above* repro.core (which itself imports the sim
-# submodules), so exporting it eagerly here would be circular.  PEP 562 lazy
-# attribute access keeps `from repro.sim import ScenarioHarness` working.
-_HARNESS_EXPORTS = ("HarnessConfig", "HarnessResult", "ScenarioHarness", "TransportDispatch")
-
-
-def __getattr__(name):
-    if name in _HARNESS_EXPORTS:
-        from repro.sim import harness
-
-        return getattr(harness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "HarnessConfig",
-    "HarnessResult",
-    "ScenarioHarness",
-    "TransportDispatch",
-    "RunRecord",
-    "VirtualClock",
-    "Event",
-    "EventQueue",
-    "SimulationEngine",
-    "RandomStreams",
-    "Link",
-    "Network",
-    "NetworkNode",
-    "NodeState",
-    "Message",
-    "Transport",
-    "DeliveryReceipt",
-    "FaultInjector",
-    "FaultKind",
-    "FaultEvent",
-    "FaultPlan",
-    "MobilityModel",
-    "HandoffEvent",
-    "AttachmentEvent",
-    "Counter",
-    "Histogram",
-    "MetricRegistry",
-    "TimeSeries",
-    "TraceEvent",
-    "TraceRecorder",
-]

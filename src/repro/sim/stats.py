@@ -15,10 +15,9 @@ harnesses can dump everything at the end of a run.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
-
-import numpy as np
 
 
 class Counter:
@@ -69,11 +68,17 @@ class Histogram:
     def mean(self) -> float:
         if not self._samples:
             return float("nan")
+        # numpy loads here, not at module level: a live shard imports this
+        # module and never summarises a histogram.
+        import numpy as np
+
         return float(np.mean(self._samples))
 
     def std(self) -> float:
         if not self._samples:
             return float("nan")
+        import numpy as np
+
         return float(np.std(self._samples))
 
     def min(self) -> float:
@@ -88,6 +93,8 @@ class Histogram:
             return float("nan")
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
+        import numpy as np
+
         return float(np.percentile(self._samples, q))
 
     def summary(self) -> Dict[str, float]:
@@ -143,7 +150,7 @@ class TimeSeries:
         """Value of the most recent sample at or before ``time`` (step function)."""
         if not self._times:
             raise ValueError(f"time series {self.name!r} has no samples")
-        idx = int(np.searchsorted(self._times, time, side="right")) - 1
+        idx = bisect.bisect_right(self._times, time) - 1
         if idx < 0:
             raise ValueError(f"no sample at or before time {time} in {self.name!r}")
         return self._values[idx]

@@ -6,27 +6,3 @@ Tier (access gateways) and Inter-AS Tier (border routers) — as a
 :class:`repro.sim.network.Network` plus structural metadata that the RGB
 hierarchy builder and the baselines consume.
 """
-
-from repro.topology.architecture import (
-    AccessNetworkKind,
-    FourTierArchitecture,
-    TierSpec,
-    TopologySpec,
-)
-from repro.topology.generator import TopologyGenerator, GeneratedTopology
-from repro.topology.wireless import AccessNetwork, access_network_profile
-from repro.topology.rendering import render_architecture, render_hierarchy, render_tier_counts
-
-__all__ = [
-    "AccessNetworkKind",
-    "FourTierArchitecture",
-    "TierSpec",
-    "TopologySpec",
-    "TopologyGenerator",
-    "GeneratedTopology",
-    "AccessNetwork",
-    "access_network_profile",
-    "render_architecture",
-    "render_hierarchy",
-    "render_tier_counts",
-]

@@ -14,63 +14,3 @@
   pass pipeline into replayable fault scripts; the families themselves (every
   matrix scenario) live in :mod:`repro.workloads.families`.
 """
-
-from repro.workloads.churn import ChurnEvent, ChurnKind, ChurnWorkload
-from repro.workloads.handoffs import HandoffStorm, HandoffStormEvent
-from repro.workloads.matrix import (
-    LOSS_RATES,
-    PROTOCOLS,
-    SCENARIOS,
-    SIZES,
-    AblationSweep,
-    CellResult,
-    MatrixCell,
-    ScenarioMatrix,
-    replay_workload,
-    run_ablation_cell,
-    run_matrix_cell,
-    replay_script,
-    shape_for_proxies,
-)
-from repro.workloads.queries import QueryWorkload, QueryRequest
-from repro.workloads.spec import (
-    FaultScript,
-    ScenarioSpec,
-    ScriptEvent,
-    available_families,
-    compile_spec,
-    schedule_script,
-)
-from repro.workloads.scenarios import ScenarioResult, run_conferencing_scenario, run_churn_scenario
-
-__all__ = [
-    "LOSS_RATES",
-    "PROTOCOLS",
-    "SCENARIOS",
-    "SIZES",
-    "AblationSweep",
-    "CellResult",
-    "MatrixCell",
-    "ScenarioMatrix",
-    "replay_workload",
-    "run_ablation_cell",
-    "run_matrix_cell",
-    "replay_script",
-    "shape_for_proxies",
-    "FaultScript",
-    "ScenarioSpec",
-    "ScriptEvent",
-    "available_families",
-    "compile_spec",
-    "schedule_script",
-    "ChurnEvent",
-    "ChurnKind",
-    "ChurnWorkload",
-    "HandoffStorm",
-    "HandoffStormEvent",
-    "QueryWorkload",
-    "QueryRequest",
-    "ScenarioResult",
-    "run_conferencing_scenario",
-    "run_churn_scenario",
-]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.hopcount_sim import measure_ring_hopcount
@@ -11,6 +13,7 @@ from repro.analysis.montecarlo import (
 )
 from repro.analysis.reliability import (
     TABLE2_PAPER_VALUES,
+    _binom_cdf,
     headline_claims,
     hierarchy_function_well_probability,
     ring_function_well_probability,
@@ -151,6 +154,35 @@ class TestReliabilityFormulas:
         rows = table2_rows()
         assert len(rows) == 18
         assert {row.n for row in rows} == {125, 1000}
+
+
+BINOM_N = (1, 5, 31, 1_111, 11_111, 100_000)
+BINOM_P = (0.0, 1e-6, 1e-3, 0.05, 0.5, 0.999, 1.0)
+
+
+def _binom_k(n):
+    return (-1, 0, 1, 3, n // 2, n - 1, n, n + 5)
+
+
+class TestBinomialCdf:
+    """The pure-Python binomial CDF behind formula (8) and the tree model."""
+
+    @pytest.mark.parametrize("n", BINOM_N)
+    def test_matches_scipy(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        for k in _binom_k(n):
+            for p in BINOM_P:
+                got, expected = _binom_cdf(k, n, p), float(stats.binom.cdf(k, n, p))
+                assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-300), (n, k, p)
+
+    @pytest.mark.parametrize("n", BINOM_N)
+    def test_identities(self, n):
+        for p in BINOM_P:
+            assert _binom_cdf(-1, n, p) == 0.0
+            assert math.isclose(_binom_cdf(0, n, p), (1.0 - p) ** n, rel_tol=1e-9, abs_tol=1e-300)
+            assert _binom_cdf(n, n, p) == _binom_cdf(n + 5, n, p) == 1.0
+            values = [_binom_cdf(k, n, p) for k in sorted(set(_binom_k(n)))]
+            assert values == sorted(values)
 
 
 class TestMonteCarlo:
