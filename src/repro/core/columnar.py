@@ -22,10 +22,10 @@ owned by :class:`ColumnarStore`:
     Structural columns: tier, parent-ring index (-1 at the top) and the
     parent's position in it, leader position in circulation order, number
     of child rings bridged by the ring's members, and each ring's mutation
-    counter at store build time.
+    counter at the last (re)build.
 ``ring_has_state``
-    Conservative per-ring flag: True once a ring may hold membership-view
-    state (see :class:`ColumnarKernel`).
+    Per-ring flag: True when some member holds a non-empty view (or the
+    ring cannot use the fast forward plans; see :class:`ColumnarKernel`).
 ``ring_holder_pos``
     Runtime column: the next holder's circulation position, kept in sync
     with the kernel's ``_ring_holder`` pointer by the fast round (and
@@ -45,13 +45,14 @@ pointers, metrics) bit-identical to the object kernel.  Its ``run_round``
 takes a fast path only when the columnar state proves the round cannot
 change any membership view:
 
-* ``batched_apply`` is on, tracing is off, and no hierarchy surgery has
-  happened (``structure_dirty``);
-* the ring's shape is unchanged (``version`` matches ``ring_version0``)
-  and none of its members has failed (``ring_dead == 0``);
-* every drained operation is a member operation whose coverage chain does
-  not include this ring;
-* the ring has never held membership-view state (``ring_has_state``).
+* ``batched_apply`` is on, tracing is off (``trace``) and the store is
+  clean (``dirty``: only possible under tracing, see below);
+* the ring has an entity row (``no_row``), matches the store (``version``,
+  ``leader``) and has no failed member (``dead``);
+* no member holds view state (``state``: ``ring_has_state``), and no
+  drained member operation has the ring in its coverage chain
+  (``covered``).  Entity operations (a repair's ``NE_FAILURE``) never
+  decline: the delta applies member entries only.
 
 Under those conditions the object kernel's per-visit delta application is a
 proven no-op at every member, so the fast path performs the identical
@@ -59,19 +60,24 @@ bookkeeping (drain, seen/applied marks, token/notify/ack hops, counters,
 holder rotation, dispatch callbacks in the same order) without touching the
 entity objects — member entities are reached positionally through dense
 per-ring rows, never through identifier-keyed dict probes.  Any round that
-fails a gate falls back to ``super().run_round`` and the ring is
-conservatively marked ``ring_has_state`` — over-marking only costs speed,
-never correctness.  ``pending_rings`` and ``propagate`` get the same
-treatment: identical candidate verification and scheduling, with the
-queued-work scans running over the dense rows.
+fails a gate falls back to ``super().run_round``, is counted in
+``ColumnarKernel.declines`` under that gate, and re-derives the ring's
+``ring_has_state`` exactly afterwards.  ``pending_rings`` and ``propagate``
+get the same treatment: identical candidate verification and scheduling,
+with the queued-work scans running over the dense rows.
 
-Known limitation: state planted behind the kernel's back via
-``NetworkEntityState.register_local_member`` on a ring the kernel never ran
-an object-path round for is invisible to ``ring_has_state``.  No in-repo
-caller does this (the only kernel-side direct mutation is the handoff
-unregister at the old proxy, whose ring was necessarily marked when the
-member's join circulated there); external code driving entities directly
-should use the object backend.
+Repair surgery sets ``structure_dirty`` ("re-sync pending"): the next
+``run_round``, ``pending_rings`` or ``propagate`` sweep rebuilds the *same*
+store object and everything derived from it (skipped while tracing).  A
+re-sync never runs mid-round, and never on the read path.
+
+Known limitation: view state the kernel did not apply itself — entities
+handed to the constructor with views, or ``register_local_member`` calls
+behind its back — is invisible to ``ring_has_state`` until the ring's next
+object round or re-sync.  No in-repo caller does this (the only
+kernel-side direct mutation is the handoff unregister at the old proxy,
+which only empties views); external code driving entities directly should
+use the object backend.
 """
 
 from __future__ import annotations
@@ -93,13 +99,17 @@ from repro.core.kernel import (
 
 __all__ = ["ColumnarStore", "ColumnarKernel"]
 
+#: The fast-path gates, in the order a round meets them (keys of
+#: ``ColumnarKernel.declines``).
+DECLINE_GATES = ("dirty", "trace", "no_row", "version", "dead", "leader", "state", "covered")
+
 
 class ColumnarStore:
     """Dense-index struct-of-arrays view of a :class:`RingHierarchy`.
 
-    Built once per kernel; the structural columns describe the hierarchy
-    *at build time* and every consumer gates on ``structure_dirty`` /
-    per-ring versions before trusting them.
+    The structural columns describe the hierarchy as of the last (re)build.
+    Surgery sets ``structure_dirty`` ("re-sync pending"); the kernel then
+    refills the same store object before it next trusts the columns.
     """
 
     __slots__ = (
@@ -253,35 +263,18 @@ class ColumnarKernel(TokenRoundKernel):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: Object-path rounds counted by the first fast-path gate they failed
+        #: (see the module docstring).  A plain dict, deliberately kept off
+        #: the metric registry: registry counters feed ``RunRecord``, whose
+        #: fingerprint must not depend on the backend.
+        self.declines: Dict[str, int] = dict.fromkeys(DECLINE_GATES, 0)
+        self._fast_enabled = bool(self.config.batched_apply)
         with paused_gc():
             self._store = ColumnarStore.from_hierarchy(self.hierarchy)
-            self._ring_rows = self._build_entity_rows()
-            self._parent_plan, self._child_plan = self._build_forward_plans()
-            # Ring objects in store order.  Ring objects are identity-stable
-            # after construction — the rings dict is only assigned during
-            # hierarchy building — so the fast paths can reach
-            # ``version``/``members`` by dense index instead of probing the
-            # million-entry rings dict per round.
-            self._ring_objs = list(self.hierarchy.rings.values())
-            self._wire_work_hints()
-        #: Covered-ring sets per drained batch, keyed by the operations'
-        #: sequence tuple (sequences are unique per capture and aggregation
-        #: preserves a collapsed operation's member AP, so the key is
-        #: content-stable).  Cleared whenever coverage is invalidated.
-        self._batch_cover: Dict[Tuple[int, ...], FrozenSet[int]] = {}
-        #: (target ring, sequence tuple) pairs whose forward filtered to
-        #: empty.  Seen-sets and applied high-waters only grow, so an
-        #: empty-fresh verdict is permanent and the repeat forward (every
-        #: child of an upper ring reports the same batch back up to the
-        #: same parent) collapses to one set probe.
-        self._fully_seen: set = set()
-        self._fast_enabled = bool(self.config.batched_apply)
-        # Per-ring aliases of the seen-set / applied-map entries, filled on
-        # first use: the sets/dicts are only ever mutated in place, so the
-        # dense row and the kernel's string-keyed mapping stay one object.
-        ring_count = len(self._store.ring_ids)
-        self._seen_rows: List[Optional[set]] = [None] * ring_count
-        self._applied_rows: List[Optional[Dict[str, int]]] = [None] * ring_count
+            # Refilled in place: ``propagate`` aliases them across a re-sync.
+            self._ring_rows: List[Optional[List[NetworkEntityState]]] = []
+            self._ring_objs: List = []
+            self._sync()
         # ProtocolConfig is frozen; hoist the per-round flag reads.
         self._disseminate_downward = self.config.disseminate_downward
         self._holder_ack_enabled = self.config.holder_ack_enabled
@@ -304,10 +297,10 @@ class ColumnarKernel(TokenRoundKernel):
         The serving layer's leader-row gather: ring selection and leader
         positions come from the structural columns and each leader entity is
         reached positionally through the dense per-ring rows — no rings-dict
-        scan, no identifier-keyed entity probes.  Returns ``None`` whenever
-        the columns cannot be trusted (hierarchy surgery happened, or a ring
-        row fell back to object alignment); callers must then derive the
-        fan-out from the hierarchy itself.
+        scan, no identifier-keyed entity probes.  Returns ``None`` while a
+        re-sync is pending (a read must not pay the O(N) rebuild; the next
+        round runs it) or when a ring has no entity row; callers must then
+        derive the fan-out from the hierarchy itself.
         """
         store = self._store
         if store.structure_dirty:
@@ -330,6 +323,100 @@ class ColumnarKernel(TokenRoundKernel):
             out.append((ring_ids[r], ring_objs[r], entities[pos]))
         out.sort(key=lambda item: item[0])
         return [(ring, entity) for _, ring, entity in out]
+
+    # -- (re)building the derived state --------------------------------------
+
+    def _resync(self) -> None:
+        """Rebuild a dirty store from the live hierarchy, between rounds.
+
+        The columns are copied into the *same* store object, lists by slice
+        assignment, so the aliases a running sweep and the work-hint markers
+        hold stay valid.
+        """
+        store = self._store
+        with paused_gc():
+            fresh = ColumnarStore.from_hierarchy(self.hierarchy)
+            for name in ColumnarStore.__slots__:
+                value = getattr(fresh, name)
+                if type(value) is list:
+                    getattr(store, name)[:] = value
+                else:
+                    setattr(store, name, value)
+            self._sync()
+            for node in self.failed:
+                self._mark_dead(node)
+            has_state = store.ring_has_state
+            for ring_idx in range(len(has_state)):
+                has_state[ring_idx] = self._holds_state(ring_idx)
+
+    def _sync(self) -> None:
+        """Derive rows, plans, hint wiring and fresh caches from the columns.
+
+        Enough at construction, where nothing has failed and entities hold
+        no view state yet; ``_resync`` adds liveness and the exact
+        ``ring_has_state`` scan.
+        """
+        store = self._store
+        ring_count = len(store.ring_ids)
+        self._ring_rows[:] = self._build_entity_rows()
+        # Ring objects in store order, so the fast paths reach
+        # ``version``/``members`` by dense index instead of probing the
+        # million-entry rings dict per round.
+        self._ring_objs[:] = self.hierarchy.rings.values()
+        self._parent_plan, self._child_plan, self._unplanned = (
+            self._build_forward_plans()
+        )
+        self._wire_work_hints()
+        for ring_idx in self._unplanned:
+            store.ring_has_state[ring_idx] = True
+        #: Covered-ring sets per drained batch, keyed by the operations'
+        #: sequence tuple (sequences are unique per capture and aggregation
+        #: preserves a collapsed operation's member AP, so the key is
+        #: content-stable).
+        self._batch_cover: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+        #: (target ring, sequence tuple) pairs whose forward filtered to
+        #: empty.  Seen-sets and applied high-waters only grow, so an
+        #: empty-fresh verdict is permanent and the repeat forward (every
+        #: child of an upper ring reports the same batch back up to the
+        #: same parent) collapses to one set probe.
+        self._fully_seen: set = set()
+        # Per-ring aliases of the seen-set / applied-map entries, filled on
+        # first use: the sets/dicts are only ever mutated in place, so the
+        # dense row and the kernel's string-keyed mapping stay one object.
+        self._seen_rows: List[Optional[set]] = [None] * ring_count
+        self._applied_rows: List[Optional[Dict[str, int]]] = [None] * ring_count
+
+    def _holds_state(self, ring_idx: int) -> bool:
+        """The exact ``ring_has_state`` verdict for one ring.
+
+        True when some member holds a non-empty local, neighbour or ring
+        view (a member operation outside the ring's coverage can then still
+        change a view), when the ring's forward plan failed validation, or
+        when it has no entity row.
+        """
+        row = self._ring_rows[ring_idx]
+        if row is None or ring_idx in self._unplanned:
+            return True
+        for entity in row:
+            if (
+                (entity.local_live and entity.local_members._members)
+                or (entity.neighbor_live and entity.neighbor_members._members)
+                or (entity.ring_live and entity.ring_members._members)
+            ):
+                return True
+        return False
+
+    def _mark_dead(self, node: NodeId) -> None:
+        """Count a failed ring member in ``ring_dead`` / ``alive``."""
+        store = self._store
+        ring_idx = store.ring_index.get(self.hierarchy.ring_of_node.get(node))
+        if ring_idx is None:
+            return  # excluded from its ring already
+        store.ring_dead[ring_idx] += 1
+        ring = self._ring_objs[ring_idx]
+        pos = ring._index.get(node)
+        if pos is not None and ring.version == store.ring_version0[ring_idx]:
+            store.alive[store.ring_start[ring_idx] + pos] = False
 
     def _build_entity_rows(self) -> List[Optional[List[NetworkEntityState]]]:
         """Dense per-ring entity rows aligned with circulation order.
@@ -416,11 +503,11 @@ class ColumnarKernel(TokenRoundKernel):
         probes.  Each plan entry is validated against the live entity
         pointers at build time.  A ring whose leader has a parent but no
         valid parent plan, or whose members bridge child rings without a
-        valid child plan, is marked ``ring_has_state``: every
-        operation-carrying round there then takes the object path, so the
+        valid child plan, is *unplanned*: ``_holds_state`` reports it, so
+        every operation-carrying round there takes the object path and the
         fast round only ever forwards through a plan.
 
-        Returns ``(parent_plan, child_plan)``:
+        Returns ``(parent_plan, child_plan, unplanned)``:
 
         ``parent_plan[r]``
             ``(parent_ring_idx, parent_pos, parent_dense_idx)`` for the
@@ -429,6 +516,8 @@ class ColumnarKernel(TokenRoundKernel):
             Per-position tuples of ``(child_ring_idx, child_pos,
             child_dense_idx)`` triples mirroring each member's ``children``
             list (only for rings that bridge child rings), or ``None``.
+        ``unplanned``
+            The set of ring indices whose plan failed validation.
         """
         store = self._store
         rows = self._ring_rows
@@ -439,6 +528,7 @@ class ColumnarKernel(TokenRoundKernel):
         ring_count = len(store.ring_ids)
         parent_plan: List[Optional[Tuple[int, int, int]]] = [None] * ring_count
         child_plan: List[Optional[List[Tuple]]] = [None] * ring_count
+        unplanned = set()
         for r in range(ring_count):
             row = rows[r]
             if row is None:
@@ -454,7 +544,7 @@ class ColumnarKernel(TokenRoundKernel):
                     if parent is target or parent == target:
                         parent_plan[r] = (pidx, ppos, ring_start[pidx] + ppos)
                 if parent_plan[r] is None:
-                    store.ring_has_state[r] = True
+                    unplanned.add(r)
             if not store.ring_child_total[r]:
                 continue
             plan: List[Tuple] = []
@@ -488,8 +578,8 @@ class ColumnarKernel(TokenRoundKernel):
             if ok:
                 child_plan[r] = plan
             else:
-                store.ring_has_state[r] = True
-        return parent_plan, child_plan
+                unplanned.add(r)
+        return parent_plan, child_plan, unplanned
 
     # -- state tracking overrides ------------------------------------------
 
@@ -497,30 +587,14 @@ class ColumnarKernel(TokenRoundKernel):
         key = coerce_node(node)
         first_failure = key not in self.failed
         super().fail_entity(key, now)
-        if not first_failure:
-            return
-        store = self._store
-        ring_id = self.hierarchy.ring_of_node.get(key)
-        if ring_id is None:
-            return
-        ring_idx = store.ring_index.get(ring_id)
-        if ring_idx is None:
-            return
-        store.ring_dead[ring_idx] += 1
-        ring = self.hierarchy.rings[ring_id]
-        if ring.version == store.ring_version0[ring_idx]:
-            try:
-                pos = ring.members.index(key)
-            except ValueError:
-                return
-            store.alive[store.ring_start[ring_idx] + pos] = False
+        if first_failure:
+            self._mark_dead(key)
 
     def invalidate_coverage(self) -> None:
         # Hierarchy surgery: the structural columns no longer describe the
-        # live hierarchy, so the fast path switches off globally.
+        # live hierarchy.  The fast path stays off until the next re-sync,
+        # which also drops the per-batch caches.
         self._store.structure_dirty = True
-        self._batch_cover.clear()
-        self._fully_seen.clear()  # still valid; dropped only to bound memory
         super().invalidate_coverage()
 
     def apply_operations_at(self, node, ring, operations, now, batched=None):
@@ -533,17 +607,22 @@ class ColumnarKernel(TokenRoundKernel):
     # -- fast-path helpers --------------------------------------------------
 
     def _object_round(
-        self, ring_idx: Optional[int], ring_id: str, holder, now: float
+        self, ring_idx: Optional[int], ring_id: str, holder, now: float, gate: str
     ) -> RoundResult:
-        """Fall back to the object kernel, conservatively marking the ring."""
+        """Fall back to the object kernel, counting the declining ``gate``."""
+        self.declines[gate] += 1
+        store = self._store
         if ring_idx is not None:
-            # The object path may apply operations (or repair) here; assume
-            # the ring holds state from now on.  It also drains queues
-            # behind the work hint's back, so the hint degrades to
-            # "unknown" — a positive hint must always imply queued work.
-            self._store.ring_has_state[ring_idx] = True
-            self._store.ring_work_hint[ring_idx] = -2
-        return super().run_round(ring_id, holder=holder, now=now)
+            # The object path drains queues behind the work hint's back, so
+            # the hint degrades to "unknown" — a positive hint must always
+            # imply queued work.
+            store.ring_work_hint[ring_idx] = -2
+        result = super().run_round(ring_id, holder=holder, now=now)
+        if ring_idx is not None and not store.structure_dirty:
+            # The round may have applied operations here.  (After a repair
+            # the pending re-sync recomputes every ring instead.)
+            store.ring_has_state[ring_idx] = self._holds_state(ring_idx)
+        return result
 
     def _batch_covered(self, key: Tuple[int, ...], entries) -> FrozenSet[int]:
         cached = self._batch_cover.get(key)
@@ -554,7 +633,10 @@ class ColumnarKernel(TokenRoundKernel):
         ring_index = store.ring_index
         ap_rings: List[int] = []
         for entry in entries:
-            ap_ring_id = ring_of_node.get(entry.operation.member.ap)
+            member = entry.operation.member
+            if member is None:
+                continue  # an entity operation changes no view
+            ap_ring_id = ring_of_node.get(member.ap)
             if ap_ring_id is None:
                 continue
             ap_ring_idx = ring_index.get(ap_ring_id)
@@ -637,9 +719,16 @@ class ColumnarKernel(TokenRoundKernel):
 
     # -- columnar round scheduling -----------------------------------------
 
-    def pending_rings(self) -> List[str]:
+    def _settle(self) -> bool:
+        """Run a pending re-sync unless tracing keeps every round on the
+        object path anyway; True when the store is clean."""
         store = self._store
-        if not self._fast_enabled or store.structure_dirty:
+        if store.structure_dirty and not self.trace.enabled:
+            self._resync()
+        return not store.structure_dirty
+
+    def pending_rings(self) -> List[str]:
+        if not (self._fast_enabled and self._settle()):
             return super().pending_rings()
         return [ring_id for _, ring_id, _ in self._pending_pairs()]
 
@@ -654,8 +743,8 @@ class ColumnarKernel(TokenRoundKernel):
         and every drain path either resets it or degrades it to -2), and
         only -2 falls back to the dense row scan.  Ring versions are not
         re-checked here: they only move through ``exclude_entity``, which
-        sets ``structure_dirty`` before returning, and ``pending_rings``
-        gates on a clean structure — ``propagate`` still re-validates the
+        sets ``structure_dirty`` before returning, and both callers settle
+        the store first — ``propagate`` still re-validates the
         version per round as the defensive layer.  Sorted bottom-up then
         lexicographic — the object kernel's deterministic order — with
         tiers read from the store column instead of a rings-dict probe per
@@ -725,8 +814,10 @@ class ColumnarKernel(TokenRoundKernel):
         # doubles large-scale propagate time.
         with paused_gc():
             for _ in range(max_iterations):
-                if self._fast_enabled and not (
-                    store.structure_dirty or self.trace.enabled
+                if (
+                    self._fast_enabled
+                    and not self.trace.enabled
+                    and self._settle()
                 ):
                     pairs = self._pending_pairs()
                 else:
@@ -745,7 +836,8 @@ class ColumnarKernel(TokenRoundKernel):
                     # ``_fused_round`` folds the re-check into its holder pick
                     # and returns None for an idle ring.  Any repair path
                     # that could rewire state sets ``structure_dirty``, which
-                    # is re-read here per ring.
+                    # is re-read here per ring; the generic arm's
+                    # ``run_round`` then re-syncs before its own gates.
                     row = rows[ring_idx] if ring_idx is not None else None
                     if (
                         row is not None
@@ -774,37 +866,30 @@ class ColumnarKernel(TokenRoundKernel):
         holder: Optional["NodeId | str"] = None,
         now: float = 0.0,
     ) -> RoundResult:
+        if not self._fast_enabled:
+            return super().run_round(ring_id, holder=holder, now=now)
         store = self._store
-        if not self._fast_enabled or store.structure_dirty or self.trace.enabled:
-            if self._fast_enabled and not store.structure_dirty:
-                # Traced rounds drain queues through the object path while
-                # the hint machinery stays live: degrade the ring's hint so
-                # a positive claim never outlives its queue entries.
-                ring_idx = store.ring_index.get(ring_id)
-                if ring_idx is not None:
-                    store.ring_work_hint[ring_idx] = -2
-            return super().run_round(ring_id, holder=holder, now=now)
         ring_idx = store.ring_index.get(ring_id)
+        if not self._settle() or self.trace.enabled:
+            # Traced rounds drain queues through the object path while the
+            # hint machinery stays live; ``_object_round`` degrades the hint.
+            gate = "dirty" if store.structure_dirty else "trace"
+            return self._object_round(ring_idx, ring_id, holder, now, gate)
         if ring_idx is None:
-            return super().run_round(ring_id, holder=holder, now=now)
-        ring = self.hierarchy.rings[ring_id]
+            return self._object_round(None, ring_id, holder, now, "no_row")
+        ring = self._ring_objs[ring_idx]
         members = ring.members
-        size = len(members)
         row = self._ring_rows[ring_idx]
-        if (
-            size == 0
-            or row is None
-            or ring.version != store.ring_version0[ring_idx]
-            or store.ring_dead[ring_idx]
-        ):
-            return self._object_round(ring_idx, ring_id, holder, now)
+        if not members or row is None:
+            return self._object_round(ring_idx, ring_id, holder, now, "no_row")
+        if ring.version != store.ring_version0[ring_idx]:
+            return self._object_round(ring_idx, ring_id, holder, now, "version")
+        if store.ring_dead[ring_idx]:
+            return self._object_round(ring_idx, ring_id, holder, now, "dead")
         leader_pos = store.ring_leader_pos[ring_idx]
-        if leader_pos >= 0:
-            leader = members[leader_pos]
-            if leader is not ring.leader and leader != ring.leader:
-                return self._object_round(ring_idx, ring_id, holder, now)
-        elif ring.leader is not None:
-            return self._object_round(ring_idx, ring_id, holder, now)
+        leader = members[leader_pos] if leader_pos >= 0 else None
+        if leader is not ring.leader and leader != ring.leader:
+            return self._object_round(ring_idx, ring_id, holder, now, "leader")
 
         # Holder resolution (no member has failed, so the object kernel's
         # failed-holder error cannot apply here).
@@ -814,7 +899,7 @@ class ColumnarKernel(TokenRoundKernel):
                 holder_pos = members.index(holder_id)
             except ValueError:
                 # Not a member: the object path raises the proper error.
-                return self._object_round(ring_idx, ring_id, holder, now)
+                return super().run_round(ring_id, holder=holder, now=now)
             return self._fused_round(
                 ring_idx, ring_id, members, row, now, holder_pos, holder_id
             )
@@ -881,21 +966,12 @@ class ColumnarKernel(TokenRoundKernel):
         seq_key: Optional[Tuple[int, ...]] = None
         if entries:
             if store.ring_has_state[ring_idx]:
-                return self._object_round(ring_idx, ring_id, holder_id, now)
-            sequences: List[int] = []
-            for entry in entries:
-                operation = entry.operation
-                if operation.member is None:
-                    # Network-entity operation (repair traffic): let the
-                    # object path handle it.
-                    return self._object_round(ring_idx, ring_id, holder_id, now)
-                sequences.append(operation.sequence)
-            seq_key = tuple(sequences)
-            covered = self._batch_covered(seq_key, entries)
-            if ring_idx in covered:
+                return self._object_round(ring_idx, ring_id, holder_id, now, "state")
+            seq_key = tuple([entry.operation.sequence for entry in entries])
+            if ring_idx in self._batch_covered(seq_key, entries):
                 # This ring is in an operation's coverage chain: the apply
                 # is not a no-op here.
-                return self._object_round(ring_idx, ring_id, holder_id, now)
+                return self._object_round(ring_idx, ring_id, holder_id, now, "covered")
 
         # ---- proven no-op round: identical bookkeeping, no entity churn ----
         operations = tuple([entry.operation for entry in entries])
@@ -924,9 +1000,11 @@ class ColumnarKernel(TokenRoundKernel):
         for operation in operations:
             sequence = operation.sequence
             seen.add(sequence)
-            guid = operation.member.guid.value
-            if sequence > applied_get(guid, 0):
-                applied[guid] = sequence
+            member = operation.member
+            if member is not None:
+                guid = member.guid.value
+                if sequence > applied_get(guid, 0):
+                    applied[guid] = sequence
 
         next(self._token_ids)  # same token-id stream as the object path
         order = members[holder_pos:] + members[:holder_pos]

@@ -293,14 +293,6 @@ class ReliableNotifier:
 
     # -- round gate ----------------------------------------------------------
 
-    def _has_work(self, ring_id: str) -> bool:
-        failed = self.kernel.failed
-        entities = self.kernel.entities
-        for n in self.kernel.hierarchy.rings[ring_id].members:
-            if n not in failed and entities[n].has_queued_work():
-                return True
-        return False
-
     def round_due(self, ring_id: str) -> bool:
         """Whether a scheduled round in ``ring_id`` has anything to do: a
         live member to run it, and a dead one to repair around or queued
@@ -310,7 +302,7 @@ class ReliableNotifier:
             return False
         failed = self.kernel.failed
         dead = len(failed.intersection(ring.members)) if failed else 0
-        return dead < len(ring.members) and (dead > 0 or self._has_work(ring_id))
+        return dead < len(ring.members) and (dead > 0 or self.kernel._ring_has_work(ring))
 
     def after_round(self, ring_id: str) -> None:
         """Follow-ups of a round the driver just ran in ``ring_id``."""
@@ -319,5 +311,6 @@ class ReliableNotifier:
         self.retry_dead_letters()
         # Repair ops (or work queued at other members) trigger a follow-up
         # round — control of a fresh token passes along the ring.
-        if self._has_work(ring_id):
+        kernel = self.kernel
+        if kernel._ring_has_work(kernel.hierarchy.rings[ring_id]):
             self._schedule_round(ring_id)

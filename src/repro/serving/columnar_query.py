@@ -13,9 +13,10 @@ the last-writer-wins merge result and hop accounting) is identical by
 construction, not by coincidence.
 
 Every helper returns the object-path derivation whenever the columns cannot
-be trusted (object backend, ``structure_dirty`` after surgery, misaligned
-entity rows) — the columnar pass is an accelerator for the pinned
-reference semantics, never a second source of truth.
+be trusted (object backend, misaligned entity rows, or ``structure_dirty``
+after surgery — only until the kernel's next round re-syncs the store, since
+a read never pays that rebuild) — the columnar pass is an accelerator for
+the pinned reference semantics, never a second source of truth.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipQueryService, MembershipScheme
 from repro.serving import frontend as frontend_module
 from repro.serving import snapshots as snapshots_module
-from repro.serving.columnar_query import tier_leader_fanout, topmost_leader
+from repro.serving.columnar_query import _object_fanout, tier_leader_fanout, topmost_leader
 from repro.serving.frontend import ServingFrontend
 from repro.serving.snapshots import MembershipFrame
 from repro.sim.harness import HarnessConfig, ScenarioHarness
@@ -672,6 +672,43 @@ class TestColumnarFanout:
         assert leaders == [
             r.leader for r in harness.hierarchy.rings_in_tier(tier) if r.leader is not None
         ]
+
+    @staticmethod
+    def _assert_columnar_fanout_after_repair(kernel, hierarchy) -> None:
+        # Surgery: fail a leader and let repair re-shape the hierarchy.
+        victim = hierarchy.bottom_rings()[0].leader
+        kernel.fail_entity(victim, now=1.0)
+        kernel.detect_and_repair(victim, now=1.0)
+        store = kernel.store
+        for tier in hierarchy.tiers():
+            # A read never pays the store rebuild: the walk serves meanwhile.
+            assert kernel.tier_leader_views(tier) is None
+        # The kernel's next round scheduling re-syncs the same store.
+        kernel.pending_rings()
+        assert kernel.store is store and not store.structure_dirty
+        for tier in hierarchy.tiers():
+            assert kernel.tier_leader_views(tier) is not None
+            got = tier_leader_fanout(kernel, hierarchy, tier)
+            assert got == _object_fanout(kernel, hierarchy, tier)
+            assert got[0] == [
+                r.leader for r in hierarchy.rings_in_tier(tier) if r.leader is not None
+            ]
+
+    def test_harness_fanout_is_columnar_again_after_repair(self):
+        harness = _harness(3, 2, "columnar")
+        aps = harness.access_proxies()
+        harness.schedule_join(0.1, aps[0], guid="alice")
+        harness.run()
+        self._assert_columnar_fanout_after_repair(harness.kernel, harness.hierarchy)
+
+    def test_engine_fanout_is_columnar_again_after_repair(self):
+        engine = OneRoundEngine(
+            HierarchyBuilder("serving-test").regular(ring_size=3, height=3),
+            backend="columnar",
+        )
+        engine.member_join(engine.hierarchy.access_proxies()[4], "alice")
+        engine.propagate()
+        self._assert_columnar_fanout_after_repair(engine.kernel, engine.hierarchy)
 
 
 class TestQueryResultCaching:
