@@ -94,6 +94,12 @@ class ReliableNotifier:
     def pending_count(self) -> int:
         return len(self._pending)
 
+    def low_water(self) -> int:
+        """The smallest notify id still pending (0 when none is).  No id
+        below it will be sent again: it was acknowledged, abandoned, or
+        rerouted under a new id."""
+        return min(self._pending, default=0)
+
     @property
     def dead_letters(self) -> List[Notification]:
         """Dead-lettered notifications still awaiting a usable fallback."""

@@ -12,7 +12,7 @@ failure detection is heartbeat-based (:mod:`repro.runtime.heartbeat`)
 feeding the kernel's existing ``fail_entity``/repair path instead of the
 sim's ``FaultEvent``.
 
-A :class:`repro.runtime.supervisor.Supervisor` spawns/handshakes/tears down
+A :class:`repro.runtime.supervisor.Supervisor` forks/handshakes/tears down
 the shard processes (crash injection is a real ``SIGKILL``), and
 :mod:`repro.runtime.runner` replays the same scenario scripts on both the
 live runtime and the simulator and checks golden-trace conformance: the two

@@ -13,7 +13,11 @@ this dispatch routes the round's outbound messages:
   the socket's: the owner-shard lookup, handing a same-shard target straight
   to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
   always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
-  must not double-insert).
+  must not double-insert).  Each NOTIFY carries its sender's low-water
+  mark (``ReliableNotifier.low_water``), so the dedup state per sender is
+  only the ids at or above the mark.  An id below it is a duplicate: a late
+  copy of a notification its sender has since abandoned or rerouted (the
+  reroute sent the operations under a new id) is acked and dropped.
 * **Holder-acks** are fire-and-forget datagrams when the acked child sender
   lives on another shard (no receiver-side state, as in the sim).
 * **Token hops** circulate between members of one ring — always one shard —
@@ -24,7 +28,7 @@ this dispatch routes the round's outbound messages:
 
 from __future__ import annotations
 
-from typing import Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from repro.core.delivery import Notification, ReliableNotifier
 from repro.core.identifiers import NodeId, coerce_node
@@ -48,8 +52,9 @@ class SocketDispatch(MessageDispatch):
 
     def __init__(self, node) -> None:
         self.node = node
-        #: (sender_shard, notify_id) pairs already inserted (resend dedup).
-        self._delivered: Set[Tuple[int, int]] = set()
+        #: Per sender shard, its latest low-water mark and the notify ids at
+        #: or above it already inserted (resend dedup).
+        self._delivered: Dict[int, Tuple[int, Set[int]]] = {}
 
     def bind(self, kernel: TokenRoundKernel) -> None:
         """Create the delivery core (the kernel it acts on is itself
@@ -124,6 +129,7 @@ class SocketDispatch(MessageDispatch):
                 "target": entry.target.value,
                 "ring": ring_id,
                 "ops": entry.operations,
+                "low": self.notifier.low_water(),
             },
         )
         return node.config.resend_backoff
@@ -137,11 +143,15 @@ class SocketDispatch(MessageDispatch):
         # Always ack: the sender retries until it hears us, and a duplicate
         # means exactly that a previous ack was lost (or is still in flight).
         node.send_to_shard(message.sender_shard, wire.MSG_NOTIFY_ACK, {"id": notify_id})
-        key = (message.sender_shard, notify_id)
-        if key in self._delivered:
+        low, seen = self._delivered.get(message.sender_shard, (0, set()))
+        mark = int(payload["low"])
+        if mark > low:  # marks only advance; a reordered datagram's may lag
+            low, seen = mark, {i for i in seen if i >= mark}
+        self._delivered[message.sender_shard] = (low, seen)
+        if notify_id < low or notify_id in seen:
             node.metrics.counter("runtime.notify_duplicates").increment()
             return
-        self._delivered.add(key)
+        seen.add(notify_id)
         self.notifier.accept(
             Notification(
                 sender=coerce_node(payload["sender"]),

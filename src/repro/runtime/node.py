@@ -1,6 +1,7 @@
 """One live shard: a kernel replica over real sockets, run as an OS process.
 
-``python -m repro.runtime.node <config.pkl>`` starts one node.  The node
+The supervisor forks each shard and the child runs
+``NodeRuntime(config).start()`` (``repro.runtime.supervisor``).  The node
 
 * rehydrates the shared hierarchy and builds a full kernel replica, but
   *owns* only the rings its :class:`~repro.runtime.scenario.ShardPlan`
@@ -34,11 +35,11 @@ trace records share the sim's time axis.
 
 from __future__ import annotations
 
+import os
 import pickle
+import resource
 import socket
 import struct
-import sys
-import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -64,14 +65,15 @@ from repro.runtime.scenario import (
 from repro.sim.stats import MetricRegistry
 from repro.sim.trace import TraceRecorder
 
-__all__ = ["NodeConfig", "NodeRuntime", "main"]
+__all__ = ["NodeConfig", "NodeRuntime"]
 
 LOOPBACK = "127.0.0.1"
 
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """Everything one node process needs, shipped as a pickle file."""
+    """Everything one node process needs, handed to the forked child in
+    memory."""
 
     shard_id: int
     plan: ShardPlan
@@ -583,6 +585,7 @@ class NodeRuntime:
 
     def result(self) -> dict:
         monitor = self.monitor
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         return {
             "shard": self.shard_id,
             "owned_rings": sorted(self.owned_rings),
@@ -598,6 +601,7 @@ class NodeRuntime:
             "link_stats": self.tracker.summary(),
             "dead_letters": self.dispatch.dead_letter_count(),
             "trace": self.trace.canonical_lines() if self.trace.enabled else [],
+            "cpu_s": usage.ru_utime + usage.ru_stime,
         }
 
     def _write_result(self) -> None:
@@ -605,8 +609,6 @@ class NodeRuntime:
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
             pickle.dump(self.result(), handle, protocol=pickle.HIGHEST_PROTOCOL)
-        import os
-
         os.replace(tmp, path)
 
     # -- entry ----------------------------------------------------------------
@@ -619,23 +621,3 @@ class NodeRuntime:
         finally:
             self._close()
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv if argv is None else argv)
-    if len(argv) != 2:
-        print("usage: python -m repro.runtime.node <config.pkl>", file=sys.stderr)
-        return 2
-    with open(argv[1], "rb") as handle:
-        config: NodeConfig = pickle.load(handle)
-    runtime = NodeRuntime(config)
-    try:
-        runtime.start()
-    except Exception:
-        with open(config.result_path + ".err", "w") as handle:
-            handle.write(traceback.format_exc())
-        raise
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -408,6 +408,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = runner.run()
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
+    for shard, shard_result in sorted(result.live_report.results.items()):
+        print(f"  shard {shard} cpu_s: {shard_result['cpu_s']:.3f}")
     if result.equal:
         print("CONFORMANCE OK: live and sim membership traces are equivalent")
         return 0

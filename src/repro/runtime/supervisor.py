@@ -1,13 +1,15 @@
 """Process supervisor for the live runtime.
 
-Spawns one OS process per shard (``python -m repro.runtime.node``), runs the
-control-plane handshake over its own UDP socket, injects faults with real
-signals, decides completion, and tears everything down hard enough that a
-test suite can assert nothing leaked.
+Forks one OS process per shard from itself (the child runs ``NodeRuntime``
+from the in-memory ``NodeConfig``), runs the control-plane handshake over
+its own UDP socket, injects faults with real signals, decides completion,
+and tears everything down hard enough that a test suite can assert nothing
+leaked.
 
 Lifecycle::
 
-    spawn all shards            (config pickles on disk, PYTHONPATH inherited)
+    fork all shards             (each in its own session; direct children,
+                                 so their CPU lands in RUSAGE_CHILDREN)
       <- HELLO{shard, port}     (each node repeats until answered)
       -> PEERS{peers, t0}       (broadcast once all shards reported;
                                  re-sent to any shard that repeats HELLO)
@@ -30,20 +32,20 @@ by heartbeat silence on a real socket, not by being told.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
 import socket
-import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import traceback
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import repro
 from repro.runtime import wire
-from repro.runtime.node import LOOPBACK, NodeConfig
+from repro.runtime.node import LOOPBACK, NodeConfig, NodeRuntime
 
 __all__ = ["KillSpec", "LiveRunReport", "StopSpec", "Supervisor", "SupervisorError"]
 
@@ -82,7 +84,7 @@ class StopSpec:
 @dataclass
 class _ShardProc:
     shard: int
-    process: subprocess.Popen
+    process: _ForkedShard
     config: NodeConfig
     port: Optional[int] = None
     bye: bool = False
@@ -163,24 +165,11 @@ class Supervisor:
         self.sock.bind((LOOPBACK, 0))
         self.sock.settimeout(0.05)
         port = self.sock.getsockname()[1]
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_root if not existing else src_root + os.pathsep + existing
         for shard, config in sorted(self.configs.items()):
             if config.supervisor_port != port:
-                config = _with_port(config, port)
+                config = replace(config, supervisor_port=port)
                 self.configs[shard] = config
-            cfg_path = config.result_path + ".cfg"
-            with open(cfg_path, "wb") as handle:
-                pickle.dump(config, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.runtime.node", cfg_path],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                start_new_session=True,
-            )
+            process = _fork_shard(config)
             self.procs[shard] = _ShardProc(shard=shard, process=process, config=config)
 
     def _send(self, proc: _ShardProc, kind: int, payload: dict) -> None:
@@ -425,13 +414,6 @@ class Supervisor:
         return results
 
 
-def _with_port(config: NodeConfig, port: int) -> NodeConfig:
-    """Frozen-dataclass copy with the freshly bound supervisor port."""
-    from dataclasses import replace
-
-    return replace(config, supervisor_port=port)
-
-
 def _read_error(result_path: str) -> str:
     err_path = result_path + ".err"
     if os.path.exists(err_path):
@@ -444,5 +426,95 @@ def _read_error(result_path: str) -> str:
 
 
 def scratch_dir(prefix: str = "repro-live-") -> str:
-    """A per-run scratch directory for config/result pickles."""
+    """A per-run scratch directory for the shards' result pickles."""
     return tempfile.mkdtemp(prefix=prefix)
+
+
+# -- forking a shard ---------------------------------------------------------
+
+
+class _ForkedShard:
+    """The slice of ``subprocess.Popen`` the supervisor uses, over a pid
+    this process forked and reaps itself."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float) -> int:
+        deadline = time.monotonic() + timeout
+        while self.poll() is None:
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"shard pid {self.pid} alive after {timeout}s")
+            time.sleep(0.01)
+        return self.returncode
+
+    def send_signal(self, sig: int) -> None:
+        if self.returncode is None:  # a reaped pid may already be reused
+            os.kill(self.pid, sig)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _fork_shard(config: NodeConfig) -> _ForkedShard:
+    """Fork one shard from this warm process; the child runs its node.
+
+    Fork is safe here because only the main thread runs Python, and the one
+    foreign thread a bench or pytest parent has (numpy's OpenBLAS pool) owns
+    no lock the child can take: the shard's import closure never reaches
+    numpy (``tests/test_import_closure.py``).  Python 3.12+ warns about
+    forking a multi-threaded process anyway; the warning is left visible.
+    The shard stays a direct child this process reaps, so its CPU lands in
+    this process's ``RUSAGE_CHILDREN``.  The child leaves only through
+    ``os._exit``: it must never return into the caller's stack.
+    """
+    pid = os.fork()
+    if pid:
+        return _ForkedShard(pid)
+    code = 1
+    try:
+        _detach_child()
+        NodeRuntime(config).start()
+        code = 0
+    except Exception:
+        with open(config.result_path + ".err", "w") as handle:
+            handle.write(traceback.format_exc())
+    finally:
+        os._exit(code)
+
+
+def _detach_child(pass_fds: Sequence[int] = ()) -> None:
+    """Drop what a forked child inherits and a process started by ``exec``
+    with ``close_fds`` in a new session would not have: the session, stdio,
+    every descriptor >= 3 but ``pass_fds`` (the control socket too), signal
+    handlers and trace/profile hooks (a coverage tracer would slow the node
+    several-fold against its heartbeats).  The parent's heap is frozen, so
+    no inherited ``__del__`` can close a descriptor number the node has
+    reused, and the collector runs whatever the parent set.
+    """
+    os.setsid()
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(devnull, fd)
+    low = 3
+    for fd in sorted(pass_fds):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    sys.settrace(None)
+    sys.setprofile(None)
+    gc.freeze()
+    gc.enable()

@@ -23,11 +23,12 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 __all__ = [
     "CHANNEL_MULTICAST",
     "CHANNEL_UNICAST",
+    "LINK_WINDOW",
     "LinkTracker",
     "MSG_BYE",
     "MSG_HEARTBEAT",
@@ -159,6 +160,12 @@ class LinkStats:
     reordered: int = 0
     gaps: int = 0
     highest: int = 0
+    #: Every seq at or below it has arrived (or its hole was given up).
+    frontier: int = 0
+
+
+#: Seqs above the frontier a link remembers before giving up its oldest hole.
+LINK_WINDOW = 4096
 
 
 class LinkTracker:
@@ -171,7 +178,8 @@ class LinkTracker:
 
     def __init__(self) -> None:
         self._links: Dict[Tuple[int, int], LinkStats] = {}
-        self._seen: Dict[Tuple[int, int], set] = {}
+        #: Per link, the seqs seen above its contiguous frontier.
+        self._above: Dict[Tuple[int, int], Set[int]] = {}
 
     def observe(self, message: WireMessage) -> str:
         """Record one arrival; returns 'new', 'duplicate' or 'reordered'."""
@@ -179,22 +187,25 @@ class LinkTracker:
         stats = self._links.get(link)
         if stats is None:
             stats = self._links[link] = LinkStats()
-            self._seen[link] = set()
-        seen = self._seen[link]
+            self._above[link] = set()
+        above = self._above[link]
         seq = message.seq
         stats.received += 1
-        if seq in seen:
+        if seq <= stats.frontier or seq in above:
             stats.duplicates += 1
             return "duplicate"
-        seen.add(seq)
+        # Everything at or below the contiguous frontier can be forgotten;
+        # a hole older than the window is given up, so memory stays bounded.
+        above.add(seq)
+        if len(above) > LINK_WINDOW:
+            stats.frontier = min(above) - 1
+        while stats.frontier + 1 in above:
+            stats.frontier += 1
+            above.remove(stats.frontier)
         if seq > stats.highest:
             if seq > stats.highest + 1:
                 stats.gaps += seq - stats.highest - 1
             stats.highest = seq
-            # Keep the seen-set bounded: everything at or below the
-            # contiguous frontier can be forgotten.
-            while len(seen) > 4096:
-                seen.pop()
             return "new"
         stats.reordered += 1
         # A gap previously counted is being filled in late.

@@ -1,10 +1,13 @@
 """What importing the package costs, and what it may depend on.
 
-A live shard (``python -m repro.runtime.node``) imports only the kernel,
-delivery, runtime, ``sim.stats`` and ``sim.trace``: no numpy, no simulator,
-no analysis code (the import rule in ``docs/ARCHITECTURE.md``).  Every
-check on ``sys.modules`` runs in a fresh interpreter, because the test
-process itself has imported everything by the time a test runs.
+A live shard is forked from the supervising process, which may hold
+foreign threads (numpy's OpenBLAS pool), so the shard's code must never
+reach numpy: that is what makes the fork safe.  ``repro.runtime.node``
+therefore imports only the kernel, delivery, runtime, ``sim.stats`` and
+``sim.trace``: no numpy, no simulator, no analysis code (the import rule in
+``docs/ARCHITECTURE.md``).  Every check on ``sys.modules`` runs in a fresh
+interpreter, because the test process itself has imported everything by
+the time a test runs.
 """
 
 from __future__ import annotations

@@ -10,13 +10,16 @@ within its configured windows.
 
 from __future__ import annotations
 
+import dataclasses
+import resource
 import socket
+import tempfile
 
 import pytest
 
 from repro.runtime.heartbeat import HeartbeatConfig
 from repro.runtime.runner import LiveScenarioConfig, LiveScenarioRunner
-from repro.runtime.supervisor import StopSpec
+from repro.runtime.supervisor import StopSpec, Supervisor
 
 
 def _loopback_udp_available() -> bool:
@@ -66,7 +69,6 @@ def test_sigkill_detected_and_repaired_within_window():
     )
     runner = LiveScenarioRunner(config)
     assert runner.victim == 0
-    import tempfile
 
     with tempfile.TemporaryDirectory(prefix="live-runtime-test-") as scratch:
         report, supervisor = runner.run_live(scratch)
@@ -99,7 +101,6 @@ def test_sigstop_survivor_readmits_without_eviction():
     hb = HeartbeatConfig(interval=0.06, suspect_after=0.25, evict_after=3.0)
     config = LiveScenarioConfig(events=10, seed=11, heartbeat=hb)
     runner = LiveScenarioRunner(config)
-    import tempfile
 
     with tempfile.TemporaryDirectory(prefix="live-runtime-test-") as scratch:
         # at= is virtual scenario time; duration= is real seconds.  0.5s of
@@ -120,3 +121,42 @@ def test_sigstop_survivor_readmits_without_eviction():
         assert res["evicted_peers"] == []
         assert res["counters"].get("repairs.ring", 0) == 0
     assert result.equal, {"summary": result.summary(), "diff": result.diff}
+
+
+def _children_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def test_shards_are_reaped_children_charged_to_the_supervising_process():
+    """Every shard's CPU lands in this process's RUSAGE_CHILDREN: shards are
+    its direct children and it reaps them (a forkserver's or zygote's shards
+    would be grandchildren, and their CPU would vanish from the benchmark)."""
+    runner = LiveScenarioRunner(LiveScenarioConfig(events=6, seed=5, num_shards=2))
+    with tempfile.TemporaryDirectory(prefix="live-runtime-test-") as scratch:
+        before = _children_cpu()
+        report, supervisor = runner.run_live(scratch)  # Supervisor.run tears down
+        charged = _children_cpu() - before
+        supervisor.ensure_torn_down()
+
+    assert report.clean_shutdown, report.errors
+    shard_cpu = [r["cpu_s"] for r in report.surviving_results().values()]
+    assert len(shard_cpu) == 2 and all(cpu > 0 for cpu in shard_cpu)
+    assert charged >= sum(shard_cpu), (charged, shard_cpu)
+
+
+def test_shard_that_raises_while_starting_reports_its_traceback():
+    runner = LiveScenarioRunner(LiveScenarioConfig(events=4, seed=5, num_shards=2))
+    with tempfile.TemporaryDirectory(prefix="live-runtime-test-") as scratch:
+        configs = runner.build_configs(scratch)
+        configs[1] = dataclasses.replace(configs[1], hierarchy_payload=b"not a pickle")
+        supervisor = Supervisor(configs, deadline=20.0)
+        report = supervisor.run()
+        supervisor.ensure_torn_down()
+
+    assert not report.clean_shutdown
+    assert report.exit_codes[1] == 1
+    assert report.errors[0] == (
+        "SupervisorError: shard 1 exited rc=1 before HELLO: "
+        "_pickle.UnpicklingError: invalid load key, 'n'."
+    )

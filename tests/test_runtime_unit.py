@@ -4,15 +4,20 @@ Everything here runs without sockets-between-processes: the wire codec and
 link tracker are pure functions over bytes, the event loop is exercised
 in-process with real (sub-millisecond) timers and a socketpair, the
 heartbeat monitor is driven by a fake clock — the state machine's whole
-point is that it is clock-injectable and I/O-free — and ``SocketDispatch``
+point is that it is clock-injectable and I/O-free — ``SocketDispatch``
 runs over the duck-typed node its docstring describes
 (``delivery_rigs.FakeNode``: datagrams land on a list, timers on a fake
-clock).
+clock), and the forked shard's set-up runs in one bare forked child.
 """
 
 from __future__ import annotations
 
+import ast
+import gc
+import os
+import signal
 import socket
+import sys
 
 import pytest
 from delivery_rigs import FakeNode, upward_join
@@ -20,6 +25,7 @@ from delivery_rigs import FakeNode, upward_join
 from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor, PeerHealth
 from repro.runtime.loop import EventLoop
+from repro.runtime.supervisor import _detach_child
 from repro.runtime.wire import (
     CHANNEL_MULTICAST,
     CHANNEL_UNICAST,
@@ -95,6 +101,38 @@ def test_link_tracker_classifies_new_duplicate_reordered():
 
     stats = tracker.summary()["1:0"]
     assert stats == {"received": 5, "duplicates": 1, "reordered": 1, "gaps": 1, "highest": 5}
+
+
+def _token(seq):
+    return WireMessage(kind=MSG_TOKEN, sender_shard=1, seq=seq, channel=CHANNEL_UNICAST, payload={})
+
+
+def test_link_tracker_knows_a_replay_far_behind_the_window_is_a_duplicate():
+    tracker = LinkTracker()
+    assert all(tracker.observe(_token(seq)) == "new" for seq in range(1, 20_001))
+    replays = [tracker.observe(_token(seq)) for seq in range(1, 20_001, 97)]
+
+    assert replays == ["duplicate"] * 207
+    stats = tracker.summary()["1:0"]
+    assert (stats["duplicates"], stats["reordered"], stats["gaps"]) == (207, 0, 0)
+
+
+def test_link_tracker_fills_a_reordered_gap_late_and_gives_up_a_hole_past_the_window():
+    tracker = LinkTracker()
+    verdicts = [tracker.observe(_token(seq)) for seq in (1, 2, 6, 4, 3, 5, 4, 6)]
+    assert verdicts == ["new", "new", "new", "reordered", "reordered", "reordered"] + [
+        "duplicate"
+    ] * 2
+    stats = tracker.summary()["1:0"]
+    assert (stats["reordered"], stats["gaps"], stats["duplicates"]) == (3, 0, 2)
+
+    # Seq 7 is lost for good: once a window's worth has arrived above it,
+    # its hole is given up, and a very late copy reads as a duplicate.
+    top = 8 + wire.LINK_WINDOW
+    assert all(tracker.observe(_token(seq)) == "new" for seq in range(8, top + 1))
+    assert tracker.observe(_token(7)) == "duplicate"
+    assert tracker.observe(_token(top + 1)) == "new"
+    assert tracker.summary()["1:0"]["gaps"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +270,63 @@ def test_unknown_peer_heartbeats_are_ignored():
 
 
 # ---------------------------------------------------------------------------
+# the forked shard's set-up
+# ---------------------------------------------------------------------------
+
+
+def _open_fds():
+    opened = []
+    for fd in range(3, 1024):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        opened.append(fd)
+    return opened
+
+
+def test_detach_child_drops_what_a_forked_shard_inherits():
+    """The forked child keeps no inherited descriptor, hook or handler, and
+    runs with the collector on, whatever the parent had set."""
+    read_fd, write_fd = os.pipe()
+    control = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)  # the supervisor's
+    gc_was_enabled, profile = gc.isenabled(), sys.getprofile()
+    sigterm = signal.signal(signal.SIGTERM, lambda *_: None)
+    sys.setprofile(lambda *_: None)
+    gc.disable()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                _detach_child(pass_fds=(write_fd,))
+                state = (
+                    _open_fds(),
+                    gc.isenabled(),
+                    sys.gettrace(),
+                    sys.getprofile(),
+                    signal.getsignal(signal.SIGTERM) is signal.SIG_DFL,
+                )
+                os.write(write_fd, repr(state).encode())
+                code = 0
+            finally:
+                os._exit(code)
+    finally:
+        sys.setprofile(profile)
+        signal.signal(signal.SIGTERM, sigterm)
+        if gc_was_enabled:
+            gc.enable()
+        control.close()
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        report = pipe.read()
+    _, status = os.waitpid(pid, 0)
+
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert ast.literal_eval(report.decode()) == ([write_fd], True, None, None, True)
+
+
+# ---------------------------------------------------------------------------
 # SocketDispatch over the fake node (no sockets, no processes)
 # ---------------------------------------------------------------------------
 
@@ -240,13 +335,14 @@ def _upward(node):
     return upward_join(node.kernel, "unit-member")
 
 
-def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1):
+def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1, low=1):
     payload = {
         "id": notify_id,
         "sender": sender.value,
         "target": target.value,
         "ring": node.kernel.hierarchy.ring_of(target).ring_id,
         "ops": (op,),
+        "low": low,
     }
     return wire.WireMessage(
         kind=wire.MSG_NOTIFY, sender_shard=sender_shard, seq=0, channel=0, payload=payload
@@ -338,3 +434,64 @@ def test_unacked_send_to_an_evicted_shard_reroutes():
     assert second["target"] == survivor.value != first["target"]
     assert second["id"] != first["id"] and second["ops"] == (op,)
     assert node.dispatch.pending_count() == 1 and node.dispatch.dead_letter_count() == 0
+
+
+def _lose_acks(node):
+    """Deliver the recorded NOTIFYs, and lose the ACKs they draw."""
+    notifies, node.sent = node.sent, []
+    for _shard, _kind, payload in notifies:
+        message = wire.WireMessage(
+            kind=wire.MSG_NOTIFY, sender_shard=0, seq=0, channel=0, payload=payload
+        )
+        node.dispatch.on_notify(message)
+    node.sent = []
+
+
+def test_dedup_state_holds_only_ids_at_or_above_the_senders_low_water_mark():
+    node = FakeNode()
+    sender, target, _ = _upward(node)
+
+    def notify(guid):
+        op = node.kernel.make_join_op(sender, guid)
+        node.kernel.forward_notification(sender, target, (op,), 0.0)
+
+    for index in range(5):  # five in flight at once: all carry mark 1
+        notify(f"m{index}")
+    node.pump()
+    assert node.dispatch.pending_count() == 0
+    assert node.dispatch._delivered[0] == (1, {1, 2, 3, 4, 5})
+
+    for index in range(5, 25):  # one at a time: each is all that is in flight
+        notify(f"m{index}")
+        node.pump()
+    assert node.dispatch._delivered[0] == (25, {25})
+    assert len(node.kernel.entity(target).mq.peek()) == 25
+    assert "runtime.notify_duplicates" not in node.metrics.counters
+
+
+def test_resend_after_a_lost_ack_is_still_deduped():
+    node = FakeNode()
+    sender, target, op = _upward(node)
+    node.kernel.forward_notification(sender, target, (op,), 0.0)
+    _lose_acks(node)  # inserted, but the ACK is lost
+    node.loop.advance(node.config.resend_backoff)
+    assert node.metrics.counter("harness.notify_resends").value == 1
+    node.pump()  # the resend arrives, and this time its ACK too
+
+    assert node.kernel.entity(target).mq.peek() == (op,)
+    assert node.metrics.counter("runtime.notify_duplicates").value == 1
+    assert node.dispatch.pending_count() == 0
+
+
+def test_late_copy_below_the_mark_is_acked_and_not_inserted():
+    node = FakeNode()
+    sender, target, op = _upward(node)
+    node.dispatch.on_notify(_notify_message(node, sender, target, op, notify_id=3, low=3))
+    late = node.kernel.make_join_op(sender, "unit-member-late")
+    node.sent = []
+    # Its sender has since rerouted or abandoned id 2: nothing may insert it.
+    node.dispatch.on_notify(_notify_message(node, sender, target, late, notify_id=2, low=2))
+
+    assert node.sent == [(1, wire.MSG_NOTIFY_ACK, {"id": 2})]
+    assert node.kernel.entity(target).mq.peek() == (op,)
+    assert node.metrics.counter("runtime.notify_duplicates").value == 1
