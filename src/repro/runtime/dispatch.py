@@ -21,9 +21,14 @@ this dispatch routes the round's outbound messages:
 * **Holder-acks** are fire-and-forget datagrams when the acked child sender
   lives on another shard (no receiver-side state, as in the sim).
 * **Token hops** circulate between members of one ring — always one shard —
-  so the datagram is a self-addressed loopback send: the hop still crosses
-  the wire codec and socket (the sim's fire-and-forget ``MSG_TOKEN`` lane,
-  made physical) without inventing a phantom remote receiver.
+  so each hop is a self-addressed ``MSG_TOKEN`` message: it still crosses
+  the wire codec and the socket (the sim's fire-and-forget token lane, made
+  physical) without inventing a phantom remote receiver.  The node's outbox
+  packs a round's hops into one self-addressed datagram at the loop's turn
+  end, and the receiver counts the messages (``runtime.token_datagrams``).
+
+Payloads carry :class:`~repro.core.identifiers.NodeId` values; the wire
+codec writes their strings and rebuilds them on receipt.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Set, Tuple
 
 from repro.core.delivery import Notification, ReliableNotifier
-from repro.core.identifiers import NodeId, coerce_node
+from repro.core.identifiers import NodeId
 from repro.core.kernel import MessageDispatch, TokenRoundKernel
 from repro.core.token import TokenOperation
 from repro.runtime import wire
@@ -95,7 +100,7 @@ class SocketDispatch(MessageDispatch):
             self.node.send_to_shard(
                 owner,
                 wire.MSG_HOLDER_ACK,
-                {"holder": holder.value, "target": target.value},
+                {"holder": holder, "target": target},
             )
 
     def token_hop(
@@ -103,9 +108,7 @@ class SocketDispatch(MessageDispatch):
     ) -> None:
         # Ring-local by construction (one owner per ring): a physical
         # loopback self-send keeps the token lane on the wire.
-        self.node.send_to_self(
-            wire.MSG_TOKEN, {"sender": sender.value, "receiver": receiver.value}
-        )
+        self.node.send_to_self(wire.MSG_TOKEN, {"sender": sender, "receiver": receiver})
 
     # -- read surface (the node's idle() and result()) ----------------------
 
@@ -125,8 +128,8 @@ class SocketDispatch(MessageDispatch):
             wire.MSG_NOTIFY,
             {
                 "id": notify_id,
-                "sender": entry.sender.value,
-                "target": entry.target.value,
+                "sender": entry.sender,
+                "target": entry.target,
                 "ring": ring_id,
                 "ops": entry.operations,
                 "low": self.notifier.low_water(),
@@ -139,12 +142,12 @@ class SocketDispatch(MessageDispatch):
     def on_notify(self, message: wire.WireMessage) -> None:
         node = self.node
         payload = message.payload
-        notify_id = int(payload["id"])
+        notify_id = payload["id"]
         # Always ack: the sender retries until it hears us, and a duplicate
         # means exactly that a previous ack was lost (or is still in flight).
         node.send_to_shard(message.sender_shard, wire.MSG_NOTIFY_ACK, {"id": notify_id})
         low, seen = self._delivered.get(message.sender_shard, (0, set()))
-        mark = int(payload["low"])
+        mark = payload["low"]
         if mark > low:  # marks only advance; a reordered datagram's may lag
             low, seen = mark, {i for i in seen if i >= mark}
         self._delivered[message.sender_shard] = (low, seen)
@@ -154,12 +157,12 @@ class SocketDispatch(MessageDispatch):
         seen.add(notify_id)
         self.notifier.accept(
             Notification(
-                sender=coerce_node(payload["sender"]),
-                target=coerce_node(payload["target"]),
-                operations=tuple(payload["ops"]),
+                sender=payload["sender"],
+                target=payload["target"],
+                operations=payload["ops"],
                 target_ring_id=payload["ring"],
             )
         )
 
     def on_notify_ack(self, message: wire.WireMessage) -> None:
-        self.notifier.acknowledge(int(message.payload["id"]))
+        self.notifier.acknowledge(message.payload["id"])

@@ -12,6 +12,12 @@ completion).
 Handlers run to completion; a slow handler delays timers (as in any
 single-threaded reactor).  Timer callbacks take no arguments; reader
 callbacks receive the ready socket.
+
+A *turn* is one batch of due timers, or one batch of ready readers.  The
+optional ``on_turn_end`` hook runs after each (also when a handler stopped
+the loop), which is the natural flush point of a run-to-completion reactor:
+a node queues what its handlers send during the turn and writes it out
+there, one datagram per destination where it fits (``NodeRuntime._flush``).
 """
 
 from __future__ import annotations
@@ -46,8 +52,13 @@ class EventLoop:
     #: context (e.g. a handler that set a flag) is honoured promptly.
     MAX_POLL = 0.5
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.monotonic,
+        on_turn_end: Optional[Callable[[], None]] = None,
+    ) -> None:
         self.clock = clock
+        self._on_turn_end = on_turn_end
         self._selector = selectors.DefaultSelector()
         self._timers: List[Tuple[float, int, TimerHandle]] = []
         self._tie = itertools.count()
@@ -101,12 +112,17 @@ class EventLoop:
             return self.MAX_POLL
         return min(self.MAX_POLL, max(0.0, self._timers[0][0] - self.clock()))
 
+    def _end_turn(self) -> None:
+        if self._on_turn_end is not None:
+            self._on_turn_end()
+
     def run(self) -> None:
         """Dispatch readers and timers until :meth:`stop` is called."""
         self._running = True
         try:
             while self._running:
                 self._fire_due()
+                self._end_turn()
                 if not self._running:
                     break
                 timeout = self._next_timeout()
@@ -119,6 +135,7 @@ class EventLoop:
                     key.data(key.fileobj)
                     if not self._running:
                         break
+                self._end_turn()
         finally:
             self._running = False
 

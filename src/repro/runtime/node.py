@@ -13,6 +13,12 @@ The supervisor forks each shard and the child runs
   group, falling back to unicast fan-out where multicast is unavailable),
   multiplexed by the single-threaded :class:`~repro.runtime.loop.EventLoop`
   together with round timers, heartbeat timers and the scenario script.
+* queues every outbound message in a per-destination outbox (a peer shard,
+  itself, the supervisor) and flushes it at the loop's turn end: each
+  destination's messages leave, in order, in as few datagrams as fit
+  :data:`~repro.runtime.wire.MAX_DATAGRAM`.  A round's token hops are
+  therefore one self-addressed datagram, not one per hop.  The multicast
+  heartbeat is sent at once on its own channel.
 * replays its slice of the scenario script with the script's pre-assigned
   sequence/epoch identities (the sim harness's capture handlers, with the
   identities supplied instead of minted).
@@ -21,7 +27,8 @@ The supervisor forks each shard and the child runs
   the same entry point the simulator's ``FaultEvent`` uses.
 
 Crash determinism: a shard scheduled to die (``crash_at``) *wedges* at that
-exact virtual instant — stops heartbeating, drops all I/O — and the
+exact virtual instant — flushes what it queued before it, then stops
+heartbeating and drops all I/O — and the
 supervisor's real ``SIGKILL`` lands a beat later.  The process genuinely
 dies by signal and peers genuinely detect it by heartbeat silence, but the
 death *instant* is deterministic in virtual time, which is what lets the
@@ -111,7 +118,7 @@ class NodeRuntime:
         self.config = config
         self.shard_id = config.shard_id
         self.plan = config.plan
-        self.loop = EventLoop()
+        self.loop = EventLoop(on_turn_end=self._flush)
         self.codec = wire.WireCodec(config.shard_id)
         self.tracker = wire.LinkTracker()
         self.metrics = MetricRegistry()
@@ -148,7 +155,16 @@ class NodeRuntime:
         self.sock: Optional[socket.socket] = None
         self.mcast_sock: Optional[socket.socket] = None
         self.mcast_mode = False
+        self._self_addr: Optional[Tuple[str, int]] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
+        #: Per destination key, its address and the frames queued this turn.
+        self._outbox: Dict[object, Tuple[Tuple[str, int], List[bytes]]] = {}
+        self._sent = self.metrics.counter("runtime.datagrams_sent")
+        self._received = self.metrics.counter("runtime.datagrams_received")
+        self._wire_errors = self.metrics.counter("runtime.wire_errors")
+        # Counts token *messages* (a round's hops share one datagram); the
+        # name predates coalescing and the benchmark reads it.
+        self._token_messages = self.metrics.counter("runtime.token_datagrams")
         self.monitor: Optional[HeartbeatMonitor] = None
         self.t0: Optional[float] = None
         self.started = False
@@ -191,6 +207,7 @@ class NodeRuntime:
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
         self.sock.bind((LOOPBACK, 0))
         self.sock.setblocking(False)
+        self._self_addr = self.sock.getsockname()
         self.loop.add_reader(self.sock, self._on_datagram)
         if cfg.multicast and cfg.mcast_port:
             try:
@@ -234,7 +251,7 @@ class NodeRuntime:
         self.mcast_sock = None
         self.loop.close()
 
-    # -- send helpers --------------------------------------------------------
+    # -- send helpers (the outbox) -------------------------------------------
 
     def _sendto(self, data: bytes, addr: Tuple[str, int]) -> None:
         if self.sock is None:
@@ -243,6 +260,27 @@ class NodeRuntime:
             self.sock.sendto(data, addr)
         except OSError:
             self.metrics.counter("runtime.send_errors").increment()
+            return
+        self._sent.increment()
+
+    def _enqueue(self, dest_key: object, addr: Tuple[str, int], kind: int, payload: dict) -> None:
+        frame = wire.encode_frame(kind, payload)
+        queued = self._outbox.get(dest_key)
+        if queued is None:
+            self._outbox[dest_key] = (addr, [frame])
+        else:
+            queued[1].append(frame)
+
+    def _flush(self) -> None:
+        """The loop's turn end: send each destination's queue, in order."""
+        if not self._outbox:
+            return
+        outbox, self._outbox = self._outbox, {}
+        if self.halted:
+            return
+        for dest_key, (addr, frames) in outbox.items():
+            for data in self.codec.pack(frames, dest_key):
+                self._sendto(data, addr)
 
     def send_to_shard(self, shard: int, kind: int, payload: dict) -> None:
         if self.halted:
@@ -250,21 +288,17 @@ class NodeRuntime:
         addr = self.peers.get(shard)
         if addr is None:
             return  # unknown yet (or dead); the reliable layer retries
-        self._sendto(self.codec.encode(kind, payload, dest_key=shard), addr)
+        self._enqueue(shard, addr, kind, payload)
 
     def send_to_self(self, kind: int, payload: dict) -> None:
         if self.halted or self.sock is None:
             return
-        self._sendto(
-            self.codec.encode(kind, payload, dest_key=self.shard_id),
-            self.sock.getsockname(),
-        )
+        self._enqueue(self.shard_id, self._self_addr, kind, payload)
 
     def send_to_supervisor(self, kind: int, payload: dict) -> None:
-        self._sendto(
-            self.codec.encode(kind, payload, dest_key="supervisor"),
-            (LOOPBACK, self.config.supervisor_port),
-        )
+        if self.halted:
+            return
+        self._enqueue("supervisor", (LOOPBACK, self.config.supervisor_port), kind, payload)
 
     # -- datagram pump -------------------------------------------------------
 
@@ -278,28 +312,32 @@ class NodeRuntime:
                 return
             if self.halted:
                 continue  # wedged ahead of SIGKILL: drop everything
+            self._received.increment()
             try:
-                message = wire.WireCodec.decode(data)
+                header = wire.decode_header(data)
+                if header.shard == self.shard_id and header.channel == wire.CHANNEL_MULTICAST:
+                    continue  # own multicast loopback echo
+                messages = wire.decode_messages(data, header)
             except wire.WireError:
-                self.metrics.counter("runtime.wire_errors").increment()
+                self._wire_errors.increment()
                 continue
-            if message.sender_shard == self.shard_id and message.kind == wire.MSG_HEARTBEAT:
-                continue  # own multicast loopback echo
-            if message.sender_shard >= 0:
-                self.tracker.observe(message)
-            handler = self._handlers.get(message.kind)
-            if handler is not None:
-                handler(message)
+            if header.shard >= 0:
+                self.tracker.observe(messages[0])
+            handlers = self._handlers
+            for message in messages:
+                handler = handlers.get(message.kind)
+                if handler is not None:
+                    handler(message)
 
     def _on_token(self, message: wire.WireMessage) -> None:
-        self.metrics.counter("runtime.token_datagrams").increment()
+        self._token_messages.increment()
 
     def _on_holder_ack(self, message: wire.WireMessage) -> None:
         self.metrics.counter("runtime.holder_ack_datagrams").increment()
 
     def _on_heartbeat(self, message: wire.WireMessage) -> None:
         if self.monitor is not None:
-            self.monitor.heartbeat_received(int(message.payload["shard"]))
+            self.monitor.heartbeat_received(message.payload["shard"])
 
     # -- handshake -----------------------------------------------------------
 
@@ -307,7 +345,7 @@ class NodeRuntime:
         if self.started or self.finalized:
             return
         assert self.sock is not None
-        port = self.sock.getsockname()[1]
+        port = self._self_addr[1]
         self.send_to_supervisor(wire.MSG_HELLO, {"shard": self.shard_id, "port": port})
         self.loop.call_later(self.config.hello_interval, self._say_hello)
 
@@ -317,11 +355,9 @@ class NodeRuntime:
         cfg = self.config
         payload = message.payload
         self.peers = {
-            int(shard): (host, int(port))
-            for shard, (host, port) in payload["peers"].items()
-            if int(shard) != self.shard_id
+            shard: addr for shard, addr in payload["peers"].items() if shard != self.shard_id
         }
-        self.t0 = float(payload["t0"])
+        self.t0 = payload["t0"]
         self.monitor = HeartbeatMonitor(
             peers=sorted(self.peers),
             config=cfg.heartbeat,
@@ -364,6 +400,7 @@ class NodeRuntime:
             try:
                 assert self.sock is not None
                 self.sock.sendto(data, (cfg.mcast_group, cfg.mcast_port))
+                self._sent.increment()
             except OSError:
                 self.mcast_mode = False  # fall back to unicast fan-out
         if not self.mcast_mode:
@@ -539,7 +576,9 @@ class NodeRuntime:
         self.loop.call_later(self.config.status_interval, self._housekeeping)
 
     def _halt(self) -> None:
-        """Wedge: the deterministic death instant ahead of the SIGKILL."""
+        """Wedge: the deterministic death instant ahead of the SIGKILL.
+        What was sent before the instant still leaves; nothing after it."""
+        self._flush()
         self.halted = True
 
     # -- shutdown + results ---------------------------------------------------

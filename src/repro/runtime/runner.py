@@ -409,7 +409,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     for key, value in result.summary().items():
         print(f"  {key}: {value}")
     for shard, shard_result in sorted(result.live_report.results.items()):
-        print(f"  shard {shard} cpu_s: {shard_result['cpu_s']:.3f}")
+        counters = shard_result["counters"]
+        print(
+            f"  shard {shard} cpu_s: {shard_result['cpu_s']:.3f} "
+            f"datagrams sent: {counters['runtime.datagrams_sent']} "
+            f"received: {counters['runtime.datagrams_received']}"
+        )
     if result.equal:
         print("CONFORMANCE OK: live and sim membership traces are equivalent")
         return 0

@@ -200,7 +200,7 @@ class Supervisor:
             except OSError:
                 return messages
             try:
-                messages.append(wire.WireCodec.decode(data))
+                messages.extend(wire.decode_datagram(data))
             except wire.WireError:
                 continue
 
@@ -209,7 +209,7 @@ class Supervisor:
         if proc is None:
             return
         if message.kind == wire.MSG_HELLO:
-            proc.port = int(message.payload["port"])
+            proc.port = message.payload["port"]
             if self.t0 is not None:
                 # Late or repeated HELLO after the broadcast: the PEERS
                 # datagram was lost — resend it.
@@ -217,7 +217,7 @@ class Supervisor:
         elif message.kind == wire.MSG_STATUS:
             payload = message.payload
             proc.last_status = payload
-            proc.idle_streak = proc.idle_streak + 1 if payload.get("idle") else 0
+            proc.idle_streak = proc.idle_streak + 1 if payload["idle"] else 0
         elif message.kind == wire.MSG_BYE:
             proc.bye = True
 

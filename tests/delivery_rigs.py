@@ -11,7 +11,7 @@ a transport plus the handful of handles the delivery tests need
 * through the simulator's ``TransportDispatch`` (:class:`SimRig`), and
 * through the UDP node's ``SocketDispatch`` (:class:`SocketRig`, over the
   duck-typed :class:`FakeNode` its docstring describes, with datagrams
-  looped back in-process).
+  encoded, decoded and looped back in-process).
 """
 
 from __future__ import annotations
@@ -172,8 +172,9 @@ class FakeNode:
 
     Shard 0 is "this" process and owns ``local_rings``; every other ring
     belongs to shard 1.  Datagrams are recorded in ``sent`` instead of being
-    written to a socket; :meth:`pump` loops them back through the same
-    dispatch, which then also plays the receiving shard.
+    written to a socket; :meth:`pump` puts each through the wire codec and
+    loops the decoded message back through the same dispatch, which then
+    also plays the receiving shard.
     """
 
     shard_id = 0
@@ -200,6 +201,7 @@ class FakeNode:
             top_shard=0,
         )
         self.dispatch.bind(self.kernel)
+        self._codecs = {shard: wire.WireCodec(shard) for shard in (0, 1)}
 
     def vnow(self) -> float:
         return self.loop.now
@@ -221,9 +223,8 @@ class FakeNode:
         while self.sent:
             shard, kind, payload = self.sent.pop(0)
             # The shard a datagram was addressed to is not the one it came from.
-            message = wire.WireMessage(
-                kind=kind, sender_shard=1 - shard, seq=0, channel=0, payload=payload
-            )
+            codec = self._codecs[1 - shard]
+            message = wire.WireCodec.decode(codec.encode(kind, payload, dest_key=shard))
             if kind == wire.MSG_NOTIFY:
                 self.dispatch.on_notify(message)
             elif kind == wire.MSG_NOTIFY_ACK:

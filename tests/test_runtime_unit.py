@@ -7,7 +7,9 @@ heartbeat monitor is driven by a fake clock — the state machine's whole
 point is that it is clock-injectable and I/O-free — ``SocketDispatch``
 runs over the duck-typed node its docstring describes
 (``delivery_rigs.FakeNode``: datagrams land on a list, timers on a fake
-clock), and the forked shard's set-up runs in one bare forked child.
+clock), the forked shard's set-up runs in one bare forked child, and a
+real ``NodeRuntime`` is built in this process and bound on loopback, with
+a plain socket standing in for its peer shard and its supervisor.
 """
 
 from __future__ import annotations
@@ -15,50 +17,118 @@ from __future__ import annotations
 import ast
 import gc
 import os
+import pickle
 import signal
 import socket
+import struct
 import sys
+from dataclasses import replace
 
 import pytest
 from delivery_rigs import FakeNode, upward_join
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis_profiles import examples
 
+from repro.core.identifiers import GloballyUniqueId, GroupId, LocallyUniqueId, NodeId
+from repro.core.member import MemberInfo, MemberStatus
+from repro.core.token import TokenOperation, TokenOperationType
 from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor, PeerHealth
 from repro.runtime.loop import EventLoop
-from repro.runtime.supervisor import _detach_child
+from repro.runtime.node import NodeRuntime
+from repro.runtime.runner import LiveScenarioConfig, LiveScenarioRunner
+from repro.runtime.supervisor import Supervisor, _detach_child, _ShardProc
 from repro.runtime.wire import (
     CHANNEL_MULTICAST,
     CHANNEL_UNICAST,
+    MAX_DATAGRAM,
+    MSG_BYE,
     MSG_HEARTBEAT,
+    MSG_HELLO,
+    MSG_HOLDER_ACK,
     MSG_NOTIFY,
+    MSG_NOTIFY_ACK,
+    MSG_PEERS,
+    MSG_SHUTDOWN,
+    MSG_STATUS,
     MSG_TOKEN,
     LinkTracker,
     WireCodec,
     WireError,
     WireMessage,
+    decode_datagram,
+    encode_frame,
 )
 
 # ---------------------------------------------------------------------------
 # wire codec
 # ---------------------------------------------------------------------------
 
+_A, _B, _C = NodeId("L1-0000-0000"), NodeId("L2-0000-0000"), NodeId("L1-0000-0001")
+
+
+def _member(explicit_luid: bool, ap: NodeId = _A) -> MemberInfo:
+    guid = GloballyUniqueId("host-ü")
+    if explicit_luid:
+        return MemberInfo(guid, GroupId("g"), ap, luid=LocallyUniqueId("coa-7"))
+    return MemberInfo(guid, GroupId("g"), ap, status=MemberStatus.LEFT, epoch=3)
+
+
+#: Join, handoff and NE-failure operations, with and without an explicit LUID.
+_OPS = (
+    TokenOperation(TokenOperationType.MEMBER_JOIN, _A, _member(False), sequence=9),
+    TokenOperation(TokenOperationType.MEMBER_JOIN, _A, _member(True), sequence=10),
+    TokenOperation(
+        TokenOperationType.MEMBER_HANDOFF, _C, _member(True, _C), previous_ap=_A, sequence=2**40
+    ),
+    TokenOperation(
+        TokenOperationType.MEMBER_HANDOFF, _C, _member(False, _C), previous_ap=_A, sequence=11
+    ),
+    TokenOperation(TokenOperationType.NE_FAILURE, _B, entity=_C, sequence=12),
+)
+
+#: One schema'd payload per kind, as the decoder returns it.
+_EVERY_KIND = (
+    (MSG_TOKEN, {"sender": _A, "receiver": _C}),
+    (MSG_NOTIFY, {"id": 7, "low": 3, "sender": _A, "target": _B, "ring": "ring-T2", "ops": _OPS}),
+    (MSG_NOTIFY_ACK, {"id": 7}),
+    (MSG_HOLDER_ACK, {"holder": _B, "target": _A}),
+    (MSG_HEARTBEAT, {"shard": 2}),
+    (MSG_HELLO, {"shard": 1, "port": 40_000}),
+    (MSG_PEERS, {"peers": {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 65_535)}, "t0": 12.5}),
+    (
+        MSG_STATUS,
+        {"shard": 1, "idle": True, "vnow": 3.25, "evicted": [0, 3], "readmissions": 2},
+    ),
+    (MSG_SHUTDOWN, {}),
+    (MSG_BYE, {"shard": 3}),
+)
+
 
 def test_codec_roundtrip_preserves_header_and_payload():
     codec = WireCodec(shard_id=3)
-    payload = {"sender": "L1-0000-0000", "ops": (1, 2, 3)}
-    message = WireCodec.decode(codec.encode(MSG_NOTIFY, payload, dest_key=1))
-    assert message.kind == MSG_NOTIFY
-    assert message.sender_shard == 3
-    assert message.channel == CHANNEL_UNICAST
-    assert message.payload == payload
+    assert sorted(kind for kind, _ in _EVERY_KIND) == sorted(wire._SCHEMAS)
+    for kind, payload in _EVERY_KIND:
+        message = WireCodec.decode(codec.encode(kind, payload, dest_key=1))
+        assert message.kind == kind
+        assert message.sender_shard == 3
+        assert message.channel == CHANNEL_UNICAST
+        assert message.payload == payload
+    # Node fields may be given as strings; they come back as identifiers,
+    # and a NOTIFY without a low-water mark carries mark 0.
+    plain = {"id": 1, "sender": "a", "target": "b", "ring": "r", "ops": ()}
+    decoded = WireCodec.decode(codec.encode(MSG_NOTIFY, plain, dest_key=1)).payload
+    assert decoded == {**plain, "sender": NodeId("a"), "target": NodeId("b"), "low": 0}
 
 
 def test_codec_numbers_each_link_stream_independently():
     codec = WireCodec(shard_id=0)
-    to_one = [WireCodec.decode(codec.encode(MSG_TOKEN, {}, dest_key=1)).seq for _ in range(3)]
-    to_two = WireCodec.decode(codec.encode(MSG_TOKEN, {}, dest_key=2)).seq
+    hop = {"sender": _A, "receiver": _C}
+    to_one = [WireCodec.decode(codec.encode(MSG_TOKEN, hop, dest_key=1)).seq for _ in range(3)]
+    to_two = WireCodec.decode(codec.encode(MSG_TOKEN, hop, dest_key=2)).seq
     mcast = WireCodec.decode(
-        codec.encode(MSG_HEARTBEAT, {}, dest_key="mcast", channel=CHANNEL_MULTICAST)
+        codec.encode(MSG_HEARTBEAT, {"shard": 0}, dest_key="mcast", channel=CHANNEL_MULTICAST)
     ).seq
     assert to_one == [1, 2, 3]
     assert to_two == 1  # separate unicast link, separate stream
@@ -67,21 +137,185 @@ def test_codec_numbers_each_link_stream_independently():
 
 def test_codec_rejects_garbage():
     codec = WireCodec(shard_id=0)
-    good = codec.encode(MSG_TOKEN, {}, dest_key=1)
+    good = codec.encode(MSG_TOKEN, {"sender": _A, "receiver": _C}, dest_key=1)
+    body = len(good) - len(encode_frame(MSG_TOKEN, {"sender": _A, "receiver": _C}))
     with pytest.raises(WireError, match="short"):
         WireCodec.decode(b"RGB1")
     with pytest.raises(WireError, match="magic"):
         WireCodec.decode(b"XXXX" + good[4:])
     with pytest.raises(WireError, match="version"):
-        WireCodec.decode(good[:4] + bytes([99]) + good[5:])
+        WireCodec.decode(good[:4] + bytes([1]) + good[5:])
     with pytest.raises(WireError, match="kind"):
-        WireCodec.decode(good[:5] + bytes([0]) + good[6:])
-    with pytest.raises(WireError, match="payload"):
-        WireCodec.decode(good[:-len(good) + 13] + b"not a pickle")
+        WireCodec.decode(good[:body] + bytes([0]) + good[body + 1 :])
+    with pytest.raises(WireError, match="cut off"):
+        WireCodec.decode(good[:-1])
+    with pytest.raises(WireError, match="trailing"):
+        WireCodec.decode(good + b"\0")
+    with pytest.raises(WireError, match="UTF-8|utf-8"):
+        WireCodec.decode(good[:-1] + b"\xff")
+    with pytest.raises(WireError, match="non-empty"):  # an identifier's constructor
+        WireCodec.decode(codec.encode(MSG_TOKEN, {"sender": "", "receiver": "x"}, dest_key=1))
     with pytest.raises(WireError, match="unknown message kind"):
         codec.encode(0, {}, dest_key=1)
+    with pytest.raises(WireError, match="layout"):
+        codec.encode(MSG_NOTIFY, {"ops": (1, 2, 3)}, dest_key=1)
+    with pytest.raises(WireError, match="layout"):
+        codec.encode(MSG_HELLO, {"shard": 0, "port": 70_000}, dest_key=1)
+    with pytest.raises(WireError, match="non-finite"):
+        peers = codec.encode(MSG_PEERS, {"peers": {}, "t0": float("nan")}, dest_key=1)
+        WireCodec.decode(peers)
+
+
+def test_one_oversize_message_raises():
     with pytest.raises(WireError, match="split the batch"):
-        codec.encode(MSG_NOTIFY, {"blob": b"x" * 70_000}, dest_key=1)
+        encode_frame(MSG_TOKEN, {"sender": NodeId("x" * MAX_DATAGRAM), "receiver": _A})
+    with pytest.raises(WireError, match="layout"):  # past a string's length prefix
+        encode_frame(MSG_TOKEN, {"sender": NodeId("x" * 70_000), "receiver": _A})
+
+
+_ids = st.text(min_size=1, max_size=10)
+_nodes = _ids.map(NodeId)
+_u64 = st.integers(0, 2**64 - 1)
+_shards = st.integers(-(2**31), 2**31 - 1)
+_ports = st.integers(0, 65_535)
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _token_ops(draw):
+    op_type = draw(st.sampled_from(list(TokenOperationType)))
+    member = None
+    if op_type.concerns_member or draw(st.booleans()):
+        explicit = draw(st.booleans())
+        member = MemberInfo(
+            draw(_ids.map(GloballyUniqueId)),
+            draw(_ids.map(GroupId)),
+            draw(_nodes),
+            luid=draw(_ids.map(LocallyUniqueId)) if explicit else None,
+            status=draw(st.sampled_from(list(MemberStatus))),
+            epoch=draw(st.integers(0 if explicit else 1, 2**32 - 1)),
+        )
+    entity = draw(_nodes) if not op_type.concerns_member else draw(st.none() | _nodes)
+    previous = draw(_nodes if op_type is TokenOperationType.MEMBER_HANDOFF else st.none() | _nodes)
+    return TokenOperation(op_type, draw(_nodes), member, entity, previous, draw(_u64))
+
+
+def _kind(kind, **fields):
+    return st.tuples(st.just(kind), st.fixed_dictionaries(fields))
+
+
+_messages = st.one_of(
+    _kind(MSG_TOKEN, sender=_nodes, receiver=_nodes),
+    _kind(
+        MSG_NOTIFY,
+        id=_u64,
+        low=_u64,
+        sender=_nodes,
+        target=_nodes,
+        ring=st.text(max_size=10),
+        ops=st.lists(_token_ops(), max_size=3).map(tuple),
+    ),
+    _kind(MSG_NOTIFY_ACK, id=_u64),
+    _kind(MSG_HOLDER_ACK, holder=_nodes, target=_nodes),
+    _kind(MSG_HEARTBEAT, shard=_shards),
+    _kind(MSG_HELLO, shard=_shards, port=_ports),
+    _kind(
+        MSG_PEERS,
+        peers=st.dictionaries(_shards, st.tuples(st.text(max_size=15), _ports), max_size=3),
+        t0=_reals,
+    ),
+    _kind(
+        MSG_STATUS,
+        shard=_shards,
+        idle=st.booleans(),
+        vnow=_reals,
+        evicted=st.lists(_shards, max_size=3),
+        readmissions=st.integers(0, 2**32 - 1),
+    ),
+    _kind(MSG_SHUTDOWN),
+    _kind(MSG_BYE, shard=_shards),
+)
+
+
+def _pack_one(batch, shard=5):
+    (datagram,) = WireCodec(shard).pack([encode_frame(k, p) for k, p in batch], dest_key=1)
+    return datagram
+
+
+@given(batch=st.lists(_messages, min_size=1, max_size=6))
+def test_every_kind_round_trips_in_multi_message_datagrams(batch):
+    decoded = decode_datagram(_pack_one(batch))
+    assert [(m.kind, m.payload) for m in decoded] == batch
+    assert {(m.sender_shard, m.seq, m.channel) for m in decoded} == {(5, 1, CHANNEL_UNICAST)}
+
+
+def _caught_or_well_formed(data: bytes) -> None:
+    """Decoding ``data`` raises WireError or yields messages that re-encode
+    to themselves: never another exception, never a half-read payload."""
+    try:
+        messages = decode_datagram(data)
+    except WireError:
+        return
+    for message in messages:
+        again = WireCodec(message.sender_shard).encode(message.kind, message.payload, dest_key=0)
+        assert WireCodec.decode(again).payload == message.payload
+
+
+#: A datagram's first bytes up to its channel: lets random tails reach the body.
+_V2 = wire.MAGIC + bytes([wire.VERSION, CHANNEL_UNICAST])
+
+
+@settings(max_examples=examples(10))
+@given(data=st.binary(max_size=200) | st.binary(max_size=200).map(lambda tail: _V2 + tail))
+@example(data=_V2 + bytes(12) + b"\x00\x01" + encode_frame(MSG_NOTIFY_ACK, {"id": 1}))
+def test_wire_fuzz_arbitrary_bytes(data):
+    _caught_or_well_formed(data)
+
+
+@settings(max_examples=examples(10))
+@given(
+    batch=st.lists(_messages, min_size=1, max_size=4), where=st.integers(0), bit=st.integers(0, 7)
+)
+def test_wire_fuzz_damaged_datagrams(batch, where, bit):
+    datagram = _pack_one(batch)
+    _caught_or_well_formed(datagram[: where % len(datagram)])
+    flipped = bytearray(datagram)
+    flipped[where % len(datagram)] ^= 1 << bit
+    _caught_or_well_formed(bytes(flipped))
+
+
+def test_every_truncation_and_bit_flip_of_a_notify_is_caught_or_well_formed():
+    datagram = _pack_one(_EVERY_KIND[:3])
+    for cut in range(len(datagram)):
+        with pytest.raises(WireError):
+            decode_datagram(datagram[:cut])
+    for index in range(len(datagram)):
+        for bit in range(8):
+            flipped = bytearray(datagram)
+            flipped[index] ^= 1 << bit
+            _caught_or_well_formed(bytes(flipped))
+
+
+@settings(max_examples=examples(20))
+@given(sizes=st.lists(st.integers(1, 25_000), min_size=1, max_size=12))
+def test_a_large_turn_splits_in_order_with_nothing_lost(sizes):
+    frames = [
+        encode_frame(MSG_TOKEN, {"sender": NodeId(f"{index}:" + "x" * size), "receiver": _A})
+        for index, size in enumerate(sizes)
+    ]
+    datagrams = WireCodec(0).pack(frames, dest_key=1)
+    assert all(len(datagram) <= MAX_DATAGRAM for datagram in datagrams)
+    decoded = [decode_datagram(datagram) for datagram in datagrams]
+    assert [messages[0].seq for messages in decoded] == list(range(1, len(datagrams) + 1))
+    flat = [message.payload["sender"] for messages in decoded for message in messages]
+    assert flat == [NodeId(f"{index}:" + "x" * size) for index, size in enumerate(sizes)]
+    # As few datagrams as fit: no datagram could have taken its successor's
+    # first message.
+    lengths = [len(frame) for frame in frames]
+    first = 0
+    for datagram, messages in zip(datagrams[:-1], decoded):
+        first += len(messages)
+        assert len(datagram) + lengths[first] > MAX_DATAGRAM
 
 
 def test_link_tracker_classifies_new_duplicate_reordered():
@@ -338,15 +572,13 @@ def _upward(node):
 def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1, low=1):
     payload = {
         "id": notify_id,
-        "sender": sender.value,
-        "target": target.value,
+        "sender": sender,
+        "target": target,
         "ring": node.kernel.hierarchy.ring_of(target).ring_id,
         "ops": (op,),
         "low": low,
     }
-    return wire.WireMessage(
-        kind=wire.MSG_NOTIFY, sender_shard=sender_shard, seq=0, channel=0, payload=payload
-    )
+    return WireCodec.decode(WireCodec(sender_shard).encode(MSG_NOTIFY, payload, dest_key=0))
 
 
 def test_on_notify_always_acks_and_inserts_a_duplicate_once():
@@ -374,9 +606,7 @@ def test_on_notify_ack_cancels_the_armed_check():
     (payload,) = node.datagrams(wire.MSG_NOTIFY)
     assert node.dispatch.pending_count() == 1 and node.loop.timers_pending() == 1
 
-    ack = wire.WireMessage(
-        kind=wire.MSG_NOTIFY_ACK, sender_shard=1, seq=0, channel=0, payload={"id": payload["id"]}
-    )
+    ack = WireCodec.decode(WireCodec(1).encode(MSG_NOTIFY_ACK, {"id": payload["id"]}, dest_key=0))
     node.dispatch.on_notify_ack(ack)
     assert node.dispatch.pending_count() == 0 and node.loop.timers_pending() == 0
     node.dispatch.on_notify_ack(ack)  # a duplicate ack finds nothing
@@ -431,7 +661,7 @@ def test_unacked_send_to_an_evicted_shard_reroutes():
     assert not kernel.hierarchy.has_node(target)  # the reroute ran the repair
     first, second = node.datagrams(wire.MSG_NOTIFY)
     survivor = kernel.entities[sender].parent
-    assert second["target"] == survivor.value != first["target"]
+    assert second["target"] == survivor != first["target"]
     assert second["id"] != first["id"] and second["ops"] == (op,)
     assert node.dispatch.pending_count() == 1 and node.dispatch.dead_letter_count() == 0
 
@@ -439,11 +669,9 @@ def test_unacked_send_to_an_evicted_shard_reroutes():
 def _lose_acks(node):
     """Deliver the recorded NOTIFYs, and lose the ACKs they draw."""
     notifies, node.sent = node.sent, []
+    codec = WireCodec(0)
     for _shard, _kind, payload in notifies:
-        message = wire.WireMessage(
-            kind=wire.MSG_NOTIFY, sender_shard=0, seq=0, channel=0, payload=payload
-        )
-        node.dispatch.on_notify(message)
+        node.dispatch.on_notify(WireCodec.decode(codec.encode(MSG_NOTIFY, payload, dest_key=1)))
     node.sent = []
 
 
@@ -495,3 +723,169 @@ def test_late_copy_below_the_mark_is_acked_and_not_inserted():
     assert node.sent == [(1, wire.MSG_NOTIFY_ACK, {"id": 2})]
     assert node.kernel.entity(target).mq.peek() == (op,)
     assert node.metrics.counter("runtime.notify_duplicates").value == 1
+
+
+# ---------------------------------------------------------------------------
+# NodeRuntime in this process, bound on loopback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def live_node(tmp_path):
+    """Shard 0 of a two-shard fleet, bound on loopback but never started:
+    ``peer`` stands in for both shard 1 and the supervisor."""
+    runner = LiveScenarioRunner(
+        LiveScenarioConfig(ring_size=2, height=2, num_shards=2, events=2, multicast=False)
+    )
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    config = runner.build_configs(str(tmp_path))[0]
+    node = NodeRuntime(replace(config, supervisor_port=peer.getsockname()[1]))
+    node._bind()
+    node.peers = {1: peer.getsockname()}
+    yield node, peer
+    node._close()
+    peer.close()
+
+
+def _run_one_turn(node, body) -> None:
+    """Run ``body`` as one timer turn of the node's loop, then stop."""
+
+    def turn():
+        body()
+        node.loop.stop()
+
+    node.loop.call_later(0.0, turn)
+    node.loop.run()
+
+
+def _received(peer):
+    """Every datagram waiting at ``peer``, decoded."""
+    datagrams = []
+    peer.setblocking(False)
+    try:
+        while True:
+            datagrams.append(decode_datagram(peer.recv(65_536)))
+    except BlockingIOError:
+        return datagrams
+    finally:
+        peer.settimeout(2.0)
+
+
+def test_node_sends_one_datagram_per_destination_per_turn(live_node):
+    node, peer = live_node
+
+    def body():
+        for notify_id in range(40):
+            node.send_to_shard(1, MSG_NOTIFY_ACK, {"id": notify_id})
+        node.send_to_supervisor(MSG_BYE, {"shard": 0})
+        node.send_to_self(MSG_TOKEN, {"sender": _A, "receiver": _C})
+
+    _run_one_turn(node, body)
+    (to_shard, to_supervisor) = _received(peer)
+    assert [m.payload["id"] for m in to_shard] == list(range(40))
+    assert [m.kind for m in to_supervisor] == [MSG_BYE]
+    assert node.metrics.counter("runtime.datagrams_sent").value == 3  # the self-send too
+    node._on_datagram(node.sock)  # the self-addressed datagram is waiting
+    assert node.metrics.counter("runtime.token_datagrams").value == 1
+    assert node.metrics.counter("runtime.datagrams_received").value == 1
+
+
+def test_node_flushes_what_it_queued_before_the_halt_and_nothing_after(live_node):
+    node, peer = live_node
+
+    def body():
+        node.send_to_shard(1, MSG_NOTIFY_ACK, {"id": 1})
+        node._halt()
+        node.send_to_shard(1, MSG_NOTIFY_ACK, {"id": 2})
+        node.send_to_supervisor(MSG_BYE, {"shard": 0})
+
+    _run_one_turn(node, body)
+    (only,) = _received(peer)
+    assert [m.payload for m in only] == [{"id": 1}]
+
+
+def test_node_flushes_its_outbox_when_a_handler_stops_the_loop(live_node):
+    node, peer = live_node
+    peer.sendto(WireCodec(-1).encode(MSG_SHUTDOWN, {}, dest_key=0), node.sock.getsockname())
+    node.loop.call_later(5.0, node.loop.stop)  # only if the SHUTDOWN never lands
+    node.loop.run()  # the SHUTDOWN handler writes the result, sends BYE, stops
+    assert node.finalized and os.path.exists(node.config.result_path)
+    (bye,) = _received(peer)
+    assert [(m.kind, m.payload) for m in bye] == [(MSG_BYE, {"shard": 0})]
+
+
+def test_node_drops_its_own_multicast_echo_from_the_header(live_node):
+    node, _peer = live_node
+
+    def echo(shard):
+        """A heartbeat from ``shard`` whose body is an unknown kind."""
+        good = WireCodec(shard).encode(
+            MSG_HEARTBEAT, {"shard": shard}, dest_key="mcast", channel=CHANNEL_MULTICAST
+        )
+        at = len(good) - len(encode_frame(MSG_HEARTBEAT, {"shard": shard}))
+        return good[:at] + b"\xff" + good[at + 1 :]
+
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sender.sendto(echo(0), node.sock.getsockname())
+        node._on_datagram(node.sock)
+        assert node.metrics.counter("runtime.wire_errors").value == 0  # never decoded
+        sender.sendto(echo(1), node.sock.getsockname())
+        node._on_datagram(node.sock)
+        assert node.metrics.counter("runtime.wire_errors").value == 1  # a peer's is decoded
+    finally:
+        sender.close()
+
+
+#: The pre-schema datagram layout: a header, then a pickled payload dict.
+_PICKLED_HEADER = struct.Struct("!4sBBBiQ")
+
+
+def test_stray_datagrams_are_counted_and_dropped_not_fatal(live_node):
+    """A well-formed pickle under kind NOTIFY once reached ``on_notify`` and
+    killed the shard with a KeyError; now it and a NOTIFY whose body does not
+    fit the layout are wire errors, and the node reads on."""
+    node, _peer = live_node
+    stray = [
+        _PICKLED_HEADER.pack(b"RGB1", 1, MSG_NOTIFY, 0, 1, 1) + pickle.dumps({"x": 1}),
+        _V2 + struct.pack("!iQH", 1, 1, 1) + struct.pack("!BH", MSG_NOTIFY, 7) + b'{"x": 1',
+    ]
+    ack = WireCodec(1).encode(MSG_NOTIFY_ACK, {"id": 99}, dest_key=0)
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for data in (*stray, ack):
+            sender.sendto(data, node.sock.getsockname())
+        node._on_datagram(node.sock)
+    finally:
+        sender.close()
+    assert node.metrics.counter("runtime.wire_errors").value == 2
+    assert node.metrics.counter("runtime.datagrams_received").value == 3
+    assert node.tracker.summary()["1:0"]["received"] == 1  # the ack was read
+
+
+def test_supervisor_drops_a_hello_it_cannot_read():
+    supervisor = Supervisor({})
+    supervisor.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    supervisor.sock.bind(("127.0.0.1", 0))
+    supervisor.sock.settimeout(0.05)
+    supervisor.procs[0] = _ShardProc(shard=0, process=None, config=None)
+    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        address = supervisor.sock.getsockname()
+        sender.sendto(
+            _PICKLED_HEADER.pack(b"RGB1", 1, MSG_HELLO, 0, 0, 1) + pickle.dumps({"shard": 0}),
+            address,
+        )
+        sender.sendto(WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0)[:-1], address)
+        for message in supervisor._drain():
+            supervisor._handle(message)
+        assert supervisor.procs[0].port is None
+        sender.sendto(WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0), address)
+        for message in supervisor._drain():
+            supervisor._handle(message)
+        assert supervisor.procs[0].port == 9
+    finally:
+        sender.close()
+        supervisor.sock.close()
