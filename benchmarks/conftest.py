@@ -8,7 +8,14 @@ reproduction report backing EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The reference oracles the ablations time against live with the tests
+# (``tests/reference/``); make them importable when benchmarks/ runs alone.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def print_report(title: str, lines) -> None:

@@ -4,8 +4,9 @@
 Measures the ops/s of full One-Round Token Passing propagations on the
 paper's regular hierarchies at r=8 for h in {3, 4, 5} (n = 512 / 4096 /
 32768 access proxies) on both the batched-delta and the seed per-operation
-apply paths, and writes the results to ``BENCH_kernel.json`` next to this
-script so future PRs can track the perf trajectory.
+apply paths (the latter kept in ``tests/reference/per_op.py``), and writes
+the results to ``BENCH_kernel.json`` next to this script so future PRs can
+track the perf trajectory.
 
 With ``--matrix``, sweeps the event-driven scenario matrix instead
 (:mod:`repro.workloads.matrix`) and records per-cell throughput in
@@ -50,9 +51,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.one_round import OneRoundEngine
+
+# The per-op reference the kernel ablation times lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference.per_op import use_per_op  # noqa: E402
 
 RING_SIZE = 8
 HEIGHTS = (3, 4, 5)
@@ -60,10 +64,11 @@ HEIGHTS = (3, 4, 5)
 
 def measure_configuration(height: int, joins: int, batched: bool) -> dict:
     """Propagate a ``joins``-sized burst on the r=8, h=``height`` hierarchy."""
-    config = ProtocolConfig(batched_apply=batched)
     build_start = time.perf_counter()
     hierarchy = HierarchyBuilder("bench").regular(ring_size=RING_SIZE, height=height)
-    engine = OneRoundEngine(hierarchy, config=config)
+    engine = OneRoundEngine(hierarchy)
+    if not batched:
+        use_per_op(engine)
     build_seconds = time.perf_counter() - build_start
     aps = hierarchy.access_proxies()
     stride = max(1, len(aps) // joins)

@@ -7,19 +7,19 @@ Two claims back the unified-kernel refactor:
    paper only evaluates in closed form) completes one full propagation of a
    join batch through every logical ring, with sampled ring agreement.
 2. The batched :class:`repro.core.deltas.MembershipDelta` application path is
-   >= 3x faster than the seed's per-operation path on the Table I workload
-   (r=8 regular hierarchy populated with members, then a join burst).
+   >= 3x faster than the seed's per-operation path (``tests/reference/
+   per_op.py``) on the Table I workload (r=8 regular hierarchy populated with
+   members, then a join burst).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import pytest
+from reference.per_op import use_per_op
 
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.one_round import OneRoundEngine
 from repro.workloads.scenarios import run_large_scale_scenario
@@ -56,14 +56,14 @@ def _table1_burst(batched: bool, prejoin: int, measured: int, ring_size: int = 8
     propagation switches between the batched delta and the seed's
     per-operation reference path.
     """
-    config = ProtocolConfig(batched_apply=True)
     hierarchy = HierarchyBuilder("table1").regular(ring_size=ring_size, height=height)
-    engine = OneRoundEngine(hierarchy, config=config)
+    engine = OneRoundEngine(hierarchy)
     aps = hierarchy.access_proxies()
     for index in range(prejoin):
         engine.member_join(aps[index % len(aps)], f"seed-{index:05d}")
     engine.propagate()
-    engine.kernel.config = replace(config, batched_apply=batched)
+    if not batched:
+        use_per_op(engine)
     for index in range(measured):
         engine.member_join(aps[(index * 7) % len(aps)], f"burst-{index:05d}")
     start = time.perf_counter()

@@ -12,7 +12,7 @@ protocol, not just the algebra).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.scalability import hcn_ring, ring_access_proxy_count
 from repro.core.config import ProtocolConfig
@@ -86,11 +86,3 @@ def measure_ring_hopcount(
         notify_hops=total_notify,
         ack_hops=total_ack,
     )
-
-
-def measure_series(
-    configurations: List[tuple],
-    changes: int = 1,
-) -> List[HopCountMeasurement]:
-    """Measure several (height, ring_size) configurations."""
-    return [measure_ring_hopcount(h, r, changes=changes) for h, r in configurations]

@@ -49,13 +49,6 @@ def tree_leaf_count(height: int, branching: int) -> int:
     return branching ** (height - 1)
 
 
-def hopcount_tree_without_representatives(height: int, branching: int) -> int:
-    """Formula (1): total HopCount of the tree without representatives."""
-    _validate_tree_params(height, branching)
-    n = tree_leaf_count(height, branching)
-    return n * sum(branching ** (i + 1) for i in range(height - 1))
-
-
 def hcn_tree_without_representatives(height: int, branching: int) -> int:
     """Normalised form of formula (1) (divided by ``n``)."""
     _validate_tree_params(height, branching)

@@ -195,10 +195,5 @@ class FlatRingMembership:
         views = [frozenset(self.views[p]) for p in self.operational()]
         return len(set(views)) <= 1
 
-    def average_hops(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.hops for r in self.reports) / len(self.reports)
-
     def ring_size(self) -> int:
         return len(self.ring)

@@ -191,8 +191,3 @@ class GossipMembership:
         if not self.reports:
             return 0.0
         return sum(r.messages for r in self.reports) / len(self.reports)
-
-    def average_rounds(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.rounds for r in self.reports) / len(self.reports)

@@ -35,10 +35,6 @@ class TreePropagationReport:
     retransmissions: int = 0
 
     @property
-    def representative_savings(self) -> int:
-        return self.logical_hops - self.physical_hops
-
-    @property
     def messages(self) -> int:
         """Total transmissions on the wire: delivered hops + lost sends."""
         return self.physical_hops + self.retransmissions
@@ -204,8 +200,3 @@ class TreeMembershipProtocol:
         if not self.reports:
             return 0.0
         return sum(r.logical_hops for r in self.reports) / len(self.reports)
-
-    def average_physical_hops(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.physical_hops for r in self.reports) / len(self.reports)

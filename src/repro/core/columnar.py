@@ -45,8 +45,8 @@ pointers, metrics) bit-identical to the object kernel.  Its ``run_round``
 takes a fast path only when the columnar state proves the round cannot
 change any membership view:
 
-* ``batched_apply`` is on, tracing is off (``trace``) and the store is
-  clean (``dirty``: only possible under tracing, see below);
+* tracing is off (``trace``) and the store is clean (``dirty``: only
+  possible under tracing, see below);
 * the ring has an entity row (``no_row``), matches the store (``version``,
   ``leader``) and has no failed member (``dead``);
 * no member holds view state (``state``: ``ring_has_state``), and no
@@ -268,7 +268,6 @@ class ColumnarKernel(TokenRoundKernel):
         #: the metric registry: registry counters feed ``RunRecord``, whose
         #: fingerprint must not depend on the backend.
         self.declines: Dict[str, int] = dict.fromkeys(DECLINE_GATES, 0)
-        self._fast_enabled = bool(self.config.batched_apply)
         with paused_gc():
             self._store = ColumnarStore.from_hierarchy(self.hierarchy)
             # Refilled in place: ``propagate`` aliases them across a re-sync.
@@ -597,13 +596,6 @@ class ColumnarKernel(TokenRoundKernel):
         self._store.structure_dirty = True
         super().invalidate_coverage()
 
-    def apply_operations_at(self, node, ring, operations, now, batched=None):
-        # Any application at a ring may create membership-view state there.
-        ring_idx = self._store.ring_index.get(ring.ring_id)
-        if ring_idx is not None:
-            self._store.ring_has_state[ring_idx] = True
-        return super().apply_operations_at(node, ring, operations, now, batched)
-
     # -- fast-path helpers --------------------------------------------------
 
     def _object_round(
@@ -728,7 +720,7 @@ class ColumnarKernel(TokenRoundKernel):
         return not store.structure_dirty
 
     def pending_rings(self) -> List[str]:
-        if not (self._fast_enabled and self._settle()):
+        if not self._settle():
             return super().pending_rings()
         return [ring_id for _, ring_id, _ in self._pending_pairs()]
 
@@ -814,11 +806,7 @@ class ColumnarKernel(TokenRoundKernel):
         # doubles large-scale propagate time.
         with paused_gc():
             for _ in range(max_iterations):
-                if (
-                    self._fast_enabled
-                    and not self.trace.enabled
-                    and self._settle()
-                ):
+                if not self.trace.enabled and self._settle():
                     pairs = self._pending_pairs()
                 else:
                     # The object kernel's sweep: no store index, so every
@@ -866,8 +854,6 @@ class ColumnarKernel(TokenRoundKernel):
         holder: Optional["NodeId | str"] = None,
         now: float = 0.0,
     ) -> RoundResult:
-        if not self._fast_enabled:
-            return super().run_round(ring_id, holder=holder, now=now)
         store = self._store
         ring_idx = store.ring_index.get(ring_id)
         if not self._settle() or self.trace.enabled:

@@ -15,18 +15,11 @@ class ProtocolConfig:
         Whether network-entity message queues collapse successive operations
         about the same member (paper: "self-optimized for aggregating some
         successive messages into one").  The ablation benchmark turns this off.
-    batched_apply:
-        Whether token rounds compile their aggregated operations into one
-        :class:`repro.core.deltas.MembershipDelta` applied to each visited
-        entity in a single set-based pass (the default), or replay the seed's
-        per-operation path (kept as the reference semantics and the
-        scalability-ablation baseline).  Ring member lists are identical
-        either way.  When one batch carries several operations about the same
-        member — only possible with ``aggregate_mq=False``, since the queues
-        otherwise net per member before a token is built — the batched path
-        applies the *net* batch, so bottom-tier local/neighbour side effects
-        of superseded intermediate operations follow the outcome aggregation
-        would have produced.
+        Token rounds apply each batch as one net
+        :class:`repro.core.deltas.MembershipDelta` either way, so when a batch
+        carries several operations about one member (only possible with this
+        off) the bottom-tier local/neighbour lists follow the outcome
+        aggregation would have produced.
     disseminate_downward:
         Whether membership changes are also pushed down the hierarchy with
         Notification-to-Child messages so every ring learns every change.
@@ -42,7 +35,6 @@ class ProtocolConfig:
     """
 
     aggregate_mq: bool = True
-    batched_apply: bool = True
     disseminate_downward: bool = True
     token_retry_limit: int = 2
     holder_ack_enabled: bool = True

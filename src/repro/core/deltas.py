@@ -63,19 +63,16 @@ class DeltaEntry:
         assert self.operation.member is not None
         return self.operation.member.guid
 
-    @property
-    def is_addition(self) -> bool:
-        return self.resolved is not None
-
 
 class MembershipDelta:
     """The net, pre-resolved view change of one aggregated operation batch.
 
     Build one with :meth:`from_operations` (or incrementally through
     :class:`DeltaBuilder`) and hand it to
-    :meth:`repro.core.membership.MembershipView.apply_all` — or to
-    :meth:`repro.core.kernel.TokenRoundKernel.apply_operations_at`, which also
-    maintains the local/neighbour lists of bottom-tier entities.
+    :meth:`repro.core.membership.MembershipView.apply_all`.
+    :meth:`repro.core.kernel.TokenRoundKernel.run_round` compiles one per
+    round and applies it at every visited entity, which also maintains the
+    local/neighbour lists of bottom-tier entities.
     """
 
     __slots__ = ("entries", "ne_operations", "source_count")

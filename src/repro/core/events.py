@@ -46,9 +46,5 @@ class MembershipEventBus:
         """All events published so far, in publication order."""
         return list(self._history)
 
-    def events_for(self, guid: str) -> List[MembershipEvent]:
-        """Events about one member."""
-        return [e for e in self._history if e.member is not None and str(e.member.guid) == guid]
-
     def clear(self) -> None:
         self._history.clear()

@@ -107,20 +107,6 @@ class RingHierarchy:
             self.parent_node[ring_id] = parent
             self.child_rings.setdefault(parent, []).append(ring_id)
 
-    def _register_ring_trusted(self, ring: LogicalRing, parent: Optional[NodeId] = None) -> None:
-        """Bulk-path :meth:`add_ring` for builder-generated rings.
-
-        Skips the per-node duplicate probes (the builder generates globally
-        unique ids; a deep :meth:`validate` still catches violations) and
-        registers the whole member list through one C-level ``dict.update``.
-        """
-        ring_id = ring.ring_id
-        self.rings[ring_id] = ring
-        self.ring_of_node.update(zip(ring.members, repeat(ring_id)))
-        if parent is not None:
-            self.parent_node[ring_id] = parent
-            self.child_rings.setdefault(parent, []).append(ring_id)
-
     # -- structural queries ------------------------------------------------------------
 
     def ring(self, ring_id: str) -> LogicalRing:
@@ -142,10 +128,6 @@ class RingHierarchy:
 
     def parent_of_ring(self, ring_id: str) -> Optional[NodeId]:
         return self.parent_node.get(ring_id)
-
-    def parent_of_node(self, node: "NodeId | str") -> Optional[NodeId]:
-        """The parent node of the ring ``node`` belongs to."""
-        return self.parent_of_ring(self.ring_of(node).ring_id)
 
     def children_of_node(self, node: "NodeId | str") -> List[str]:
         """Ring ids whose parent node is ``node``."""
@@ -317,9 +299,7 @@ class RingHierarchy:
     # -- entity state wiring --------------------------------------------------------------
 
     def build_entity_states(
-        self,
-        roles: Optional[Dict[str, EntityRole]] = None,
-        bulk: bool = True,
+        self, roles: Optional[Dict[str, EntityRole]] = None
     ) -> Dict[NodeId, NetworkEntityState]:
         """Create per-entity local state with ring/parent/child pointers set.
 
@@ -328,15 +308,13 @@ class RingHierarchy:
         everything in between → AG), which is also how the regular analytical
         hierarchies with sub-tiers are labelled.
 
-        The default is the **bulk path**: ring pointers are assembled
-        positionally from each ring's whole member list (no per-node
-        successor/predecessor index probes) and child pointers come from one
-        pass over the child-ring map.  ``bulk=False`` keeps the seed's
-        per-node construction as the reference semantics; the two paths build
-        identical state (property-tested in ``tests/test_bulk_build.py``).
+        Ring pointers are assembled positionally from each ring's whole member
+        list (no per-node successor/predecessor index probes) and child
+        pointers come from one pass over the child-ring map.  The state equals
+        the seed's per-node construction, which ``tests/reference/
+        incremental_build.py`` keeps as the reference (property-tested in
+        ``tests/test_bulk_build.py``).
         """
-        if not bulk:
-            return self._build_entity_states_incremental(roles)
         roles = roles or {}
         bottom, top = self.bottom_tier(), self.top_tier()
         group = self.group
@@ -346,7 +324,7 @@ class RingHierarchy:
         # directly (one allocation, no __init__/__post_init__ dispatch), which
         # at a million entities is the difference between seconds and tens of
         # seconds.  Keep the write list in sync with the dataclass fields —
-        # the bulk==incremental property test pins the equivalence.
+        # the bulk-vs-incremental property test pins the equivalence.
         alloc = object.__new__
         state_cls = NetworkEntityState
         with paused_gc():
@@ -398,43 +376,6 @@ class RingHierarchy:
                     if leader is not None:
                         state.add_child(leader)
                 state.child_ok = bool(state.children)
-        return states
-
-    def _build_entity_states_incremental(
-        self, roles: Optional[Dict[str, EntityRole]] = None
-    ) -> Dict[NodeId, NetworkEntityState]:
-        """The seed's per-node construction (reference for the bulk path)."""
-        roles = roles or {}
-        bottom, top = self.bottom_tier(), self.top_tier()
-        states: Dict[NodeId, NetworkEntityState] = {}
-        for ring in self.rings.values():
-            for node in ring.members:
-                role = roles.get(str(node))
-                if role is None:
-                    if ring.tier == bottom:
-                        role = EntityRole.ACCESS_PROXY
-                    elif ring.tier == top:
-                        role = EntityRole.BORDER_ROUTER
-                    else:
-                        role = EntityRole.ACCESS_GATEWAY
-                state = NetworkEntityState(current=node, role=role, group=self.group)
-                if ring.leader is None:
-                    raise HierarchyError(f"ring {ring.ring_id!r} has no leader")
-                state.set_ring_pointers(
-                    ring_id=ring.ring_id,
-                    leader=ring.leader,
-                    previous=ring.predecessor(node),
-                    next_node=ring.successor(node),
-                )
-                state.set_parent(self.parent_node.get(ring.ring_id))
-                states[node] = state
-        # Child pointers: a node's children are the leaders of its child rings.
-        for node, state in states.items():
-            for ring_id in self.children_of_node(node):
-                leader = self.rings[ring_id].leader
-                if leader is not None:
-                    state.add_child(leader)
-            state.child_ok = bool(state.children)
         return states
 
 
@@ -499,20 +440,19 @@ class HierarchyBuilder:
 
     # -- regular analytical hierarchy ---------------------------------------------------
 
-    def regular(self, ring_size: int, height: int, bulk: bool = True) -> RingHierarchy:
+    def regular(self, ring_size: int, height: int) -> RingHierarchy:
         """The full regular hierarchy of the paper's analysis.
 
         ``height`` tiers of rings; every ring has exactly ``ring_size`` nodes;
         tier indices run from 1 (bottommost, access proxies) to ``height``
         (topmost).  Node ids encode their position: ``L{tier}-{path}``.
 
-        The default is the **bulk path**: identifiers are created through the
-        vectorised intern table, whole member lists register via trusted bulk
-        inserts, the (sorted-by-construction) first member is the leader and
-        validation skips the per-ring index re-derivation.  ``bulk=False``
-        keeps the seed's per-ring insert/elect/validate construction as the
-        reference; both build identical hierarchies (property-tested in
-        ``tests/test_bulk_build.py``).
+        Identifiers are created through the vectorised intern table, whole
+        member lists register via trusted bulk inserts, the
+        (sorted-by-construction) first member is the leader and validation is
+        skipped.  The result equals the seed's per-ring insert/elect/validate
+        construction, which ``tests/reference/incremental_build.py`` keeps as
+        the reference (property-tested in ``tests/test_bulk_build.py``).
         """
         if ring_size < 2:
             raise ValueError(f"ring_size must be >= 2, got {ring_size}")
@@ -534,61 +474,42 @@ class HierarchyBuilder:
         # minimal id, which makes the constructor's default leader identical
         # to deterministic election.
         top_tier = height
-        register = (
-            hierarchy._register_ring_trusted if bulk else hierarchy.add_ring
-        )
         suffixes = [f"{i:04d}" for i in range(ring_size)]
         with paused_gc():
-            if bulk:
-                top_members = NodeId.make_interned(f"L{top_tier}-{s}" for s in suffixes)
-                top_ring = LogicalRing.bulk(
-                    f"ring-T{top_tier}-0000", top_tier, top_members
-                )
-            else:
-                top_members = [NodeId(f"L{top_tier}-{i:04d}") for i in range(ring_size)]
-                top_ring = LogicalRing(
-                    ring_id=f"ring-T{top_tier}-0000", tier=top_tier, members=top_members
-                )
-                top_ring.elect_leader()
-            register(top_ring)
-            parents = list(top_members)
-
-            make_bulk_ring = LogicalRing.bulk
-            make_interned = NodeId.make_interned
-            # Bulk path: the trusted-registration body is inlined (the per-ring
-            # call overhead is measurable across the 111k rings of a
-            # million-proxy build).
+            # Rings register without add_ring's per-node duplicate probes (ids
+            # are generated unique), each member list through one C-level
+            # ``dict.update``.
             rings_map = hierarchy.rings
             ring_of_node = hierarchy.ring_of_node
             parent_node_map = hierarchy.parent_node
             child_rings_map = hierarchy.child_rings
+            top_ring_id = f"ring-T{top_tier}-0000"
+            top_members = NodeId.make_interned(f"L{top_tier}-{s}" for s in suffixes)
+            rings_map[top_ring_id] = LogicalRing.bulk(top_ring_id, top_tier, top_members)
+            ring_of_node.update(zip(top_members, repeat(top_ring_id)))
+            parents = list(top_members)
+
+            make_bulk_ring = LogicalRing.bulk
+            make_interned = NodeId.make_interned
             for tier in range(top_tier - 1, 0, -1):
                 next_parents: List[NodeId] = []
                 extend = next_parents.extend
                 for parent_index, parent in enumerate(parents):
                     prefix = f"L{tier}-{parent_index:04d}-"
                     ring_id = f"ring-T{tier}-{parent_index:04d}"
-                    if bulk:
-                        members = make_interned(suffixes, prefix)
-                        ring = make_bulk_ring(ring_id, tier, members)
-                        rings_map[ring_id] = ring
-                        ring_of_node.update(zip(members, repeat(ring_id)))
-                        parent_node_map[ring_id] = parent
-                        child_rings_map.setdefault(parent, []).append(ring_id)
-                    else:
-                        members = [NodeId(prefix + s) for s in suffixes]
-                        ring = LogicalRing(ring_id=ring_id, tier=tier, members=members)
-                        ring.elect_leader()
-                        register(ring, parent=parent)
+                    members = make_interned(suffixes, prefix)
+                    ring = make_bulk_ring(ring_id, tier, members)
+                    rings_map[ring_id] = ring
+                    ring_of_node.update(zip(members, repeat(ring_id)))
+                    parent_node_map[ring_id] = parent
+                    child_rings_map.setdefault(parent, []).append(ring_id)
                     extend(members)
                 parents = next_parents
 
-        if not bulk:
-            # The bulk output is correct by construction (deterministic id
-            # generation, one ring per parent, tiers descending by one) and
-            # is continuously pinned against this validated reference path
-            # by the bulk==incremental property suite; re-walking 111k rings
-            # per million-proxy build would cost more than the check is
-            # worth.  External/mutating construction still validates.
-            hierarchy.validate()
+        # No validate(): the output is correct by construction (deterministic
+        # id generation, one ring per parent, tiers descending by one) and is
+        # pinned against the validated reference construction by the
+        # bulk-vs-incremental property suite; re-walking 111k rings per
+        # million-proxy build would cost more than the check is worth.
+        # External/mutating construction still validates.
         return hierarchy

@@ -14,13 +14,12 @@ nowhere else, and every driver steps this module:
   ring");
 * **batched application** — each round compiles its aggregated operations into
   one :class:`repro.core.deltas.MembershipDelta` and applies it to every
-  visited entity in a single set-based pass (the seed's per-operation path is
-  kept behind ``ProtocolConfig.batched_apply=False`` as the reference
+  visited entity in a single set-based pass (the seed's per-operation path
+  lives with the tests, in ``tests/reference/per_op.py``, as the reference
   semantics and the ablation baseline);
-* **coverage and repair** — subtree-walk coverage sets (the seed recomputed
-  coverage by scanning every access proxy's full ancestry per ring, which is
-  quadratic at 100k proxies) and the hierarchy surgery shared by both repair
-  paths.
+* **coverage and repair** — ancestor-chain coverage verdicts (the seed
+  materialised a coverage set per ring, O(proxies × height) in all) and the
+  hierarchy surgery shared by both repair paths.
 
 The drivers stay thin: :class:`repro.core.one_round.OneRoundEngine` steps the
 kernel synchronously (shared memory, zero latency), while the scenario
@@ -35,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.deltas import MembershipDelta
@@ -60,11 +59,8 @@ class ProtocolError(RuntimeError):
     """Raised for invalid protocol-level requests."""
 
 
-OperationBatch = Union[MembershipDelta, Sequence[TokenOperation]]
-
-
 def stale_for(applied: Optional[Mapping[str, int]], op: TokenOperation) -> bool:
-    """The one copy of the staleness rule (see ``is_stale_for_ring``).
+    """The one copy of the staleness rule.
 
     ``applied`` is a ring's per-member sequence high-water-mark map (may be
     ``None``/empty); hot paths hoist the map lookup and call this per op.
@@ -392,7 +388,6 @@ class TokenRoundKernel:
         # this map lets receivers drop such stale operations.
         self.ring_applied_seq: Dict[str, Dict[str, int]] = defaultdict(dict)
         self._ring_holder: Dict[str, NodeId] = {}
-        self._coverage_cache: Dict[str, Set[str]] = {}
         # Bumped by invalidate_coverage(); lets a round detect mid-round
         # hierarchy surgery and re-derive its per-entry coverage verdicts.
         self._coverage_epoch = 0
@@ -617,22 +612,6 @@ class TokenRoundKernel:
             ]
         return [op for op in operations if op.sequence not in seen]
 
-    def is_stale_for_ring(self, ring_id: str, operation: TokenOperation) -> bool:
-        """True when the ring already circulated this operation or a newer
-        one about the same member (the rule itself lives in :func:`stale_for`)."""
-        return stale_for(self.ring_applied_seq.get(ring_id), operation)
-
-    def note_circulated(self, ring_id: str, operations: Iterable[TokenOperation]) -> None:
-        """Record the per-member sequence high-water marks of a round's batch."""
-        applied = self.ring_applied_seq.setdefault(ring_id, {})
-        for op in operations:
-            member = op.member
-            if member is None:
-                continue
-            guid = member.guid.value
-            if op.sequence > applied.get(guid, 0):
-                applied[guid] = op.sequence
-
     def mark_seen(self, ring_id: str, operations: Iterable[TokenOperation]) -> None:
         seen = self.ring_seen[ring_id]
         for op in operations:
@@ -663,43 +642,16 @@ class TokenRoundKernel:
     # coverage bookkeeping
     # ------------------------------------------------------------------
 
-    def coverage(self, ring_id: str) -> Set[str]:
-        """Access proxies whose members fall within the ring's coverage area.
-
-        Computed by walking the child-ring subtree under each ring member —
-        O(subtree) per ring instead of the seed's O(proxies × height) scan —
-        and cached until the hierarchy changes.
-        """
-        cached = self._coverage_cache.get(ring_id)
-        if cached is not None:
-            return cached
-        hierarchy = self.hierarchy
-        bottom = self._bottom_tier
-        rings = hierarchy.rings
-        ring_of_node = hierarchy.ring_of_node
-        child_rings = hierarchy.child_rings
-        covered: Set[str] = set()
-        stack: List[NodeId] = list(hierarchy.ring(ring_id).members)
-        while stack:
-            node = stack.pop()
-            node_ring_id = ring_of_node.get(node)
-            if node_ring_id is not None and rings[node_ring_id].tier == bottom:
-                covered.add(node.value)
-            for child_ring_id in child_rings.get(node, ()):
-                stack.extend(rings[child_ring_id].members)
-        self._coverage_cache[ring_id] = covered
-        return covered
-
     def ring_covers(self, ring_id: str, ap: NodeId) -> bool:
         """Is bottom-tier proxy ``ap`` within ring ``ring_id``'s coverage area?
 
-        Ancestor-chain formulation of :meth:`coverage`: ``ap`` is covered iff
-        its (bottom-tier) ring is ``ring_id`` or reaches it by climbing the
-        leader→parent links — O(height) dict probes and **zero cached state**.
-        The batched apply path uses this instead of the materialised coverage
-        sets, whose combined size is O(proxies × height) at scale (hundreds
-        of MB for a million proxies).  Always reads the live hierarchy, so
-        repairs are visible immediately.
+        ``ap`` is covered iff its (bottom-tier) ring is ``ring_id`` or reaches
+        it by climbing the leader→parent links — O(height) dict probes and
+        **zero cached state**.  This replaces the seed's materialised
+        per-ring coverage sets (``tests/reference/per_op.py``), whose combined
+        size is O(proxies × height) at scale (hundreds of MB for a million
+        proxies).  Always reads the live hierarchy, so repairs are visible
+        immediately.
         """
         hierarchy = self.hierarchy
         ring_of_node = hierarchy.ring_of_node
@@ -725,7 +677,6 @@ class TokenRoundKernel:
         return [ring_covers(ring_id, entry.operation.member.ap) for entry in delta.entries]
 
     def invalidate_coverage(self) -> None:
-        self._coverage_cache.clear()
         self._coverage_epoch += 1
 
     # ------------------------------------------------------------------
@@ -736,33 +687,6 @@ class TokenRoundKernel:
         """Compile an aggregated operation batch once for a whole round."""
         return MembershipDelta.from_operations(operations)
 
-    def apply_operations_at(
-        self,
-        node: "NodeId | str | NetworkEntityState",
-        ring: LogicalRing,
-        operations: OperationBatch,
-        now: float,
-        batched: Optional[bool] = None,
-    ) -> List[MembershipEvent]:
-        """Execute the token's operations on one entity's member lists.
-
-        ``operations`` may be a raw operation sequence or an already compiled
-        :class:`MembershipDelta`.  Every event that changed a view is
-        published on the kernel's event bus and returned.
-        """
-        entity = node if isinstance(node, NetworkEntityState) else self.entity(node)
-        if batched is None:
-            batched = self.config.batched_apply
-        if isinstance(operations, MembershipDelta):
-            events = self._apply_delta(entity, ring, operations, now)
-        elif batched:
-            events = self._apply_delta(entity, ring, self.compile_delta(operations), now)
-        else:
-            events = self._apply_per_op(entity, ring, operations, now)
-        for event in events:
-            self.event_bus.publish(event)
-        return list(events) if not isinstance(events, list) else events
-
     def _ring_members_set(self, ring: LogicalRing) -> Set[NodeId]:
         """Cached ``set(ring.members)``, invalidated by the ring's mutation
         counter (repairs bump it)."""
@@ -772,26 +696,6 @@ class TokenRoundKernel:
         members = set(ring.members)
         self._ring_set_cache[ring.ring_id] = (ring.version, members)
         return members
-
-    def _apply_delta(
-        self,
-        entity: NetworkEntityState,
-        ring: LogicalRing,
-        delta: MembershipDelta,
-        now: float,
-    ) -> Sequence[MembershipEvent]:
-        """Set-based single-pass application of a compiled delta."""
-        if not delta.entries:
-            return []
-        is_bottom = ring.tier == self._bottom_tier
-        return self._apply_delta_ctx(
-            entity,
-            delta,
-            now,
-            self._entry_coverage(ring.ring_id, delta),
-            is_bottom,
-            self._ring_members_set(ring) if is_bottom else None,
-        )
 
     def _apply_delta_ctx(
         self,
@@ -877,72 +781,6 @@ class TokenRoundKernel:
                     events.append(event)
         # Most visits change nothing; avoid allocating an empty list each.
         return events if events is not None else ()
-
-    def _apply_per_op(
-        self,
-        entity: NetworkEntityState,
-        ring: LogicalRing,
-        operations: Sequence[TokenOperation],
-        now: float,
-    ) -> List[MembershipEvent]:
-        """The seed's per-operation reference path (ablation baseline).
-
-        Faithful port of the original engines' loop, including the sorted
-        GUID-list probes — this is the path the batched delta is benchmarked
-        against.
-        """
-        events: List[MembershipEvent] = []
-        coverage = self.coverage(ring.ring_id)
-        bottom_tier = self._bottom_tier
-        node = entity.current
-        for op in operations:
-            if not op.op_type.concerns_member or op.member is None:
-                continue
-            member = op.member
-            in_coverage = member.ap.value in coverage
-
-            if ring.tier == bottom_tier:
-                if member.ap == node and op.op_type in (
-                    TokenOperationType.MEMBER_JOIN,
-                    TokenOperationType.MEMBER_HANDOFF,
-                ):
-                    entity.local_members.add(member)
-                elif str(member.guid) in entity.local_members.guids() and (
-                    member.ap != node
-                    or op.op_type
-                    in (TokenOperationType.MEMBER_LEAVE, TokenOperationType.MEMBER_FAILURE)
-                ):
-                    entity.local_members.remove(member.guid)
-
-                if member.ap != node and member.ap in ring.members:
-                    if op.op_type in (
-                        TokenOperationType.MEMBER_JOIN,
-                        TokenOperationType.MEMBER_HANDOFF,
-                    ):
-                        entity.neighbor_members.add(member)
-                    else:
-                        entity.neighbor_members.remove(member.guid)
-                elif (
-                    str(member.guid) in entity.neighbor_members.guids()
-                    and member.ap not in ring.members
-                ):
-                    entity.neighbor_members.remove(member.guid)
-
-            if op.op_type in (TokenOperationType.MEMBER_JOIN, TokenOperationType.MEMBER_HANDOFF):
-                if in_coverage:
-                    event = entity.ring_members.apply(op, now)
-                elif str(member.guid) in entity.ring_members.guids():
-                    removed = entity.ring_members.remove(member.guid)
-                    event = (
-                        self._event(op, node, now, len(entity.ring_members)) if removed else None
-                    )
-                else:
-                    event = None
-            else:
-                event = entity.ring_members.apply(op, now)
-            if event is not None:
-                events.append(event)
-        return events
 
     @staticmethod
     def _event(
@@ -1125,7 +963,8 @@ class TokenRoundKernel:
             for e in entries
             if e.sender != holder_id and e.sender not in ring_members_now
         ]
-        # Single pass doing mark_seen + note_circulated together.
+        # One pass marks the batch seen and records the ring's per-member
+        # sequence high-water marks (what ``stale_for`` reads).
         seen = self.ring_seen[ring_id]
         applied = self.ring_applied_seq.setdefault(ring_id, {})
         for op in operations:
@@ -1153,13 +992,12 @@ class TokenRoundKernel:
             self.trace.record(now, "round", str(holder_id), f"start {token.describe()}")
 
         # One compile per round: every visited member applies the same delta.
-        use_batched = self.config.batched_apply
-        batch: OperationBatch = self.compile_delta(operations) if use_batched else operations
+        batch = self.compile_delta(operations)
         publish = self.event_bus.publish
         entities = self.entities
         failed = self.failed
         dispatch = self.dispatch
-        has_entries = not use_batched or bool(batch.entries)
+        has_entries = bool(batch.entries)
         is_bottom = ring.tier == self._bottom_tier
         disseminate_downward = self.config.disseminate_downward
 
@@ -1212,26 +1050,23 @@ class TokenRoundKernel:
                 token = token.record_visit(node)
             visited_append(node)
             entity = entities[node]
-            if use_batched:
-                if has_entries:
-                    if coverage_epoch != self._coverage_epoch:
-                        coverage_epoch = self._coverage_epoch
-                        entry_coverage = self._entry_coverage(ring_id, batch)
-                    if is_bottom:
-                        cached_set = ring_set_cache.get(ring_id)
-                        if cached_set is not None and cached_set[0] == ring.version:
-                            member_set = cached_set[1]
-                        else:
-                            member_set = self._ring_members_set(ring)
+            if has_entries:
+                if coverage_epoch != self._coverage_epoch:
+                    coverage_epoch = self._coverage_epoch
+                    entry_coverage = self._entry_coverage(ring_id, batch)
+                if is_bottom:
+                    cached_set = ring_set_cache.get(ring_id)
+                    if cached_set is not None and cached_set[0] == ring.version:
+                        member_set = cached_set[1]
                     else:
-                        member_set = None
-                    events = self._apply_delta_ctx(
-                        entity, batch, now, entry_coverage, is_bottom, member_set
-                    )
+                        member_set = self._ring_members_set(ring)
                 else:
-                    events = ()
+                    member_set = None
+                events = self._apply_delta_ctx(
+                    entity, batch, now, entry_coverage, is_bottom, member_set
+                )
             else:
-                events = self._apply_per_op(entity, ring, operations, now)
+                events = ()
             if events:
                 for event in events:
                     publish(event)

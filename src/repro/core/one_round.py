@@ -278,18 +278,6 @@ class OneRoundEngine:
     # convenience wrappers used by examples and the facade
     # ------------------------------------------------------------------
 
-    def join_and_propagate(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
-    ) -> PropagationReport:
-        self.member_join(ap, guid, now)
-        return self.propagate(now)
-
-    def leave_and_propagate(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
-    ) -> PropagationReport:
-        self.member_leave(ap, guid, now)
-        return self.propagate(now)
-
     def handoff_and_propagate(
         self,
         guid: "GloballyUniqueId | str",

@@ -258,11 +258,6 @@ class MembershipQueryService:
             return None
         return self._view_of(top_leader).get(guid)
 
-    def members_under(self, node: "NodeId | str") -> List[MemberInfo]:
-        """Members within the coverage area of one network entity's ring."""
-        key = coerce_node(node)
-        return list(self._view_of(key).members())
-
     def maintenance_cost(self, scheme: MembershipScheme) -> Dict[str, int]:
         """Storage cost of a scheme: entities holding views and total records.
 

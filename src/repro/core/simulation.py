@@ -165,32 +165,6 @@ class RGBSimulation:
             self._member_counter += 1
         return harness.capture_join(ap, str(guid))
 
-    def join_members(
-        self,
-        count: int,
-        ap_ids: Optional[List[str]] = None,
-        guid_prefix: str = "member",
-    ) -> List[MemberInfo]:
-        """Capture ``count`` joins before a single propagation (batched path).
-
-        The joins are spread round-robin over ``ap_ids`` (all participating
-        proxies by default) and left in the access proxies' message queues, so
-        one :meth:`run_until_quiescent` call aggregates them into shared token
-        rounds instead of propagating each join individually.
-        """
-        self._built()
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        aps = ap_ids if ap_ids is not None else self.access_proxies()
-        if not aps:
-            raise ValueError("no access proxies to join at")
-        members: List[MemberInfo] = []
-        for index in range(count):
-            guid = f"{guid_prefix}-{self._member_counter:06d}"
-            self._member_counter += 1
-            members.append(self.join_member(ap_id=aps[index % len(aps)], guid=guid))
-        return members
-
     def leave_member(self, guid: str) -> None:
         """The named member voluntarily leaves the group."""
         self._built().capture_leave(self._known_member(guid))

@@ -13,7 +13,9 @@ this dispatch routes the round's outbound messages:
   the socket's: the owner-shard lookup, handing a same-shard target straight
   to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
   always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
-  must not double-insert).  Each NOTIFY carries its sender's low-water
+  must not double-insert).  A NOTIFY is taken only for a ring this shard
+  owns, from a sender whose ring its claimed shard owns; anything else is a
+  wire error, dropped unacked.  Each NOTIFY carries its sender's low-water
   mark (``ReliableNotifier.low_water``), so the dedup state per sender is
   only the ids at or above the mark.  An id below it is a duplicate: a late
   copy of a notification its sender has since abandoned or rerouted (the
@@ -142,6 +144,18 @@ class SocketDispatch(MessageDispatch):
     def on_notify(self, message: wire.WireMessage) -> None:
         node = self.node
         payload = message.payload
+        owner = node.plan.ring_owner.get
+        sender_ring = node.kernel.hierarchy.ring_of_node.get(payload["sender"])
+        if (
+            owner(payload["ring"]) != node.shard_id
+            or sender_ring is None
+            or owner(sender_ring) != message.sender_shard
+        ):
+            # Schema-valid but not a notification any peer could have sent
+            # here: a ring another shard owns, or a sender its shard does not
+            # host.  No ack, so an honest sender's retry logic takes over.
+            node.metrics.counter("runtime.wire_errors").increment()
+            return
         notify_id = payload["id"]
         # Always ack: the sender retries until it hears us, and a duplicate
         # means exactly that a previous ack was lost (or is still in flight).

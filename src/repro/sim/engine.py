@@ -117,13 +117,6 @@ class EventQueue:
         self._live = 0
         return None
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event without popping it."""
-        heap = self._heap
-        while heap and heap[0][3]._cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def __len__(self) -> int:
         return self._live
 

@@ -62,9 +62,6 @@ class MobilityTrace:
     def events_for_host(self, host_id: str) -> List[object]:
         return [e for e in self.all_events() if getattr(e, "host_id") == host_id]
 
-    def handoff_count(self) -> int:
-        return len(self.handoffs)
-
     def __len__(self) -> int:
         return len(self.attachments) + len(self.handoffs)
 

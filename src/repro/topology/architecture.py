@@ -40,23 +40,6 @@ MOBILE_HOST_CLASSES: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class TierSpec:
-    """How many entities of one tier to generate and how they are grouped.
-
-    ``fanout`` is the number of children each entity of this tier has in the
-    tier below (e.g. APs per AG).  The topmost tier has no parent so its
-    ``count`` is explicit; lower tiers are sized by the fanout chain.
-    """
-
-    name: str
-    fanout: int
-
-    def __post_init__(self) -> None:
-        if self.fanout < 1:
-            raise ValueError(f"tier {self.name!r} fanout must be >= 1, got {self.fanout}")
-
-
-@dataclass(frozen=True)
 class TopologySpec:
     """Full specification of a generated 4-tier topology.
 

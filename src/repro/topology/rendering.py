@@ -9,7 +9,7 @@ logical links to parents).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.topology.architecture import FourTierArchitecture
 
@@ -80,8 +80,3 @@ def render_hierarchy(hierarchy: "RingHierarchy", max_rings_per_tier: int = 6) ->
         if len(rings) > max_rings_per_tier:
             lines.append(f"    ... ({len(rings) - max_rings_per_tier} more rings)")
     return "\n".join(lines)
-
-
-def tier_count_dict(architecture: FourTierArchitecture) -> Dict[str, int]:
-    """Dictionary form of the Figure 1 tier counts (used by benchmarks)."""
-    return architecture.tier_counts()

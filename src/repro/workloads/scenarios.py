@@ -79,7 +79,6 @@ def run_large_scale_scenario(
     ring_size: int = 10,
     height: int = 5,
     joins: int = 16,
-    batched_apply: bool = True,
     disseminate_downward: bool = True,
     verify_rings: int = 25,
 ) -> ScenarioResult:
@@ -98,10 +97,7 @@ def run_large_scale_scenario(
     """
     if joins < 1:
         raise ValueError(f"joins must be >= 1, got {joins}")
-    config = ProtocolConfig(
-        batched_apply=batched_apply,
-        disseminate_downward=disseminate_downward,
-    )
+    config = ProtocolConfig(disseminate_downward=disseminate_downward)
     build_start = time.perf_counter()
     hierarchy = HierarchyBuilder("large-scale").regular(ring_size=ring_size, height=height)
     engine = OneRoundEngine(hierarchy, config=config)
@@ -135,7 +131,6 @@ def run_large_scale_scenario(
             "hop_count": report.hop_count,
             "joins_per_second": joins / propagate_seconds if propagate_seconds > 0 else 0.0,
             "sampled_ring_agreement": agreement,
-            "batched_apply": batched_apply,
         },
     )
 

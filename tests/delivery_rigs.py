@@ -172,12 +172,10 @@ class FakeNode:
 
     Shard 0 is "this" process and owns ``local_rings``; every other ring
     belongs to shard 1.  Datagrams are recorded in ``sent`` instead of being
-    written to a socket; :meth:`pump` puts each through the wire codec and
+    written to a socket; :meth:`receive` puts one through the wire codec and
     loops the decoded message back through the same dispatch, which then
-    also plays the receiving shard.
+    plays the receiving shard.
     """
-
-    shard_id = 0
 
     def __init__(
         self,
@@ -186,6 +184,7 @@ class FakeNode:
         resend_limit: int = 2,
         local_rings: Optional[List[str]] = None,
     ) -> None:
+        self.shard_id = 0
         self.loop = FakeLoop()
         self.metrics = MetricRegistry()
         self.config = SimpleNamespace(resend_limit=resend_limit, resend_backoff=1.0)
@@ -218,17 +217,32 @@ class FakeNode:
     def datagrams(self, kind: int) -> List[dict]:
         return [payload for _, k, payload in self.sent if k == kind]
 
-    def pump(self) -> None:
-        """Loop every recorded NOTIFY / NOTIFY_ACK back until none is left."""
-        while self.sent:
-            shard, kind, payload = self.sent.pop(0)
-            # The shard a datagram was addressed to is not the one it came from.
-            codec = self._codecs[1 - shard]
-            message = wire.WireCodec.decode(codec.encode(kind, payload, dest_key=shard))
-            if kind == wire.MSG_NOTIFY:
+    def receive(self, shard: int, kind: int, payload: dict) -> None:
+        """A recorded NOTIFY / NOTIFY_ACK arrives at ``shard``, its addressee.
+
+        A NOTIFY comes from the shard that owns its sender's ring (a node
+        runs only the rounds of rings it owns); an ACK from the other shard.
+        """
+        if kind == wire.MSG_NOTIFY:
+            sender_ring = self.kernel.hierarchy.ring_of_node[payload["sender"]]
+            origin = self.plan.owner_of_ring(sender_ring)
+        else:
+            origin = 1 - shard
+        codec = self._codecs[origin]
+        message = wire.WireCodec.decode(codec.encode(kind, payload, dest_key=shard))
+        if kind == wire.MSG_NOTIFY:
+            self.shard_id = shard
+            try:
                 self.dispatch.on_notify(message)
-            elif kind == wire.MSG_NOTIFY_ACK:
-                self.dispatch.on_notify_ack(message)
+            finally:
+                self.shard_id = 0
+        elif kind == wire.MSG_NOTIFY_ACK:
+            self.dispatch.on_notify_ack(message)
+
+    def pump(self) -> None:
+        """Deliver every recorded datagram until none is left."""
+        while self.sent:
+            self.receive(*self.sent.pop(0))
 
 
 class SocketRig(_Rig):

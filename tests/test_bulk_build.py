@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis_profiles import examples
+from reference.incremental_build import build_entity_states_incremental, regular_incremental
+from reference.per_op import coverage
 
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.identifiers import NodeId
@@ -47,7 +49,7 @@ SHAPES = [(10, 3), (4, 5), (2, 10), (10, 4)]
 def test_bulk_regular_hierarchy_equals_incremental(shape):
     ring_size, height = shape
     bulk = HierarchyBuilder("prop").regular(ring_size, height)
-    incremental = HierarchyBuilder("prop").regular(ring_size, height, bulk=False)
+    incremental = regular_incremental("prop", ring_size, height)
 
     assert list(bulk.rings) == list(incremental.rings)
     for ring_id, bulk_ring in bulk.rings.items():
@@ -77,7 +79,7 @@ def test_bulk_entity_states_equal_incremental(shape):
     ring_size, height = shape
     hierarchy = HierarchyBuilder("prop").regular(ring_size, height)
     bulk_states = hierarchy.build_entity_states()
-    reference_states = hierarchy.build_entity_states(bulk=False)
+    reference_states = build_entity_states_incremental(hierarchy)
 
     assert list(bulk_states) == list(reference_states)
     for node, bulk_state in bulk_states.items():
@@ -90,13 +92,11 @@ def test_bulk_entity_states_equal_incremental(shape):
 def test_bulk_kernel_coverage_matches_incremental_and_ancestor_walk(shape):
     ring_size, height = shape
     bulk_kernel = TokenRoundKernel(HierarchyBuilder("prop").regular(ring_size, height))
-    reference_kernel = TokenRoundKernel(
-        HierarchyBuilder("prop").regular(ring_size, height, bulk=False)
-    )
+    reference_kernel = TokenRoundKernel(regular_incremental("prop", ring_size, height))
     aps = [node for node in bulk_kernel.hierarchy.access_proxies()]
     for ring_id in bulk_kernel.hierarchy.rings:
-        covered = bulk_kernel.coverage(ring_id)
-        assert covered == reference_kernel.coverage(ring_id)
+        covered = coverage(bulk_kernel, ring_id)
+        assert covered == coverage(reference_kernel, ring_id)
         # The batched apply path's ancestor-chain test is a drop-in
         # replacement for the materialised coverage sets.
         walked = {ap.value for ap in aps if bulk_kernel.ring_covers(ring_id, ap)}
@@ -121,7 +121,7 @@ def test_ring_covers_tracks_repair():
             for ap in kernel.hierarchy.access_proxies()
             if kernel.ring_covers(rid, ap)
         }
-        assert walked == kernel.coverage(rid)
+        assert walked == coverage(kernel, rid)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis_profiles import examples
+from reference.per_op import coverage, use_per_op
 
 from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.handoff import HandoffManager
@@ -37,7 +41,9 @@ class TestKernelSharedMachinery:
             for ap in hierarchy.access_proxies():
                 if ap in members or any(a in members for a in hierarchy.ancestry(ap)):
                     expected.add(ap.value)
-            assert kernel.coverage(ring_id) == expected
+            assert coverage(kernel, ring_id) == expected
+            aps = hierarchy.access_proxies()
+            assert {ap.value for ap in aps if kernel.ring_covers(ring_id, ap)} == expected
 
     def test_drain_for_round_reports_out_of_ring_senders(self):
         """The round's queue drain aggregates every queued operation and
@@ -80,10 +86,81 @@ class TestKernelSharedMachinery:
             ), 0.0)
 
 
+#: Capture traces: an op kind plus a number that picks its proxy / member.
+#: ``crash`` fails a non-leader above the bottom tier, repaired when a round
+#: or a notification meets it; ``wave`` propagates mid-trace.
+TRACE = st.lists(
+    st.tuples(
+        st.sampled_from(("join", "leave", "failure", "handoff", "crash", "wave")),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _run_trace(trace, per_op: bool) -> dict:
+    """Drive one trace through an r=3, h=3 engine; return what it observed."""
+    engine = make_engine(ring_size=3, height=3)
+    if per_op:
+        use_per_op(engine)
+    hierarchy = engine.hierarchy
+    aps = hierarchy.access_proxies()
+    members: list = []  # (guid, ap) of every member currently joined
+    crashed: set = set()
+    hops = []
+    for index, (kind, pick) in enumerate(trace):
+        if kind == "join":
+            ap = aps[pick % len(aps)]
+            engine.member_join(ap, f"m-{index:03d}")
+            members.append((f"m-{index:03d}", ap))
+        elif kind in ("leave", "failure") and members:
+            guid, ap = members.pop(pick % len(members))
+            capture = engine.member_leave if kind == "leave" else engine.member_failure
+            capture(ap, guid)
+        elif kind == "handoff" and members:
+            slot = pick % len(members)
+            guid, old_ap = members[slot]
+            new_ap = aps[(pick // 7) % len(aps)]
+            if new_ap != old_ap:
+                engine.member_handoff(guid, old_ap, new_ap)
+                members[slot] = (guid, new_ap)
+        elif kind == "crash":
+            upper = [
+                ring
+                for ring in hierarchy.rings.values()
+                if ring.tier != hierarchy.bottom_tier() and len(ring.members) > 2
+            ]
+            if upper:
+                ring = upper[pick % len(upper)]
+                victim = ring.members[pick % len(ring.members)]
+                if victim not in crashed and victim != ring.leader:
+                    engine.fail_entity(victim)
+                    crashed.add(victim)
+        elif kind == "wave":
+            hops.append(engine.propagate().hop_count)
+    hops.append(engine.propagate().hop_count)
+    return {
+        "hops": hops,
+        "guids": engine.global_guids(),
+        "views": {
+            str(node): tuple(
+                sorted(view.members(), key=lambda m: m.guid.value)
+                for view in (entity.local_members, entity.neighbor_members, entity.ring_members)
+            )
+            for node, entity in engine.entities.items()
+        },
+    }
+
+
 class TestBatchedEquivalenceInEngines:
     @pytest.mark.parametrize("batched", [True, False])
     def test_propagation_same_views_and_hops(self, batched):
-        engine = make_engine(ring_size=3, height=3, batched_apply=batched)
+        """Nine joins, one per access proxy: either apply path reaches every
+        ring and matches the other path's hops, membership and views."""
+        engine = make_engine(ring_size=3, height=3)
+        if not batched:
+            use_per_op(engine)
         aps = engine.hierarchy.access_proxies()
         for index, ap in enumerate(aps[:9]):
             engine.member_join(ap, f"m-{index:03d}")
@@ -91,12 +168,18 @@ class TestBatchedEquivalenceInEngines:
         assert len(engine.global_guids()) == 9
         for ring_id in engine.hierarchy.rings:
             assert engine.ring_agreement(ring_id)
-        # Hop counts are a pure protocol property — identical in both modes.
-        reference = make_engine(ring_size=3, height=3, batched_apply=not batched)
-        for index, ap in enumerate(aps[:9]):
-            reference.member_join(ap, f"m-{index:03d}")
-        assert reference.propagate().hop_count == report.hop_count
-        assert reference.global_guids() == engine.global_guids()
+        trace = [("join", index) for index in range(9)]
+        observed = _run_trace(trace, per_op=not batched)
+        assert observed["hops"] == [report.hop_count]
+        assert observed["guids"] == engine.global_guids()
+        assert observed == _run_trace(trace, per_op=batched)
+
+    @settings(max_examples=examples(10), deadline=None)
+    @given(trace=TRACE)
+    def test_random_traces_same_views_and_hops(self, trace):
+        """The batched delta and the seed's per-op apply (``tests/reference``)
+        leave the same hop counts, global membership and entity views."""
+        assert _run_trace(trace, per_op=True) == _run_trace(trace, per_op=False)
 
     def test_handoff_batch_propagates_once(self):
         engine, one_by_one = make_engine(ring_size=3, height=2), make_engine(ring_size=3, height=2)

@@ -38,6 +38,7 @@ from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor, PeerHealt
 from repro.runtime.loop import EventLoop
 from repro.runtime.node import NodeRuntime
 from repro.runtime.runner import LiveScenarioConfig, LiveScenarioRunner
+from repro.runtime.scenario import ShardPlan
 from repro.runtime.supervisor import Supervisor, _detach_child, _ShardProc
 from repro.runtime.wire import (
     CHANNEL_MULTICAST,
@@ -569,6 +570,15 @@ def _upward(node):
     return upward_join(node.kernel, "unit-member")
 
 
+def _receiving_node():
+    """A fake shard 0 that owns the ring ``_upward``'s NOTIFYs target (the
+    sender's ring stays on shard 1), with that sender, target and join."""
+    probe = FakeNode()
+    _sender, target, _op = _upward(probe)
+    node = FakeNode(local_rings=[probe.kernel.hierarchy.ring_of(target).ring_id])
+    return node, _upward(node)
+
+
 def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1, low=1):
     payload = {
         "id": notify_id,
@@ -582,8 +592,7 @@ def _notify_message(node, sender, target, op, notify_id=7, sender_shard=1, low=1
 
 
 def test_on_notify_always_acks_and_inserts_a_duplicate_once():
-    node = FakeNode()
-    sender, target, op = _upward(node)
+    node, (sender, target, op) = _receiving_node()
     message = _notify_message(node, sender, target, op)
     node.dispatch.on_notify(message)
     node.dispatch.on_notify(message)  # the resend after a lost ack
@@ -594,8 +603,14 @@ def test_on_notify_always_acks_and_inserts_a_duplicate_once():
     assert node.metrics.counter("harness.notifications_delivered").value == 1
     assert node.rounds_requested == [node.kernel.hierarchy.ring_of(target).ring_id]
     # The dedup key is (sender_shard, id): another shard's id 7 is another message.
-    other = node.kernel.make_join_op(sender, "unit-member-2")
-    node.dispatch.on_notify(_notify_message(node, sender, target, other, sender_shard=2))
+    other_ring = node.kernel.hierarchy.bottom_rings()[1]
+    node.plan = ShardPlan(
+        num_shards=3, ring_owner={**node.plan.ring_owner, other_ring.ring_id: 2}, top_shard=0
+    )
+    other = node.kernel.make_join_op(other_ring.leader, "unit-member-2")
+    node.dispatch.on_notify(
+        _notify_message(node, other_ring.leader, target, other, sender_shard=2)
+    )
     assert node.kernel.entity(target).mq.peek() == (op, other)
 
 
@@ -669,9 +684,8 @@ def test_unacked_send_to_an_evicted_shard_reroutes():
 def _lose_acks(node):
     """Deliver the recorded NOTIFYs, and lose the ACKs they draw."""
     notifies, node.sent = node.sent, []
-    codec = WireCodec(0)
-    for _shard, _kind, payload in notifies:
-        node.dispatch.on_notify(WireCodec.decode(codec.encode(MSG_NOTIFY, payload, dest_key=1)))
+    for datagram in notifies:
+        node.receive(*datagram)
     node.sent = []
 
 
@@ -687,12 +701,12 @@ def test_dedup_state_holds_only_ids_at_or_above_the_senders_low_water_mark():
         notify(f"m{index}")
     node.pump()
     assert node.dispatch.pending_count() == 0
-    assert node.dispatch._delivered[0] == (1, {1, 2, 3, 4, 5})
+    assert node.dispatch._delivered[1] == (1, {1, 2, 3, 4, 5})
 
     for index in range(5, 25):  # one at a time: each is all that is in flight
         notify(f"m{index}")
         node.pump()
-    assert node.dispatch._delivered[0] == (25, {25})
+    assert node.dispatch._delivered[1] == (25, {25})
     assert len(node.kernel.entity(target).mq.peek()) == 25
     assert "runtime.notify_duplicates" not in node.metrics.counters
 
@@ -712,8 +726,7 @@ def test_resend_after_a_lost_ack_is_still_deduped():
 
 
 def test_late_copy_below_the_mark_is_acked_and_not_inserted():
-    node = FakeNode()
-    sender, target, op = _upward(node)
+    node, (sender, target, op) = _receiving_node()
     node.dispatch.on_notify(_notify_message(node, sender, target, op, notify_id=3, low=3))
     late = node.kernel.make_join_op(sender, "unit-member-late")
     node.sent = []
@@ -723,6 +736,23 @@ def test_late_copy_below_the_mark_is_acked_and_not_inserted():
     assert node.sent == [(1, wire.MSG_NOTIFY_ACK, {"id": 2})]
     assert node.kernel.entity(target).mq.peek() == (op,)
     assert node.metrics.counter("runtime.notify_duplicates").value == 1
+
+
+def test_notify_no_peer_could_have_sent_is_a_wire_error_dropped_unacked():
+    """A NOTIFY is taken only for a ring this shard owns, from a sender whose
+    ring the claimed sending shard owns."""
+    node, (sender, target, op) = _receiving_node()
+    for forged in (
+        _notify_message(node, NodeId("ghost"), target, op),  # a sender no shard hosts
+        _notify_message(node, target, target, op),  # shard 0's node, claimed by shard 1
+        _notify_message(node, sender, sender, op),  # a ring shard 1 owns, sent to shard 0
+    ):
+        node.dispatch.on_notify(forged)
+
+    assert node.sent == []
+    assert node.metrics.counter("runtime.wire_errors").value == 3
+    assert "harness.notifications_delivered" not in node.metrics.counters
+    assert not node.kernel.entity(target).mq.peek() and not node.kernel.entity(sender).mq.peek()
 
 
 # ---------------------------------------------------------------------------
