@@ -39,8 +39,8 @@ Adapters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.baselines.flat_ring import FlatRingMembership
 from repro.baselines.gossip import GossipMembership

@@ -30,7 +30,7 @@ paper §5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.sim.rng import RandomStreams
 

@@ -17,10 +17,10 @@ the comparison shape (tree ≲ ring, within ~25%) is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
-from repro.baselines.tree_hierarchy import TreeHierarchy, TreeNode
+from repro.baselines.tree_hierarchy import TreeHierarchy
 from repro.sim.rng import RandomStreams
 
 

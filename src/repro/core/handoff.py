@@ -12,9 +12,9 @@ climb the hierarchy before the member is served.
 before the caller captures it — did the destination proxy's neighbour list
 already hold the member, and does the move stay within one ring — and
 aggregates the fast-path hit ratio the handoff-storm benchmark reports.
-Capturing and propagating the handoff is the driver's job
-(``ScenarioHarness.capture_handoff``; ``OneRoundEngine.capture_many`` +
-``propagate`` for a batch).
+Capturing the handoff is the kernel's ``handoff`` verb
+(:meth:`repro.core.kernel.TokenRoundKernel.handoff`); propagating it is the
+driver's round scheduling.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ import contextlib
 import gc
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.entity import EntityRole, NetworkEntityState
 from repro.core.identifiers import GroupId, NodeId, coerce_group
-from repro.core.ring import LogicalRing, RingError
+from repro.core.ring import LogicalRing
 
 if TYPE_CHECKING:
     from repro.topology.generator import GeneratedTopology

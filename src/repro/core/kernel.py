@@ -4,9 +4,11 @@ The single, transport-agnostic state machine of the One-Round Token Passing
 protocol; round, notification and acknowledgement semantics live here and
 nowhere else, and every driver steps this module:
 
-* **operation factory** — sequence numbers, member epochs, LUID derivation and
-  record lookup for Member-Join/Leave/Failure/Handoff and the failure
-  operations emitted by ring repair;
+* **capture verbs** — ``join`` / ``leave`` / ``fail_member`` / ``handoff``
+  own each member's location and epoch (one table), the capturable check,
+  sequence and epoch assignment, the old proxy's unregister on a handoff and
+  the skip count; plus record lookup and the failure operations emitted by
+  ring repair;
 * **round orchestration** — queue draining with child-sender tracking, token
   circulation order, ``RingOK``/``ParentOK`` gating, Notification-to-Parent /
   Notification-to-Child routing, Holder-Acknowledgement targets and per-ring
@@ -53,6 +55,10 @@ from repro.core.ring import LogicalRing
 from repro.core.token import Token, TokenOperation, TokenOperationType
 from repro.sim.stats import MetricRegistry
 from repro.sim.trace import TraceRecorder
+
+
+#: A member the kernel has never captured: no location, epoch 0.
+_UNPLACED: Tuple[Optional[NodeId], int] = (None, 0)
 
 
 class ProtocolError(RuntimeError):
@@ -375,7 +381,9 @@ class TokenRoundKernel:
         # Token ids are per-kernel, not process-global: two identically seeded
         # runs in one process must produce identical traces (golden tests).
         self._token_ids = itertools.count(1)
-        self._member_epochs: Dict[str, int] = {}
+        # Per member GUID: (the access proxy it was last captured at, or
+        # None once it departed; its latest attachment epoch).
+        self._members: Dict[str, Tuple[Optional[NodeId], int]] = {}
         # Per-ring seen-sets / sequence high-water marks materialise on first
         # touch (defaultdict): pre-seeding one empty set and dict per ring
         # cost two allocations per ring — 222k objects a million-proxy build
@@ -413,7 +421,7 @@ class TokenRoundKernel:
         return [n for n in self.entities if n not in self.failed]
 
     # ------------------------------------------------------------------
-    # operation factory (shared by every driver)
+    # sequences and epochs
     # ------------------------------------------------------------------
 
     def next_sequence(self) -> int:
@@ -443,14 +451,19 @@ class TokenRoundKernel:
         return self._coverage_epoch
 
     def next_epoch(self, guid: str) -> int:
-        epoch = self._member_epochs.get(guid, 0) + 1
-        self._member_epochs[guid] = epoch
-        return epoch
+        location, epoch = self._members.get(guid, _UNPLACED)
+        self._members[guid] = (location, epoch + 1)
+        return epoch + 1
 
     def make_join_op(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str"
+        self,
+        ap: "NodeId | str",
+        guid: "GloballyUniqueId | str",
+        *,
+        sequence: Optional[int] = None,
+        epoch: Optional[int] = None,
     ) -> TokenOperation:
-        """A mobile host joins the group at access proxy ``ap``."""
+        """A Member-Join operation for ``guid`` at ``ap``, not yet captured."""
         ap_id = coerce_node(ap)
         guid_id = coerce_guid(guid)
         member = MemberInfo(
@@ -458,70 +471,160 @@ class TokenRoundKernel:
             group=self.hierarchy.group,
             ap=ap_id,
             status=MemberStatus.OPERATIONAL,
-            epoch=self.next_epoch(str(guid_id)),
+            epoch=self.next_epoch(str(guid_id)) if epoch is None else epoch,
         )
         return TokenOperation(
             op_type=TokenOperationType.MEMBER_JOIN,
             origin=ap_id,
             member=member,
-            sequence=self.next_sequence(),
+            sequence=self.next_sequence() if sequence is None else sequence,
         )
 
-    def make_leave_op(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str"
-    ) -> TokenOperation:
-        """A mobile host voluntarily leaves the group."""
-        ap_id = coerce_node(ap)
-        member = self.lookup_member(ap_id, coerce_guid(guid))
-        return TokenOperation(
-            op_type=TokenOperationType.MEMBER_LEAVE,
-            origin=ap_id,
-            member=member.with_status(MemberStatus.LEFT),
-            sequence=self.next_sequence(),
-        )
+    # ------------------------------------------------------------------
+    # capture verbs (what an access proxy does; every driver calls these)
+    #
+    # Each verb captures one member change into the capturing proxy's queue
+    # and returns the operation, or returns ``None`` and counts one
+    # ``harness.captures_skipped`` when the proxy cannot capture: it has
+    # failed, it has left the hierarchy, or (handoff) the member has no known
+    # location or is already there.  A leave or failure of a member with no
+    # known location returns ``None`` uncounted: there is no proxy to capture
+    # at, so nothing was attempted.  The kernel keeps each member's current
+    # location and epoch in one table; a caller that routes without it (the
+    # structural engine) names the proxy itself.  Sequence and epoch are
+    # drawn here, epoch first; a join, leave or failure may instead take
+    # them from the caller (the live node replays a script's pre-assigned
+    # identities, and no script emits a handoff).
+    # ------------------------------------------------------------------
 
-    def make_failure_op(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str"
-    ) -> TokenOperation:
-        """A mobile host is detected faulty by its access proxy."""
-        ap_id = coerce_node(ap)
-        member = self.lookup_member(ap_id, coerce_guid(guid))
-        return TokenOperation(
-            op_type=TokenOperationType.MEMBER_FAILURE,
-            origin=ap_id,
-            member=member.with_status(MemberStatus.FAILED),
-            sequence=self.next_sequence(),
-        )
+    def location_of(self, guid: "GloballyUniqueId | str") -> Optional[NodeId]:
+        """The access proxy ``guid`` was last captured at (``None``: unknown
+        or departed)."""
+        return self._members.get(str(guid), _UNPLACED)[0]
 
-    def make_handoff_op(
+    def _place(self, guid: str, location: Optional[NodeId], epoch: Optional[int] = None) -> None:
+        if epoch is None:
+            epoch = self._members.get(guid, _UNPLACED)[1]
+        self._members[guid] = (location, epoch)
+
+    def _capture_site(self, ap: "NodeId | str") -> Optional[NodeId]:
+        key = coerce_node(ap)
+        if key in self.failed or not self.hierarchy.has_node(key):
+            return None
+        return key
+
+    def _skip(self) -> None:
+        self.metrics.counter("harness.captures_skipped").increment()
+
+    def join(
+        self,
+        ap: "NodeId | str",
+        guid: "GloballyUniqueId | str",
+        *,
+        now: float,
+        sequence: Optional[int] = None,
+        epoch: Optional[int] = None,
+    ) -> Optional[TokenOperation]:
+        """Member-Join: a mobile host joins the group at access proxy ``ap``."""
+        key = self._capture_site(ap)
+        if key is None:
+            return self._skip()
+        op = self.make_join_op(key, guid, sequence=sequence, epoch=epoch)
+        self._place(str(op.member.guid), key, op.member.epoch)
+        return self.capture(key, op, now)
+
+    def leave(
         self,
         guid: "GloballyUniqueId | str",
-        old_ap: "NodeId | str",
-        new_ap: "NodeId | str",
-    ) -> TokenOperation:
-        """A mobile host hands off from ``old_ap`` to ``new_ap``.
+        ap: "Optional[NodeId | str]" = None,
+        *,
+        now: float,
+        sequence: Optional[int] = None,
+    ) -> Optional[TokenOperation]:
+        """Member-Leave: the host departs voluntarily, reported at ``ap``
+        (default: where it was last captured)."""
+        return self._depart(
+            TokenOperationType.MEMBER_LEAVE, MemberStatus.LEFT, guid, ap, now, sequence
+        )
 
-        The change is captured at the *new* access proxy (the paper's
-        Member-Handoff); the old access proxy's local list is updated directly,
-        modelling the Mobile-IP style binding update the host performs, and the
-        propagated operation carries ``previous_ap`` so every view can move the
-        member rather than duplicate it.
-        """
-        old_id = coerce_node(old_ap)
-        new_id = coerce_node(new_ap)
+    def fail_member(
+        self,
+        guid: "GloballyUniqueId | str",
+        ap: "Optional[NodeId | str]" = None,
+        *,
+        now: float,
+        sequence: Optional[int] = None,
+    ) -> Optional[TokenOperation]:
+        """Member-Failure: the host's access proxy (``ap``, default: where it
+        was last captured) detects it faulty."""
+        return self._depart(
+            TokenOperationType.MEMBER_FAILURE, MemberStatus.FAILED, guid, ap, now, sequence
+        )
+
+    def _depart(
+        self,
+        op_type: TokenOperationType,
+        status: MemberStatus,
+        guid: "GloballyUniqueId | str",
+        ap: "Optional[NodeId | str]",
+        now: float,
+        sequence: Optional[int],
+    ) -> Optional[TokenOperation]:
         guid_id = coerce_guid(guid)
-        member = self.lookup_member(old_id, guid_id)
-        moved = member.handed_off_to(new_id, self.next_epoch(str(guid_id)))
-        # Fast local update at the old proxy (fast-handoff path).
-        if old_id in self.entities:
-            self.entities[old_id].unregister_local_member(str(guid_id))
-        return TokenOperation(
+        name = str(guid_id)
+        if ap is None:
+            ap = self.location_of(name)
+            if ap is None:
+                return None  # nothing known departs: not a capture attempt
+        key = self._capture_site(ap)
+        if key is None:
+            return self._skip()
+        member = self.lookup_member(key, guid_id)
+        self._place(name, None)
+        op = TokenOperation(
+            op_type=op_type,
+            origin=key,
+            member=member.with_status(status),
+            sequence=self.next_sequence() if sequence is None else sequence,
+        )
+        return self.capture(key, op, now)
+
+    def handoff(
+        self,
+        guid: "GloballyUniqueId | str",
+        to_ap: "NodeId | str",
+        old_ap: "Optional[NodeId | str]" = None,
+        *,
+        now: float,
+    ) -> Optional[TokenOperation]:
+        """Member-Handoff: the host moves from ``old_ap`` (default: where it
+        was last captured) to ``to_ap``.
+
+        The change is captured at the *new* access proxy; the old proxy's
+        local list is updated directly, modelling the Mobile-IP style binding
+        update the host performs, and the propagated operation carries
+        ``previous_ap`` so every view can move the member rather than
+        duplicate it.
+        """
+        guid_id = coerce_guid(guid)
+        name = str(guid_id)
+        old = self.location_of(name) if old_ap is None else coerce_node(old_ap)
+        new = self._capture_site(to_ap)
+        if old is None or new is None or old == new:
+            return self._skip()
+        member = self.lookup_member(old, guid_id)
+        moved = member.handed_off_to(new, self.next_epoch(name))
+        if old in self.entities:
+            self.entities[old].unregister_local_member(name)
+        self._place(name, new, moved.epoch)
+        op = TokenOperation(
             op_type=TokenOperationType.MEMBER_HANDOFF,
-            origin=new_id,
+            origin=new,
             member=moved,
-            previous_ap=old_id,
+            previous_ap=old,
             sequence=self.next_sequence(),
         )
+        return self.capture(new, op, now)
 
     def lookup_member(self, ap: NodeId, guid: GloballyUniqueId) -> MemberInfo:
         """Find the current record for ``guid``, preferring the AP's local list."""

@@ -11,7 +11,7 @@ all instances with different scopes.  Views are updated by applying
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.deltas import MembershipDelta

@@ -44,13 +44,13 @@ argument and its hop-count model both assume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.entity import NetworkEntityState
 from repro.core.events import MembershipEventBus
 from repro.core.hierarchy import RingHierarchy
-from repro.core.identifiers import GloballyUniqueId, NodeId, coerce_node
+from repro.core.identifiers import GloballyUniqueId, NodeId
 from repro.core.kernel import (
     PropagationReport,
     ProtocolError,
@@ -68,6 +68,21 @@ __all__ = [
     "ProtocolError",
     "RoundResult",
 ]
+
+
+def _captured(
+    op: Optional[TokenOperation],
+    change: str,
+    guid: "GloballyUniqueId | str",
+    ap: "NodeId | str",
+) -> TokenOperation:
+    """The engine's contract: a change the kernel skips is an error."""
+    if op is None:
+        raise ProtocolError(
+            f"cannot capture the {change} of {guid} at {ap}: the proxy has failed or "
+            "is not in the hierarchy, or the member is already there"
+        )
+    return op
 
 
 class OneRoundEngine:
@@ -183,24 +198,19 @@ class OneRoundEngine:
         self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
     ) -> TokenOperation:
         """A mobile host joins the group at access proxy ``ap``."""
-        ap_id = coerce_node(ap)
-        if ap_id in self.kernel.failed:
-            raise ProtocolError(f"cannot join at failed access proxy {ap_id}")
-        return self.kernel.capture(ap_id, self.kernel.make_join_op(ap_id, guid), now)
+        return _captured(self.kernel.join(ap, guid, now=now), "join", guid, ap)
 
     def member_leave(
         self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
     ) -> TokenOperation:
         """A mobile host voluntarily leaves the group."""
-        ap_id = coerce_node(ap)
-        return self.kernel.capture(ap_id, self.kernel.make_leave_op(ap_id, guid), now)
+        return _captured(self.kernel.leave(guid, ap, now=now), "leave", guid, ap)
 
     def member_failure(
         self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
     ) -> TokenOperation:
         """A mobile host is detected faulty by its access proxy."""
-        ap_id = coerce_node(ap)
-        return self.kernel.capture(ap_id, self.kernel.make_failure_op(ap_id, guid), now)
+        return _captured(self.kernel.fail_member(guid, ap, now=now), "failure", guid, ap)
 
     def member_handoff(
         self,
@@ -210,11 +220,9 @@ class OneRoundEngine:
         now: float = 0.0,
     ) -> TokenOperation:
         """A mobile host hands off from ``old_ap`` to ``new_ap``."""
-        new_id = coerce_node(new_ap)
-        if new_id in self.kernel.failed:
-            raise ProtocolError(f"cannot hand off to failed access proxy {new_id}")
-        op = self.kernel.make_handoff_op(guid, old_ap, new_id)
-        return self.kernel.capture(new_id, op, now)
+        return _captured(
+            self.kernel.handoff(guid, new_ap, old_ap, now=now), "handoff", guid, new_ap
+        )
 
     def capture_many(
         self, operations: "List[tuple]", now: float = 0.0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.hierarchy import RingHierarchy
 from repro.core.identifiers import NodeId, coerce_node

@@ -11,7 +11,7 @@ and next neighbours of the excluded node together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.core.identifiers import NodeId
 from repro.core.membership import GENERATION

@@ -146,7 +146,7 @@ class RGBSimulation:
 
     def _known_member(self, guid: str) -> str:
         key = str(guid)
-        if self._built().member_location(key) is None:
+        if self._built().kernel.location_of(key) is None:
             raise ValueError(f"unknown member {guid!r}")
         return key
 
@@ -180,7 +180,7 @@ class RGBSimulation:
         target = self._pick_ap(None, to_ap)
         assert self._handoffs is not None
         record = self._handoffs.classify(
-            key, harness.member_location(key), target, now=self.now
+            key, harness.kernel.location_of(key), target, now=self.now
         )
         harness.capture_handoff(key, target)
         return record

@@ -20,7 +20,7 @@ The supervisor forks each shard and the child runs
   therefore one self-addressed datagram, not one per hop.  The multicast
   heartbeat is sent at once on its own channel.
 * replays its slice of the scenario script with the script's pre-assigned
-  sequence/epoch identities (the sim harness's capture handlers, with the
+  sequence/epoch identities (the kernel's capture verbs, with the
   identities supplied instead of minted).
 * detects peer-shard death by heartbeat silence and feeds every entity the
   dead shard owned into the kernel's existing ``fail_entity``/repair path —
@@ -51,18 +51,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import MembershipEventBus
-from repro.core.identifiers import NodeId, coerce_guid, coerce_node
+from repro.core.identifiers import coerce_node
 from repro.core.kernel import create_kernel
-from repro.core.member import MemberInfo, MemberStatus
-from repro.core.token import TokenOperation, TokenOperationType
 from repro.runtime import wire
 from repro.runtime.dispatch import SocketDispatch
 from repro.runtime.heartbeat import HeartbeatConfig, HeartbeatMonitor
 from repro.runtime.loop import EventLoop
 from repro.runtime.scenario import (
     KIND_FAILURE,
-    KIND_HANDOFF,
-    KIND_HANDOFF_UNREGISTER,
     KIND_JOIN,
     KIND_LEAVE,
     ScenarioScript,
@@ -147,7 +143,7 @@ class NodeRuntime:
         self._my_ops: List[ScriptOp] = [
             op
             for op in config.script.ops
-            if self.plan.owner_of_ring(ring_of(coerce_node(self._route_ap(op))).ring_id)
+            if self.plan.owner_of_ring(ring_of(coerce_node(op.ap)).ring_id)
             == config.shard_id
         ]
         self._script_remaining = len(self._my_ops)
@@ -171,7 +167,6 @@ class NodeRuntime:
         self.halted = False
         self.finalized = False
         self._round_scheduled: Set[str] = set()
-        self._member_location: Dict[str, NodeId] = {}
 
         self._handlers = {
             wire.MSG_PEERS: self._on_peers,
@@ -183,16 +178,7 @@ class NodeRuntime:
             wire.MSG_SHUTDOWN: self._on_shutdown,
         }
 
-    # -- routing ------------------------------------------------------------
-
-    @staticmethod
-    def _route_ap(op: ScriptOp) -> str:
-        """The AP whose ring owner executes this scripted op (joins at the
-        join AP, departures at the member's recorded AP, handoffs at the
-        new AP, unregister directives at the old AP)."""
-        if op.kind == KIND_HANDOFF:
-            return op.to_ap or op.ap
-        return op.ap
+    # -- clock --------------------------------------------------------------
 
     def vnow(self) -> float:
         if self.t0 is None:
@@ -436,86 +422,23 @@ class NodeRuntime:
         for ring_id in self.owned_rings:
             self.schedule_round(ring_id, delay=self.config.crash_detection_delay)
 
-    # -- scripted captures (the sim harness's handlers, pre-assigned ids) ----
-
-    def _capturable(self, ap) -> Optional[NodeId]:
-        key = coerce_node(ap)
-        if key in self.kernel.failed or not self.hierarchy.has_node(key):
-            self.metrics.counter("harness.captures_skipped").increment()
-            return None
-        return key
+    # -- scripted captures (the kernel's verbs, pre-assigned ids) -----------
 
     def _exec_op(self, op: ScriptOp) -> None:
         if self.halted:
             return
-        kernel = self.kernel
-        now = self.vnow()
+        kernel, now = self.kernel, self.vnow()
         if op.kind == KIND_JOIN:
-            key = self._capturable(op.ap)
-            if key is None:
-                return
-            member = MemberInfo(
-                guid=coerce_guid(op.member),
-                group=self.hierarchy.group,
-                ap=key,
-                status=MemberStatus.OPERATIONAL,
-                epoch=op.epoch,
-            )
-            top = TokenOperation(
-                op_type=TokenOperationType.MEMBER_JOIN,
-                origin=key,
-                member=member,
-                sequence=op.sequence,
-            )
-            kernel.capture(key, top, now)
-            self._member_location[op.member] = key
-            self.schedule_round(self.hierarchy.ring_of(key).ring_id)
-        elif op.kind in (KIND_LEAVE, KIND_FAILURE):
-            location = self._member_location.get(op.member)
-            key = self._capturable(location) if location is not None else None
-            if key is None:
-                return
-            record = kernel.lookup_member(key, coerce_guid(op.member))
-            if op.kind == KIND_LEAVE:
-                op_type, status = TokenOperationType.MEMBER_LEAVE, MemberStatus.LEFT
-            else:
-                op_type, status = TokenOperationType.MEMBER_FAILURE, MemberStatus.FAILED
-            top = TokenOperation(
-                op_type=op_type,
-                origin=key,
-                member=record.with_status(status),
-                sequence=op.sequence,
-            )
-            kernel.capture(key, top, now)
-            self._member_location.pop(op.member, None)
-            self.schedule_round(self.hierarchy.ring_of(key).ring_id)
-        elif op.kind == KIND_HANDOFF:
-            old = self._member_location.get(op.member)
-            new = self._capturable(op.to_ap)
-            if old is None or new is None or old == new:
-                self.metrics.counter("harness.captures_skipped").increment()
-                return
-            guid = coerce_guid(op.member)
-            record = kernel.lookup_member(old, guid)
-            moved = record.handed_off_to(new, op.epoch)
-            if old in kernel.entities:
-                kernel.entities[old].unregister_local_member(str(guid))
-            top = TokenOperation(
-                op_type=TokenOperationType.MEMBER_HANDOFF,
-                origin=new,
-                member=moved,
-                previous_ap=old,
-                sequence=op.sequence,
-            )
-            kernel.capture(new, top, now)
-            self._member_location[op.member] = new
-            self.schedule_round(self.hierarchy.ring_of(new).ring_id)
-        elif op.kind == KIND_HANDOFF_UNREGISTER:
-            key = coerce_node(op.ap)
-            if key in kernel.entities:
-                kernel.entities[key].unregister_local_member(op.member)
+            top = kernel.join(op.ap, op.member, now=now, sequence=op.sequence, epoch=op.epoch)
+        elif op.kind == KIND_LEAVE:
+            top = kernel.leave(op.member, now=now, sequence=op.sequence)
+        elif op.kind == KIND_FAILURE:
+            top = kernel.fail_member(op.member, now=now, sequence=op.sequence)
         else:
             self.metrics.counter("runtime.unknown_script_ops").increment()
+            return
+        if top is not None:
+            self.schedule_round(self.hierarchy.ring_of(top.origin).ring_id)
 
     # -- rounds (real timers; the gate and follow-ups are the notifier's) -----
 

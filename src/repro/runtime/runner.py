@@ -27,7 +27,6 @@ import json
 import os
 import shutil
 import socket
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -208,7 +207,7 @@ class LiveScenarioRunner:
             victim_times = [
                 op.time
                 for op in self.script.ops
-                if self.hierarchy.ring_of(op.to_ap or op.ap).ring_id in victim_rings
+                if self.hierarchy.ring_of(op.ap).ring_id in victim_rings
             ]
             self.crash_at = quiet_crash_time(
                 victim_times, config.crash_at, margin=4.0 * config.round_delay

@@ -24,7 +24,7 @@ equivalent to the sim crashing all of that shard's entities at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.hierarchy import RingHierarchy
@@ -36,15 +36,10 @@ __all__ = [
     "apply_script_to_harness",
 ]
 
-#: Script op kinds (ChurnKind values plus the handoff pair).
+#: Script op kinds (the ChurnKind values).
 KIND_JOIN = "join"
 KIND_LEAVE = "leave"
 KIND_FAILURE = "failure"
-KIND_HANDOFF = "handoff"
-#: Companion directive for a cross-shard handoff: the *old* AP's owner must
-#: drop the member from its local list (the Mobile-IP style binding update
-#: ``make_handoff_op`` performs directly when everything is one process).
-KIND_HANDOFF_UNREGISTER = "handoff-unregister"
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,6 @@ class ScriptOp:
     kind: str
     member: str
     ap: str
-    to_ap: Optional[str] = None
     sequence: int = 0
     epoch: int = 0
 
@@ -185,9 +179,5 @@ def apply_script_to_harness(script: ScenarioScript, harness) -> None:
             harness.schedule_leave(op.time, op.member)
         elif op.kind == KIND_FAILURE:
             harness.schedule_failure(op.time, op.member)
-        elif op.kind == KIND_HANDOFF:
-            harness.schedule_handoff(op.time, op.member, op.to_ap)
-        elif op.kind == KIND_HANDOFF_UNREGISTER:
-            continue  # implicit in the shared-state handoff capture
         else:
             raise ValueError(f"unknown script op kind {op.kind!r}")

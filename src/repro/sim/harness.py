@@ -50,7 +50,7 @@ from repro.core.partition import PartitionReport, detect_partitions
 from repro.core.token import TokenOperation
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.sim.network import LatencyModel, Network, NetworkNode, NodeState
+from repro.sim.network import LatencyModel, Network, NetworkNode
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry, RunRecord
 from repro.sim.trace import TraceRecorder
@@ -423,7 +423,6 @@ class ScenarioHarness:
             self.transport.register(str(node_id), self._on_message)
 
         self._round_scheduled: Set[str] = set()
-        self._member_location: Dict[str, NodeId] = {}
         self._member_counter = 0
         # Per-member dispatched-notification log (record_sends only): the
         # first and the most recent send mentioning each member, as
@@ -568,64 +567,27 @@ class ScenarioHarness:
 
     # ------------------------------------------------------------------
     # capture handlers (run at their simulated times, or called directly to
-    # capture now); each returns the captured member record, or ``None`` when
-    # the capture is skipped (counted as ``harness.captures_skipped``)
+    # capture now): the kernel's capture verbs plus the ring's round; each
+    # returns the captured member record, or ``None`` when the kernel skips
+    # the capture
     # ------------------------------------------------------------------
 
-    def member_location(self, guid: str) -> Optional[NodeId]:
-        """The access proxy ``guid`` was last captured at (``None``: unknown
-        or departed)."""
-        return self._member_location.get(guid)
-
-    def _capturable(self, ap: "NodeId | str") -> Optional[NodeId]:
-        key = coerce_node(ap)
-        if key in self.kernel.failed or not self.hierarchy.has_node(key):
-            self.metrics.counter("harness.captures_skipped").increment()
-            return None
-        return key
-
     def capture_join(self, ap: "NodeId | str", guid: str) -> Optional[MemberInfo]:
-        key = self._capturable(ap)
-        if key is None:
-            return None
-        op = self.kernel.make_join_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
-        self._member_location[guid] = key
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
-        return op.member
+        return self._captured(self.kernel.join(ap, guid, now=self.engine.now))
 
     def capture_leave(self, guid: str) -> Optional[MemberInfo]:
-        location = self._member_location.get(guid)
-        key = self._capturable(location) if location is not None else None
-        if key is None:
-            return None
-        op = self.kernel.make_leave_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
-        self._member_location.pop(guid, None)
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
-        return op.member
+        return self._captured(self.kernel.leave(guid, now=self.engine.now))
 
     def capture_member_failure(self, guid: str) -> Optional[MemberInfo]:
-        location = self._member_location.get(guid)
-        key = self._capturable(location) if location is not None else None
-        if key is None:
-            return None
-        op = self.kernel.make_failure_op(key, guid)
-        self.kernel.capture(key, op, self.engine.now)
-        self._member_location.pop(guid, None)
-        self._schedule_round(self.hierarchy.ring_of(key).ring_id)
-        return op.member
+        return self._captured(self.kernel.fail_member(guid, now=self.engine.now))
 
     def capture_handoff(self, guid: str, to_ap: "NodeId | str") -> Optional[MemberInfo]:
-        old = self._member_location.get(guid)
-        new = self._capturable(to_ap)
-        if old is None or new is None or old == new:
-            self.metrics.counter("harness.captures_skipped").increment()
+        return self._captured(self.kernel.handoff(guid, to_ap, now=self.engine.now))
+
+    def _captured(self, op: Optional[TokenOperation]) -> Optional[MemberInfo]:
+        if op is None:
             return None
-        op = self.kernel.make_handoff_op(guid, old, new)
-        self.kernel.capture(new, op, self.engine.now)
-        self._member_location[guid] = new
-        self._schedule_round(self.hierarchy.ring_of(new).ring_id)
+        self._schedule_round(self.hierarchy.ring_of(op.origin).ring_id)
         return op.member
 
     # ------------------------------------------------------------------

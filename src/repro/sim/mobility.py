@@ -19,9 +19,7 @@ between adjacent wireless cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import List, Mapping, Optional, Sequence
 
 from repro.sim.rng import RandomStreams
 

@@ -18,7 +18,7 @@ length — so the transport tracks both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.sim.engine import SimulationEngine

@@ -20,14 +20,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.sim.network import INTER_AS, INTRA_AS, LatencyModel, Network, NetworkNode
+from repro.sim.network import INTER_AS, INTRA_AS, Network, NetworkNode
 from repro.sim.rng import RandomStreams
-from repro.topology.architecture import (
-    MOBILE_HOST_CLASSES,
-    AccessNetworkKind,
-    FourTierArchitecture,
-    TopologySpec,
-)
+from repro.topology.architecture import MOBILE_HOST_CLASSES, FourTierArchitecture, TopologySpec
 from repro.topology.wireless import access_network_profile
 
 

@@ -15,8 +15,8 @@ O(n² log n).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.sim.rng import RandomStreams
 

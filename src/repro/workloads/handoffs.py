@@ -10,8 +10,8 @@ pays off — and towards arbitrary remote proxies otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence
 
 from repro.sim.rng import RandomStreams
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.config import ProtocolConfig, SimulationConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipScheme
 from repro.core.simulation import RGBSimulation
-from repro.workloads.churn import ChurnEvent, ChurnKind, ChurnWorkload
+from repro.workloads.churn import ChurnKind, ChurnWorkload
 from repro.workloads.handoffs import HandoffStorm
 
 

@@ -349,7 +349,7 @@ def _run_decline_case(case: str, backend: str) -> dict:
     for i, ap in enumerate(aps[:4]):
         kernel.capture(ap, kernel.make_join_op(ap, f"m-{i}"), 0.0)
     reports.append(kernel.propagate())
-    kernel.capture(aps[1], kernel.make_leave_op(aps[1], "m-1"), 1.0)
+    kernel.leave("m-1", aps[1], now=1.0)
     kernel.capture(aps[5], kernel.make_join_op(aps[5], "m-late"), 1.0)
     reports.append(kernel.propagate(now=1.0))
     return _engine_state(kernel, reports)

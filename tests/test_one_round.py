@@ -272,3 +272,37 @@ class TestRoundMechanics:
         engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
         with pytest.raises(ProtocolError):
             engine.propagate(max_iterations=0)
+
+
+class TestKnownFaults:
+    """Open protocol faults, pinned so a fix shows up as an XPASS failure."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a join, handoff and leave captured before one propagate leave a ghost: "
+        "the join waits in the old proxy's queue while the handoff and leave collapse "
+        "into one leave at the new proxy (ROADMAP item 17, order-free member state)",
+    )
+    def test_join_handoff_leave_before_one_propagate_leaves_no_ghost(self):
+        engine = engine_for(ring_size=3, height=3)
+        aps = engine.hierarchy.access_proxies()
+        engine.member_join(aps[9], "m-000")
+        engine.member_handoff("m-000", aps[9], aps[0])
+        engine.member_leave(aps[0], "m-000")
+        engine.propagate()
+        assert [str(m.guid) for m in engine.global_membership()] == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a crashed top-ring non-leader leaves ring-T1-0006's views disagreeing: "
+        "the moved member's old proxy is emptied, its ring neighbours keep the record "
+        "(ROADMAP item 4d)",
+    )
+    def test_bottom_ring_agrees_after_upper_non_leader_crash(self):
+        engine = engine_for(ring_size=3, height=3)
+        engine.member_join("L1-0006-0000", "m-000")
+        engine.propagate()
+        engine.member_handoff("m-000", "L1-0006-0000", "L1-0000-0000")
+        engine.fail_entity("L3-0002")
+        engine.propagate()
+        assert engine.ring_agreement("ring-T1-0006")

@@ -115,6 +115,17 @@ class TestEventFailureDetection:
         assert "ghost" not in sim.global_membership()
         assert counter(sim, "harness.captures_skipped") == 1
 
+    def test_skipped_handoff_counts_once(self):
+        sim = build_event_sim()
+        aps = sim.access_proxies()
+        sim.join_member(ap_id=aps[0], guid="alice")
+        sim.crash_entity(aps[1])
+        sim.run_until_quiescent()
+        for skips in (1, 2):
+            assert sim.harness.capture_handoff("alice", aps[1]) is None
+            assert counter(sim, "harness.captures_skipped") == skips
+        assert str(sim.kernel.location_of("alice")) == aps[0]
+
     def test_crash_detection_probe_repairs_idle_ring(self):
         sim = build_event_sim()
         aps = sim.access_proxies()
