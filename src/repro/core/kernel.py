@@ -123,9 +123,12 @@ class MessageDispatch:
     (:mod:`repro.sim.harness`) injects a transport-backed dispatch so the same
     decisions become real messages subject to latency, loss and retries.
 
-    ``emits_token_messages`` lets the kernel skip the per-hop callback
-    entirely for dispatches that do not model token hops as messages, keeping
-    the structural hot path free of the extra calls.
+    A Holder-Acknowledgement or a token hop changes no receiver's state,
+    and the kernel counts both itself (``messages.holder_ack``,
+    ``hops.token``), so by default they go nowhere.  Only the simulator's
+    dispatch sends them, as transport traffic.  ``emits_token_messages``
+    lets the kernel skip the per-hop callback entirely for every other
+    dispatch, keeping the hot path free of the extra calls.
     """
 
     emits_token_messages: bool = False
@@ -144,21 +147,17 @@ class MessageDispatch:
     def deliver_holder_ack(
         self, kernel: "TokenRoundKernel", holder: NodeId, target: NodeId, now: float
     ) -> None:
-        """Deliver a Holder-Acknowledgement from ``holder`` to ``target``."""
-        raise NotImplementedError
+        """A Holder-Acknowledgement from ``holder`` to ``target``."""
 
     def token_hop(
         self, kernel: "TokenRoundKernel", sender: NodeId, receiver: NodeId, now: float
     ) -> None:
         """One token transmission along the ring (only called when
         ``emits_token_messages`` is true)."""
-        raise NotImplementedError
 
 
 class DirectDispatch(MessageDispatch):
     """Shared-memory delivery: the seed's synchronous structural semantics."""
-
-    emits_token_messages = False
 
     def deliver_notification(
         self,
@@ -171,18 +170,6 @@ class DirectDispatch(MessageDispatch):
         target_entity = kernel.entity(target)
         for op in operations:
             target_entity.mq.insert(op, sender=sender, now=now)
-
-    def deliver_holder_ack(
-        self, kernel: "TokenRoundKernel", holder: NodeId, target: NodeId, now: float
-    ) -> None:
-        # Structurally the acknowledgement has no receiver-side effect; the
-        # kernel already counts and traces it.
-        return None
-
-    def token_hop(
-        self, kernel: "TokenRoundKernel", sender: NodeId, receiver: NodeId, now: float
-    ) -> None:  # pragma: no cover - never called (emits_token_messages=False)
-        return None
 
 
 @dataclass

@@ -3,31 +3,26 @@
 Third driver of the :class:`repro.core.kernel.MessageDispatch` seam (after
 ``DirectDispatch`` and the sim's ``TransportDispatch``).  A node process
 owns whole rings; its kernel replica runs rounds only for those rings, and
-this dispatch routes the round's outbound messages:
+this dispatch routes the round's notifications.  Token hops and
+Holder-Acknowledgements change no receiver's state, so, as in
+``DirectDispatch``, they never leave the kernel, whose ``hops.token`` and
+``messages.holder_ack`` counters are the shard's account of them.
 
-* **Notifications** are reliable within a budget; the rules (resend until
-  acknowledged, reroute when an endpoint crashed, abandon after
-  ``resend_limit`` attempts at a live target, dead-letter when no fallback
-  exists) are the shared :class:`repro.core.delivery.ReliableNotifier`,
-  ``notifier`` — the object the simulator drives too.  Here is only what is
-  the socket's: the owner-shard lookup, handing a same-shard target straight
-  to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
-  always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
-  must not double-insert).  A NOTIFY is taken only for a ring this shard
-  owns, from a sender whose ring its claimed shard owns; anything else is a
-  wire error, dropped unacked.  Each NOTIFY carries its sender's low-water
-  mark (``ReliableNotifier.low_water``), so the dedup state per sender is
-  only the ids at or above the mark.  An id below it is a duplicate: a late
-  copy of a notification its sender has since abandoned or rerouted (the
-  reroute sent the operations under a new id) is acked and dropped.
-* **Holder-acks** are fire-and-forget datagrams when the acked child sender
-  lives on another shard (no receiver-side state, as in the sim).
-* **Token hops** circulate between members of one ring — always one shard —
-  so each hop is a self-addressed ``MSG_TOKEN`` message: it still crosses
-  the wire codec and the socket (the sim's fire-and-forget token lane, made
-  physical) without inventing a phantom remote receiver.  The node's outbox
-  packs a round's hops into one self-addressed datagram at the loop's turn
-  end, and the receiver counts the messages (``runtime.token_datagrams``).
+Notifications are reliable within a budget; the rules (resend until
+acknowledged, reroute when an endpoint crashed, abandon after
+``resend_limit`` attempts at a live target, dead-letter when no fallback
+exists) are the shared :class:`repro.core.delivery.ReliableNotifier`,
+``notifier`` — the object the simulator drives too.  Here is only what is
+the socket's: the owner-shard lookup, handing a same-shard target straight
+to ``accept``, the NOTIFY/NOTIFY_ACK datagrams, and on receive the
+always-ack plus ``(sender_shard, id)`` dedup (a resend after a lost ack
+must not double-insert).  A NOTIFY is taken only for a ring this shard
+owns, from a sender whose ring its claimed shard owns; anything else is a
+wire error, dropped unacked.  Each NOTIFY carries its sender's low-water
+mark (``ReliableNotifier.low_water``), so the dedup state per sender is
+only the ids at or above the mark.  An id below it is a duplicate: a late
+copy of a notification its sender has since abandoned or rerouted (the
+reroute sent the operations under a new id) is acked and dropped.
 
 Payloads carry :class:`~repro.core.identifiers.NodeId` values; the wire
 codec writes their strings and rebuilds them on receipt.
@@ -51,11 +46,9 @@ class SocketDispatch(MessageDispatch):
 
     ``node`` is the owning :class:`repro.runtime.node.NodeRuntime` (or any
     duck-type with its routing surface: ``kernel``, ``loop``, ``plan``,
-    ``shard_id``, ``metrics``, ``config``, ``send_to_shard``,
-    ``send_to_self``, ``vnow`` and ``schedule_round``).
+    ``shard_id``, ``metrics``, ``config``, ``send_to_shard``, ``vnow`` and
+    ``schedule_round``).
     """
-
-    emits_token_messages = True
 
     def __init__(self, node) -> None:
         self.node = node
@@ -92,25 +85,6 @@ class SocketDispatch(MessageDispatch):
             self.notifier.accept(entry)  # same shard: never touches the socket
         else:
             self.notifier.submit(entry)
-
-    def deliver_holder_ack(
-        self, kernel: TokenRoundKernel, holder: NodeId, target: NodeId, now: float
-    ) -> None:
-        ring_id = kernel.hierarchy.ring_of_node.get(target)
-        owner = self.node.plan.owner_of_ring(ring_id) if ring_id is not None else None
-        if owner is not None and owner != self.node.shard_id:
-            self.node.send_to_shard(
-                owner,
-                wire.MSG_HOLDER_ACK,
-                {"holder": holder, "target": target},
-            )
-
-    def token_hop(
-        self, kernel: TokenRoundKernel, sender: NodeId, receiver: NodeId, now: float
-    ) -> None:
-        # Ring-local by construction (one owner per ring): a physical
-        # loopback self-send keeps the token lane on the wire.
-        self.node.send_to_self(wire.MSG_TOKEN, {"sender": sender, "receiver": receiver})
 
     # -- read surface (the node's idle() and result()) ----------------------
 

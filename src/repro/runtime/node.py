@@ -3,9 +3,10 @@
 The supervisor forks each shard and the child runs
 ``NodeRuntime(config).start()`` (``repro.runtime.supervisor``).  The node
 
-* rehydrates the shared hierarchy and builds a full kernel replica, but
-  *owns* only the rings its :class:`~repro.runtime.scenario.ShardPlan`
-  assigns it: token rounds run here only for owned rings (single writer
+* builds a full kernel replica over the hierarchy its supervisor built
+  (the fork's copy-on-write pages are the shard's copy), but *owns* only
+  the rings its :class:`~repro.runtime.scenario.ShardPlan` assigns it:
+  token rounds run here only for owned rings (single writer
   per ring), and every view mutation for an owned ring happens in this
   process.  Unowned state exists as a routing/lookup replica that other
   shards' notifications keep current.
@@ -13,12 +14,18 @@ The supervisor forks each shard and the child runs
   group, falling back to unicast fan-out where multicast is unavailable),
   multiplexed by the single-threaded :class:`~repro.runtime.loop.EventLoop`
   together with round timers, heartbeat timers and the scenario script.
-* queues every outbound message in a per-destination outbox (a peer shard,
-  itself, the supervisor) and flushes it at the loop's turn end: each
+* queues every outbound message in a per-destination outbox (a peer shard
+  or the supervisor) and flushes it at the loop's turn end: each
   destination's messages leave, in order, in as few datagrams as fit
-  :data:`~repro.runtime.wire.MAX_DATAGRAM`.  A round's token hops are
-  therefore one self-addressed datagram, not one per hop.  The multicast
-  heartbeat is sent at once on its own channel.
+  :data:`~repro.runtime.wire.MAX_DATAGRAM`.  The multicast heartbeat is
+  sent at once on its own channel.  Token hops and holder-acks never leave
+  the kernel, which counts them.
+* takes a message only from the socket entitled to send its kind: PEERS
+  and SHUTDOWN from the supervisor's, NOTIFY, NOTIFY_ACK and HEARTBEAT from
+  the address PEERS registered for the header's shard (a multicast
+  heartbeat leaves from its sender's unicast socket).  Anything else counts
+  in ``runtime.wire_errors`` and is dropped; a peer's message that lands
+  before PEERS registered any address is dropped uncounted.
 * replays its slice of the scenario script with the script's pre-assigned
   sequence/epoch identities (the kernel's capture verbs, with the
   identities supplied instead of minted).
@@ -42,8 +49,8 @@ trace records share the sim's time axis.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import resource
 import socket
 import struct
@@ -51,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import MembershipEventBus
+from repro.core.hierarchy import RingHierarchy
 from repro.core.identifiers import coerce_node
 from repro.core.kernel import create_kernel
 from repro.runtime import wire
@@ -82,7 +90,9 @@ class NodeConfig:
     plan: ShardPlan
     ring_size: int
     height: int
-    hierarchy_payload: bytes
+    #: The supervisor's hierarchy; the node mutates it (ring repair), so an
+    #: in-process node needs one that nothing else uses.
+    hierarchy: RingHierarchy
     script: ScenarioScript
     supervisor_port: int
     result_path: str
@@ -120,7 +130,7 @@ class NodeRuntime:
         self.metrics = MetricRegistry()
         self.trace = TraceRecorder(enabled=config.trace_enabled)
 
-        self.hierarchy = pickle.loads(config.hierarchy_payload)
+        self.hierarchy = config.hierarchy
         states = self.hierarchy.build_entity_states()
         self.dispatch = SocketDispatch(self)
         self.kernel = create_kernel(
@@ -158,9 +168,6 @@ class NodeRuntime:
         self._sent = self.metrics.counter("runtime.datagrams_sent")
         self._received = self.metrics.counter("runtime.datagrams_received")
         self._wire_errors = self.metrics.counter("runtime.wire_errors")
-        # Counts token *messages* (a round's hops share one datagram); the
-        # name predates coalescing and the benchmark reads it.
-        self._token_messages = self.metrics.counter("runtime.token_datagrams")
         self.monitor: Optional[HeartbeatMonitor] = None
         self.t0: Optional[float] = None
         self.started = False
@@ -168,14 +175,15 @@ class NodeRuntime:
         self.finalized = False
         self._round_scheduled: Set[str] = set()
 
+        self._supervisor_addr = (LOOPBACK, config.supervisor_port)
+        #: kind -> (handler, True if only the supervisor may send it, False
+        #: if only the peer the header names).
         self._handlers = {
-            wire.MSG_PEERS: self._on_peers,
-            wire.MSG_NOTIFY: self.dispatch.on_notify,
-            wire.MSG_NOTIFY_ACK: self.dispatch.on_notify_ack,
-            wire.MSG_TOKEN: self._on_token,
-            wire.MSG_HOLDER_ACK: self._on_holder_ack,
-            wire.MSG_HEARTBEAT: self._on_heartbeat,
-            wire.MSG_SHUTDOWN: self._on_shutdown,
+            wire.MSG_PEERS: (self._on_peers, True),
+            wire.MSG_SHUTDOWN: (self._on_shutdown, True),
+            wire.MSG_NOTIFY: (self.dispatch.on_notify, False),
+            wire.MSG_NOTIFY_ACK: (self.dispatch.on_notify_ack, False),
+            wire.MSG_HEARTBEAT: (self._on_heartbeat, False),
         }
 
     # -- clock --------------------------------------------------------------
@@ -276,11 +284,6 @@ class NodeRuntime:
             return  # unknown yet (or dead); the reliable layer retries
         self._enqueue(shard, addr, kind, payload)
 
-    def send_to_self(self, kind: int, payload: dict) -> None:
-        if self.halted or self.sock is None:
-            return
-        self._enqueue(self.shard_id, self._self_addr, kind, payload)
-
     def send_to_supervisor(self, kind: int, payload: dict) -> None:
         if self.halted:
             return
@@ -291,7 +294,7 @@ class NodeRuntime:
     def _on_datagram(self, sock) -> None:
         while True:
             try:
-                data, _addr = sock.recvfrom(65536)
+                data, addr = sock.recvfrom(65536)
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
@@ -307,19 +310,19 @@ class NodeRuntime:
             except wire.WireError:
                 self._wire_errors.increment()
                 continue
-            if header.shard >= 0:
+            from_supervisor = addr == self._supervisor_addr
+            from_peer = addr == self.peers.get(header.shard)
+            if from_peer:
                 self.tracker.observe(messages[0])
-            handlers = self._handlers
             for message in messages:
-                handler = handlers.get(message.kind)
-                if handler is not None:
+                handler, control = self._handlers.get(message.kind, (None, True))
+                if handler is not None and (from_supervisor if control else from_peer):
                     handler(message)
-
-    def _on_token(self, message: wire.WireMessage) -> None:
-        self._token_messages.increment()
-
-    def _on_holder_ack(self, message: wire.WireMessage) -> None:
-        self.metrics.counter("runtime.holder_ack_datagrams").increment()
+                elif control or self.peers:
+                    self._wire_errors.increment()
+                # else: a peer kind before PEERS registered any address (a
+                # faster peer's first heartbeat); nothing to check it against,
+                # so it is dropped uncounted.
 
     def _on_heartbeat(self, message: wire.WireMessage) -> None:
         if self.monitor is not None:
@@ -546,6 +549,8 @@ class NodeRuntime:
         ]
 
     def result(self) -> dict:
+        """What the shard reports; written as JSON, so the supervisor reads
+        ``eviction_silence``'s peer keys as strings and tuples as lists."""
         monitor = self.monitor
         usage = resource.getrusage(resource.RUSAGE_SELF)
         return {
@@ -569,8 +574,8 @@ class NodeRuntime:
     def _write_result(self) -> None:
         path = self.config.result_path
         tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(self.result(), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(tmp, "w") as handle:
+            json.dump(self.result(), handle)
         os.replace(tmp, path)
 
     # -- entry ----------------------------------------------------------------

@@ -217,9 +217,6 @@ class LiveScenarioRunner:
 
     def build_configs(self, workdir: str) -> Dict[int, NodeConfig]:
         cfg = self.config
-        import pickle
-
-        payload = pickle.dumps(self.hierarchy, protocol=pickle.HIGHEST_PROTOCOL)
         mcast_port = _free_udp_port() if cfg.multicast else 0
         configs: Dict[int, NodeConfig] = {}
         for shard in range(self.plan.num_shards):
@@ -228,7 +225,7 @@ class LiveScenarioRunner:
                 plan=self.plan,
                 ring_size=cfg.ring_size,
                 height=cfg.height,
-                hierarchy_payload=payload,
+                hierarchy=self.hierarchy,
                 script=self.script,
                 supervisor_port=0,  # stamped by the supervisor at spawn
                 result_path=os.path.join(workdir, f"shard-{shard}.result"),

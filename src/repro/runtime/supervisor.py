@@ -22,7 +22,7 @@ Lifecycle::
                                  past the script horizon and every surviving
                                  node idle in two consecutive pushes)
       -> SHUTDOWN               (repeated until BYE or process exit)
-      <- BYE                    (node has written its result pickle)
+      <- BYE                    (node has written its JSON result file)
     reap                        (terminate -> kill escalation, then asserts)
 
 Faults are injected *by the supervisor with real signals*, not by asking the
@@ -33,8 +33,8 @@ by heartbeat silence on a real socket, not by being told.
 from __future__ import annotations
 
 import gc
+import json
 import os
-import pickle
 import signal
 import socket
 import sys
@@ -401,8 +401,8 @@ class Supervisor:
             path = proc.config.result_path
             if os.path.exists(path):
                 try:
-                    with open(path, "rb") as handle:
-                        results[shard] = pickle.load(handle)
+                    with open(path) as handle:
+                        results[shard] = json.load(handle)
                 except Exception as exc:  # noqa: BLE001
                     errors.append(f"shard {shard} result unreadable: {exc}")
             elif not proc.killed:
@@ -426,7 +426,7 @@ def _read_error(result_path: str) -> str:
 
 
 def scratch_dir(prefix: str = "repro-live-") -> str:
-    """A per-run scratch directory for the shards' result pickles."""
+    """A per-run scratch directory for the shards' result files."""
     return tempfile.mkdtemp(prefix=prefix)
 
 

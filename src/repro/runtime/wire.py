@@ -48,13 +48,11 @@ __all__ = [
     "MSG_BYE",
     "MSG_HEARTBEAT",
     "MSG_HELLO",
-    "MSG_HOLDER_ACK",
     "MSG_NOTIFY",
     "MSG_NOTIFY_ACK",
     "MSG_PEERS",
     "MSG_SHUTDOWN",
     "MSG_STATUS",
-    "MSG_TOKEN",
     "WireCodec",
     "WireError",
     "WireMessage",
@@ -66,13 +64,13 @@ __all__ = [
 
 #: Datagram magic + codec version.  Bump the version on any layout change.
 MAGIC = b"RGB1"
-VERSION = 2
+VERSION = 3
 
-#: Message kinds.  Data plane (the kernel's three message classes):
-MSG_TOKEN = 1
+#: Message kinds.  Data plane (kinds 1 and 4, the token hop and the
+#: holder-acknowledgement, are retired: neither changes a receiver's state,
+#: so the kernel only counts them):
 MSG_NOTIFY = 2
 MSG_NOTIFY_ACK = 3
-MSG_HOLDER_ACK = 4
 #: Failure detection:
 MSG_HEARTBEAT = 5
 #: Control plane (supervisor <-> node):
@@ -195,7 +193,7 @@ def _flag(value: int) -> bool:
 class _Ids(dict):
     """Raw bytes -> identifier of one class, built through its validating
     constructor on first sight (a decode and a constructor call saved per
-    repeat: a ring's node ids recur on every token hop).  A memo of a pure
+    repeat: a ring's node ids recur in every NOTIFY).  A memo of a pure
     function, so what it holds never changes a result; bounded: past
     :data:`_IDS_LIMIT` entries it starts over."""
 
@@ -288,15 +286,6 @@ def _read_op(reader: _Reader) -> TokenOperation:
 # -- one layout per kind -------------------------------------------------------
 
 
-def _put_token(out: bytearray, payload: dict) -> None:
-    _put_text(out, payload["sender"])
-    _put_text(out, payload["receiver"])
-
-
-def _read_token(reader: _Reader) -> dict:
-    return {"sender": reader.text(_NODES), "receiver": reader.text(_NODES)}
-
-
 def _put_notify(out: bytearray, payload: dict) -> None:
     ops = payload["ops"]
     # Without a low-water mark the NOTIFY carries 0, which never advances
@@ -327,15 +316,6 @@ def _put_notify_ack(out: bytearray, payload: dict) -> None:
 
 def _read_notify_ack(reader: _Reader) -> dict:
     return {"id": reader.fixed(_U64)[0]}
-
-
-def _put_holder_ack(out: bytearray, payload: dict) -> None:
-    _put_text(out, payload["holder"])
-    _put_text(out, payload["target"])
-
-
-def _read_holder_ack(reader: _Reader) -> dict:
-    return {"holder": reader.text(_NODES), "target": reader.text(_NODES)}
 
 
 def _put_shard(out: bytearray, payload: dict) -> None:
@@ -405,10 +385,8 @@ def _read_nothing(reader: _Reader) -> dict:
 _Schema = Tuple[Callable[[bytearray, dict], None], Callable[[_Reader], dict]]
 
 _SCHEMAS: Dict[int, _Schema] = {
-    MSG_TOKEN: (_put_token, _read_token),
     MSG_NOTIFY: (_put_notify, _read_notify),
     MSG_NOTIFY_ACK: (_put_notify_ack, _read_notify_ack),
-    MSG_HOLDER_ACK: (_put_holder_ack, _read_holder_ack),
     MSG_HEARTBEAT: (_put_shard, _read_shard),
     MSG_HELLO: (_put_hello, _read_hello),
     MSG_PEERS: (_put_peers, _read_peers),

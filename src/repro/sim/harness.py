@@ -12,12 +12,14 @@ that gap:
   kernel's Figure 3 state machine at its simulated time.
 * **Messages through the transport.**  The kernel's
   :class:`repro.core.kernel.MessageDispatch` seam is bound to a
-  :class:`TransportDispatch` that turns Notification-to-Parent/Child,
-  Holder-Acknowledgement and per-hop token transmissions into real
-  :class:`repro.sim.transport.Transport` messages subject to configurable
-  latency and per-link loss.  Lost notifications are re-sent with backoff
-  until they land (the paper's retransmission masking), so a lossy run
-  converges to the same membership view as a lossless one.
+  :class:`TransportDispatch` that turns Notification-to-Parent/Child into
+  real :class:`repro.sim.transport.Transport` messages subject to
+  configurable latency and per-link loss.  Lost notifications are re-sent
+  with backoff until they land (the paper's retransmission masking), so a
+  lossy run converges to the same membership view as a lossless one.
+  Holder-Acknowledgements and per-hop token transmissions draw latency and
+  loss and are counted the same way, but no receiver acts on them, so they
+  are settled at send time and never delivered, traced or not.
 * **Faults and mobility drive the protocol.**  A
   :class:`repro.sim.faults.FaultInjector` crash marks the entity failed in
   the kernel and lets the next token circulation *discover* it — the
@@ -180,8 +182,9 @@ class TransportDispatch(MessageDispatch):
     :class:`repro.core.delivery.ReliableNotifier`, ``notifier``.  Here is only
     what is the simulator's: the ``transport.send`` call with its ``no-path``
     recovery link, and the arrival-time-plus-backoff wait.  Token hops and
-    holder-acknowledgements are fire-and-forget — their loss is modelled by
-    the kernel's retransmission counters and has no receiver-side state.
+    holder-acknowledgements go through the transport's fire-and-forget lane:
+    their loss is modelled by the kernel's retransmission counters and has
+    no receiver-side state.
     """
 
     emits_token_messages = True
@@ -393,11 +396,6 @@ class ScenarioHarness:
             trace=self.trace,
             default_retries=cfg.transport_retries,
         )
-        # Token hops and holder-acks have no receiver-side handler logic (see
-        # _on_message); let the transport account for them without scheduling
-        # a no-op delivery event each.  Trace-enabled (golden) runs still take
-        # the fully evented path inside the transport.
-        self.transport.mark_fire_and_forget(MSG_TOKEN, MSG_HOLDER_ACK)
         self.dispatch = TransportDispatch(self)
         self.kernel = create_kernel(
             self.hierarchy,
@@ -625,10 +623,9 @@ class ScenarioHarness:
         self.dispatch.notifier.submit(replace(record))
 
     def _on_message(self, message: Message) -> None:
-        if message.msg_type == MSG_NOTIFY:
-            self.dispatch.on_delivered(message)
-        # MSG_TOKEN / MSG_HOLDER_ACK carry no receiver-side state: the round
-        # outcome is the kernel's, the transport already recorded the traffic.
+        # Only a NOTIFY is ever delivered: token hops and holder-acks are
+        # settled when they are sent (``Transport.send_fire_and_forget``).
+        self.dispatch.on_delivered(message)
 
     def _on_fault(self, event: FaultEvent) -> None:
         if event.kind is not FaultKind.CRASH:

@@ -104,9 +104,6 @@ class Transport:
         self._handlers: Dict[str, MessageHandler] = {}
         self._message_ids = itertools.count(1)
         self._partition_filter: Optional[Callable[[str, str], bool]] = None
-        # Message types whose delivery has no receiver-side effect (the
-        # protocol layer opts in via mark_fire_and_forget); see send().
-        self._fire_and_forget: set = set()
         # Pre-bound counters/histograms: metrics.counter() is a dict probe per
         # call and send() runs a hundred thousand times per large scenario.
         self._c_sent = self.metrics.counter("transport.sent")
@@ -144,27 +141,6 @@ class Transport:
         means the pair cannot currently communicate even though both are up.
         """
         self._partition_filter = predicate
-
-    def mark_fire_and_forget(self, *msg_types: str) -> None:
-        """Declare message types whose arrival has no receiver-side effect.
-
-        For such types (e.g. per-hop token transmissions, whose loss is
-        modelled by the kernel's retransmission counters, not by receiver
-        state) the transport accounts for the delivery at send time instead of
-        scheduling a per-message engine event: all counters, histograms and
-        RNG draws are identical, only the no-op dispatch is elided.  The fast
-        lane is bypassed while tracing is enabled, because the trace must show
-        each delivery at its simulated arrival time — golden-trace runs
-        therefore take the fully evented path and stay byte-identical.
-
-        The one observable difference is intentional and documented: a
-        fire-and-forget message to a destination that crashes while the
-        message is in flight counts as delivered rather than
-        ``dropped.destination-down-at-delivery``, since the fast lane cannot
-        see future node state.  No receiver logic exists for these types, so
-        protocol behaviour is unaffected.
-        """
-        self._fire_and_forget.update(msg_types)
 
     # -- sending -------------------------------------------------------------
 
@@ -248,29 +224,21 @@ class Transport:
 
     def _accept(self, message: Message, delay: float, physical_hops: int) -> DeliveryReceipt:
         """Account for a transmission that will arrive ``delay`` from now."""
-        now = self.engine.clock.now
-        if message.msg_type in self._fire_and_forget and not self.trace.enabled:
-            # No receiver-side effect and no trace to order: account for the
-            # delivery immediately instead of scheduling a no-op engine event.
-            self._h_physical.observe(physical_hops)
-            self._c_delivered.increment()
-            self._h_latency.observe(delay)
-            return DeliveryReceipt(message, True, "scheduled", now + delay)
         self._schedule_delivery(message, delay=delay, physical_hops=physical_hops)
-        return DeliveryReceipt(message, True, "scheduled", now + delay)
+        return DeliveryReceipt(message, True, "scheduled", self.engine.clock.now + delay)
 
     def send_fire_and_forget(self, source: str, destination: str, msg_type: str) -> None:
-        """Slim send for empty-payload messages with no receiver-side effect.
+        """Send a message no receiver acts on (a token hop, a holder-ack).
 
-        Counter, histogram and RNG behaviour are identical to
-        :meth:`send`; the :class:`Message`/:class:`DeliveryReceipt` objects
-        and the per-message delivery event are elided.  While tracing is
-        enabled — or for types not marked fire-and-forget — this defers to
-        the fully evented :meth:`send` so traces stay byte-identical.
+        It draws from the RNG and takes a message id exactly as :meth:`send`
+        would, and it counts as sent, then as delivered, retransmitted or
+        dropped, at send time.  It builds no :class:`Message`, schedules no
+        delivery event and writes no trace line, whether tracing is on or
+        off, so a traced run makes the same engine events as an untraced one.
+        A message to a destination that crashes while it is in flight
+        therefore counts as delivered: nothing at the receiver would have
+        changed.
         """
-        if self.trace.enabled or msg_type not in self._fire_and_forget:
-            self.send(source, destination, msg_type, {})
-            return
         next(self._message_ids)  # keep message ids aligned with the slow lane
         # Counters/histograms are this class's own types: bump their storage
         # directly rather than paying a method call per field per message.
@@ -360,7 +328,7 @@ class Transport:
         self._drop_untracked("lost-after-retries")
 
     def _drop_untracked(self, reason: str) -> None:
-        """Drop accounting for the fire-and-forget lane (trace is disabled)."""
+        """Drop accounting for the fire-and-forget lane (no trace line)."""
         self._c_dropped.increment()
         reason_counter = self._dropped_by_reason.get(reason)
         if reason_counter is None:

@@ -189,7 +189,6 @@ class FakeNode:
         self.metrics = MetricRegistry()
         self.config = SimpleNamespace(resend_limit=resend_limit, resend_backoff=1.0)
         self.sent: List[Tuple[int, int, dict]] = []
-        self.self_sent: List[Tuple[int, dict]] = []
         self.rounds_requested: List[str] = []
         self.dispatch = SocketDispatch(self)
         self.kernel = _build_kernel(ring_size, height, self.metrics, self.dispatch)
@@ -207,9 +206,6 @@ class FakeNode:
 
     def send_to_shard(self, shard: int, kind: int, payload: dict) -> None:
         self.sent.append((shard, kind, payload))
-
-    def send_to_self(self, kind: int, payload: dict) -> None:
-        self.self_sent.append((kind, payload))
 
     def schedule_round(self, ring_id: str, delay: Optional[float] = None) -> None:
         self.rounds_requested.append(ring_id)

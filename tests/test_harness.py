@@ -108,6 +108,26 @@ class TestHarnessBasics:
         # ... and the member attached to it was reported failed everywhere.
         assert harness.global_guids() == ["m-1", "m-2", "m-3"]
 
+    def test_tracing_changes_no_record(self):
+        """Token hops and holder-acks take one path whether tracing is on or
+        off: a traced run counts and schedules exactly what an untraced one
+        does, also for hops towards a proxy that crashed."""
+
+        def run(trace_enabled: bool):
+            harness = small_harness(height=3, seed=7, loss=0.05, trace_enabled=trace_enabled)
+            aps = harness.access_proxies()
+            for index in range(12):
+                harness.schedule_join(1.0 + index, aps[index], guid=f"m-{index}")
+            harness.schedule_crash(20.0, aps[3])
+            for index in range(4, 8):
+                harness.schedule_leave(30.0 + index, f"m-{index}")
+            result = harness.run()
+            return result.counters, harness.engine.dispatched_events
+
+        untraced, traced = run(False), run(True)
+        assert traced == untraced
+        assert untraced[0]["transport.retransmissions"] > 0  # the run is lossy
+
 
 class TestAcceptance10k:
     def test_10k_proxies_5pct_loss_with_crash(self):

@@ -52,6 +52,28 @@ def test_shard_import_closure():
     assert outside == []
 
 
+def _imported_modules(path: Path) -> set:
+    """Every module ``path`` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_runtime_imports_no_pickle():
+    """Nothing a shard reads or writes is a pickle: the config travels by
+    fork, datagrams through the wire codec, results as JSON."""
+    offenders = [
+        path.name
+        for path in sorted((SRC / "repro" / "runtime").glob("*.py"))
+        if any(name.split(".")[0] in ("pickle", "_pickle") for name in _imported_modules(path))
+    ]
+    assert offenders == []
+
+
 def test_import_repro_loads_no_submodule():
     out = _fresh(
         "import sys\n"
@@ -72,13 +94,11 @@ def test_star_import_resolves_every_public_name():
 
 
 def _third_party_imports() -> set:
-    roots = set()
-    for path in (SRC / "repro").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                roots.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots.add(node.module.split(".")[0])
+    roots = {
+        name.split(".")[0]
+        for path in (SRC / "repro").rglob("*.py")
+        for name in _imported_modules(path)
+    }
     return roots - set(sys.stdlib_module_names) - {"repro"}
 
 

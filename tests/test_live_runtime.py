@@ -46,9 +46,11 @@ def test_live_run_matches_sim_through_sigkill():
     report = result.live_report
     assert report.killed_shards == [runner.victim]
     assert report.clean_shutdown, report.errors
-    # Every survivor independently evicted the killed shard via heartbeats.
+    # Every survivor independently evicted the killed shard via heartbeats,
+    # and took every message it read from the socket entitled to send it.
     for shard, res in report.surviving_results().items():
         assert runner.victim in res["evicted_peers"], (shard, res["heartbeat"])
+        assert res["counters"].get("runtime.wire_errors", 0) == 0, (shard, res["counters"])
     assert result.live_ring_agreement
     assert result.equal, {"summary": result.summary(), "diff": result.diff}
 
@@ -80,7 +82,7 @@ def test_sigkill_detected_and_repaired_within_window():
     # Detected: the dead shard was evicted, and the recorded silence is the
     # eviction window plus at most polling slop — not some much-later fluke.
     assert 0 in survivor["evicted_peers"], survivor["heartbeat"]
-    silence = survivor["eviction_silence"][0]
+    silence = survivor["eviction_silence"]["0"]  # a JSON key
     assert hb.evict_after <= silence <= hb.evict_after + 1.0, silence
     # Repaired: eviction fed fail_entity, and rerouted notifications forced
     # ring repair of the dead top-tier entities.
@@ -149,7 +151,7 @@ def test_shard_that_raises_while_starting_reports_its_traceback():
     runner = LiveScenarioRunner(LiveScenarioConfig(events=4, seed=5, num_shards=2))
     with tempfile.TemporaryDirectory(prefix="live-runtime-test-") as scratch:
         configs = runner.build_configs(scratch)
-        configs[1] = dataclasses.replace(configs[1], hierarchy_payload=b"not a pickle")
+        configs[1] = dataclasses.replace(configs[1], hierarchy=None)
         supervisor = Supervisor(configs, deadline=20.0)
         report = supervisor.run()
         supervisor.ensure_torn_down()
@@ -158,5 +160,5 @@ def test_shard_that_raises_while_starting_reports_its_traceback():
     assert report.exit_codes[1] == 1
     assert report.errors[0] == (
         "SupervisorError: shard 1 exited rc=1 before HELLO: "
-        "_pickle.UnpicklingError: invalid load key, 'n'."
+        "AttributeError: 'NoneType' object has no attribute 'build_entity_states'"
     )

@@ -23,6 +23,7 @@ import socket
 import struct
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from delivery_rigs import FakeNode, upward_join
@@ -47,13 +48,11 @@ from repro.runtime.wire import (
     MSG_BYE,
     MSG_HEARTBEAT,
     MSG_HELLO,
-    MSG_HOLDER_ACK,
     MSG_NOTIFY,
     MSG_NOTIFY_ACK,
     MSG_PEERS,
     MSG_SHUTDOWN,
     MSG_STATUS,
-    MSG_TOKEN,
     LinkTracker,
     WireCodec,
     WireError,
@@ -91,10 +90,8 @@ _OPS = (
 
 #: One schema'd payload per kind, as the decoder returns it.
 _EVERY_KIND = (
-    (MSG_TOKEN, {"sender": _A, "receiver": _C}),
     (MSG_NOTIFY, {"id": 7, "low": 3, "sender": _A, "target": _B, "ring": "ring-T2", "ops": _OPS}),
     (MSG_NOTIFY_ACK, {"id": 7}),
-    (MSG_HOLDER_ACK, {"holder": _B, "target": _A}),
     (MSG_HEARTBEAT, {"shard": 2}),
     (MSG_HELLO, {"shard": 1, "port": 40_000}),
     (MSG_PEERS, {"peers": {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 65_535)}, "t0": 12.5}),
@@ -125,9 +122,9 @@ def test_codec_roundtrip_preserves_header_and_payload():
 
 def test_codec_numbers_each_link_stream_independently():
     codec = WireCodec(shard_id=0)
-    hop = {"sender": _A, "receiver": _C}
-    to_one = [WireCodec.decode(codec.encode(MSG_TOKEN, hop, dest_key=1)).seq for _ in range(3)]
-    to_two = WireCodec.decode(codec.encode(MSG_TOKEN, hop, dest_key=2)).seq
+    ack = {"id": 1}
+    to_one = [WireCodec.decode(codec.encode(MSG_NOTIFY_ACK, ack, dest_key=1)).seq for _ in range(3)]
+    to_two = WireCodec.decode(codec.encode(MSG_NOTIFY_ACK, ack, dest_key=2)).seq
     mcast = WireCodec.decode(
         codec.encode(MSG_HEARTBEAT, {"shard": 0}, dest_key="mcast", channel=CHANNEL_MULTICAST)
     ).seq
@@ -136,10 +133,15 @@ def test_codec_numbers_each_link_stream_independently():
     assert mcast == 1  # multicast channel is its own link
 
 
+def _empty_notify(sender=_A):
+    """A NOTIFY that carries no operation; its last field is a string."""
+    return {"id": 1, "sender": sender, "target": _C, "ring": "r", "ops": ()}
+
+
 def test_codec_rejects_garbage():
     codec = WireCodec(shard_id=0)
-    good = codec.encode(MSG_TOKEN, {"sender": _A, "receiver": _C}, dest_key=1)
-    body = len(good) - len(encode_frame(MSG_TOKEN, {"sender": _A, "receiver": _C}))
+    good = codec.encode(MSG_NOTIFY, _empty_notify(), dest_key=1)
+    body = len(good) - len(encode_frame(MSG_NOTIFY, _empty_notify()))
     with pytest.raises(WireError, match="short"):
         WireCodec.decode(b"RGB1")
     with pytest.raises(WireError, match="magic"):
@@ -155,7 +157,7 @@ def test_codec_rejects_garbage():
     with pytest.raises(WireError, match="UTF-8|utf-8"):
         WireCodec.decode(good[:-1] + b"\xff")
     with pytest.raises(WireError, match="non-empty"):  # an identifier's constructor
-        WireCodec.decode(codec.encode(MSG_TOKEN, {"sender": "", "receiver": "x"}, dest_key=1))
+        WireCodec.decode(codec.encode(MSG_NOTIFY, _empty_notify(sender=""), dest_key=1))
     with pytest.raises(WireError, match="unknown message kind"):
         codec.encode(0, {}, dest_key=1)
     with pytest.raises(WireError, match="layout"):
@@ -169,9 +171,23 @@ def test_codec_rejects_garbage():
 
 def test_one_oversize_message_raises():
     with pytest.raises(WireError, match="split the batch"):
-        encode_frame(MSG_TOKEN, {"sender": NodeId("x" * MAX_DATAGRAM), "receiver": _A})
+        encode_frame(MSG_NOTIFY, _empty_notify(sender=NodeId("x" * MAX_DATAGRAM)))
     with pytest.raises(WireError, match="layout"):  # past a string's length prefix
-        encode_frame(MSG_TOKEN, {"sender": NodeId("x" * 70_000), "receiver": _A})
+        encode_frame(MSG_NOTIFY, _empty_notify(sender=NodeId("x" * 70_000)))
+
+
+def test_retired_kinds_and_version_2_headers_are_wire_errors():
+    """Kinds 1 (token hop) and 4 (holder-ack) left the layout in version 3."""
+    good = WireCodec(1).encode(MSG_NOTIFY_ACK, {"id": 1}, dest_key=0)
+    body = len(good) - len(encode_frame(MSG_NOTIFY_ACK, {"id": 1}))
+    for retired in (1, 4):
+        with pytest.raises(WireError, match=f"unknown message kind {retired}"):
+            decode_datagram(good[:body] + bytes([retired]) + good[body + 1 :])
+        with pytest.raises(WireError, match=f"unknown message kind {retired}"):
+            encode_frame(retired, {})
+    assert wire.VERSION == 3
+    with pytest.raises(WireError, match="unsupported wire version 2"):
+        decode_datagram(good[:4] + bytes([2]) + good[5:])
 
 
 _ids = st.text(min_size=1, max_size=10)
@@ -206,7 +222,6 @@ def _kind(kind, **fields):
 
 
 _messages = st.one_of(
-    _kind(MSG_TOKEN, sender=_nodes, receiver=_nodes),
     _kind(
         MSG_NOTIFY,
         id=_u64,
@@ -217,7 +232,6 @@ _messages = st.one_of(
         ops=st.lists(_token_ops(), max_size=3).map(tuple),
     ),
     _kind(MSG_NOTIFY_ACK, id=_u64),
-    _kind(MSG_HOLDER_ACK, holder=_nodes, target=_nodes),
     _kind(MSG_HEARTBEAT, shard=_shards),
     _kind(MSG_HELLO, shard=_shards, port=_ports),
     _kind(
@@ -263,12 +277,12 @@ def _caught_or_well_formed(data: bytes) -> None:
 
 
 #: A datagram's first bytes up to its channel: lets random tails reach the body.
-_V2 = wire.MAGIC + bytes([wire.VERSION, CHANNEL_UNICAST])
+_PREFIX = wire.MAGIC + bytes([wire.VERSION, CHANNEL_UNICAST])
 
 
 @settings(max_examples=examples(10))
-@given(data=st.binary(max_size=200) | st.binary(max_size=200).map(lambda tail: _V2 + tail))
-@example(data=_V2 + bytes(12) + b"\x00\x01" + encode_frame(MSG_NOTIFY_ACK, {"id": 1}))
+@given(data=st.binary(max_size=200) | st.binary(max_size=200).map(lambda tail: _PREFIX + tail))
+@example(data=_PREFIX + bytes(12) + b"\x00\x01" + encode_frame(MSG_NOTIFY_ACK, {"id": 1}))
 def test_wire_fuzz_arbitrary_bytes(data):
     _caught_or_well_formed(data)
 
@@ -301,7 +315,7 @@ def test_every_truncation_and_bit_flip_of_a_notify_is_caught_or_well_formed():
 @given(sizes=st.lists(st.integers(1, 25_000), min_size=1, max_size=12))
 def test_a_large_turn_splits_in_order_with_nothing_lost(sizes):
     frames = [
-        encode_frame(MSG_TOKEN, {"sender": NodeId(f"{index}:" + "x" * size), "receiver": _A})
+        encode_frame(MSG_NOTIFY, _empty_notify(sender=NodeId(f"{index}:" + "x" * size)))
         for index, size in enumerate(sizes)
     ]
     datagrams = WireCodec(0).pack(frames, dest_key=1)
@@ -323,7 +337,7 @@ def test_link_tracker_classifies_new_duplicate_reordered():
     tracker = LinkTracker()
 
     def msg(seq, shard=1, channel=CHANNEL_UNICAST):
-        return WireMessage(kind=MSG_TOKEN, sender_shard=shard, seq=seq, channel=channel, payload={})
+        return WireMessage(MSG_NOTIFY_ACK, sender_shard=shard, seq=seq, channel=channel, payload={})
 
     assert tracker.observe(msg(1)) == "new"
     assert tracker.observe(msg(2)) == "new"
@@ -338,14 +352,14 @@ def test_link_tracker_classifies_new_duplicate_reordered():
     assert stats == {"received": 5, "duplicates": 1, "reordered": 1, "gaps": 1, "highest": 5}
 
 
-def _token(seq):
-    return WireMessage(kind=MSG_TOKEN, sender_shard=1, seq=seq, channel=CHANNEL_UNICAST, payload={})
+def _ack(seq):
+    return WireMessage(MSG_NOTIFY_ACK, sender_shard=1, seq=seq, channel=CHANNEL_UNICAST, payload={})
 
 
 def test_link_tracker_knows_a_replay_far_behind_the_window_is_a_duplicate():
     tracker = LinkTracker()
-    assert all(tracker.observe(_token(seq)) == "new" for seq in range(1, 20_001))
-    replays = [tracker.observe(_token(seq)) for seq in range(1, 20_001, 97)]
+    assert all(tracker.observe(_ack(seq)) == "new" for seq in range(1, 20_001))
+    replays = [tracker.observe(_ack(seq)) for seq in range(1, 20_001, 97)]
 
     assert replays == ["duplicate"] * 207
     stats = tracker.summary()["1:0"]
@@ -354,7 +368,7 @@ def test_link_tracker_knows_a_replay_far_behind_the_window_is_a_duplicate():
 
 def test_link_tracker_fills_a_reordered_gap_late_and_gives_up_a_hole_past_the_window():
     tracker = LinkTracker()
-    verdicts = [tracker.observe(_token(seq)) for seq in (1, 2, 6, 4, 3, 5, 4, 6)]
+    verdicts = [tracker.observe(_ack(seq)) for seq in (1, 2, 6, 4, 3, 5, 4, 6)]
     assert verdicts == ["new", "new", "new", "reordered", "reordered", "reordered"] + [
         "duplicate"
     ] * 2
@@ -364,9 +378,9 @@ def test_link_tracker_fills_a_reordered_gap_late_and_gives_up_a_hole_past_the_wi
     # Seq 7 is lost for good: once a window's worth has arrived above it,
     # its hole is given up, and a very late copy reads as a duplicate.
     top = 8 + wire.LINK_WINDOW
-    assert all(tracker.observe(_token(seq)) == "new" for seq in range(8, top + 1))
-    assert tracker.observe(_token(7)) == "duplicate"
-    assert tracker.observe(_token(top + 1)) == "new"
+    assert all(tracker.observe(_ack(seq)) == "new" for seq in range(8, top + 1))
+    assert tracker.observe(_ack(7)) == "duplicate"
+    assert tracker.observe(_ack(top + 1)) == "new"
     assert tracker.summary()["1:0"]["gaps"] == 1
 
 
@@ -763,7 +777,9 @@ def test_notify_no_peer_could_have_sent_is_a_wire_error_dropped_unacked():
 @pytest.fixture
 def live_node(tmp_path):
     """Shard 0 of a two-shard fleet, bound on loopback but never started:
-    ``peer`` stands in for both shard 1 and the supervisor."""
+    ``peer`` stands in for both shard 1 and the supervisor.  The node
+    mutates the hierarchy its config carries; the runner is this fixture's
+    own, so nothing else uses it."""
     runner = LiveScenarioRunner(
         LiveScenarioConfig(ring_size=2, height=2, num_shards=2, events=2, multicast=False)
     )
@@ -810,16 +826,12 @@ def test_node_sends_one_datagram_per_destination_per_turn(live_node):
         for notify_id in range(40):
             node.send_to_shard(1, MSG_NOTIFY_ACK, {"id": notify_id})
         node.send_to_supervisor(MSG_BYE, {"shard": 0})
-        node.send_to_self(MSG_TOKEN, {"sender": _A, "receiver": _C})
 
     _run_one_turn(node, body)
     (to_shard, to_supervisor) = _received(peer)
     assert [m.payload["id"] for m in to_shard] == list(range(40))
     assert [m.kind for m in to_supervisor] == [MSG_BYE]
-    assert node.metrics.counter("runtime.datagrams_sent").value == 3  # the self-send too
-    node._on_datagram(node.sock)  # the self-addressed datagram is waiting
-    assert node.metrics.counter("runtime.token_datagrams").value == 1
-    assert node.metrics.counter("runtime.datagrams_received").value == 1
+    assert node.metrics.counter("runtime.datagrams_sent").value == 2
 
 
 def test_node_flushes_what_it_queued_before_the_halt_and_nothing_after(live_node):
@@ -869,6 +881,67 @@ def test_node_drops_its_own_multicast_echo_from_the_header(live_node):
         sender.close()
 
 
+def _read_from(sock, node, kind, payload, shard) -> None:
+    """``sock`` sends one ``kind`` message whose header claims ``shard``, and
+    the node reads it."""
+    sock.sendto(WireCodec(shard).encode(kind, payload, dest_key=0), node.sock.getsockname())
+    node._on_datagram(node.sock)
+
+
+def _acceptable(kind, node):
+    """A message of ``kind`` the node would act on from the right socket: its
+    header shard, its payload, and a probe that turns true once it acted."""
+    # A bottom-ring leader on shard 1, and its parent in shard 0's top ring.
+    sender, target, op = upward_join(node.kernel, "authority-member")
+    if kind == MSG_PEERS:
+        peers = {0: node.sock.getsockname(), 1: node.peers[1]}
+        return -1, {"peers": peers, "t0": node.loop.clock()}, lambda: node.started
+    if kind == MSG_SHUTDOWN:
+        return -1, {}, lambda: node.finalized
+    if kind == MSG_NOTIFY:
+        ring = node.hierarchy.ring_of(target).ring_id
+        payload = {"id": 1, "low": 1, "sender": sender, "target": target, "ring": ring, "ops": (op,)}
+        return 1, payload, lambda: "harness.notifications_delivered" in node.metrics.counters
+    if kind == MSG_NOTIFY_ACK:
+        node.kernel.forward_notification(target, sender, (op,), 0.0)  # pending at shard 1
+        notify_id = node.dispatch.notifier.low_water()
+        return 1, {"id": notify_id}, lambda: node.dispatch.pending_count() == 0
+    heard = []
+    node.monitor = SimpleNamespace(heartbeat_received=heard.append)
+    return 1, {"shard": 1}, lambda: heard == [1]
+
+
+@pytest.mark.parametrize(
+    "kind", [MSG_PEERS, MSG_SHUTDOWN, MSG_NOTIFY, MSG_NOTIFY_ACK, MSG_HEARTBEAT]
+)
+def test_node_takes_each_kind_only_from_the_socket_entitled_to_send_it(live_node, kind):
+    """Control kinds only from the supervisor's address, peer kinds only from
+    the address PEERS registered for the header's shard."""
+    node, peer = live_node
+    shard, payload, acted = _acceptable(kind, node)
+    stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        _read_from(stranger, node, kind, payload, shard)
+    finally:
+        stranger.close()
+    assert not acted()
+    assert node.metrics.counter("runtime.wire_errors").value == 1
+    assert "1:0" not in node.tracker.summary()  # a forged datagram is not shard 1's
+    _read_from(peer, node, kind, payload, shard)  # the supervisor's and shard 1's
+    assert acted()
+    assert node.metrics.counter("runtime.wire_errors").value == 1
+
+
+def test_a_peer_heartbeat_before_peers_is_dropped_uncounted(live_node):
+    """A faster peer may heartbeat before this node's PEERS lands: there is
+    no registered address to check it against, and it is no wire error."""
+    node, peer = live_node
+    node.peers = {}
+    _read_from(peer, node, MSG_HEARTBEAT, {"shard": 1}, 1)
+    assert node.metrics.counter("runtime.wire_errors").value == 0
+    assert node.tracker.summary() == {}
+
+
 #: The pre-schema datagram layout: a header, then a pickled payload dict.
 _PICKLED_HEADER = struct.Struct("!4sBBBiQ")
 
@@ -877,19 +950,15 @@ def test_stray_datagrams_are_counted_and_dropped_not_fatal(live_node):
     """A well-formed pickle under kind NOTIFY once reached ``on_notify`` and
     killed the shard with a KeyError; now it and a NOTIFY whose body does not
     fit the layout are wire errors, and the node reads on."""
-    node, _peer = live_node
+    node, peer = live_node
     stray = [
         _PICKLED_HEADER.pack(b"RGB1", 1, MSG_NOTIFY, 0, 1, 1) + pickle.dumps({"x": 1}),
-        _V2 + struct.pack("!iQH", 1, 1, 1) + struct.pack("!BH", MSG_NOTIFY, 7) + b'{"x": 1',
+        _PREFIX + struct.pack("!iQH", 1, 1, 1) + struct.pack("!BH", MSG_NOTIFY, 7) + b'{"x": 1',
     ]
     ack = WireCodec(1).encode(MSG_NOTIFY_ACK, {"id": 99}, dest_key=0)
-    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        for data in (*stray, ack):
-            sender.sendto(data, node.sock.getsockname())
-        node._on_datagram(node.sock)
-    finally:
-        sender.close()
+    for data in (*stray, ack):  # all from shard 1's registered address
+        peer.sendto(data, node.sock.getsockname())
+    node._on_datagram(node.sock)
     assert node.metrics.counter("runtime.wire_errors").value == 2
     assert node.metrics.counter("runtime.datagrams_received").value == 3
     assert node.tracker.summary()["1:0"]["received"] == 1  # the ack was read
