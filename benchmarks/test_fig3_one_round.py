@@ -60,7 +60,7 @@ def test_fig3_event_driven_one_round(benchmark, report):
     assert member.guid in sim.global_membership()
     assert result.ok
     rounds = result.counters["rounds.completed"]
-    hops = result.counters["transport.sent.rgb.token"]
+    hops = result.counters["hops.token"]
     latency = sim.engine.now
     # One round per ring, exactly as in the structural engine.
     assert rounds == sim.hierarchy.total_rings and hops > 0
@@ -68,7 +68,7 @@ def test_fig3_event_driven_one_round(benchmark, report):
         "Figure 3 — one-round token passing (event-driven harness)",
         [
             f"token rounds completed = {rounds}",
-            f"token hops on the wire = {hops}",
+            f"token hops             = {hops}",
             f"propagation latency    = {latency:.1f} simulated ms",
         ],
     )

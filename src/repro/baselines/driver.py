@@ -531,8 +531,11 @@ class RGBRingProtocol(BaseProtocolDriver):
     quiescence before the next one, so per-change costs are well-defined;
     they are measured as deltas of the kernel/transport counters
     (``hops.token`` + ``hops.notify`` for the paper's HopCount,
-    ``transport.sent`` for on-the-wire messages, ``rounds.completed`` for
-    token rounds).
+    ``rounds.completed`` for token rounds).  Messages are the transport's
+    ``transport.sent`` (notifications) plus the token hops and
+    Holder-Acknowledgements the kernel counts (``hops.token``,
+    ``messages.holder_ack``): those change no receiver's state, so they
+    never reach the transport, but the paper's message cost includes them.
     """
 
     name = "rgb"
@@ -564,7 +567,9 @@ class RGBRingProtocol(BaseProtocolDriver):
             return after.get(name, 0) - before.get(name, 0)
 
         hops = diff("hops.token") + diff("hops.notify")
-        messages = diff("transport.sent")
+        messages = (
+            diff("transport.sent") + diff("hops.token") + diff("messages.holder_ack")
+        )
         rounds = diff("rounds.completed")
         retrans = diff("transport.retransmissions") + diff("harness.notify_resends")
         return hops, messages, rounds, retrans

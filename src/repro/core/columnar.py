@@ -57,7 +57,7 @@ change any membership view:
 Under those conditions the object kernel's per-visit delta application is a
 proven no-op at every member, so the fast path performs the identical
 bookkeeping (drain, seen/applied marks, token/notify/ack hops, counters,
-holder rotation, dispatch callbacks in the same order) without touching the
+holder rotation, notifications in the same order) without touching the
 entity objects — member entities are reached positionally through dense
 per-ring rows, never through identifier-keyed dict probes.  Any round that
 fails a gate falls back to ``super().run_round``, is counted in
@@ -277,8 +277,8 @@ class ColumnarKernel(TokenRoundKernel):
         # ProtocolConfig is frozen; hoist the per-round flag reads.
         self._disseminate_downward = self.config.disseminate_downward
         self._holder_ack_enabled = self.config.holder_ack_enabled
-        # Direct (synchronous, receiver-effect-free) dispatch lets the fast
-        # path inline notification delivery and skip no-op ack callbacks.
+        # Direct (synchronous) dispatch lets the fast path inline
+        # notification delivery.
         self._direct_dispatch = type(self.dispatch) is DirectDispatch
 
     @property
@@ -1012,8 +1012,6 @@ class ColumnarKernel(TokenRoundKernel):
         }
         self._c_rounds_started._value += 1
 
-        dispatch = self.dispatch
-        emit_token = dispatch.emits_token_messages
         failed = self.failed
         has_children = (
             self._disseminate_downward and store.ring_child_total[ring_idx]
@@ -1027,10 +1025,10 @@ class ColumnarKernel(TokenRoundKernel):
         # Every forward below goes through a build-time plan: a ring whose
         # plan failed validation is marked ``ring_has_state``, so its
         # operation-carrying rounds never reach this point.
-        if (operations or emit_token) and not emit_token and not has_children:
-            # Childless ring, dispatch without token messages: the only
-            # observable effect of the whole circulation is the leader's
-            # upward forward, so the visit loop collapses to that one call.
+        if operations and not has_children:
+            # Childless ring: the only observable effect of the whole
+            # circulation is the leader's upward forward, so the visit loop
+            # collapses to that one call.
             # A validated parent plan subsumes the ``parent_ok``/``parent``
             # probes: those flags only change through ``exclude_entity``
             # (structure goes dirty first), so under a clean structure the
@@ -1053,49 +1051,40 @@ class ColumnarKernel(TokenRoundKernel):
                         members[lp], row[lp].parent, operations, now
                     )
                 forwarded_up = True
-        elif operations or emit_token:
+        elif operations:
             pp = self._parent_plan[ring_idx]
             cplan = self._child_plan[ring_idx]
             alive = store.alive
             dense = self._dense_forward
-            previous_node = holder_id
             pos = holder_pos
             for node in order:
-                if node is not holder_id:
-                    if emit_token:
-                        dispatch.token_hop(self, previous_node, node, now)
-                    previous_node = node
-                if operations:
-                    # Figure 3 lines 10-13: leader forwards to its parent.
-                    # (See the collapse branch for why a built plan
-                    # subsumes the ``parent_ok`` probes.)
-                    if pos == lp and pp is not None:
-                        if alive[pp[2]]:
+                # Figure 3 lines 10-13: leader forwards to its parent.  (See
+                # the collapse branch for why a built plan subsumes the
+                # ``parent_ok`` probes.)
+                if pos == lp and pp is not None:
+                    if alive[pp[2]]:
+                        notify_hops += dense(
+                            node, pp[0], pp[1], operations, now, seq_key
+                        )
+                    else:
+                        notify_hops += self.forward_notification(
+                            node, row[pos].parent, operations, now
+                        )
+                    forwarded_up = True
+                # Figure 3 lines 14-16: notify child rings.  The child-total
+                # column keeps bottom rings (the vast majority) from ever
+                # probing the lazy children lists; the plan mirrors each
+                # member's children list (the object path skips crashed
+                # children without a forward).
+                if has_children:
+                    for cidx, cpos, cdense in cplan[pos]:
+                        if alive[cdense]:
                             notify_hops += dense(
-                                node, pp[0], pp[1], operations, now, seq_key
+                                node, cidx, cpos, operations, now, seq_key
                             )
-                        else:
-                            notify_hops += self.forward_notification(
-                                node, row[pos].parent, operations, now
-                            )
-                        forwarded_up = True
-                    # Figure 3 lines 14-16: notify child rings.  The
-                    # child-total column keeps bottom rings (the vast
-                    # majority) from ever probing the lazy children lists;
-                    # the plan mirrors each member's children list (the
-                    # object path skips crashed children without a forward).
-                    if has_children:
-                        for cidx, cpos, cdense in cplan[pos]:
-                            if alive[cdense]:
-                                notify_hops += dense(
-                                    node, cidx, cpos, operations, now, seq_key
-                                )
                 pos += 1
                 if pos >= size:
                     pos = 0
-            if emit_token and size >= 2:
-                # Closing hop back to the holder.
-                dispatch.token_hop(self, previous_node, holder_id, now)
 
         result.token_hops = token_hops
         result.notify_hops = notify_hops
@@ -1120,7 +1109,6 @@ class ColumnarKernel(TokenRoundKernel):
         # skips the dedup dict; ``increment`` is inlined like the other
         # counter bumps below.)
         if child_senders and operations and self._holder_ack_enabled:
-            direct = self._direct_dispatch
             senders = (
                 child_senders
                 if len(child_senders) == 1
@@ -1131,9 +1119,6 @@ class ColumnarKernel(TokenRoundKernel):
                     continue
                 result.ack_hops += 1
                 self._c_holder_ack._value += 1
-                if not direct:
-                    # DirectDispatch acks have no receiver-side effect.
-                    dispatch.deliver_holder_ack(self, holder_id, sender, now)
 
         # Figure 3 lines 21-23: the holder pointer moves to the next member.
         next_pos = holder_pos + 1

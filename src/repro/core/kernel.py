@@ -113,25 +113,21 @@ class _RingDirtyMarker:
 
 
 class MessageDispatch:
-    """Seam through which the kernel emits inter-entity protocol messages.
+    """Seam through which the kernel emits Notification-to-Parent/Child.
 
     The kernel decides *what* travels (which operations are fresh for a ring,
-    who gets a Holder-Acknowledgement, where the token goes next); the
-    dispatch decides *how* it travels.  The default
+    and to whom); the dispatch decides *how* it travels.  The default
     :class:`DirectDispatch` delivers synchronously in shared memory — the
     seed's structural semantics — while the event-driven scenario harness
-    (:mod:`repro.sim.harness`) injects a transport-backed dispatch so the same
-    decisions become real messages subject to latency, loss and retries.
+    (:mod:`repro.sim.harness`) and the live node (:mod:`repro.runtime.dispatch`)
+    inject dispatches that turn the same decisions into messages subject to
+    latency, loss and retries.
 
-    A Holder-Acknowledgement or a token hop changes no receiver's state,
-    and the kernel counts both itself (``messages.holder_ack``,
-    ``hops.token``), so by default they go nowhere.  Only the simulator's
-    dispatch sends them, as transport traffic.  ``emits_token_messages``
-    lets the kernel skip the per-hop callback entirely for every other
-    dispatch, keeping the hot path free of the extra calls.
+    Notifications are the only messages that travel.  A token hop or a
+    Holder-Acknowledgement changes no receiver's state, so the kernel only
+    counts them (``hops.token``, ``messages.holder_ack``) and no dispatch
+    sees them.
     """
-
-    emits_token_messages: bool = False
 
     def deliver_notification(
         self,
@@ -143,17 +139,6 @@ class MessageDispatch:
     ) -> None:
         """Deliver a Notification-to-Parent/Child into ``target``'s queue."""
         raise NotImplementedError
-
-    def deliver_holder_ack(
-        self, kernel: "TokenRoundKernel", holder: NodeId, target: NodeId, now: float
-    ) -> None:
-        """A Holder-Acknowledgement from ``holder`` to ``target``."""
-
-    def token_hop(
-        self, kernel: "TokenRoundKernel", sender: NodeId, receiver: NodeId, now: float
-    ) -> None:
-        """One token transmission along the ring (only called when
-        ``emits_token_messages`` is true)."""
 
 
 class DirectDispatch(MessageDispatch):
@@ -258,8 +243,8 @@ class TokenRoundKernel:
         the scenario harness and the live node pass states they bulk-built
         themselves (see ``entities_pristine``).
     dispatch:
-        The :class:`MessageDispatch` seam through which notifications,
-        holder-acknowledgements and (optionally) token hops leave an entity.
+        The :class:`MessageDispatch` seam through which notifications leave
+        an entity.
         Defaults to :class:`DirectDispatch` (synchronous shared-memory
         delivery); the scenario harness injects a transport-backed dispatch.
     entities_pristine:
@@ -1086,7 +1071,6 @@ class TokenRoundKernel:
         publish = self.event_bus.publish
         entities = self.entities
         failed = self.failed
-        dispatch = self.dispatch
         has_entries = bool(batch.entries)
         is_bottom = ring.tier == self._bottom_tier
         disseminate_downward = self.config.disseminate_downward
@@ -1094,7 +1078,6 @@ class TokenRoundKernel:
         order = ring.members_from(holder_id)
         order_len = len(order)
         forwarded_up = False
-        emit_token = dispatch.emits_token_messages
         prev_node = holder_id
         # Hot-loop accumulators and cache handles: coverage and the
         # ring-member set are re-validated per visit through their caches
@@ -1118,8 +1101,6 @@ class TokenRoundKernel:
             node = order[index]
             if node != holder_id:
                 token_hops += 1
-                if emit_token:
-                    dispatch.token_hop(self, prev_node, node, now)
             if node in failed:
                 # Detection by token retransmission, then local repair.  The
                 # detector is the last *surviving* node the token visited
@@ -1192,8 +1173,6 @@ class TokenRoundKernel:
         # Closing hop: the token travels from the last visited node back to the holder.
         if len(visited) >= 2:
             token_hops += 1
-            if emit_token:
-                self.dispatch.token_hop(self, prev_node, holder_id, now)
         result.token_hops = token_hops
         result.notify_hops = notify_hops
         result.retransmissions = retransmissions
@@ -1218,7 +1197,6 @@ class TokenRoundKernel:
                 self._c_holder_ack.increment()
                 if self.trace.enabled:
                     self.trace.record(now, "ack", str(holder_id), f"holder-ack to {sender}")
-                self.dispatch.deliver_holder_ack(self, holder_id, sender, now)
 
         # Figure 3 lines 21-23: control of a fresh token moves to the next node.
         members = ring.members

@@ -124,7 +124,7 @@ class MembershipQueryService:
     def _view_of(self, node: NodeId) -> MembershipView:
         return self.store.entity(node).ring_members
 
-    def _topology_epoch(self) -> Optional[int]:
+    def _coverage_epoch(self) -> Optional[int]:
         """The store's repair/surgery epoch, or None when it has none."""
         epoch = getattr(self.store, "coverage_epoch", None)
         if epoch is None:
@@ -133,7 +133,7 @@ class MembershipQueryService:
 
     def _routing_generation(self) -> Optional[int]:
         """Validate (and roll) the memo against the current topology epoch."""
-        epoch = self._topology_epoch()
+        epoch = self._coverage_epoch()
         if epoch is None or epoch != self._routing_epoch:
             self._tier_leaders_cache.clear()
             self._entry_tier_cache = None

@@ -6,8 +6,9 @@ driver: each *shard* of the hierarchy is a real OS process
 (:mod:`repro.runtime.node`) owning a set of whole rings, multiplexing UDP
 unicast + loopback-multicast sockets on a single-threaded event loop
 (:mod:`repro.runtime.loop`), and driving the *same* kernel rounds the
-simulator drives — notifications, holder-acks and token hops travel as real
-datagrams through :class:`repro.runtime.dispatch.SocketDispatch`, and
+simulator drives — notifications travel as real datagrams through
+:class:`repro.runtime.dispatch.SocketDispatch` (token hops and holder-acks
+change no receiver's state, so the kernel only counts them), and
 failure detection is heartbeat-based (:mod:`repro.runtime.heartbeat`)
 feeding the kernel's existing ``fail_entity``/repair path instead of the
 sim's ``FaultEvent``.

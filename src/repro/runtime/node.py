@@ -1,7 +1,8 @@
 """One live shard: a kernel replica over real sockets, run as an OS process.
 
-The supervisor forks each shard and the child runs
-``NodeRuntime(config).start()`` (``repro.runtime.supervisor``).  The node
+The supervisor binds each shard's UDP socket, forks the shard and the child
+runs ``NodeRuntime(config).start(sock)`` (``repro.runtime.supervisor``).  The
+node
 
 * builds a full kernel replica over the hierarchy its supervisor built
   (the fork's copy-on-write pages are the shard's copy), but *owns* only
@@ -10,9 +11,10 @@ The supervisor forks each shard and the child runs
   per ring), and every view mutation for an owned ring happens in this
   process.  Unowned state exists as a routing/lookup replica that other
   shards' notifications keep current.
-* binds a UDP unicast socket (and joins the loopback multicast heartbeat
-  group, falling back to unicast fan-out where multicast is unavailable),
-  multiplexed by the single-threaded :class:`~repro.runtime.loop.EventLoop`
+* reads and sends on that UDP unicast socket (and joins the loopback
+  multicast heartbeat group, falling back to unicast fan-out where
+  multicast is unavailable), multiplexed by the single-threaded
+  :class:`~repro.runtime.loop.EventLoop`
   together with round timers, heartbeat timers and the scenario script.
 * queues every outbound message in a per-destination outbox (a peer shard
   or the supervisor) and flushes it at the loop's turn end: each
@@ -195,11 +197,15 @@ class NodeRuntime:
 
     # -- sockets ------------------------------------------------------------
 
-    def _bind(self) -> None:
+    def _bind(self, sock: Optional[socket.socket] = None) -> None:
+        """Take ``sock`` (bound by the supervisor before the fork) as the
+        unicast socket, or bind a fresh one."""
         cfg = self.config
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        if sock is None:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.bind((LOOPBACK, 0))
+        self.sock = sock
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
-        self.sock.bind((LOOPBACK, 0))
         self.sock.setblocking(False)
         self._self_addr = self.sock.getsockname()
         self.loop.add_reader(self.sock, self._on_datagram)
@@ -580,8 +586,8 @@ class NodeRuntime:
 
     # -- entry ----------------------------------------------------------------
 
-    def start(self) -> None:
-        self._bind()
+    def start(self, sock: Optional[socket.socket] = None) -> None:
+        self._bind(sock)
         try:
             self._say_hello()
             self.loop.run()

@@ -8,8 +8,10 @@ leaked.
 
 Lifecycle::
 
-    fork all shards             (each in its own session; direct children,
-                                 so their CPU lands in RUSAGE_CHILDREN)
+    bind one UDP socket per shard, then fork all shards
+                                (each in its own session; direct children,
+                                 so their CPU lands in RUSAGE_CHILDREN; each
+                                 child keeps only its own socket)
       <- HELLO{shard, port}     (each node repeats until answered)
       -> PEERS{peers, t0}       (broadcast once all shards reported;
                                  re-sent to any shard that repeats HELLO)
@@ -28,6 +30,11 @@ Lifecycle::
 Faults are injected *by the supervisor with real signals*, not by asking the
 node to exit: the point of the live runtime is that peers detect the death
 by heartbeat silence on a real socket, not by being told.
+
+Because the supervisor binds every shard's socket itself, it knows each
+shard's address before the shard runs: it takes HELLO, STATUS and BYE only
+from the address it bound for the header's shard, and sends PEERS and
+SHUTDOWN only there.  Any other datagram is ignored.
 """
 
 from __future__ import annotations
@@ -86,7 +93,9 @@ class _ShardProc:
     shard: int
     process: _ForkedShard
     config: NodeConfig
-    port: Optional[int] = None
+    #: The address of the socket the supervisor bound for this shard.
+    addr: Tuple[str, int]
+    hello: bool = False
     bye: bool = False
     #: Consecutive idle=True STATUS pushes.
     idle_streak: int = 0
@@ -165,51 +174,64 @@ class Supervisor:
         self.sock.bind((LOOPBACK, 0))
         self.sock.settimeout(0.05)
         port = self.sock.getsockname()[1]
-        for shard, config in sorted(self.configs.items()):
-            if config.supervisor_port != port:
-                config = replace(config, supervisor_port=port)
-                self.configs[shard] = config
-            process = _fork_shard(config)
-            self.procs[shard] = _ShardProc(shard=shard, process=process, config=config)
+        shard_socks = {}
+        for shard in sorted(self.configs):
+            shard_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            shard_sock.bind((LOOPBACK, 0))
+            shard_socks[shard] = shard_sock
+        try:
+            for shard, config in sorted(self.configs.items()):
+                if config.supervisor_port != port:
+                    config = replace(config, supervisor_port=port)
+                    self.configs[shard] = config
+                shard_sock = shard_socks[shard]
+                process = _fork_shard(config, shard_sock)
+                self.procs[shard] = _ShardProc(
+                    shard=shard,
+                    process=process,
+                    config=config,
+                    addr=shard_sock.getsockname(),
+                )
+        finally:
+            for shard_sock in shard_socks.values():
+                shard_sock.close()
 
     def _send(self, proc: _ShardProc, kind: int, payload: dict) -> None:
-        if self.sock is None or proc.port is None:
+        if self.sock is None:
             return
         try:
-            self.sock.sendto(
-                self.codec.encode(kind, payload, dest_key=proc.shard),
-                (LOOPBACK, proc.port),
-            )
+            self.sock.sendto(self.codec.encode(kind, payload, dest_key=proc.shard), proc.addr)
         except OSError:
             pass
 
     def _broadcast_peers(self, proc: _ShardProc) -> None:
         assert self.t0 is not None
-        peers = {p.shard: (LOOPBACK, p.port) for p in self.procs.values()}
+        peers = {p.shard: p.addr for p in self.procs.values()}
         self._send(proc, wire.MSG_PEERS, {"peers": peers, "t0": self.t0})
 
-    def _drain(self) -> List[wire.WireMessage]:
-        """Non-blocking-ish read of every pending control datagram."""
+    def _drain(self) -> List[Tuple[wire.WireMessage, Tuple[str, int]]]:
+        """Non-blocking-ish read of every pending control datagram, each
+        message with the address it came from."""
         assert self.sock is not None
-        messages: List[wire.WireMessage] = []
+        messages: List[Tuple[wire.WireMessage, Tuple[str, int]]] = []
         while True:
             try:
-                data, _addr = self.sock.recvfrom(65536)
+                data, addr = self.sock.recvfrom(65536)
             except socket.timeout:
                 return messages
             except OSError:
                 return messages
             try:
-                messages.extend(wire.decode_datagram(data))
+                messages.extend((message, addr) for message in wire.decode_datagram(data))
             except wire.WireError:
                 continue
 
-    def _handle(self, message: wire.WireMessage) -> None:
+    def _handle(self, message: wire.WireMessage, addr: Tuple[str, int]) -> None:
         proc = self.procs.get(message.sender_shard)
-        if proc is None:
-            return
+        if proc is None or addr != proc.addr:
+            return  # only the socket bound for that shard speaks for it
         if message.kind == wire.MSG_HELLO:
-            proc.port = message.payload["port"]
+            proc.hello = True
             if self.t0 is not None:
                 # Late or repeated HELLO after the broadcast: the PEERS
                 # datagram was lost — resend it.
@@ -223,13 +245,13 @@ class Supervisor:
 
     def _handshake(self) -> None:
         deadline = time.monotonic() + self.handshake_timeout
-        while any(p.port is None for p in self.procs.values()):
+        while not all(p.hello for p in self.procs.values()):
             if time.monotonic() > deadline:
-                missing = sorted(s for s, p in self.procs.items() if p.port is None)
+                missing = sorted(s for s, p in self.procs.items() if not p.hello)
                 raise SupervisorError(f"shards {missing} never said HELLO")
             self._reap_crashed_during_handshake()
-            for message in self._drain():
-                self._handle(message)
+            for message, addr in self._drain():
+                self._handle(message, addr)
         # Anchor virtual time far enough out that the PEERS broadcast (and
         # any resend round) lands on every node before the scenario starts.
         self.t0 = time.monotonic() + 0.6
@@ -238,7 +260,7 @@ class Supervisor:
 
     def _reap_crashed_during_handshake(self) -> None:
         for proc in self.procs.values():
-            if proc.port is None and proc.process.poll() is not None:
+            if not proc.hello and proc.process.poll() is not None:
                 err = _read_error(proc.config.result_path)
                 raise SupervisorError(
                     f"shard {proc.shard} exited rc={proc.process.returncode} "
@@ -290,8 +312,8 @@ class Supervisor:
                     del cont_at[shard]
                     self._signal(shard, signal.SIGCONT)
                     self.procs[shard].stopped = False
-            for message in self._drain():
-                self._handle(message)
+            for message, addr in self._drain():
+                self._handle(message, addr)
             self._check_unexpected_exits()
             if (
                 now >= scenario_end
@@ -357,8 +379,8 @@ class Supervisor:
                 for proc in pending:
                     self._send(proc, wire.MSG_SHUTDOWN, {})
                 next_send = time.monotonic() + 0.2
-            for message in self._drain():
-                self._handle(message)
+            for message, addr in self._drain():
+                self._handle(message, addr)
         return all(p.bye or p.killed for p in self.procs.values())
 
     def _teardown(self) -> None:
@@ -467,8 +489,9 @@ class _ForkedShard:
         self.send_signal(signal.SIGKILL)
 
 
-def _fork_shard(config: NodeConfig) -> _ForkedShard:
-    """Fork one shard from this warm process; the child runs its node.
+def _fork_shard(config: NodeConfig, sock: socket.socket) -> _ForkedShard:
+    """Fork one shard from this warm process; the child runs its node on
+    ``sock``, the UDP socket the supervisor bound for it.
 
     Fork is safe here because only the main thread runs Python, and the one
     foreign thread a bench or pytest parent has (numpy's OpenBLAS pool) owns
@@ -484,8 +507,8 @@ def _fork_shard(config: NodeConfig) -> _ForkedShard:
         return _ForkedShard(pid)
     code = 1
     try:
-        _detach_child()
-        NodeRuntime(config).start()
+        _detach_child(pass_fds=(sock.fileno(),))
+        NodeRuntime(config).start(sock)
         code = 0
     except Exception:
         with open(config.result_path + ".err", "w") as handle:

@@ -17,9 +17,9 @@ that gap:
   configurable latency and per-link loss.  Lost notifications are re-sent
   with backoff until they land (the paper's retransmission masking), so a
   lossy run converges to the same membership view as a lossless one.
-  Holder-Acknowledgements and per-hop token transmissions draw latency and
-  loss and are counted the same way, but no receiver acts on them, so they
-  are settled at send time and never delivered, traced or not.
+  Token hops and Holder-Acknowledgements change no receiver's state, so
+  they never reach the transport: the kernel counts them (``hops.token``,
+  ``messages.holder_ack``).
 * **Faults and mobility drive the protocol.**  A
   :class:`repro.sim.faults.FaultInjector` crash marks the entity failed in
   the kernel and lets the next token circulation *discover* it — the
@@ -58,10 +58,8 @@ from repro.sim.stats import MetricRegistry, RunRecord
 from repro.sim.trace import TraceRecorder
 from repro.sim.transport import Message, Transport
 
-#: Wire tags of the harness's three message classes.
+#: Wire tag of the harness's one message class.
 MSG_NOTIFY = "rgb.notify"
-MSG_TOKEN = "rgb.token"
-MSG_HOLDER_ACK = "rgb.holder-ack"
 
 
 class HarnessError(RuntimeError):
@@ -82,8 +80,7 @@ class HarnessConfig:
         Master seed for every named random stream of the run.
     loss:
         Per-link message loss probability (each logical edge of the harness
-        network is one link; leader→parent paths are usually one link,
-        holder-ack paths up to three).
+        network is one link; leader→parent paths are usually one link).
     latency_mean, latency_std:
         Per-link delay distribution.  ``latency_std=0`` makes delays
         deterministic, which the golden-trace suite relies on.
@@ -174,24 +171,18 @@ class HarnessResult:
 
 
 class TransportDispatch(MessageDispatch):
-    """Kernel dispatch that routes protocol messages over the transport.
+    """Kernel dispatch that routes notifications over the transport.
 
     Notifications are *reliable within a budget*; the rules (resend until the
     receiving handler confirms insertion, reroute when an endpoint crashed,
     give up after ``resend_limit`` attempts at a live target) are the shared
     :class:`repro.core.delivery.ReliableNotifier`, ``notifier``.  Here is only
     what is the simulator's: the ``transport.send`` call with its ``no-path``
-    recovery link, and the arrival-time-plus-backoff wait.  Token hops and
-    holder-acknowledgements go through the transport's fire-and-forget lane:
-    their loss is modelled by the kernel's retransmission counters and has
-    no receiver-side state.
+    recovery link, and the arrival-time-plus-backoff wait.
     """
-
-    emits_token_messages = True
 
     def __init__(self, harness: "ScenarioHarness") -> None:
         self.harness = harness
-        self._send_ff = harness.transport.send_fire_and_forget
 
     def bind(self, kernel: TokenRoundKernel) -> None:
         """Create the delivery core (the kernel it acts on is itself
@@ -222,16 +213,6 @@ class TransportDispatch(MessageDispatch):
         if self.harness.config.record_sends:
             self.harness._record_sends(entry)
         self.notifier.submit(entry)
-
-    def deliver_holder_ack(
-        self, kernel: TokenRoundKernel, holder: NodeId, target: NodeId, now: float
-    ) -> None:
-        self._send_ff(holder.value, target.value, MSG_HOLDER_ACK)
-
-    def token_hop(
-        self, kernel: TokenRoundKernel, sender: NodeId, receiver: NodeId, now: float
-    ) -> None:
-        self._send_ff(sender.value, receiver.value, MSG_TOKEN)
 
     # -- the notifier's transport -------------------------------------------
 
@@ -623,8 +604,7 @@ class ScenarioHarness:
         self.dispatch.notifier.submit(replace(record))
 
     def _on_message(self, message: Message) -> None:
-        # Only a NOTIFY is ever delivered: token hops and holder-acks are
-        # settled when they are sent (``Transport.send_fire_and_forget``).
+        # A NOTIFY is the only message the harness sends.
         self.dispatch.on_delivered(message)
 
     def _on_fault(self, event: FaultEvent) -> None:

@@ -142,11 +142,6 @@ class Network:
         self._adjacency: Dict[str, List[str]] = {}
         self._routes_dirty = True
         self._route_cache: Dict[Tuple[str, str], Optional[List[str]]] = {}
-        #: Strictly increasing counter bumped on every topology or node/link
-        #: state change; lets callers (the transport's fire-and-forget lane)
-        #: cache per-pair routing decisions and invalidate them exactly when
-        #: something that could affect routing changed.
-        self.topology_epoch = 0
 
     # -- construction ------------------------------------------------------
 
@@ -156,7 +151,6 @@ class Network:
         self._nodes[node.node_id] = node
         self._adjacency[node.node_id] = []
         self._routes_dirty = True
-        self.topology_epoch += 1
         return node
 
     def add_link(self, a: str, b: str, latency: LatencyModel) -> Link:
@@ -173,15 +167,13 @@ class Network:
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
         self._routes_dirty = True
-        self.topology_epoch += 1
         return link
 
     def add_nodes(self, nodes: Iterable[NetworkNode]) -> List[NetworkNode]:
-        """Bulk :meth:`add_node`: one route/epoch invalidation per batch.
+        """Bulk :meth:`add_node`: one route invalidation per batch.
 
-        The per-call variant bumps ``topology_epoch`` and re-dirties the
-        route cache for every node — pure overhead when a generator installs
-        a whole tier at once.
+        The per-call variant re-dirties the route cache for every node —
+        pure overhead when a generator installs a whole tier at once.
         """
         added: List[NetworkNode] = []
         registry = self._nodes
@@ -195,15 +187,14 @@ class Network:
                 added.append(node)
         finally:
             # A mid-batch validation error leaves the earlier inserts in
-            # place (documented partial-batch semantics); route caches and
-            # epoch-keyed consumers must still observe them.
+            # place (documented partial-batch semantics); the route cache
+            # must still observe them.
             if added:
                 self._routes_dirty = True
-                self.topology_epoch += 1
-        return added
+                return added
 
     def add_links(self, links: Iterable[Tuple[str, str, LatencyModel]]) -> List[Link]:
-        """Bulk :meth:`add_link`: one route/epoch invalidation per batch."""
+        """Bulk :meth:`add_link`: one route invalidation per batch."""
         added: List[Link] = []
         registry = self._nodes
         link_map = self._links
@@ -226,11 +217,10 @@ class Network:
                 added.append(link)
         finally:
             # See add_nodes: earlier inserts of a failed batch stay visible
-            # to routing/epoch consumers.
+            # to routing.
             if added:
                 self._routes_dirty = True
-                self.topology_epoch += 1
-        return added
+                return added
 
     @staticmethod
     def _link_key(a: str, b: str) -> Tuple[str, str]:
@@ -278,12 +268,10 @@ class Network:
     def set_node_state(self, node_id: str, state: NodeState) -> None:
         self.node(node_id).state = state
         self._routes_dirty = True
-        self.topology_epoch += 1
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:
         self.link(a, b).up = up
         self._routes_dirty = True
-        self.topology_epoch += 1
 
     def operational_nodes(self, kind: Optional[str] = None) -> List[NetworkNode]:
         return [n for n in self.nodes(kind) if n.is_operational]

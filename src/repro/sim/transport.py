@@ -12,7 +12,10 @@ through the :class:`repro.sim.network.Network`.  Sending a message:
 
 The paper's scalability metric counts *logical* hops — one logical hop per
 protocol message between two network entities regardless of the physical path
-length — so the transport tracks both.
+length — so the transport tracks both.  In the scenario harness every
+message is a Notification-to-Parent/Child: token hops and
+Holder-Acknowledgements change no receiver's state, so the kernel counts them
+(``hops.token``, ``messages.holder_ack``) and they never reach the transport.
 """
 
 from __future__ import annotations
@@ -114,11 +117,6 @@ class Transport:
         self._h_physical = self.metrics.histogram("transport.physical_hops")
         self._h_latency = self.metrics.histogram("transport.latency")
         self._sent_by_type: Dict[str, Any] = {}
-        self._dropped_by_reason: Dict[str, Any] = {}
-        # (source, destination) -> (topology_epoch, direct-link latency model
-        # or None, multihop path / drop reason / None): the fire-and-forget
-        # lane's routing decision, valid until the network's epoch moves.
-        self._ff_cache: Dict[Tuple[str, str], tuple] = {}
 
     # -- endpoint registration ---------------------------------------------
 
@@ -227,114 +225,9 @@ class Transport:
         self._schedule_delivery(message, delay=delay, physical_hops=physical_hops)
         return DeliveryReceipt(message, True, "scheduled", self.engine.clock.now + delay)
 
-    def send_fire_and_forget(self, source: str, destination: str, msg_type: str) -> None:
-        """Send a message no receiver acts on (a token hop, a holder-ack).
-
-        It draws from the RNG and takes a message id exactly as :meth:`send`
-        would, and it counts as sent, then as delivered, retransmitted or
-        dropped, at send time.  It builds no :class:`Message`, schedules no
-        delivery event and writes no trace line, whether tracing is on or
-        off, so a traced run makes the same engine events as an untraced one.
-        A message to a destination that crashes while it is in flight
-        therefore counts as delivered: nothing at the receiver would have
-        changed.
-        """
-        next(self._message_ids)  # keep message ids aligned with the slow lane
-        # Counters/histograms are this class's own types: bump their storage
-        # directly rather than paying a method call per field per message.
-        self._c_sent._value += 1
-        type_counter = self._sent_by_type.get(msg_type)
-        if type_counter is None:
-            type_counter = self.metrics.counter(f"transport.sent.{msg_type}")
-            self._sent_by_type[msg_type] = type_counter
-        type_counter._value += 1
-        if source != destination:
-            self._c_logical._value += 1
-        else:
-            # Local delivery: immediate, lossless.
-            self._h_physical._samples.append(0.0)
-            self._c_delivered._value += 1
-            self._h_latency._samples.append(0.0)
-            return
-
-        network = self.network
-        epoch = network.topology_epoch
-        key = (source, destination)
-        cached = self._ff_cache.get(key)
-        if cached is None or cached[0] != epoch:
-            # Resolve once per (pair, topology epoch): node states and link
-            # states can only change together with an epoch bump.
-            if not network.node(source).is_operational:
-                cached = (epoch, None, "source-not-operational")
-            elif network.node(destination).state is NodeState.FAILED:
-                cached = (epoch, None, "destination-failed")
-            else:
-                path = network.path(source, destination)
-                if path is None:
-                    cached = (epoch, None, "no-path")
-                elif len(path) == 2:
-                    cached = (epoch, network.link(path[0], path[1]).latency, None)
-                else:
-                    cached = (epoch, None, path)
-            self._ff_cache[key] = cached
-        latency = cached[1]
-        tail = cached[2]
-        # Drop-reason priority matches send(): source-not-operational first,
-        # then the (always live) partition filter, then the rest.
-        if tail == "source-not-operational":
-            self._drop_untracked(tail)
-            return
-        if self._partition_filter is not None and self._partition_filter(source, destination):
-            self._drop_untracked("partitioned")
-            return
-
-        rng = self._rng
-        max_attempts = 1 + self.default_retries
-        delay = 0.0
-        if latency is not None:
-            mean, std, min_delay, loss = (
-                latency.mean, latency.std, latency.min_delay, latency.loss,
-            )
-            for _attempt in range(max_attempts):
-                # Inlined LatencyModel.sample_delay / sample_loss: identical
-                # draws in identical order.
-                if std == 0.0:
-                    sample = mean if mean > min_delay else min_delay
-                else:
-                    sample = rng.normal(mean, std)
-                    sample = float(sample) if sample > min_delay else min_delay
-                delay += sample
-                if loss == 0.0 or not rng.random() < loss:
-                    self._h_physical._samples.append(1.0)
-                    self._c_delivered._value += 1
-                    self._h_latency._samples.append(float(delay))
-                    return
-                self._c_retrans._value += 1
-                delay += self.retry_backoff
-        elif isinstance(tail, str):
-            self._drop_untracked(tail)
-            return
-        else:
-            path = tail
-            for _attempt in range(max_attempts):
-                delay += network.path_latency(path, rng)
-                if not network.path_loses(path, rng):
-                    self._h_physical._samples.append(float(len(path) - 1))
-                    self._c_delivered._value += 1
-                    self._h_latency._samples.append(float(delay))
-                    return
-                self._c_retrans._value += 1
-                delay += self.retry_backoff
-        self._drop_untracked("lost-after-retries")
-
-    def _drop_untracked(self, reason: str) -> None:
-        """Drop accounting for the fire-and-forget lane (no trace line)."""
-        self._c_dropped.increment()
-        reason_counter = self._dropped_by_reason.get(reason)
-        if reason_counter is None:
-            reason_counter = self.metrics.counter(f"transport.dropped.{reason}")
-            self._dropped_by_reason[reason] = reason_counter
-        reason_counter.increment()
+    # Kept only because ``bench/tracing.py`` wraps this class attribute by
+    # name; nothing in the package calls it.
+    send_fire_and_forget = send
 
     # -- delivery -------------------------------------------------------------
 

@@ -59,12 +59,40 @@ class TestHarnessBasics:
         harness = small_harness()
         aps = harness.access_proxies()
         harness.schedule_join(1.0, aps[0], guid="m-0")
-        harness.run()
-        # Token hops, notifications and holder-acks are transport messages.
-        assert harness.transport.sent_count("rgb.token") > 0
-        assert harness.transport.sent_count("rgb.notify") > 0
-        assert harness.transport.sent_count("rgb.holder-ack") > 0
+        result = harness.run()
+        # Notifications are the transport's only messages; token hops and
+        # holder-acks change no receiver's state and the kernel counts them.
+        sent = harness.transport.sent_count()
+        assert sent == harness.transport.sent_count("rgb.notify") > 0
+        assert result.counters["hops.token"] > 0
+        assert result.counters["messages.holder_ack"] > 0
         assert harness.transport.delivered_count() > 0
+
+    @pytest.mark.parametrize("trace_enabled", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_a_lossy_crash_run_sends_only_notifications(self, backend, trace_enabled):
+        harness = small_harness(
+            height=3, seed=7, loss=0.05, backend=backend, trace_enabled=trace_enabled
+        )
+        aps = harness.access_proxies()
+        for index in range(12):
+            harness.schedule_join(1.0 + index, aps[index], guid=f"m-{index}")
+        harness.schedule_crash(20.0, aps[3])
+        for index in range(4, 8):
+            harness.schedule_leave(30.0 + index, f"m-{index}")
+        result = harness.run()
+        assert result.ok
+        assert result.counters["repairs.ring"] == 1
+        sent = {
+            name: value
+            for name, value in result.counters.items()
+            if name.startswith("transport.sent.")
+        }
+        assert list(sent) == ["transport.sent.rgb.notify"]
+        assert sent["transport.sent.rgb.notify"] == result.counters["transport.sent"] > 0
+        assert result.counters["transport.retransmissions"] > 0  # the run is lossy
+        assert result.counters["hops.token"] > 0
+        assert result.counters["messages.holder_ack"] > 0
 
     def test_leave_and_handoff(self):
         harness = small_harness()
@@ -109,9 +137,8 @@ class TestHarnessBasics:
         assert harness.global_guids() == ["m-1", "m-2", "m-3"]
 
     def test_tracing_changes_no_record(self):
-        """Token hops and holder-acks take one path whether tracing is on or
-        off: a traced run counts and schedules exactly what an untraced one
-        does, also for hops towards a proxy that crashed."""
+        """A traced run counts and schedules exactly what an untraced one
+        does, also for notifications towards a proxy that crashed."""
 
         def run(trace_enabled: bool):
             harness = small_harness(height=3, seed=7, loss=0.05, trace_enabled=trace_enabled)

@@ -1,14 +1,17 @@
-"""Every function, class and import in ``src/repro`` is named somewhere it is used.
+"""Every function, class, constant and import in ``src/repro`` is named somewhere it is used.
 
-An AST walk collects each ``def`` / ``class`` name under ``src/repro``; a
-word scan of the repository's code and documentation (``src/``, ``tests/``,
+An AST walk collects each ``def`` / ``class`` name under ``src/repro`` and
+each name a module-level assignment binds (a constant, a type alias, a
+module's registry); a word scan of the repository's code and documentation (``src/``, ``tests/``,
 ``bench/``, ``benchmarks/``, ``examples/``, ``docs/`` and the README) must
 find that name more often than it is defined.  A name found only at its own
 definitions is code nothing runs: delete it, or move it next to the tests
 that use it as a reference (``tests/reference/``).
 
 The scan is by word, so a mention in a docstring, a ``getattr`` string or a
-test counts as a use.  Dunder methods are called by the interpreter and are
+test counts as a use.  A constant is data, not prose: only a mention in a
+``.py`` file counts for it, so a constant that only a document still names
+(``docs/PERF.md`` keeps the history of retired message kinds) is unused.  Dunder methods are called by the interpreter and are
 skipped.  ``ALLOWED`` takes any other name that only a convention calls (a
 protocol method, a handler looked up by name), each with its reason; no
 definition needs an entry today.
@@ -38,24 +41,45 @@ ALLOWED: dict = {}
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _assigned_names(node: ast.stmt) -> list:
+    """The names a module-level ``=`` / annotated assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = []
+    for target in targets:
+        elements = target.elts if isinstance(target, ast.Tuple) else [target]
+        names.extend(e.id for e in elements if isinstance(e, ast.Name))
+    return names
+
+
 def _definitions() -> list:
-    """``(name, "path:line")`` for every def and class in the package."""
+    """``(name, "path:line", is_constant)`` for every def and class in the
+    package, and for every name a module-level assignment binds."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        where = path.relative_to(ROOT)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                found.append((node.name, f"{path.relative_to(ROOT)}:{node.lineno}"))
+                found.append((node.name, f"{where}:{node.lineno}", False))
+        for node in tree.body:
+            found.extend(
+                (name, f"{where}:{node.lineno}", True) for name in _assigned_names(node)
+            )
     return found
 
 
-def _word_counts() -> Counter:
-    files = [ROOT / "README.md"]
+def _word_counts(suffixes: tuple) -> Counter:
+    files = [ROOT / "README.md"] if ".md" in suffixes else []
     for directory in SEARCHED_DIRS:
         files.extend(
             path
             for path in (ROOT / directory).rglob("*")
-            if path.suffix in SEARCHED_SUFFIXES and path.is_file()
+            if path.suffix in suffixes and path.is_file()
         )
     this_file = Path(__file__).resolve()
     counts: Counter = Counter()
@@ -68,14 +92,15 @@ def _word_counts() -> Counter:
 def unreferenced() -> list:
     """``path:line name`` of each definition no other text names."""
     definitions = _definitions()
-    defined = Counter(name for name, _ in definitions)
-    counts = _word_counts()
+    defined = Counter(name for name, _, _ in definitions)
+    counts = _word_counts(SEARCHED_SUFFIXES)
+    code_counts = _word_counts((".py",))
     return [
         f"{where} {name}"
-        for name, where in definitions
+        for name, where, is_constant in definitions
         if not (name.startswith("__") and name.endswith("__"))
         and name not in ALLOWED
-        and counts[name] <= defined[name]
+        and (code_counts if is_constant else counts)[name] <= defined[name]
     ]
 
 

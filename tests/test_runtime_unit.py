@@ -965,26 +965,56 @@ def test_stray_datagrams_are_counted_and_dropped_not_fatal(live_node):
 
 
 def test_supervisor_drops_a_hello_it_cannot_read():
+    """The supervisor takes HELLO, STATUS and BYE only from the socket it
+    bound for the header's shard: a stranger claiming shard 0 is ignored,
+    readable or not, and PEERS goes only to shard 0's own socket."""
     supervisor = Supervisor({})
     supervisor.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     supervisor.sock.bind(("127.0.0.1", 0))
     supervisor.sock.settimeout(0.05)
-    supervisor.procs[0] = _ShardProc(shard=0, process=None, config=None)
-    sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    shard_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    shard_sock.bind(("127.0.0.1", 0))
+    shard_sock.settimeout(0.05)
+    stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    stranger.bind(("127.0.0.1", 0))
+    stranger.settimeout(0.05)
+    proc = _ShardProc(shard=0, process=None, config=None, addr=shard_sock.getsockname())
+    supervisor.procs[0] = proc
+    hello = WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0)
+    status = WireCodec(0).encode(
+        MSG_STATUS,
+        {"shard": 0, "idle": True, "vnow": 1.0, "evicted": [], "readmissions": 0},
+        0,
+    )
+    bye = WireCodec(0).encode(MSG_BYE, {"shard": 0}, 0)
+
+    def pump() -> None:
+        for message, addr in supervisor._drain():
+            supervisor._handle(message, addr)
+
     try:
         address = supervisor.sock.getsockname()
-        sender.sendto(
+        shard_sock.sendto(
             _PICKLED_HEADER.pack(b"RGB1", 1, MSG_HELLO, 0, 0, 1) + pickle.dumps({"shard": 0}),
             address,
         )
-        sender.sendto(WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0)[:-1], address)
-        for message in supervisor._drain():
-            supervisor._handle(message)
-        assert supervisor.procs[0].port is None
-        sender.sendto(WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0), address)
-        for message in supervisor._drain():
-            supervisor._handle(message)
-        assert supervisor.procs[0].port == 9
+        shard_sock.sendto(hello[:-1], address)
+        for data in (hello, status, bye):
+            stranger.sendto(data, address)
+        pump()
+        assert not proc.hello and not proc.bye and proc.last_status is None
+        shard_sock.sendto(hello, address)
+        pump()
+        assert proc.hello
+        supervisor.t0 = 1.0  # after the broadcast a repeated HELLO re-sends PEERS
+        stranger.sendto(hello, address)
+        shard_sock.sendto(hello, address)
+        pump()
+        peers = wire.decode_datagram(shard_sock.recvfrom(65536)[0])
+        assert [m.kind for m in peers] == [MSG_PEERS]
+        assert peers[0].payload["peers"] == {0: shard_sock.getsockname()}
+        with pytest.raises(socket.timeout):
+            stranger.recvfrom(65536)
     finally:
-        sender.close()
-        supervisor.sock.close()
+        for sock in (stranger, shard_sock, supervisor.sock):
+            sock.close()
