@@ -197,13 +197,10 @@ class NodeRuntime:
 
     # -- sockets ------------------------------------------------------------
 
-    def _bind(self, sock: Optional[socket.socket] = None) -> None:
-        """Take ``sock`` (bound by the supervisor before the fork) as the
-        unicast socket, or bind a fresh one."""
+    def _bind(self, sock: socket.socket) -> None:
+        """Read and send on ``sock``, the unicast socket the supervisor
+        bound for this shard before the fork."""
         cfg = self.config
-        if sock is None:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.bind((LOOPBACK, 0))
         self.sock = sock
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
         self.sock.setblocking(False)
@@ -586,7 +583,7 @@ class NodeRuntime:
 
     # -- entry ----------------------------------------------------------------
 
-    def start(self, sock: Optional[socket.socket] = None) -> None:
+    def start(self, sock: socket.socket) -> None:
         self._bind(sock)
         try:
             self._say_hello()

@@ -8,10 +8,10 @@ leaked.
 
 Lifecycle::
 
-    bind one UDP socket per shard, then fork all shards
-                                (each in its own session; direct children,
-                                 so their CPU lands in RUSAGE_CHILDREN; each
-                                 child keeps only its own socket)
+    fork all shards             (each in its own session on a UDP socket
+                                 the supervisor bound for it; direct
+                                 children, so their CPU lands in
+                                 RUSAGE_CHILDREN)
       <- HELLO{shard, port}     (each node repeats until answered)
       -> PEERS{peers, t0}       (broadcast once all shards reported;
                                  re-sent to any shard that repeats HELLO)
@@ -174,27 +174,18 @@ class Supervisor:
         self.sock.bind((LOOPBACK, 0))
         self.sock.settimeout(0.05)
         port = self.sock.getsockname()[1]
-        shard_socks = {}
-        for shard in sorted(self.configs):
-            shard_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            shard_sock.bind((LOOPBACK, 0))
-            shard_socks[shard] = shard_sock
-        try:
-            for shard, config in sorted(self.configs.items()):
-                if config.supervisor_port != port:
-                    config = replace(config, supervisor_port=port)
-                    self.configs[shard] = config
-                shard_sock = shard_socks[shard]
+        for shard, config in sorted(self.configs.items()):
+            if config.supervisor_port != port:
+                config = replace(config, supervisor_port=port)
+                self.configs[shard] = config
+            # The child keeps this socket; the parent's copy closes here.
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as shard_sock:
+                shard_sock.bind((LOOPBACK, 0))
+                addr = shard_sock.getsockname()
                 process = _fork_shard(config, shard_sock)
-                self.procs[shard] = _ShardProc(
-                    shard=shard,
-                    process=process,
-                    config=config,
-                    addr=shard_sock.getsockname(),
-                )
-        finally:
-            for shard_sock in shard_socks.values():
-                shard_sock.close()
+            self.procs[shard] = _ShardProc(
+                shard=shard, process=process, config=config, addr=addr
+            )
 
     def _send(self, proc: _ShardProc, kind: int, payload: dict) -> None:
         if self.sock is None:

@@ -788,7 +788,9 @@ def live_node(tmp_path):
     peer.settimeout(2.0)
     config = runner.build_configs(str(tmp_path))[0]
     node = NodeRuntime(replace(config, supervisor_port=peer.getsockname()[1]))
-    node._bind()
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    node._bind(sock)
     node.peers = {1: peer.getsockname()}
     yield node, peer
     node._close()
