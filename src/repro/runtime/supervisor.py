@@ -191,7 +191,8 @@ class Supervisor:
         if self.sock is None:
             return
         try:
-            self.sock.sendto(self.codec.encode(kind, payload, dest_key=proc.shard), proc.addr)
+            data = self.codec.encode(kind, payload, dest_key=proc.shard)
+            self.sock.sendto(data, proc.addr)
         except OSError:
             pass
 

@@ -1,20 +1,21 @@
-"""Every function, class, constant and import in ``src/repro`` is named somewhere it is used.
+"""Every function, class, constant and import in ``src/repro`` is used.
 
 An AST walk collects each ``def`` / ``class`` name under ``src/repro`` and
 each name a module-level assignment binds (a constant, a type alias, a
-module's registry); a word scan of the repository's code and documentation (``src/``, ``tests/``,
-``bench/``, ``benchmarks/``, ``examples/``, ``docs/`` and the README) must
-find that name more often than it is defined.  A name found only at its own
-definitions is code nothing runs: delete it, or move it next to the tests
-that use it as a reference (``tests/reference/``).
+module's registry); a word scan of the repository's code and documentation
+(``src/``, ``tests/``, ``bench/``, ``benchmarks/``, ``examples/``, ``docs/``
+and the README) must find that name more often than it is defined.  A name
+found only at its own definitions is code nothing runs: delete it, or move
+it next to the tests that use it as a reference (``tests/reference/``).
 
 The scan is by word, so a mention in a docstring, a ``getattr`` string or a
 test counts as a use.  A constant is data, not prose: only a mention in a
 ``.py`` file counts for it, so a constant that only a document still names
-(``docs/PERF.md`` keeps the history of retired message kinds) is unused.  Dunder methods are called by the interpreter and are
-skipped.  ``ALLOWED`` takes any other name that only a convention calls (a
-protocol method, a handler looked up by name), each with its reason; no
-definition needs an entry today.
+(``docs/PERF.md`` keeps the history of retired message kinds) is unused.
+Dunder names are used by the interpreter and are skipped.  ``ALLOWED``
+takes any other name that only a convention calls (a protocol method, a
+handler looked up by name), each with its reason; no definition needs an
+entry today.
 
 Imports are checked per module: a top-level import whose bound name is never
 a ``Name`` in that module, nor listed in its ``__all__``, nor named inside a
