@@ -4,8 +4,8 @@ Third driver of the :class:`repro.core.kernel.MessageDispatch` seam (after
 ``DirectDispatch`` and the sim's ``TransportDispatch``).  A node process
 owns whole rings; its kernel replica runs rounds only for those rings, and
 this dispatch routes the round's notifications.  Token hops and
-Holder-Acknowledgements change no receiver's state, so, as in
-``DirectDispatch``, they never leave the kernel, whose ``hops.token`` and
+Holder-Acknowledgements change no receiver's state, so, as with every
+dispatch, they never leave the kernel, whose ``hops.token`` and
 ``messages.holder_ack`` counters are the shard's account of them.
 
 Notifications are reliable within a budget; the rules (resend until

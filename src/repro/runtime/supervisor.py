@@ -509,7 +509,7 @@ def _fork_shard(config: NodeConfig, sock: socket.socket) -> _ForkedShard:
         os._exit(code)
 
 
-def _detach_child(pass_fds: Sequence[int] = ()) -> None:
+def _detach_child(pass_fds: Sequence[int]) -> None:
     """Drop what a forked child inherits and a process started by ``exec``
     with ``close_fds`` in a new session would not have: the session, stdio,
     every descriptor >= 3 but ``pass_fds`` (the control socket too), signal

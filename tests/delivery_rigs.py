@@ -90,8 +90,8 @@ class _Rig:
 
 
 class _SubmitDispatch(DirectDispatch):
-    """The whole adapter the core needs: hand the kernel's notification over
-    (holder-acks stay the structural no-op, token hops are not messages)."""
+    """The whole adapter the core needs: hand the kernel's notification
+    over (the kernel sends nothing else)."""
 
     notifier: ReliableNotifier
 
