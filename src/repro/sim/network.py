@@ -191,7 +191,7 @@ class Network:
             # must still observe them.
             if added:
                 self._routes_dirty = True
-                return added
+        return added
 
     def add_links(self, links: Iterable[Tuple[str, str, LatencyModel]]) -> List[Link]:
         """Bulk :meth:`add_link`: one route invalidation per batch."""
@@ -220,7 +220,7 @@ class Network:
             # to routing.
             if added:
                 self._routes_dirty = True
-                return added
+        return added
 
     @staticmethod
     def _link_key(a: str, b: str) -> Tuple[str, str]:

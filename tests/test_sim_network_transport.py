@@ -91,6 +91,30 @@ class TestNetwork:
         with pytest.raises(ValueError):
             small_network.add_link("a", "b", INTRA_AS)
 
+    def test_bulk_adds_return_empty_list_for_empty_batch(self, small_network):
+        assert small_network.add_nodes([]) == []
+        assert small_network.add_links([]) == []
+
+    def test_bulk_node_batch_raises_on_later_duplicate(self, small_network):
+        batch = [NetworkNode(node_id="f", kind="AP"), NetworkNode(node_id="a", kind="AP")]
+        with pytest.raises(ValueError):
+            small_network.add_nodes(batch)
+        # The insert before the bad item stays, and routing sees it.
+        assert small_network.has_node("f")
+        small_network.add_link("e", "f", INTRA_AS)
+        assert small_network.path("a", "f") == ["a", "e", "f"]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(("a", "b"), ValueError), (("c", "c"), ValueError), (("c", "nope"), KeyError)],
+    )
+    def test_bulk_link_batch_raises_on_later_bad_link(self, small_network, bad, error):
+        assert small_network.path("a", "c") == ["a", "b", "c"]
+        with pytest.raises(error):
+            small_network.add_links([("a", "c", INTRA_AS), (*bad, INTRA_AS)])
+        assert small_network.has_link("a", "c")
+        assert small_network.path("a", "c") == ["a", "c"]
+
     def test_neighbors(self, small_network):
         assert sorted(small_network.neighbors("a")) == ["b", "e"]
 
