@@ -163,7 +163,6 @@ class NodeRuntime:
         self.sock: Optional[socket.socket] = None
         self.mcast_sock: Optional[socket.socket] = None
         self.mcast_mode = False
-        self._self_addr: Optional[Tuple[str, int]] = None
         self.peers: Dict[int, Tuple[str, int]] = {}
         #: Per destination key, its address and the frames queued this turn.
         self._outbox: Dict[object, Tuple[Tuple[str, int], List[bytes]]] = {}
@@ -204,7 +203,6 @@ class NodeRuntime:
         self.sock = sock
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
         self.sock.setblocking(False)
-        self._self_addr = self.sock.getsockname()
         self.loop.add_reader(self.sock, self._on_datagram)
         if cfg.multicast and cfg.mcast_port:
             try:
@@ -337,8 +335,7 @@ class NodeRuntime:
         if self.started or self.finalized:
             return
         assert self.sock is not None
-        port = self._self_addr[1]
-        self.send_to_supervisor(wire.MSG_HELLO, {"shard": self.shard_id, "port": port})
+        self.send_to_supervisor(wire.MSG_HELLO, {"shard": self.shard_id})
         self.loop.call_later(self.config.hello_interval, self._say_hello)
 
     def _on_peers(self, message: wire.WireMessage) -> None:

@@ -12,7 +12,7 @@ Lifecycle::
                                  the supervisor bound for it; direct
                                  children, so their CPU lands in
                                  RUSAGE_CHILDREN)
-      <- HELLO{shard, port}     (each node repeats until answered)
+      <- HELLO{shard}           (each node repeats until answered)
       -> PEERS{peers, t0}       (broadcast once all shards reported;
                                  re-sent to any shard that repeats HELLO)
     ... scenario runs on the nodes' own timers, anchored at t0 ...

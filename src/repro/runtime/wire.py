@@ -64,7 +64,7 @@ __all__ = [
 
 #: Datagram magic + codec version.  Bump the version on any layout change.
 MAGIC = b"RGB1"
-VERSION = 3
+VERSION = 4
 
 #: Message kinds.  Data plane (kinds 1 and 4, the token hop and the
 #: holder-acknowledgement, are retired: neither changes a receiver's state,
@@ -126,8 +126,6 @@ _U64 = struct.Struct("!Q")
 _I32 = struct.Struct("!i")
 #: id(Q) low(Q) ops(H)
 _NOTIFY = struct.Struct("!QQH")
-#: shard(i) port(H)
-_HELLO = struct.Struct("!iH")
 #: t0(d) peers(H)
 _PEERS = struct.Struct("!dH")
 #: shard(i) idle(B) vnow(d) readmissions(I) evicted(H)
@@ -326,15 +324,6 @@ def _read_shard(reader: _Reader) -> dict:
     return {"shard": reader.fixed(_I32)[0]}
 
 
-def _put_hello(out: bytearray, payload: dict) -> None:
-    out += _HELLO.pack(payload["shard"], payload["port"])
-
-
-def _read_hello(reader: _Reader) -> dict:
-    shard, port = reader.fixed(_HELLO)
-    return {"shard": shard, "port": port}
-
-
 def _put_peers(out: bytearray, payload: dict) -> None:
     peers = payload["peers"]
     out += _PEERS.pack(payload["t0"], len(peers))
@@ -388,7 +377,7 @@ _SCHEMAS: Dict[int, _Schema] = {
     MSG_NOTIFY: (_put_notify, _read_notify),
     MSG_NOTIFY_ACK: (_put_notify_ack, _read_notify_ack),
     MSG_HEARTBEAT: (_put_shard, _read_shard),
-    MSG_HELLO: (_put_hello, _read_hello),
+    MSG_HELLO: (_put_shard, _read_shard),
     MSG_PEERS: (_put_peers, _read_peers),
     MSG_STATUS: (_put_status, _read_status),
     MSG_SHUTDOWN: (_put_nothing, _read_nothing),

@@ -93,7 +93,7 @@ _EVERY_KIND = (
     (MSG_NOTIFY, {"id": 7, "low": 3, "sender": _A, "target": _B, "ring": "ring-T2", "ops": _OPS}),
     (MSG_NOTIFY_ACK, {"id": 7}),
     (MSG_HEARTBEAT, {"shard": 2}),
-    (MSG_HELLO, {"shard": 1, "port": 40_000}),
+    (MSG_HELLO, {"shard": 1}),
     (MSG_PEERS, {"peers": {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 65_535)}, "t0": 12.5}),
     (
         MSG_STATUS,
@@ -163,7 +163,7 @@ def test_codec_rejects_garbage():
     with pytest.raises(WireError, match="layout"):
         codec.encode(MSG_NOTIFY, {"ops": (1, 2, 3)}, dest_key=1)
     with pytest.raises(WireError, match="layout"):
-        codec.encode(MSG_HELLO, {"shard": 0, "port": 70_000}, dest_key=1)
+        codec.encode(MSG_PEERS, {"peers": {0: ("127.0.0.1", 70_000)}, "t0": 0.0}, dest_key=1)
     with pytest.raises(WireError, match="non-finite"):
         peers = codec.encode(MSG_PEERS, {"peers": {}, "t0": float("nan")}, dest_key=1)
         WireCodec.decode(peers)
@@ -177,7 +177,8 @@ def test_one_oversize_message_raises():
 
 
 def test_retired_kinds_and_version_2_headers_are_wire_errors():
-    """Kinds 1 (token hop) and 4 (holder-ack) left the layout in version 3."""
+    """Kinds 1 (token hop) and 4 (holder-ack) left the layout in version 3;
+    HELLO lost its port field in version 4."""
     good = WireCodec(1).encode(MSG_NOTIFY_ACK, {"id": 1}, dest_key=0)
     body = len(good) - len(encode_frame(MSG_NOTIFY_ACK, {"id": 1}))
     for retired in (1, 4):
@@ -185,9 +186,10 @@ def test_retired_kinds_and_version_2_headers_are_wire_errors():
             decode_datagram(good[:body] + bytes([retired]) + good[body + 1 :])
         with pytest.raises(WireError, match=f"unknown message kind {retired}"):
             encode_frame(retired, {})
-    assert wire.VERSION == 3
-    with pytest.raises(WireError, match="unsupported wire version 2"):
-        decode_datagram(good[:4] + bytes([2]) + good[5:])
+    assert wire.VERSION == 4
+    for old in (2, 3):
+        with pytest.raises(WireError, match=f"unsupported wire version {old}"):
+            decode_datagram(good[:4] + bytes([old]) + good[5:])
 
 
 _ids = st.text(min_size=1, max_size=10)
@@ -233,7 +235,7 @@ _messages = st.one_of(
     ),
     _kind(MSG_NOTIFY_ACK, id=_u64),
     _kind(MSG_HEARTBEAT, shard=_shards),
-    _kind(MSG_HELLO, shard=_shards, port=_ports),
+    _kind(MSG_HELLO, shard=_shards),
     _kind(
         MSG_PEERS,
         peers=st.dictionaries(_shards, st.tuples(st.text(max_size=15), _ports), max_size=3),
@@ -982,7 +984,7 @@ def test_supervisor_drops_a_hello_it_cannot_read():
     stranger.settimeout(0.05)
     proc = _ShardProc(shard=0, process=None, config=None, addr=shard_sock.getsockname())
     supervisor.procs[0] = proc
-    hello = WireCodec(0).encode(MSG_HELLO, {"shard": 0, "port": 9}, 0)
+    hello = WireCodec(0).encode(MSG_HELLO, {"shard": 0}, 0)
     status = WireCodec(0).encode(
         MSG_STATUS,
         {"shard": 0, "idle": True, "vnow": 1.0, "evicted": [], "readmissions": 0},
