@@ -9,13 +9,10 @@ found only at its own definitions is code nothing runs: delete it, or move
 it next to the tests that use it as a reference (``tests/reference/``).
 
 The scan is by word, so a mention in a docstring, a ``getattr`` string or a
-test counts as a use.  A constant is data, not prose: only a mention in a
-``.py`` file counts for it, so a constant that only a document still names
-(``docs/PERF.md`` keeps the history of retired message kinds) is unused.
-Dunder names are used by the interpreter and are skipped.  ``ALLOWED``
-takes any other name that only a convention calls (a protocol method, a
-handler looked up by name), each with its reason; no definition needs an
-entry today.
+test counts as a use.  Dunder names are used by the interpreter and are
+skipped.  ``ALLOWED`` takes any other name that only a convention calls (a
+protocol method, a handler looked up by name), each with its reason; no
+definition needs an entry today.
 
 Imports are checked per module: a top-level import whose bound name is never
 a ``Name`` in that module, nor listed in its ``__all__``, nor named inside a
@@ -58,29 +55,27 @@ def _assigned_names(node: ast.stmt) -> list:
 
 
 def _definitions() -> list:
-    """``(name, "path:line", is_constant)`` for every def and class in the
-    package, and for every name a module-level assignment binds."""
+    """``(name, "path:line")`` for every def and class in the package, and
+    for every name a module-level assignment binds."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         where = path.relative_to(ROOT)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                found.append((node.name, f"{where}:{node.lineno}", False))
+                found.append((node.name, f"{where}:{node.lineno}"))
         for node in tree.body:
-            found.extend(
-                (name, f"{where}:{node.lineno}", True) for name in _assigned_names(node)
-            )
+            found.extend((name, f"{where}:{node.lineno}") for name in _assigned_names(node))
     return found
 
 
-def _word_counts(suffixes: tuple) -> Counter:
-    files = [ROOT / "README.md"] if ".md" in suffixes else []
+def _word_counts() -> Counter:
+    files = [ROOT / "README.md"]
     for directory in SEARCHED_DIRS:
         files.extend(
             path
             for path in (ROOT / directory).rglob("*")
-            if path.suffix in suffixes and path.is_file()
+            if path.suffix in SEARCHED_SUFFIXES and path.is_file()
         )
     this_file = Path(__file__).resolve()
     counts: Counter = Counter()
@@ -93,15 +88,14 @@ def _word_counts(suffixes: tuple) -> Counter:
 def unreferenced() -> list:
     """``path:line name`` of each definition no other text names."""
     definitions = _definitions()
-    defined = Counter(name for name, _, _ in definitions)
-    counts = _word_counts(SEARCHED_SUFFIXES)
-    code_counts = _word_counts((".py",))
+    defined = Counter(name for name, _ in definitions)
+    counts = _word_counts()
     return [
         f"{where} {name}"
-        for name, where, is_constant in definitions
+        for name, where in definitions
         if not (name.startswith("__") and name.endswith("__"))
         and name not in ALLOWED
-        and (code_counts if is_constant else counts)[name] <= defined[name]
+        and counts[name] <= defined[name]
     ]
 
 
