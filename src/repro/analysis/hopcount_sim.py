@@ -34,13 +34,6 @@ class HopCountMeasurement:
     notify_hops: int
     ack_hops: int
 
-    @property
-    def relative_error(self) -> float:
-        """|measured - analytical| / analytical."""
-        if self.analytical_hcn == 0:
-            return 0.0
-        return abs(self.measured_hops_per_change - self.analytical_hcn) / self.analytical_hcn
-
 
 def measure_ring_hopcount(
     height: int,

@@ -177,9 +177,6 @@ class BaseProtocolDriver:
         """Capture sites (access proxies / leaf servers), in index order."""
         return list(self._sites)
 
-    def operational_sites(self) -> List[str]:
-        return [s for s in self._sites if s not in self._failed_sites]
-
     @property
     def attachment(self) -> Dict[str, str]:
         return dict(self._attachment)
@@ -263,24 +260,6 @@ class BaseProtocolDriver:
             "inject_stale", self._replay_message(site, member, join, stale=True)
         )
 
-    def _replay_message(
-        self, site: str, member: str, join: bool, stale: bool
-    ) -> Tuple[int, int, int, int]:
-        """Deliver a replayed message, bypassing the workload gating.
-
-        A replayed message is wire traffic, not a workload event: it must not
-        touch the attachment bookkeeping, and it deliberately skips the
-        duplicate/departed gating — that gating models the *capture* path,
-        while a replay arrives on the *propagation* path.  The toy adapters
-        re-run their propagation primitive (``_one``), which is exactly why a
-        stale join of a departed member resurrects it in every toy; the RGB
-        adapter overrides this to inject at the harness dispatch seam, where
-        the kernel's watermark drops the replayed operation.
-        """
-        if site in self._failed_sites:
-            site = self._survivor_site()
-        return self._one(site, member, join)  # type: ignore[attr-defined]
-
     def _record_op(self, member: str, site: str, join: bool) -> None:
         self._first_op.setdefault(member, (site, join))
         self._last_op[member] = (site, join)
@@ -311,6 +290,18 @@ class BaseProtocolDriver:
     def _crash_site(self, site: str, orphans: List[str]) -> Tuple[int, int, int, int]:
         raise NotImplementedError
 
+    def _replay_message(
+        self, site: str, member: str, join: bool, stale: bool
+    ) -> Tuple[int, int, int, int]:
+        """Deliver a replayed message, bypassing the workload gating.
+
+        A replayed message is wire traffic, not a workload event: it must not
+        touch the attachment bookkeeping, and it deliberately skips the
+        duplicate/departed gating — that gating models the *capture* path,
+        while a replay arrives on the *propagation* path.
+        """
+        raise NotImplementedError
+
     # -- bookkeeping ---------------------------------------------------------
 
     def _skip(self, kind: str) -> ChangeReport:
@@ -338,23 +329,16 @@ class BaseProtocolDriver:
         raise RuntimeError(f"{self.name}: no operational site left")
 
 
-class FlatRingProtocol(BaseProtocolDriver):
-    """All access proxies in one Totem-style token ring."""
-
-    name = "flat_ring"
-
-    def __init__(
-        self, num_sites: int, loss: float = 0.0, seed: int = 0, token_retry_limit: int = 2
-    ) -> None:
-        sites = [f"site-{i:05d}" for i in range(num_sites)]
-        super().__init__(sites)
-        self.ring = FlatRingMembership(
-            sites, token_retry_limit=token_retry_limit, loss=loss, seed=seed
-        )
+class _ToyProtocol(BaseProtocolDriver):
+    """A toy baseline: every change, departure and replay is one run of its
+    propagation primitive :meth:`_one`."""
 
     def _one(self, site: str, member: str, join: bool) -> Tuple[int, int, int, int]:
-        report = self.ring.propagate_change(site, member, join=join)
-        return report.hops, report.messages, 1, report.retransmissions
+        raise NotImplementedError
+
+    def _crash(self, site: str) -> None:
+        """Mark ``site`` failed in the underlying toy."""
+        raise NotImplementedError
 
     def _propagate_join(self, site, member):
         return self._one(site, member, True)
@@ -364,17 +348,48 @@ class FlatRingProtocol(BaseProtocolDriver):
 
     def _propagate_handoff(self, member, from_site, to_site):
         # The member set does not change, but the new location must still be
-        # disseminated to every proxy: one full revolution.
+        # disseminated to every site.
         return self._one(to_site, member, True)
 
     def _crash_site(self, site, orphans):
-        self.ring.fail_proxy(site)
+        self._crash(site)
+        return self._depart(orphans)
+
+    def _depart(self, orphans: List[str]) -> Tuple[int, int, int, int]:
+        """Failure-propagate ``orphans`` from a survivor; their summed cost."""
         hops = messages = rounds = retrans = 0
         origin = self._survivor_site()
         for member in orphans:
             h, m, r, x = self._one(origin, member, False)
             hops, messages, rounds, retrans = hops + h, messages + m, rounds + r, retrans + x
         return hops, messages, rounds, retrans
+
+    def _replay_message(self, site, member, join, stale):
+        # Re-running the propagation primitive is exactly why a stale join of
+        # a departed member resurrects it in every toy; the RGB adapter
+        # injects at the harness dispatch seam instead, where the kernel's
+        # sequence watermark drops the replayed operation.
+        if site in self._failed_sites:
+            site = self._survivor_site()
+        return self._one(site, member, join)
+
+
+class FlatRingProtocol(_ToyProtocol):
+    """All access proxies in one Totem-style token ring."""
+
+    name = "flat_ring"
+
+    def __init__(self, num_sites: int, loss: float = 0.0, seed: int = 0) -> None:
+        sites = [f"site-{i:05d}" for i in range(num_sites)]
+        super().__init__(sites)
+        self.ring = FlatRingMembership(sites, loss=loss, seed=seed)
+
+    def _one(self, site: str, member: str, join: bool) -> Tuple[int, int, int, int]:
+        report = self.ring.propagate_change(site, member, join=join)
+        return report.hops, report.messages, 1, report.retransmissions
+
+    def _crash(self, site):
+        self.ring.fail_proxy(site)
 
     def members(self) -> Set[str]:
         return self.ring.membership_at(self._survivor_site())
@@ -383,7 +398,7 @@ class FlatRingProtocol(BaseProtocolDriver):
         return self.ring.global_agreement()
 
 
-class GossipProtocol(BaseProtocolDriver):
+class GossipProtocol(_ToyProtocol):
     """SWIM-style push gossip over the same proxy population."""
 
     name = "gossip"
@@ -406,23 +421,8 @@ class GossipProtocol(BaseProtocolDriver):
         report = self.gossip.propagate_change(site, member, join=join)
         return 0, report.messages, report.rounds, report.wasted_messages
 
-    def _propagate_join(self, site, member):
-        return self._one(site, member, True)
-
-    def _propagate_leave(self, site, member):
-        return self._one(site, member, False)
-
-    def _propagate_handoff(self, member, from_site, to_site):
-        return self._one(to_site, member, True)
-
-    def _crash_site(self, site, orphans):
+    def _crash(self, site):
         self.gossip.fail_proxy(site)
-        hops = messages = rounds = retrans = 0
-        origin = self._survivor_site()
-        for member in orphans:
-            h, m, r, x = self._one(origin, member, False)
-            hops, messages, rounds, retrans = hops + h, messages + m, rounds + r, retrans + x
-        return hops, messages, rounds, retrans
 
     def members(self) -> Set[str]:
         return self.gossip.membership_at(self._survivor_site())
@@ -431,7 +431,7 @@ class GossipProtocol(BaseProtocolDriver):
         return self.gossip.global_agreement()
 
 
-class TreeProtocol(BaseProtocolDriver):
+class TreeProtocol(_ToyProtocol):
     """CONGRESS-style tree of membership servers (with representatives)."""
 
     name = "tree"
@@ -455,23 +455,8 @@ class TreeProtocol(BaseProtocolDriver):
         report = self.protocol.propagate_change(site, member, join=join)
         return report.physical_hops, report.messages, 1, report.retransmissions
 
-    def _propagate_join(self, site, member):
-        return self._one(site, member, True)
-
-    def _propagate_leave(self, site, member):
-        return self._one(site, member, False)
-
-    def _propagate_handoff(self, member, from_site, to_site):
-        return self._one(to_site, member, True)
-
-    def _crash_site(self, site, orphans):
+    def _crash(self, site):
         self.protocol.fail_server(self.tree.nodes[site].server)
-        hops = messages = rounds = retrans = 0
-        origin = self._survivor_site()
-        for member in orphans:
-            h, m, r, x = self._one(origin, member, False)
-            hops, messages, rounds, retrans = hops + h, messages + m, rounds + r, retrans + x
-        return hops, messages, rounds, retrans
 
     def fail_internal(self, site: str, tier: int) -> ChangeReport:
         """Crash the interior server ``tier - 1`` levels above leaf ``site``.
@@ -501,14 +486,10 @@ class TreeProtocol(BaseProtocolDriver):
         self.protocol.fail_server(server)
         orphans = sorted(m for m, s in self._attachment.items() if s in victims)
         self._failed_sites.update(victims)
-        hops = messages = rounds = retrans = 0
-        origin = self._survivor_site()
-        for member in orphans:
-            h, m, r, x = self._one(origin, member, False)
-            hops, messages, rounds, retrans = hops + h, messages + m, rounds + r, retrans + x
+        cost = self._depart(orphans)
         for member in orphans:
             del self._attachment[member]
-        return self._finish("fail_internal", (hops, messages, rounds, retrans))
+        return self._finish("fail_internal", cost)
 
     def _survivor_site(self) -> str:
         failed_servers = self.protocol._failed_servers

@@ -16,9 +16,9 @@ paper §5.2):
   the next operational proxy — including the closing transmission that
   returns the token to the origin once it has left it;
 * a transmission towards a **failed** proxy is never delivered: the holder
-  retries ``token_retry_limit`` times, declares the proxy faulty and excludes
-  it.  Those wasted attempts (the initial send plus every retry,
-  ``token_retry_limit + 1`` in total) are charged to ``retransmissions``, not
+  retries :data:`repro.core.config.TOKEN_RETRY_LIMIT` times, as the kernel
+  does, declares the proxy faulty and excludes it.  Those wasted attempts
+  (the initial send plus every retry, ``TOKEN_RETRY_LIMIT + 1`` in total) are charged to ``retransmissions``, not
   to the hop count, and the skip transmission to the successor *is* a hop —
   the seed implementation charged a phantom hop to the dead proxy instead and
   never charged the skip, and it dropped the closing hop whenever repairs
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 
+from repro.core.config import TOKEN_RETRY_LIMIT
 from repro.sim.rng import RandomStreams
 
 
@@ -58,9 +59,6 @@ class FlatRingMembership:
     ----------
     proxies:
         The access proxies, in ring order.
-    token_retry_limit:
-        Retries before a silent proxy is declared faulty and excluded
-        (mirrors :class:`repro.core.config.ProtocolConfig.token_retry_limit`).
     loss:
         Per-transmission loss probability towards *live* proxies; lost
         transmissions are retried (and counted as retransmissions) until they
@@ -72,7 +70,6 @@ class FlatRingMembership:
     def __init__(
         self,
         proxies: Sequence[str],
-        token_retry_limit: int = 2,
         loss: float = 0.0,
         seed: int = 0,
     ) -> None:
@@ -80,18 +77,14 @@ class FlatRingMembership:
             raise ValueError("flat ring needs at least one access proxy")
         if len(set(proxies)) != len(proxies):
             raise ValueError("duplicate access proxies in flat ring")
-        if token_retry_limit < 0:
-            raise ValueError(f"token_retry_limit must be >= 0, got {token_retry_limit}")
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
         self.ring: List[str] = list(proxies)
         self.views: Dict[str, Set[str]] = {p: set() for p in proxies}
-        self.token_retry_limit = token_retry_limit
         self.loss = loss
         self._rng = RandomStreams(seed).stream("flat-ring.loss")
         self._failed: Set[str] = set()
         self.reports: List[FlatRingReport] = []
-        self.total_retransmissions = 0
 
     # ------------------------------------------------------------------
     # failures
@@ -143,10 +136,10 @@ class FlatRingMembership:
                 reached += 1
                 continue
             if proxy in self._failed:
-                # The holder's send and its token_retry_limit retries are all
+                # The holder's send and its TOKEN_RETRY_LIMIT retries are all
                 # wasted transmissions; the token stays with the holder, which
                 # then skips to the successor (charged as that hop).
-                retransmissions += self.token_retry_limit + 1
+                retransmissions += TOKEN_RETRY_LIMIT + 1
                 repaired.append(proxy)
                 continue
             retransmissions += self._lossy_delivery_retries()
@@ -167,7 +160,6 @@ class FlatRingMembership:
             self.ring.remove(proxy)
             del self.views[proxy]
             self._failed.discard(proxy)
-        self.total_retransmissions += retransmissions
         report = FlatRingReport(
             origin=origin,
             hops=hops,

@@ -45,10 +45,6 @@ class GossipReport:
     wasted_messages: int = 0
     infected_per_round: List[int] = field(default_factory=list)
 
-    @property
-    def delivered_messages(self) -> int:
-        return self.messages - self.wasted_messages
-
 
 class GossipMembership:
     """Push-gossip membership over a set of access proxies."""
@@ -186,8 +182,3 @@ class GossipMembership:
     def global_agreement(self) -> bool:
         views = [frozenset(self.views[p]) for p in self.operational()]
         return len(set(views)) <= 1
-
-    def average_messages(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.messages for r in self.reports) / len(self.reports)

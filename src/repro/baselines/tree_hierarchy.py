@@ -113,35 +113,13 @@ class TreeHierarchy:
     def leaves(self) -> List[TreeNode]:
         return sorted((n for n in self.nodes.values() if n.is_leaf), key=lambda n: n.node_id)
 
-    def leaf_count(self) -> int:
-        return len(self.leaves())
-
-    def interior_nodes(self) -> List[TreeNode]:
-        return sorted((n for n in self.nodes.values() if not n.is_leaf), key=lambda n: n.node_id)
-
     def physical_servers(self) -> List[str]:
         """Distinct physical machines in the hierarchy."""
         return sorted({node.server for node in self.nodes.values()})
 
-    def logical_nodes_of_server(self, server: str) -> List[TreeNode]:
-        return [n for n in self.nodes.values() if n.server == server]
-
     def representatives(self) -> List[str]:
         """Physical servers that play at least one interior position."""
         return sorted({n.server for n in self.nodes.values() if not n.is_leaf})
-
-    def edge_count(self) -> int:
-        """Logical parent-child edges (``n`` interior edges of the tree)."""
-        return sum(len(node.children) for node in self.nodes.values())
-
-    def physical_edge_count(self) -> int:
-        """Edges with physically distinct endpoints (what messages actually cross)."""
-        count = 0
-        for node in self.nodes.values():
-            for child_id in node.children:
-                if self.nodes[child_id].server != node.server:
-                    count += 1
-        return count
 
     def path_to_root(self, node_id: str) -> List[str]:
         """Node ids from ``node_id`` (exclusive) up to the root (inclusive)."""
@@ -189,7 +167,3 @@ class TreeHierarchy:
                         seen.add(neighbour)
                         stack.append(neighbour)
         return components
-
-    def functions_well(self, failed_servers: Iterable[str], max_partitions: int = 1) -> bool:
-        count = self.partition_count(failed_servers)
-        return 1 <= count <= max_partitions

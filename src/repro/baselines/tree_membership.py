@@ -195,8 +195,3 @@ class TreeMembershipProtocol:
         """All operational servers hold identical views."""
         views = [frozenset(self.views[s]) for s in self.operational_servers()]
         return len(set(views)) <= 1
-
-    def average_logical_hops(self) -> float:
-        if not self.reports:
-            return 0.0
-        return sum(r.logical_hops for r in self.reports) / len(self.reports)

@@ -72,8 +72,8 @@ store object and everything derived from it (skipped while tracing).  A
 re-sync never runs mid-round, and never on the read path.
 
 Known limitation: view state the kernel did not apply itself — entities
-handed to the constructor with views, or ``register_local_member`` calls
-behind its back — is invisible to ``ring_has_state`` until the ring's next
+handed to the constructor with views, or local-member edits made behind
+its back — is invisible to ``ring_has_state`` until the ring's next
 object round or re-sync.  No in-repo caller does this (the only
 kernel-side direct mutation is the handoff unregister at the old proxy,
 which only empties views); external code driving entities directly should
@@ -274,9 +274,6 @@ class ColumnarKernel(TokenRoundKernel):
             self._ring_rows: List[Optional[List[NetworkEntityState]]] = []
             self._ring_objs: List = []
             self._sync()
-        # ProtocolConfig is frozen; hoist the per-round flag reads.
-        self._disseminate_downward = self.config.disseminate_downward
-        self._holder_ack_enabled = self.config.holder_ack_enabled
         # Direct (synchronous) dispatch lets the fast path inline
         # notification delivery.
         self._direct_dispatch = type(self.dispatch) is DirectDispatch
@@ -1013,9 +1010,7 @@ class ColumnarKernel(TokenRoundKernel):
         self._c_rounds_started._value += 1
 
         failed = self.failed
-        has_children = (
-            self._disseminate_downward and store.ring_child_total[ring_idx]
-        )
+        has_children = store.ring_child_total[ring_idx]
         size = len(members)
         token_hops = size if size >= 2 else 0
         notify_hops = 0
@@ -1108,7 +1103,7 @@ class ColumnarKernel(TokenRoundKernel):
         # (The single-sender case — virtually every dissemination round —
         # skips the dedup dict; ``increment`` is inlined like the other
         # counter bumps below.)
-        if child_senders and operations and self._holder_ack_enabled:
+        if child_senders and operations:
             senders = (
                 child_senders
                 if len(child_senders) == 1

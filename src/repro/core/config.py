@@ -5,9 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+#: Token retransmissions before the receiver is declared faulty and excluded
+#: from its ring (paper Section 5.2: a single fault is detected by token
+#: retransmission and repaired locally).  Both the kernel and the flat-ring
+#: baseline charge ``TOKEN_RETRY_LIMIT + 1`` sends per detection.
+TOKEN_RETRY_LIMIT = 2
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Tunables of the RGB protocol itself.
+
+    Figure 3 always sends Notification-to-Child (lines 14-16) and the
+    Holder-Acknowledgement (lines 17-20), so neither is a switch; the token
+    retry limit is the constant :data:`TOKEN_RETRY_LIMIT`.  One tunable is
+    left because the aggregation ablation
+    (``benchmarks/test_ablation_aggregation.py``) measures both its values.
 
     Parameters
     ----------
@@ -20,28 +33,9 @@ class ProtocolConfig:
         carries several operations about one member (only possible with this
         off) the bottom-tier local/neighbour lists follow the outcome
         aggregation would have produced.
-    disseminate_downward:
-        Whether membership changes are also pushed down the hierarchy with
-        Notification-to-Child messages so every ring learns every change.
-        The paper's hop-count model (Section 5.1) assumes this; turning it off
-        gives the cheaper "bottom-to-top only" variant the conclusion sketches.
-    token_retry_limit:
-        Retransmissions before the receiver is declared faulty and excluded
-        from the ring (paper Section 5.2: single faults are detected by token
-        retransmission and locally repaired).
-    holder_ack_enabled:
-        Whether the round holder sends Holder-Acknowledgement messages back to
-        the children whose notifications it aggregated (Figure 3 lines 17–20).
     """
 
     aggregate_mq: bool = True
-    disseminate_downward: bool = True
-    token_retry_limit: int = 2
-    holder_ack_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.token_retry_limit < 0:
-            raise ValueError(f"token_retry_limit must be >= 0, got {self.token_retry_limit}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,6 @@ class SimulationConfig:
         Target nodes per logical ring (the paper's ``r``).
     hosts_per_ap:
         Mobile hosts pre-attached to each access proxy at build time.
-    group_id:
-        Group identity used by every entity.
     seed:
         Master random seed for the run.
     protocol:
@@ -76,7 +68,6 @@ class SimulationConfig:
     num_aps: int = 25
     ring_size: int = 5
     hosts_per_ap: int = 2
-    group_id: str = "group-0"
     seed: int = 0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     trace_enabled: bool = False
@@ -88,5 +79,3 @@ class SimulationConfig:
             raise ValueError(f"ring_size must be >= 2, got {self.ring_size}")
         if self.hosts_per_ap < 0:
             raise ValueError(f"hosts_per_ap must be >= 0, got {self.hosts_per_ap}")
-        if not self.group_id:
-            raise ValueError("group_id must be non-empty")

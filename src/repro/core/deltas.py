@@ -15,7 +15,7 @@ token round* into set-based form:
   :meth:`repro.core.membership.MembershipView.apply` performed per view is
   done once at compile time and shared by every view the delta is applied to
   (every member of every ring the token visits);
-* **single-pass application** — :meth:`repro.core.membership.MembershipView.apply_all`
+* **single-pass application** — :meth:`repro.core.membership.MembershipView.apply_delta`
   consumes the delta with one dict operation per net change and O(1)
   membership probes instead of sorted-list scans.
 
@@ -69,7 +69,7 @@ class MembershipDelta:
 
     Build one with :meth:`from_operations` (or incrementally through
     :class:`DeltaBuilder`) and hand it to
-    :meth:`repro.core.membership.MembershipView.apply_all`.
+    :meth:`repro.core.membership.MembershipView.apply_delta`.
     :meth:`repro.core.kernel.TokenRoundKernel.run_round` compiles one per
     round and applies it at every visited entity, which also maintains the
     local/neighbour lists of bottom-tier entities.
@@ -109,12 +109,6 @@ class MembershipDelta:
     def guids(self) -> List[str]:
         """GUIDs touched by the member entries, in net-application order."""
         return [str(entry.guid) for entry in self.entries]
-
-    def additions(self) -> List[MemberInfo]:
-        return [entry.resolved for entry in self.entries if entry.resolved is not None]
-
-    def removals(self) -> List[str]:
-        return [str(entry.guid) for entry in self.entries if entry.resolved is None]
 
     def describe(self) -> str:
         parts = [entry.operation.describe() for entry in self.entries]

@@ -16,7 +16,6 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from typing import Callable, Dict, List, Optional
 
 from repro.core.identifiers import GroupId, NodeId
-from repro.core.member import MemberInfo
 from repro.core.membership import MembershipView
 from repro.core.message_queue import MessageQueue
 
@@ -39,14 +38,6 @@ class EntityRole(enum.Enum):
     def tier(self) -> int:
         """Tier index used by the hierarchy (AP=1, AG=2, BR=3)."""
         return {"AP": 1, "AG": 2, "BR": 3}[self.value]
-
-    @classmethod
-    def from_kind(cls, kind: str) -> "EntityRole":
-        """Map a topology node kind string to a role."""
-        for role in cls:
-            if role.value == kind:
-                return role
-        raise ValueError(f"unknown network entity kind {kind!r}")
 
 
 @dataclass(slots=True)
@@ -181,11 +172,6 @@ class NetworkEntityState:
     # -- ring role ----------------------------------------------------------------
 
     @property
-    def is_leader(self) -> bool:
-        """True when this entity is the leader of its logical ring."""
-        return self.leader is not None and self.leader == self.current
-
-    @property
     def child(self) -> Optional[NodeId]:
         """First child, mirroring the paper's singular ``Child`` field.
 
@@ -225,13 +211,6 @@ class NetworkEntityState:
         self.child_ok = bool(self.children)
 
     # -- member bookkeeping ----------------------------------------------------------
-
-    def register_local_member(self, member: MemberInfo) -> bool:
-        """Record a member attached directly to this entity (APs only)."""
-        changed = self.local_members.add(member)
-        if changed:
-            self.ring_members.add(member)
-        return changed
 
     def unregister_local_member(self, guid: str) -> bool:
         changed = self.local_members.remove(guid)

@@ -129,20 +129,6 @@ class RingHierarchy:
     def parent_of_ring(self, ring_id: str) -> Optional[NodeId]:
         return self.parent_node.get(ring_id)
 
-    def children_of_node(self, node: "NodeId | str") -> List[str]:
-        """Ring ids whose parent node is ``node``."""
-        key = node if isinstance(node, NodeId) else NodeId(str(node))
-        return list(self.child_rings.get(key, []))
-
-    def child_leaders(self, node: "NodeId | str") -> List[NodeId]:
-        """Leaders of the child rings of ``node``."""
-        leaders = []
-        for ring_id in self.children_of_node(node):
-            leader = self.rings[ring_id].leader
-            if leader is not None:
-                leaders.append(leader)
-        return leaders
-
     def tiers(self) -> List[int]:
         """Distinct tier indices present, ascending."""
         return sorted({ring.tier for ring in self.rings.values()})
@@ -198,12 +184,6 @@ class RingHierarchy:
 
     def total_nodes(self) -> int:
         return len(self.ring_of_node)
-
-    def logical_edge_count(self) -> int:
-        """Ring edges plus one leader→parent edge per non-topmost ring."""
-        edges = sum(ring.edge_count() for ring in self.rings.values())
-        edges += sum(1 for ring_id in self.rings if ring_id in self.parent_node)
-        return edges
 
     def ancestry(self, node: "NodeId | str") -> List[NodeId]:
         """Chain of parent nodes from ``node``'s ring up to the topmost ring.
@@ -365,7 +345,7 @@ class RingHierarchy:
                     states[node] = state
             # Child pointers: a node's children are the leaders of its child
             # rings — one pass over the child-ring map instead of a per-node
-            # ``children_of_node`` probe-and-copy.
+            # probe-and-copy.
             rings = self.rings
             for parent, ring_ids in self.child_rings.items():
                 state = states.get(parent)

@@ -242,8 +242,3 @@ def coerce_node(value: "NodeId | str") -> NodeId:
 def coerce_guid(value: "GloballyUniqueId | str") -> GloballyUniqueId:
     """Accept either a :class:`GloballyUniqueId` or a plain string."""
     return value if isinstance(value, GloballyUniqueId) else GloballyUniqueId(str(value))
-
-
-def is_identifier(obj: Any) -> bool:
-    """True for any of the identifier wrapper types."""
-    return isinstance(obj, _Identifier)

@@ -38,7 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.config import ProtocolConfig
+from repro.core.config import TOKEN_RETRY_LIMIT, ProtocolConfig
 from repro.core.deltas import MembershipDelta
 from repro.core.entity import NetworkEntityState
 from repro.core.events import MembershipEventBus
@@ -222,10 +222,6 @@ class PropagationReport:
         for r in self.rounds:
             out.extend(r.repaired)
         return out
-
-    @property
-    def rings_involved(self) -> Set[str]:
-        return {r.ring_id for r in self.rounds}
 
 
 class TokenRoundKernel:
@@ -1073,7 +1069,6 @@ class TokenRoundKernel:
         failed = self.failed
         has_entries = bool(batch.entries)
         is_bottom = ring.tier == self._bottom_tier
-        disseminate_downward = self.config.disseminate_downward
 
         order = ring.members_from(holder_id)
         order_len = len(order)
@@ -1107,7 +1102,7 @@ class TokenRoundKernel:
                 # (``order[index - 1]`` may itself be failed when failures
                 # are adjacent in ring order — handing it the salvaged MQ
                 # would orphan the queued operations).
-                retransmissions += self.config.token_retry_limit + 1
+                retransmissions += TOKEN_RETRY_LIMIT + 1
                 detector = prev_node
                 repair_ops = self.repair_ring(ring, node, detector, now)
                 result.repaired.append(node)
@@ -1161,7 +1156,7 @@ class TokenRoundKernel:
                 # Figure 3 lines 14-16: notify child rings.  Iterate a copy:
                 # a notification to a crashed child repairs that child's ring
                 # and may rewire this entity's child list mid-loop.
-                if disseminate_downward and entity.children:
+                if entity.children:
                     for child in list(entity.children):
                         if child in failed:
                             continue
@@ -1189,7 +1184,7 @@ class TokenRoundKernel:
                     )
 
         # Figure 3 lines 17-20: Holder-Acknowledgement to originating children.
-        if self.config.holder_ack_enabled and operations:
+        if operations:
             for sender in self.ack_targets(child_senders):
                 if sender in self.failed:
                     continue

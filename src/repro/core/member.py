@@ -10,7 +10,6 @@ appears in ``ListOfLocalMembers``, ``ListOfRingMembers`` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.identifiers import (
@@ -178,61 +177,3 @@ class MemberInfo:
     @property
     def is_operational(self) -> bool:
         return self.status.is_operational
-
-
-@dataclass(slots=True)
-class MobileHostState:
-    """The state a mobile host itself maintains (paper Section 4.2).
-
-    This mirrors the MH data structure: GID, attached AP, GUID, LUID, status.
-    ``attachment_epoch`` counts attachments (initial join plus every handoff
-    or re-attachment) and feeds LUID derivation.
-    """
-
-    guid: GloballyUniqueId
-    group: GroupId
-    ap: Optional[NodeId] = None
-    luid: Optional[LocallyUniqueId] = None
-    status: MemberStatus = MemberStatus.DISCONNECTED
-    attachment_epoch: int = 0
-
-    def attach(self, ap: NodeId) -> MemberInfo:
-        """Attach to ``ap``; returns the member record to register at the AP."""
-        self.ap = ap
-        self.attachment_epoch += 1
-        self.luid = make_luid(ap, self.guid, self.attachment_epoch)
-        self.status = MemberStatus.OPERATIONAL
-        return self.to_member_info()
-
-    def handoff(self, new_ap: NodeId) -> MemberInfo:
-        """Move to ``new_ap``; returns the updated member record."""
-        if self.ap is None:
-            raise ValueError(f"host {self.guid} cannot hand off before attaching")
-        if self.status is not MemberStatus.OPERATIONAL:
-            raise ValueError(
-                f"host {self.guid} cannot hand off while {self.status.value}"
-            )
-        return_record = self.attach(new_ap)
-        return return_record
-
-    def disconnect(self, faulty: bool = False) -> None:
-        """Mark the host disconnected (transient) or failed (faulty)."""
-        self.status = MemberStatus.FAILED if faulty else MemberStatus.DISCONNECTED
-
-    def leave(self) -> None:
-        """Voluntary departure from the group."""
-        self.status = MemberStatus.LEFT
-        self.ap = None
-        self.luid = None
-
-    def to_member_info(self) -> MemberInfo:
-        """Snapshot of this host as a :class:`MemberInfo` record."""
-        if self.ap is None or self.luid is None:
-            raise ValueError(f"host {self.guid} is not attached to any access proxy")
-        return MemberInfo(
-            guid=self.guid,
-            group=self.group,
-            ap=self.ap,
-            luid=self.luid,
-            status=self.status,
-        )

@@ -258,27 +258,6 @@ class MembershipView:
             view_size=len(self),
         )
 
-    def apply_all(
-        self, operations: "MembershipDelta | Iterable[TokenOperation]", time: float
-    ) -> List[MembershipEvent]:
-        """Apply a batch of operations, returning the events that changed the view.
-
-        Accepts either a plain operation sequence (the seed's per-operation
-        path, kept as the reference semantics) or a pre-compiled
-        :class:`repro.core.deltas.MembershipDelta`, which is applied in a
-        single set-based pass (:meth:`apply_delta`).  Both paths leave the
-        member list in the identical final state; the delta path only elides
-        events for operations superseded within the same batch.
-        """
-        if isinstance(operations, MembershipDelta):
-            return self.apply_delta(operations, time)
-        events: List[MembershipEvent] = []
-        for operation in operations:
-            event = self.apply(operation, time)
-            if event is not None:
-                events.append(event)
-        return events
-
     def apply_delta(self, delta: MembershipDelta, time: float) -> List[MembershipEvent]:
         """Single-pass application of a compiled delta (the batched hot path).
 
@@ -345,15 +324,6 @@ class MembershipView:
     def agrees_with(self, other: "MembershipView") -> bool:
         """True when both views contain exactly the same member records."""
         return self.snapshot() == other.snapshot()
-
-    def difference(self, other: "MembershipView") -> Dict[str, List[str]]:
-        """GUIDs present in exactly one of the two views (for diagnostics)."""
-        mine = set(self.guids())
-        theirs = set(other.guids())
-        return {
-            "only_in_self": sorted(mine - theirs),
-            "only_in_other": sorted(theirs - mine),
-        }
 
     def merge_from(self, other: "MembershipView") -> int:
         """Union-merge ``other`` into this view; returns the number of additions.

@@ -201,9 +201,3 @@ class MessageQueue:
         for entry in self._entries.values() if self._entries else ():
             seen.setdefault(entry.sender, None)
         return list(seen)
-
-    def aggregation_ratio(self) -> float:
-        """Fraction of enqueued messages absorbed by aggregation."""
-        if self.total_enqueued == 0:
-            return 0.0
-        return self.total_aggregated_away / self.total_enqueued

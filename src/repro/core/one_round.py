@@ -148,11 +148,6 @@ class OneRoundEngine:
     def entities(self) -> Dict[NodeId, NetworkEntityState]:
         return self.kernel.entities
 
-    @property
-    def _ring_holder(self) -> Dict[str, NodeId]:
-        """Per-ring next-holder pointers (kernel-owned; kept for back-compat)."""
-        return self.kernel._ring_holder
-
     # ------------------------------------------------------------------
     # entity access
     # ------------------------------------------------------------------
@@ -206,49 +201,6 @@ class OneRoundEngine:
         """A mobile host voluntarily leaves the group."""
         return _captured(self.kernel.leave(guid, ap, now=now), "leave", guid, ap)
 
-    def member_failure(
-        self, ap: "NodeId | str", guid: "GloballyUniqueId | str", now: float = 0.0
-    ) -> TokenOperation:
-        """A mobile host is detected faulty by its access proxy."""
-        return _captured(self.kernel.fail_member(guid, ap, now=now), "failure", guid, ap)
-
-    def member_handoff(
-        self,
-        guid: "GloballyUniqueId | str",
-        old_ap: "NodeId | str",
-        new_ap: "NodeId | str",
-        now: float = 0.0,
-    ) -> TokenOperation:
-        """A mobile host hands off from ``old_ap`` to ``new_ap``."""
-        return _captured(
-            self.kernel.handoff(guid, new_ap, old_ap, now=now), "handoff", guid, new_ap
-        )
-
-    def capture_many(
-        self, operations: "List[tuple]", now: float = 0.0
-    ) -> List[TokenOperation]:
-        """Capture a batch of ``(kind, *args)`` changes before one propagation.
-
-        ``kind`` is one of ``"join"``, ``"leave"``, ``"failure"`` (args:
-        ``ap, guid``) or ``"handoff"`` (args: ``guid, old_ap, new_ap``).
-        Queued changes aggregate into the same token rounds, which is the
-        batched capture path the large-scale workloads use.
-        """
-        captured: List[TokenOperation] = []
-        dispatch = {
-            "join": self.member_join,
-            "leave": self.member_leave,
-            "failure": self.member_failure,
-            "handoff": self.member_handoff,
-        }
-        for kind, *args in operations:
-            try:
-                handler = dispatch[kind]
-            except KeyError:
-                raise ProtocolError(f"unknown capture kind {kind!r}") from None
-            captured.append(handler(*args, now=now))
-        return captured
-
     # ------------------------------------------------------------------
     # entity failure and repair
     # ------------------------------------------------------------------
@@ -285,13 +237,3 @@ class OneRoundEngine:
     # ------------------------------------------------------------------
     # convenience wrappers used by examples and the facade
     # ------------------------------------------------------------------
-
-    def handoff_and_propagate(
-        self,
-        guid: "GloballyUniqueId | str",
-        old_ap: "NodeId | str",
-        new_ap: "NodeId | str",
-        now: float = 0.0,
-    ) -> PropagationReport:
-        self.member_handoff(guid, old_ap, new_ap, now)
-        return self.propagate(now)

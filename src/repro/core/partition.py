@@ -59,13 +59,6 @@ class PartitionReport:
         """The paper's Function-Well predicate: at most ``k`` partitions."""
         return self.count <= max_partitions
 
-    def primary(self) -> Optional[Partition]:
-        """The partition containing the topmost ring, if any."""
-        for partition in self.partitions:
-            if partition.contains_top:
-                return partition
-        return None
-
 
 def _ring_segments(ring: LogicalRing, operational: Set[NodeId]) -> List[List[NodeId]]:
     """Contiguous alive arcs of a ring under the given operational set."""

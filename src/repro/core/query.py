@@ -251,13 +251,6 @@ class MembershipQueryService:
 
     # -- targeted lookups -----------------------------------------------------------------
 
-    def locate_member(self, guid: str) -> Optional[MemberInfo]:
-        """Find the current record of one member (TMS-style lookup)."""
-        top_leader = self.hierarchy.topmost_ring().leader
-        if top_leader is None:
-            return None
-        return self._view_of(top_leader).get(guid)
-
     def maintenance_cost(self, scheme: MembershipScheme) -> Dict[str, int]:
         """Storage cost of a scheme: entities holding views and total records.
 

@@ -213,14 +213,6 @@ class LogicalRing:
 
     # -- health / structure -------------------------------------------------------------
 
-    def edge_count(self) -> int:
-        """Number of logical edges a full token round traverses.
-
-        A ring of one node has zero edges (the token never leaves the node);
-        otherwise a round crosses exactly ``len(members)`` edges.
-        """
-        return 0 if len(self.members) <= 1 else len(self.members)
-
     @staticmethod
     def _live_values(operational: Iterable["NodeId | str"]) -> set:
         return {n.value if isinstance(n, NodeId) else str(n) for n in operational}

@@ -26,7 +26,6 @@ The facade:
 from __future__ import annotations
 
 import math
-import zlib
 from typing import Dict, List, Optional
 
 from repro.core.config import SimulationConfig
@@ -41,7 +40,6 @@ from repro.core.query import MembershipQueryService, MembershipScheme, QueryResu
 from repro.core.ring import LogicalRing
 from repro.sim.engine import SimulationEngine
 from repro.sim.harness import HarnessConfig, HarnessResult, ScenarioHarness
-from repro.sim.mobility import AttachmentEvent, HandoffEvent, MobilityModel, MobilityTrace
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry
 from repro.topology.architecture import TopologySpec
@@ -80,7 +78,7 @@ class RGBSimulation:
         )
         self.topology = TopologyGenerator(spec, self.streams).generate()
         participating = sorted(self.topology.architecture.access_proxies)[: cfg.num_aps]
-        self.hierarchy = HierarchyBuilder(cfg.group_id).from_topology(
+        self.hierarchy = HierarchyBuilder("group-0").from_topology(
             self.topology, access_proxies=participating
         )
         self.harness = ScenarioHarness(
@@ -204,54 +202,6 @@ class RGBSimulation:
         """Propagate every pending change (and repair every crash) to quiescence."""
         return self._built().run(until=max_time)
 
-    def apply_mobility_trace(self, trace: MobilityTrace) -> Dict[str, int]:
-        """Replay a mobility trace as join / handoff / leave operations."""
-        self._built()
-        counts = {"joins": 0, "handoffs": 0, "leaves": 0, "skipped": 0}
-        for event in trace.all_events():
-            if isinstance(event, AttachmentEvent):
-                if event.attach:
-                    self.join_member(ap_id=self._nearest_participating(event.ap_id), guid=event.host_id)
-                    counts["joins"] += 1
-                else:
-                    try:
-                        self.leave_member(event.host_id)
-                        counts["leaves"] += 1
-                    except ValueError:
-                        counts["skipped"] += 1
-            elif isinstance(event, HandoffEvent):
-                try:
-                    self.handoff_member(event.host_id, self._nearest_participating(event.to_ap))
-                    counts["handoffs"] += 1
-                except ValueError:
-                    counts["skipped"] += 1
-            self.run_until_quiescent()
-        return counts
-
-    def _nearest_participating(self, ap_id: str) -> str:
-        aps = self.access_proxies()
-        if ap_id in aps:
-            return ap_id
-        # Deterministic fallback: map the requested id onto a participating
-        # proxy with a stable hash (``hash`` of a str is salted per process).
-        return aps[zlib.crc32(ap_id.encode()) % len(aps)]
-
-    def default_mobility_model(
-        self, mean_residency: float = 200.0, mean_session: float = 2000.0
-    ) -> MobilityModel:
-        """A mobility model over the participating proxies with ring neighbourhoods."""
-        neighbor_map = {}
-        for ap in self.access_proxies():
-            ring = self.ring_of(ap)
-            neighbor_map[ap] = [str(n) for n in ring.members if str(n) != ap]
-        return MobilityModel(
-            ap_ids=self.access_proxies(),
-            streams=self.streams,
-            neighbor_map=neighbor_map,
-            mean_residency=mean_residency,
-            mean_session=mean_session,
-        )
-
     # ------------------------------------------------------------------
     # observation
     # ------------------------------------------------------------------
@@ -282,6 +232,3 @@ class RGBSimulation:
     def partition_report(self) -> PartitionReport:
         """Assess the current partitioning of the hierarchy."""
         return self._built().partition_report()
-
-    def metric_snapshot(self) -> Dict[str, object]:
-        return self.metrics.snapshot()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.core.identifiers import GroupId, NodeId
 from repro.core.member import MemberInfo
@@ -116,18 +116,6 @@ class Token:
     token_id: int = 0
     visited: Tuple[NodeId, ...] = ()
 
-    def with_operations(self, operations: Sequence[TokenOperation]) -> "Token":
-        """Copy of this token carrying ``operations``."""
-        return Token(
-            group=self.group,
-            holder=self.holder,
-            ring_id=self.ring_id,
-            operations=tuple(operations),
-            round_number=self.round_number,
-            token_id=self.token_id,
-            visited=self.visited,
-        )
-
     def record_visit(self, node: NodeId) -> "Token":
         """Copy of this token with ``node`` appended to the visit log."""
         return Token(
@@ -167,10 +155,6 @@ class Token:
     def is_empty(self) -> bool:
         """True when the token carries no membership changes."""
         return not self.operations
-
-    def member_guids(self) -> List[str]:
-        """GUIDs of all members referenced by the carried operations."""
-        return [str(op.member.guid) for op in self.operations if op.member is not None]
 
     def describe(self) -> str:
         ops = ", ".join(op.describe() for op in self.operations) or "empty"

@@ -139,29 +139,6 @@ class EventLoop:
         finally:
             self._running = False
 
-    def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
-        """Run until ``predicate()`` holds (checked after every dispatch).
-
-        Test helper; returns False if ``timeout`` elapsed first.
-        """
-        deadline = self.clock() + timeout
-        poll: Optional[TimerHandle] = None
-
-        def check() -> None:
-            nonlocal poll
-            if predicate() or self.clock() >= deadline:
-                self.stop()
-                return
-            poll = self.call_later(0.005, check)
-
-        check()
-        if self._running:
-            return predicate()
-        self.run()
-        if poll is not None:
-            poll.cancel()
-        return predicate()
-
     def stop(self) -> None:
         self._running = False
 

@@ -81,6 +81,13 @@ from repro.sim.trace import TraceRecorder
 __all__ = ["NodeConfig", "NodeRuntime"]
 
 LOOPBACK = "127.0.0.1"
+#: Real seconds between a node's STATUS reports to the supervisor.
+STATUS_INTERVAL = 0.15
+#: Real seconds between HELLOs until the supervisor answers with PEERS.
+HELLO_INTERVAL = 0.2
+#: Handshake grace (real seconds) credited to peers before heartbeat
+#: silence counts.
+STARTUP_GRACE = 0.6
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,6 @@ class NodeConfig:
     mcast_group: str = "239.255.101.77"
     mcast_port: int = 0
     trace_enabled: bool = False
-    status_interval: float = 0.15
-    hello_interval: float = 0.2
-    #: Handshake grace credited to peers before heartbeat silence counts.
-    startup_grace: float = 0.6
 
 
 class NodeRuntime:
@@ -336,7 +339,7 @@ class NodeRuntime:
             return
         assert self.sock is not None
         self.send_to_supervisor(wire.MSG_HELLO, {"shard": self.shard_id})
-        self.loop.call_later(self.config.hello_interval, self._say_hello)
+        self.loop.call_later(HELLO_INTERVAL, self._say_hello)
 
     def _on_peers(self, message: wire.WireMessage) -> None:
         if self.started:
@@ -353,7 +356,7 @@ class NodeRuntime:
             clock=self.loop.clock,
             on_readmit=self._on_peer_readmitted,
             on_evict=self._on_peer_evicted,
-            initial_grace=max(cfg.startup_grace, self.t0 - self.loop.clock()),
+            initial_grace=max(STARTUP_GRACE, self.t0 - self.loop.clock()),
         )
         scale = cfg.time_scale
         for op in self._my_ops:
@@ -499,7 +502,7 @@ class NodeRuntime:
                 "readmissions": self.monitor.readmissions,
             },
         )
-        self.loop.call_later(self.config.status_interval, self._housekeeping)
+        self.loop.call_later(STATUS_INTERVAL, self._housekeeping)
 
     def _halt(self) -> None:
         """Wedge: the deterministic death instant ahead of the SIGKILL.

@@ -155,10 +155,6 @@ class FaultInjector:
         for event in plan.sorted_events():
             self._schedule(event)
 
-    def inject_now(self, event: FaultEvent) -> None:
-        """Apply a fault immediately (without going through the engine queue)."""
-        self._apply(event)
-
     def _schedule(self, event: FaultEvent) -> None:
         delay = max(0.0, event.time - self.engine.now)
 

@@ -84,8 +84,6 @@ class HarnessConfig:
     latency_mean, latency_std:
         Per-link delay distribution.  ``latency_std=0`` makes delays
         deterministic, which the golden-trace suite relies on.
-    transport_retries:
-        Link-level retransmissions the transport itself attempts per send.
     resend_limit, resend_backoff:
         Dispatch-level reliability: how often (and how spaced) an undelivered
         notification is re-sent before the harness re-routes or gives up.
@@ -99,7 +97,7 @@ class HarnessConfig:
         entity's ring).
     protocol:
         Kernel tunables.
-    trace_enabled, trace_capacity:
+    trace_enabled:
         Structured trace recording (golden-trace tests switch this on).
     record_sends:
         Keep the first and most recent dispatched notification per member so
@@ -120,14 +118,12 @@ class HarnessConfig:
     loss: float = 0.0
     latency_mean: float = 2.0
     latency_std: float = 0.5
-    transport_retries: int = 2
     resend_limit: int = 25
     resend_backoff: float = 20.0
     round_delay: float = 1.0
     crash_detection_delay: float = 5.0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     trace_enabled: bool = False
-    trace_capacity: Optional[int] = None
     record_sends: bool = False
     backend: str = "object"
 
@@ -220,16 +216,13 @@ class TransportDispatch(MessageDispatch):
         harness = self.harness
         source, destination = str(entry.sender), str(entry.target)
         payload = {"dispatch_id": notify_id, "sender": source, "operations": entry.operations}
-        retries = harness.config.transport_retries
-        receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload, retries=retries)
+        receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload)
         if not receipt.accepted and receipt.reason == "no-path":
             # The minimal link graph lost its route (e.g. repair re-attached a
             # ring under a new parent).  The underlying IP network routes
             # anywhere, so materialise a recovery link and retry immediately.
             harness._ensure_link(source, destination)
-            receipt = harness.transport.send(
-                source, destination, MSG_NOTIFY, payload, retries=retries
-            )
+            receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload)
         if receipt.accepted and receipt.expected_delivery is not None:
             return (receipt.expected_delivery - harness.engine.now) + harness.config.resend_backoff
         return harness.config.resend_backoff
@@ -343,7 +336,7 @@ class ScenarioHarness:
         cfg = self.config
         self.streams = RandomStreams(cfg.seed)
         self.metrics = MetricRegistry()
-        self.trace = TraceRecorder(enabled=cfg.trace_enabled, capacity=cfg.trace_capacity)
+        self.trace = TraceRecorder(enabled=cfg.trace_enabled)
         self.event_bus = MembershipEventBus()
         self.engine = SimulationEngine()
 
@@ -375,7 +368,6 @@ class ScenarioHarness:
             self.streams,
             metrics=self.metrics,
             trace=self.trace,
-            default_retries=cfg.transport_retries,
         )
         self.dispatch = TransportDispatch(self)
         self.kernel = create_kernel(

@@ -57,9 +57,6 @@ class MobilityTrace:
         merged.sort(key=lambda e: (e.time, isinstance(e, HandoffEvent)))
         return merged
 
-    def events_for_host(self, host_id: str) -> List[object]:
-        return [e for e in self.all_events() if getattr(e, "host_id") == host_id]
-
     def __len__(self) -> int:
         return len(self.attachments) + len(self.handoffs)
 

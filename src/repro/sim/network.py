@@ -77,7 +77,6 @@ class LatencyModel:
 
 
 #: Default latency models per tier, in abstract milliseconds.
-WIRELESS_EDGE = LatencyModel(mean=8.0, std=3.0, loss=0.0)
 INTRA_AS = LatencyModel(mean=2.0, std=0.5, loss=0.0)
 INTER_AS = LatencyModel(mean=20.0, std=5.0, loss=0.0)
 
@@ -115,9 +114,6 @@ class Link:
     latency: LatencyModel
     up: bool = True
 
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
     def other(self, node_id: str) -> str:
         if node_id == self.a:
             return self.b
@@ -145,14 +141,6 @@ class Network:
 
     # -- construction ------------------------------------------------------
 
-    def add_node(self, node: NetworkNode) -> NetworkNode:
-        if node.node_id in self._nodes:
-            raise ValueError(f"duplicate node id {node.node_id!r}")
-        self._nodes[node.node_id] = node
-        self._adjacency[node.node_id] = []
-        self._routes_dirty = True
-        return node
-
     def add_link(self, a: str, b: str, latency: LatencyModel) -> Link:
         if a not in self._nodes or b not in self._nodes:
             missing = a if a not in self._nodes else b
@@ -170,11 +158,7 @@ class Network:
         return link
 
     def add_nodes(self, nodes: Iterable[NetworkNode]) -> List[NetworkNode]:
-        """Bulk :meth:`add_node`: one route invalidation per batch.
-
-        The per-call variant re-dirties the route cache for every node —
-        pure overhead when a generator installs a whole tier at once.
-        """
+        """Add ``nodes`` with one route invalidation for the whole batch."""
         added: List[NetworkNode] = []
         registry = self._nodes
         adjacency = self._adjacency
@@ -272,9 +256,6 @@ class Network:
     def set_link_state(self, a: str, b: str, up: bool) -> None:
         self.link(a, b).up = up
         self._routes_dirty = True
-
-    def operational_nodes(self, kind: Optional[str] = None) -> List[NetworkNode]:
-        return [n for n in self.nodes(kind) if n.is_operational]
 
     # -- routing -------------------------------------------------------------
 

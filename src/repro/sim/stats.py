@@ -196,11 +196,6 @@ class MetricRegistry:
             }
         return out
 
-    def merge_counters(self, other: Mapping[str, int]) -> None:
-        """Add raw counter values (used when aggregating Monte-Carlo trials)."""
-        for name, value in other.items():
-            self.counter(name).increment(int(value))
-
 
 @dataclass(frozen=True)
 class RunRecord:

@@ -10,7 +10,7 @@ print a readable narrative of the protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,6 @@ class TraceEvent:
     actor: str
     description: str
     details: Tuple[Tuple[str, Any], ...] = ()
-
-    def detail(self, key: str, default: Any = None) -> Any:
-        """Look up one ``details`` entry by key."""
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
 
     def format(self) -> str:
         """Human-readable one-line rendering."""
@@ -45,11 +38,9 @@ class TraceRecorder:
     becomes a near no-op.
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.capacity = capacity
         self._events: List[TraceEvent] = []
-        self._dropped = 0
 
     def record(
         self,
@@ -61,9 +52,6 @@ class TraceRecorder:
     ) -> None:
         """Append a trace record (no-op when disabled)."""
         if not self.enabled:
-            return
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self._dropped += 1
             return
         self._events.append(
             TraceEvent(
@@ -79,45 +67,11 @@ class TraceRecorder:
     def events(self) -> Tuple[TraceEvent, ...]:
         return tuple(self._events)
 
-    @property
-    def dropped(self) -> int:
-        """Number of records dropped because the capacity was reached."""
-        return self._dropped
-
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def filter(
-        self,
-        category: Optional[str] = None,
-        actor: Optional[str] = None,
-        predicate: Optional[Callable[[TraceEvent], bool]] = None,
-    ) -> List[TraceEvent]:
-        """Return events matching the given category/actor/predicate."""
-        out = []
-        for event in self._events:
-            if category is not None and event.category != category:
-                continue
-            if actor is not None and event.actor != actor:
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            out.append(event)
-        return out
-
-    def categories(self) -> Dict[str, int]:
-        """Histogram of record counts per category."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.category] = counts.get(event.category, 0) + 1
-        return counts
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._dropped = 0
 
     def canonical_lines(self) -> List[str]:
         """Byte-stable one-line-per-event rendering for golden-trace tests.

@@ -32,6 +32,9 @@ from repro.sim.trace import TraceRecorder
 
 MessageHandler = Callable[["Message"], None]
 
+#: Delay added after each lost transmission before its retransmission.
+RETRY_BACKOFF = 5.0
+
 
 class TransportError(RuntimeError):
     """Raised for invalid transport usage (unknown endpoint, etc.)."""
@@ -51,7 +54,6 @@ class Message:
     msg_type: str
     payload: Mapping[str, Any]
     sent_at: float
-    logical_hop: bool = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -95,18 +97,15 @@ class Transport:
         metrics: Optional[MetricRegistry] = None,
         trace: Optional[TraceRecorder] = None,
         default_retries: int = 2,
-        retry_backoff: float = 5.0,
     ) -> None:
         self.engine = engine
         self.network = network
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.default_retries = default_retries
-        self.retry_backoff = retry_backoff
         self._rng = streams.stream("transport")
         self._handlers: Dict[str, MessageHandler] = {}
         self._message_ids = itertools.count(1)
-        self._partition_filter: Optional[Callable[[str, str], bool]] = None
         # Pre-bound counters/histograms: metrics.counter() is a dict probe per
         # call and send() runs a hundred thousand times per large scenario.
         self._c_sent = self.metrics.counter("transport.sent")
@@ -129,17 +128,6 @@ class Transport:
     def unregister(self, node_id: str) -> None:
         self._handlers.pop(node_id, None)
 
-    def is_registered(self, node_id: str) -> bool:
-        return node_id in self._handlers
-
-    def set_partition_filter(self, predicate: Optional[Callable[[str, str], bool]]) -> None:
-        """Install a predicate blocking delivery between node pairs.
-
-        Used by partition experiments: ``predicate(src, dst)`` returning True
-        means the pair cannot currently communicate even though both are up.
-        """
-        self._partition_filter = predicate
-
     # -- sending -------------------------------------------------------------
 
     def send(
@@ -148,9 +136,6 @@ class Transport:
         destination: str,
         msg_type: str,
         payload: Optional[Mapping[str, Any]] = None,
-        *,
-        logical_hop: bool = True,
-        retries: Optional[int] = None,
     ) -> DeliveryReceipt:
         """Send a message; returns a receipt describing what was scheduled."""
         message = Message(
@@ -160,7 +145,6 @@ class Transport:
             msg_type=msg_type,
             payload=dict(payload or {}),
             sent_at=self.engine.clock.now,
-            logical_hop=logical_hop,
         )
         self._c_sent.increment()
         type_counter = self._sent_by_type.get(msg_type)
@@ -168,7 +152,7 @@ class Transport:
             type_counter = self.metrics.counter(f"transport.sent.{msg_type}")
             self._sent_by_type[msg_type] = type_counter
         type_counter.increment()
-        if logical_hop and source != destination:
+        if source != destination:
             self._c_logical.increment()
 
         if source == destination:
@@ -181,10 +165,6 @@ class Transport:
             self._drop(message, "source-not-operational")
             return DeliveryReceipt(message, False, "source-not-operational")
 
-        if self._partition_filter is not None and self._partition_filter(source, destination):
-            self._drop(message, "partitioned")
-            return DeliveryReceipt(message, False, "partitioned")
-
         destination_node = self.network.node(destination)
         if destination_node.state is NodeState.FAILED:
             self._drop(message, "destination-failed")
@@ -195,7 +175,7 @@ class Transport:
             self._drop(message, "no-path")
             return DeliveryReceipt(message, False, "no-path")
 
-        max_attempts = 1 + (self.default_retries if retries is None else retries)
+        max_attempts = 1 + self.default_retries
         delay = 0.0
         rng = self._rng
         if len(path) == 2:
@@ -208,14 +188,14 @@ class Transport:
                 if not latency.sample_loss(rng):
                     return self._accept(message, delay, 1)
                 self._c_retrans.increment()
-                delay += self.retry_backoff
+                delay += RETRY_BACKOFF
         else:
             for _attempt in range(max_attempts):
                 delay += self.network.path_latency(path, rng)
                 if not self.network.path_loses(path, rng):
                     return self._accept(message, delay, len(path) - 1)
                 self._c_retrans.increment()
-                delay += self.retry_backoff
+                delay += RETRY_BACKOFF
 
         self._drop(message, "lost-after-retries")
         return DeliveryReceipt(message, False, "lost-after-retries")
@@ -259,7 +239,7 @@ class Transport:
         self.engine.schedule(delay, deliver, label=f"deliver:{message.msg_type}")
 
     def _drop(self, message: Message, reason: str) -> None:
-        self.metrics.counter("transport.dropped").increment()
+        self._c_dropped.increment()
         self.metrics.counter(f"transport.dropped.{reason}").increment()
         self.trace.record(
             self.engine.now,
@@ -268,22 +248,3 @@ class Transport:
             f"{message.msg_type} to {message.destination}: {reason}",
             message_id=message.message_id,
         )
-
-    # -- introspection ---------------------------------------------------------
-
-    def sent_count(self, msg_type: Optional[str] = None) -> int:
-        name = "transport.sent" if msg_type is None else f"transport.sent.{msg_type}"
-        counter = self.metrics.counters.get(name)
-        return counter.value if counter else 0
-
-    def logical_hop_count(self) -> int:
-        counter = self.metrics.counters.get("transport.logical_hops")
-        return counter.value if counter else 0
-
-    def delivered_count(self) -> int:
-        counter = self.metrics.counters.get("transport.delivered")
-        return counter.value if counter else 0
-
-    def dropped_count(self) -> int:
-        counter = self.metrics.counters.get("transport.dropped")
-        return counter.value if counter else 0

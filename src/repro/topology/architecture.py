@@ -87,19 +87,7 @@ class TopologySpec:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"access_network_mix must sum to 1, got {total}")
 
-    # -- derived sizes ------------------------------------------------------
-
-    @property
-    def num_access_gateways(self) -> int:
-        return self.num_border_routers * self.ags_per_br
-
-    @property
-    def num_access_proxies(self) -> int:
-        return self.num_access_gateways * self.aps_per_ag
-
-    @property
-    def num_mobile_hosts(self) -> int:
-        return self.num_access_proxies * self.hosts_per_ap
+    # -- constructors -------------------------------------------------------
 
     @staticmethod
     def regular(ring_size: int, height: int, hosts_per_ap: int = 0) -> "TopologySpec":
@@ -204,15 +192,6 @@ class FourTierArchitecture:
     def hosts_of_ap(self, ap_id: str) -> List[str]:
         """Mobile hosts currently attached to ``ap_id``."""
         return list(self._children("ap").get(ap_id, ()))
-
-    def ap_neighbors(self) -> Dict[str, List[str]]:
-        """Neighbourhood map for the mobility model: APs under the same AG."""
-        by_ag = self._children("ag")
-        neighbors: Dict[str, List[str]] = {}
-        for ap in self.access_proxies:
-            siblings = by_ag.get(self.ap_parent[ap], ())
-            neighbors[ap] = [other for other in siblings if other != ap]
-        return neighbors
 
     def tier_counts(self) -> Dict[str, int]:
         return {

@@ -88,7 +88,7 @@ class TopologyGenerator:
         Whole tiers are assembled as lists and installed through the
         network's batch endpoints (:meth:`repro.sim.network.Network.add_nodes`
         / ``add_links``) with the stochastic attributes drawn as one vector
-        per tier — per-node ``add_node``/``choice`` calls made generation the
+        per tier — per-node adds and ``choice`` calls made generation the
         dominant cost of large generated topologies.
         """
         spec = self.spec
@@ -196,14 +196,3 @@ class TopologyGenerator:
         arch.invalidate_indexes()
         arch.validate()
         return GeneratedTopology(network=network, architecture=arch)
-
-
-def generate_regular_topology(
-    ring_size: int,
-    height: int,
-    hosts_per_ap: int = 0,
-    seed: int = 0,
-) -> GeneratedTopology:
-    """Convenience wrapper: the regular full hierarchy of the paper's analysis."""
-    spec = TopologySpec.regular(ring_size=ring_size, height=height, hosts_per_ap=hosts_per_ap)
-    return TopologyGenerator(spec, RandomStreams(seed)).generate()

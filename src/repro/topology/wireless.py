@@ -61,8 +61,3 @@ def access_network_profile(kind: AccessNetworkKind) -> AccessNetwork:
         return _PROFILES[kind]
     except KeyError:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown access network kind {kind!r}") from None
-
-
-def all_profiles() -> dict[AccessNetworkKind, AccessNetwork]:
-    """All built-in profiles, keyed by kind."""
-    return dict(_PROFILES)

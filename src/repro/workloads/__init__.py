@@ -5,8 +5,8 @@
 * :mod:`repro.workloads.handoffs` — handoff storms (bursts of mobility).
 * :mod:`repro.workloads.queries` — membership query mixes for the TMS/BMS/IMS
   comparison.
-* :mod:`repro.workloads.scenarios` — packaged end-to-end scenarios combining
-  the above (used by the examples and integration tests).
+* :mod:`repro.workloads.scenarios` — the packaged 100k-proxy propagation
+  scenario (the scale benchmarks' driver).
 * :mod:`repro.workloads.matrix` — the {protocol} × {scenario} × {scale} ×
   {loss} sweep over the event-driven harness (:mod:`repro.sim.harness`) and
   the protocol-driver ablation replay (:mod:`repro.baselines.driver`).

@@ -142,12 +142,3 @@ class ChurnWorkload:
                 add_member(member, ap)
                 events.append(ChurnEvent(time=t, kind=ChurnKind.JOIN, member=member, ap=ap))
         return events
-
-    @staticmethod
-    def summarize(events: Sequence[ChurnEvent]) -> Dict[str, int]:
-        """Event counts per kind."""
-        counts = {kind.value: 0 for kind in ChurnKind}
-        for event in events:
-            counts[event.kind.value] += 1
-        counts["total"] = len(events)
-        return counts

@@ -95,10 +95,3 @@ class HandoffStorm:
             )
             attachment[member] = destination
         return events
-
-    @staticmethod
-    def locality_ratio(events: Sequence[HandoffStormEvent]) -> float:
-        """Fraction of handoffs that stayed within the origin's neighbourhood."""
-        if not events:
-            return 0.0
-        return sum(1 for e in events if e.local) / len(events)

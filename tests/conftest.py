@@ -35,8 +35,7 @@ def engine() -> SimulationEngine:
 def small_network() -> Network:
     """A five-node line-plus-shortcut network used by transport tests."""
     network = Network()
-    for name in ("a", "b", "c", "d", "e"):
-        network.add_node(NetworkNode(node_id=name, kind="AP"))
+    network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in "abcde")
     network.add_link("a", "b", INTRA_AS)
     network.add_link("b", "c", INTRA_AS)
     network.add_link("c", "d", INTRA_AS)

@@ -81,7 +81,7 @@ def build_entity_states_incremental(
             states[node] = state
     # Child pointers: a node's children are the leaders of its child rings.
     for node, state in states.items():
-        for ring_id in hierarchy.children_of_node(node):
+        for ring_id in hierarchy.child_rings.get(node, ()):
             leader = hierarchy.rings[ring_id].leader
             if leader is not None:
                 state.add_child(leader)

@@ -9,18 +9,19 @@ from repro.baselines.flat_ring import FlatRingMembership
 from repro.baselines.gossip import GossipMembership
 from repro.baselines.tree_hierarchy import TreeHierarchy
 from repro.baselines.tree_membership import TreeMembershipProtocol
+from repro.core.config import TOKEN_RETRY_LIMIT
 
 
 class TestTreeHierarchy:
     def test_leaf_count_matches_formula(self):
         tree = TreeHierarchy.regular(height=3, branching=5)
-        assert tree.leaf_count() == tree_leaf_count(3, 5) == 25
+        assert len(tree.leaves()) == tree_leaf_count(3, 5) == 25
 
     def test_with_representatives_uses_only_leaf_servers(self):
         tree = TreeHierarchy.regular(height=3, branching=3, with_representatives=True)
-        assert len(tree.physical_servers()) == tree.leaf_count()
+        assert len(tree.physical_servers()) == len(tree.leaves())
         # every interior node is played by one of its descendant leaves
-        for node in tree.interior_nodes():
+        for node in (n for n in tree.nodes.values() if not n.is_leaf):
             descendants = {leaf.server for leaf in tree.leaves() if node.node_id in ([leaf.node_id] + tree.path_to_root(leaf.node_id))}
             assert node.server in descendants
 
@@ -30,18 +31,21 @@ class TestTreeHierarchy:
 
     def test_edge_counts(self):
         tree = TreeHierarchy.regular(height=3, branching=3, with_representatives=True)
-        assert tree.edge_count() == 3 + 9
-        assert tree.physical_edge_count() < tree.edge_count()
+        edges = [(node, tree.nodes[c]) for node in tree.nodes.values() for c in node.children]
+        assert len(edges) == 3 + 9
+        # A representative plays its parent too: that edge crosses no wire.
+        assert any(parent.server == child.server for parent, child in edges)
 
     def test_partition_count_no_faults(self):
         tree = TreeHierarchy.regular(height=3, branching=3)
         assert tree.partition_count([]) == 1
-        assert tree.functions_well([])
 
     def test_leaf_failure_keeps_tree_whole(self):
         tree = TreeHierarchy.regular(height=3, branching=3)
         pure_leaf = next(
-            leaf.server for leaf in tree.leaves() if len(tree.logical_nodes_of_server(leaf.server)) == 1
+            leaf.server
+            for leaf in tree.leaves()
+            if sum(n.server == leaf.server for n in tree.nodes.values()) == 1
         )
         assert tree.partition_count([pure_leaf]) == 1
 
@@ -49,7 +53,7 @@ class TestTreeHierarchy:
         tree = TreeHierarchy.regular(height=3, branching=3, with_representatives=True)
         # a level-1 representative plays a leaf and an interior node
         rep = next(
-            node.server for node in tree.interior_nodes() if not node.is_root
+            node.server for node in tree.nodes.values() if not node.is_leaf and not node.is_root
         )
         assert tree.partition_count([rep]) > 1
 
@@ -94,7 +98,8 @@ class TestTreeMembershipProtocol:
         protocol = TreeMembershipProtocol(tree)
         for index, leaf in enumerate(tree.leaves()[:4]):
             protocol.join(leaf.node_id, f"m{index}")
-        assert protocol.average_logical_hops() == pytest.approx(hcn_tree_without_representatives(3, 3))
+        hops = [report.logical_hops for report in protocol.reports]
+        assert sum(hops) / len(hops) == pytest.approx(hcn_tree_without_representatives(3, 3))
 
     def test_non_leaf_origin_rejected(self):
         tree = TreeHierarchy.regular(height=3, branching=3)
@@ -165,9 +170,9 @@ class TestFlatRing:
         report = ring.join("a", "alice")
         assert "c" in report.repaired
         assert ring.ring_size() == 3
-        # The send towards the dead proxy plus token_retry_limit (default 2)
-        # retries are all charged as retransmissions, kernel-style.
-        assert ring.total_retransmissions == 3
+        # The send towards the dead proxy plus TOKEN_RETRY_LIMIT (2) retries
+        # are all charged as retransmissions, kernel-style.
+        assert report.retransmissions == TOKEN_RETRY_LIMIT + 1 == 3
         # Hops are *successful* transmissions only: a→b, the skip b→d and the
         # closing d→a.  The dead attempt at c is not a hop.
         assert report.hops == 3
@@ -201,12 +206,6 @@ class TestFlatRing:
         assert report.members_reached == 1
         assert report.retransmissions == 3
 
-    def test_token_retry_limit_configurable(self):
-        ring = FlatRingMembership(["a", "b", "c"], token_retry_limit=0)
-        ring.fail_proxy("b")
-        report = ring.join("a", "alice")
-        assert report.retransmissions == 1  # the single wasted send, no retries
-
     def test_lossy_links_add_retransmissions_not_hops(self):
         ring = FlatRingMembership([f"ap-{i}" for i in range(12)], loss=0.4, seed=5)
         report = ring.join("ap-0", "alice")
@@ -226,7 +225,7 @@ class TestFlatRing:
         with pytest.raises(ValueError):
             FlatRingMembership(["a"], loss=1.0)
         with pytest.raises(ValueError):
-            FlatRingMembership(["a"], token_retry_limit=-1)
+            FlatRingMembership(["a"], loss=-0.1)
 
     def test_origin_must_be_operational(self):
         ring = FlatRingMembership(["a", "b"])
@@ -256,7 +255,7 @@ class TestGossip:
         gossip = GossipMembership([f"ap-{i}" for i in range(10)], fanout=2, seed=2)
         report = gossip.join("ap-0", "alice")
         assert report.messages > 0
-        assert gossip.average_messages() == report.messages
+        assert [r.messages for r in gossip.reports] == [report.messages]
 
     def test_failed_proxy_not_counted_for_convergence(self):
         gossip = GossipMembership([f"ap-{i}" for i in range(10)], fanout=2, seed=3)
@@ -274,8 +273,7 @@ class TestGossip:
         report = gossip.join("ap-0", "alice")
         assert report.converged
         assert report.wasted_messages > 0
-        assert report.messages > report.delivered_messages
-        assert report.delivered_messages == report.messages - report.wasted_messages
+        assert report.messages > report.wasted_messages
         # No failure oracle: with half the group dead, a meaningful share of
         # probes must have been wasted on dead peers.
         assert report.wasted_messages >= report.messages // 10

@@ -90,7 +90,7 @@ def _run_structural_workout(backend: str) -> dict:
     for i, ap in enumerate(aps[:6]):
         engine.member_join(ap, f"guid-{i}")
     reports.append(engine.propagate())
-    engine.member_handoff("guid-0", aps[0], aps[3])
+    engine.kernel.handoff("guid-0", aps[3], aps[0], now=0.0)
     engine.member_leave(aps[1], "guid-1")
     engine.member_join(aps[4], "guid-late")
     reports.append(engine.propagate())
@@ -101,7 +101,7 @@ def _run_structural_workout(backend: str) -> dict:
     engine.detect_and_repair(victim, now=2.0)
     reports.append(engine.propagate(now=2.0))
     engine.member_join(aps[5], "guid-after-repair")
-    engine.member_handoff("guid-late", aps[4], aps[0])
+    engine.kernel.handoff("guid-late", aps[0], aps[4], now=0.0)
     reports.append(engine.propagate(now=3.0))
     return _engine_state(engine.kernel, reports)
 
@@ -172,13 +172,13 @@ def _run_trace(shape, trace, backend: str, kernel_hook=None) -> dict:
             engine.member_leave(ap, guid)
         elif kind == "failure" and guids:
             guid, ap = guids.pop(pick % len(guids))
-            engine.member_failure(ap, guid)
+            engine.kernel.fail_member(guid, ap, now=0.0)
         elif kind == "handoff" and guids:
             index = pick % len(guids)
             guid, old_ap = guids[index]
             new_ap = aps[(pick // 7) % len(aps)]
             if new_ap != old_ap:
-                engine.member_handoff(guid, old_ap, new_ap)
+                engine.kernel.handoff(guid, new_ap, old_ap, now=0.0)
                 guids[index] = (guid, new_ap)
         elif kind in ("crash", "fail"):
             # Crash a non-AP entity, and repair it now ("crash") or when a

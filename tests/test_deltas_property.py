@@ -4,7 +4,7 @@ The kernel compiles each token round's aggregated operations into one
 :class:`repro.core.deltas.MembershipDelta` and applies it to every visited
 member list in a single pass.  These hypothesis tests pin the contract that
 makes that safe: for *arbitrary* operation sequences — duplicate members,
-join/leave/handoff interleavings, repeated operations — ``apply_all`` on the
+join/leave/handoff interleavings, repeated operations — ``apply_delta`` on the
 compiled delta leaves a view with member lists identical to sequential
 per-operation ``apply``.
 """
@@ -80,13 +80,13 @@ class TestDeltaEquivalence:
     @given(operation_sequences)
     @settings(max_examples=examples(200))
     def test_apply_all_delta_matches_sequential_apply(self, operations):
-        """Acceptance: batched apply_all == per-operation apply, any sequence."""
+        """Acceptance: batched apply_delta == per-operation apply, any sequence."""
         sequential = _fresh_view()
         for op in operations:
             sequential.apply(op, time=1.0)
 
         batched = _fresh_view()
-        batched.apply_all(MembershipDelta.from_operations(operations), time=1.0)
+        batched.apply_delta(MembershipDelta.from_operations(operations), time=1.0)
 
         assert batched.snapshot() == sequential.snapshot()
         assert batched.guids() == sequential.guids()
@@ -103,17 +103,18 @@ class TestDeltaEquivalence:
 
         for op in operations:
             sequential.apply(op, time=1.0)
-        batched.apply_all(MembershipDelta.from_operations(operations), time=1.0)
+        batched.apply_delta(MembershipDelta.from_operations(operations), time=1.0)
         assert batched.snapshot() == sequential.snapshot()
 
     @given(operation_sequences)
     @settings(max_examples=examples(100))
     def test_apply_all_accepts_sequences_and_deltas_identically(self, operations):
-        """apply_all(list) and apply_all(delta) land on the same member list."""
+        """Per-operation apply and apply_delta land on the same member list."""
         via_list = _fresh_view()
-        via_list.apply_all(list(operations), time=2.0)
+        for op in operations:
+            via_list.apply(op, time=2.0)
         via_delta = _fresh_view()
-        via_delta.apply_all(MembershipDelta.from_operations(operations), time=2.0)
+        via_delta.apply_delta(MembershipDelta.from_operations(operations), time=2.0)
         assert via_delta.snapshot() == via_list.snapshot()
 
     @given(operation_sequences)
@@ -125,9 +126,9 @@ class TestDeltaEquivalence:
         assert len(guids) == len(set(guids))
         # Re-applying the same delta is a no-op (idempotent delivery).
         view = _fresh_view()
-        view.apply_all(delta, time=0.0)
+        view.apply_delta(delta, time=0.0)
         first = view.snapshot()
-        events = view.apply_all(delta, time=1.0)
+        events = view.apply_delta(delta, time=1.0)
         assert view.snapshot() == first
         assert events == []
 

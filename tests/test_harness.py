@@ -62,11 +62,11 @@ class TestHarnessBasics:
         result = harness.run()
         # Notifications are the transport's only messages; token hops and
         # holder-acks change no receiver's state and the kernel counts them.
-        sent = harness.transport.sent_count()
-        assert sent == harness.transport.sent_count("rgb.notify") > 0
-        assert result.counters["hops.token"] > 0
-        assert result.counters["messages.holder_ack"] > 0
-        assert harness.transport.delivered_count() > 0
+        counters = result.counters
+        assert counters["transport.sent"] == counters["transport.sent.rgb.notify"] > 0
+        assert counters["hops.token"] > 0
+        assert counters["messages.holder_ack"] > 0
+        assert counters["transport.delivered"] > 0
 
     @pytest.mark.parametrize("trace_enabled", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("backend", ["object", "columnar"])

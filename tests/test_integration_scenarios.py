@@ -12,7 +12,8 @@ from repro.core.config import SimulationConfig
 from repro.core.one_round import OneRoundEngine
 from repro.core.query import MembershipScheme
 from repro.core.simulation import RGBSimulation
-from repro.workloads.scenarios import run_churn_scenario, run_conferencing_scenario
+from repro.workloads.churn import ChurnKind, ChurnWorkload
+from repro.workloads.handoffs import HandoffStorm
 
 #: One trace step: (kind, which member / proxy / entity, handoff target).
 _TRACES = st.lists(
@@ -25,29 +26,69 @@ _TRACES = st.lists(
 )
 
 
+def _run_churn(num_aps, ring_size, horizon, seed, join_rate=0.5):
+    """Drive a churn workload through the facade, one change at a time to
+    quiescence; returns the simulation, the members the workload left joined
+    and the number of changes applied."""
+    sim = RGBSimulation(
+        SimulationConfig(num_aps=num_aps, ring_size=ring_size, hosts_per_ap=0, seed=seed)
+    ).build()
+    events = ChurnWorkload(
+        ap_ids=sim.access_proxies(), join_rate=join_rate, horizon=horizon, seed=seed
+    ).generate()
+    joined = set()
+    for event in events:
+        if event.kind is ChurnKind.JOIN:
+            sim.join_member(ap_id=event.ap, guid=event.member)
+            joined.add(event.member)
+        elif event.kind is ChurnKind.LEAVE:
+            joined.remove(event.member)
+            sim.leave_member(event.member)
+        else:
+            joined.remove(event.member)
+            sim.fail_member(event.member)
+        sim.run_until_quiescent()
+    return sim, joined, len(events)
+
+
 class TestPackagedScenarios:
     def test_churn_scenario_tracks_population(self):
-        result = run_churn_scenario(num_aps=9, ring_size=3, horizon=120.0, join_rate=0.4, seed=2)
-        assert result.name == "churn"
-        assert result.final_membership == result.details["expected_membership"]
-        assert result.events_processed == result.details["workload"]["total"]
+        sim, joined, _ = _run_churn(9, 3, horizon=120.0, join_rate=0.4, seed=2)
+        assert sim.global_membership().guids() == sorted(joined)
 
     def test_churn_scenario_deterministic(self):
-        a = run_churn_scenario(num_aps=9, ring_size=3, horizon=80.0, seed=5)
-        b = run_churn_scenario(num_aps=9, ring_size=3, horizon=80.0, seed=5)
-        assert a.final_membership == b.final_membership
-        assert a.events_processed == b.events_processed
+        a, _, changes_a = _run_churn(9, 3, horizon=80.0, seed=5)
+        b, _, changes_b = _run_churn(9, 3, horizon=80.0, seed=5)
+        assert changes_a == changes_b
+        assert a.global_membership().guids() == b.global_membership().guids()
 
     def test_conferencing_scenario_keeps_roster_intact(self):
-        result = run_conferencing_scenario(
-            num_aps=12, ring_size=4, participants=15, handoffs=25, locality=0.9, seed=4
+        """A mobile video-conference: participants join, then a
+        high-locality handoff storm moves them between cells."""
+        sim = RGBSimulation(
+            SimulationConfig(num_aps=12, ring_size=4, hosts_per_ap=0, seed=4)
+        ).build()
+        aps = sim.access_proxies()
+        attachment = {f"conf-{i:04d}": aps[i % len(aps)] for i in range(15)}
+        for guid, ap in attachment.items():
+            sim.join_member(ap_id=ap, guid=guid)
+        sim.run_until_quiescent()
+        neighbor_map = {
+            ap: [str(n) for n in sim.ring_of(ap).members if str(n) != ap] for ap in aps
+        }
+        storm = HandoffStorm(
+            attachment=attachment, neighbor_map=neighbor_map, handoffs=25, locality=0.9, seed=4
         )
-        assert result.final_membership == 15
-        stats = result.details["handoff_stats"]
+        for event in storm.generate():
+            sim.handoff_member(event.member, event.to_ap)
+            sim.run_until_quiescent()
+        assert len(sim.global_membership()) == 15
+        stats = sim.handoff_statistics()
         assert stats["handoffs"] == 25
         # High-locality storms mostly hit the neighbour-list fast path.
         assert stats["fast_path_ratio"] > 0.5
-        assert set(result.details["query_hops"]) == {s.value for s in MembershipScheme}
+        for scheme in MembershipScheme:
+            assert sim.query(scheme).message_hops >= 0
 
 
 class TestEngineEquivalence:
@@ -96,14 +137,14 @@ class TestEngineEquivalence:
                     engine.member_leave(location.pop(guid), guid)
                 else:
                     sim.fail_member(guid)
-                    engine.member_failure(location.pop(guid), guid)
+                    engine.kernel.fail_member(guid, location.pop(guid), now=0.0)
             elif kind == "handoff" and members:
                 guid = members[pick % len(members)]
                 to_ap = aps[target % len(aps)]
                 if to_ap == location[guid]:
                     continue
                 sim.handoff_member(guid, to_ap)
-                engine.member_handoff(guid, location[guid], to_ap)
+                engine.kernel.handoff(guid, to_ap, location[guid], now=0.0)
                 location[guid] = to_ap
             elif kind == "crash":
                 # Any entity outside the top ring whose ring keeps at least
@@ -135,7 +176,7 @@ class TestEngineEquivalence:
         sim.run_until_quiescent()
         engine.propagate()
         sim.handoff_member("alice", aps[5])
-        engine.member_handoff("alice", aps[0], aps[5])
+        engine.kernel.handoff("alice", aps[5], aps[0], now=0.0)
         sim.run_until_quiescent()
         engine.propagate()
         sim.leave_member("bob")

@@ -116,14 +116,16 @@ def _run_trace(trace, per_op: bool) -> dict:
             members.append((f"m-{index:03d}", ap))
         elif kind in ("leave", "failure") and members:
             guid, ap = members.pop(pick % len(members))
-            capture = engine.member_leave if kind == "leave" else engine.member_failure
-            capture(ap, guid)
+            if kind == "leave":
+                engine.member_leave(ap, guid)
+            else:
+                engine.kernel.fail_member(guid, ap, now=0.0)
         elif kind == "handoff" and members:
             slot = pick % len(members)
             guid, old_ap = members[slot]
             new_ap = aps[(pick // 7) % len(aps)]
             if new_ap != old_ap:
-                engine.member_handoff(guid, old_ap, new_ap)
+                engine.kernel.handoff(guid, new_ap, old_ap, now=0.0)
                 members[slot] = (guid, new_ap)
         elif kind == "crash":
             upper = [
@@ -192,11 +194,13 @@ class TestBatchedEquivalenceInEngines:
         moves = [(f"m-{i}", aps[i], aps[(i + 1) % len(aps)]) for i in range(3)]
         for guid, from_ap, to_ap in moves:
             manager.classify(guid, from_ap, to_ap, now=1.0)
-        engine.capture_many([("handoff", *move) for move in moves], now=1.0)
+        for guid, from_ap, to_ap in moves:
+            engine.kernel.handoff(guid, to_ap, from_ap, now=1.0)
         report = engine.propagate(now=1.0)
-        sequential = sum(
-            one_by_one.handoff_and_propagate(*move, now=1.0).round_count for move in moves
-        )
+        sequential = 0
+        for guid, from_ap, to_ap in moves:
+            one_by_one.kernel.handoff(guid, to_ap, from_ap, now=1.0)
+            sequential += one_by_one.propagate(now=1.0).round_count
         # The storm aggregates into shared rounds.
         assert 0 < report.round_count < sequential
         assert manager.stats.total == 3

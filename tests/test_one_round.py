@@ -5,15 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.scalability import hcn_ring
-from repro.core.config import ProtocolConfig
 from repro.core.hierarchy import HierarchyBuilder
 from repro.core.identifiers import NodeId
 from repro.core.one_round import OneRoundEngine, ProtocolError
 
 
-def engine_for(ring_size=3, height=2, **config_kwargs) -> OneRoundEngine:
+def engine_for(ring_size=3, height=2) -> OneRoundEngine:
     hierarchy = HierarchyBuilder("g").regular(ring_size=ring_size, height=height)
-    return OneRoundEngine(hierarchy, config=ProtocolConfig(**config_kwargs))
+    return OneRoundEngine(hierarchy)
 
 
 class TestSingleJoinPropagation:
@@ -67,16 +66,7 @@ class TestSingleJoinPropagation:
         engine = engine_for(ring_size=3, height=2)
         engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
         report = engine.propagate()
-        assert report.rings_involved == set(engine.hierarchy.rings)
-
-    def test_without_downward_dissemination_only_the_upward_path_is_involved(self):
-        engine = engine_for(ring_size=3, height=2, disseminate_downward=False)
-        engine.member_join(engine.hierarchy.access_proxies()[0], "alice")
-        report = engine.propagate()
-        # Only the origin AP ring and the topmost ring circulate the change.
-        assert len(report.rings_involved) == 2
-        assert report.hop_count < hcn_ring(2, 3)
-        assert engine.global_guids() == ["alice"]
+        assert {r.ring_id for r in report.rounds} == set(engine.hierarchy.rings)
 
 
 class TestLeaveHandoffFailure:
@@ -95,7 +85,7 @@ class TestLeaveHandoffFailure:
         ap = engine.hierarchy.access_proxies()[0]
         engine.member_join(ap, "alice")
         engine.propagate()
-        engine.member_failure(ap, "alice")
+        engine.kernel.fail_member("alice", ap, now=0.0)
         engine.propagate()
         assert engine.global_guids() == []
 
@@ -106,7 +96,7 @@ class TestLeaveHandoffFailure:
         assert engine.hierarchy.ring_of(old_ap).ring_id != engine.hierarchy.ring_of(new_ap).ring_id
         engine.member_join(old_ap, "alice")
         engine.propagate()
-        engine.member_handoff("alice", old_ap, new_ap)
+        engine.kernel.handoff("alice", new_ap, old_ap, now=0.0)
         engine.propagate()
         assert engine.global_guids() == ["alice"]
         record = engine.entity(new_ap).local_members.get("alice")
@@ -119,7 +109,7 @@ class TestLeaveHandoffFailure:
         a, b = ring.members[0], ring.members[1]
         engine.member_join(a, "alice")
         engine.propagate()
-        engine.member_handoff("alice", a, b)
+        engine.kernel.handoff("alice", b, a, now=0.0)
         engine.propagate()
         assert "alice" in engine.entity(a).neighbor_members.guids()
         assert "alice" in engine.entity(b).local_members.guids()
@@ -130,7 +120,7 @@ class TestLeaveHandoffFailure:
         engine.member_join(aps[0], "alice")
         engine.propagate()
         before = engine.global_membership()[0]
-        engine.member_handoff("alice", aps[0], aps[1])
+        engine.kernel.handoff("alice", aps[1], aps[0], now=0.0)
         engine.propagate()
         after = engine.global_membership()[0]
         assert before.guid == after.guid
@@ -203,9 +193,9 @@ class TestEntityFailureRepair:
         # Fail a middle-tier node that parents an AP ring.
         middle_ring = engine.hierarchy.rings_in_tier(2)[0]
         victim = next(
-            node for node in middle_ring.members if engine.hierarchy.children_of_node(node)
+            node for node in middle_ring.members if engine.hierarchy.child_rings.get(node)
         )
-        orphan_rings = engine.hierarchy.children_of_node(victim)
+        orphan_rings = list(engine.hierarchy.child_rings[victim])
         engine.fail_entity(victim)
         engine.detect_and_repair(victim)
         for ring_id in orphan_rings:
@@ -257,7 +247,7 @@ class TestRoundMechanics:
         holder = ring.members[0]
         one_round_engine.member_join(holder, "alice")
         one_round_engine.run_round(ring.ring_id, holder=holder)
-        assert one_round_engine._ring_holder[ring.ring_id] == ring.successor(holder)
+        assert one_round_engine.kernel._ring_holder[ring.ring_id] == ring.successor(holder)
 
     def test_events_observed_at_top_leader(self):
         engine = engine_for(ring_size=3, height=2)
@@ -287,7 +277,7 @@ class TestKnownFaults:
         engine = engine_for(ring_size=3, height=3)
         aps = engine.hierarchy.access_proxies()
         engine.member_join(aps[9], "m-000")
-        engine.member_handoff("m-000", aps[9], aps[0])
+        engine.kernel.handoff("m-000", aps[0], aps[9], now=0.0)
         engine.member_leave(aps[0], "m-000")
         engine.propagate()
         assert [str(m.guid) for m in engine.global_membership()] == []
@@ -302,7 +292,7 @@ class TestKnownFaults:
         engine = engine_for(ring_size=3, height=3)
         engine.member_join("L1-0006-0000", "m-000")
         engine.propagate()
-        engine.member_handoff("m-000", "L1-0006-0000", "L1-0000-0000")
+        engine.kernel.handoff("m-000", "L1-0000-0000", "L1-0006-0000", now=0.0)
         engine.fail_entity("L3-0002")
         engine.propagate()
         assert engine.ring_agreement("ring-T1-0006")

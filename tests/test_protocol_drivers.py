@@ -126,7 +126,8 @@ class TestCrossProtocolConvergence:
             driver.join(sites[3], "late")
             driver.leave(MEMBERS[0])
             assert driver.global_agreement(), f"{name} disagrees after crash"
-            assert sites[1] not in driver.operational_sites()
+            # A crashed site captures nothing: a join there is skipped.
+            assert not driver.join(sites[1], "at-crashed-site").applied
             results[name] = frozenset(driver.members())
         assert len(set(results.values())) == 1, f"membership diverged: {results}"
         survivors = next(iter(results.values()))

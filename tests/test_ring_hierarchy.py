@@ -67,11 +67,6 @@ class TestLogicalRing:
         assert ring.leader is None
         assert ring.elect_leader() == NodeId("a")  # smallest surviving id
 
-    def test_edge_count(self):
-        assert ring_of("a").edge_count() == 0
-        assert ring_of("a", "b").edge_count() == 2
-        assert ring_of("a", "b", "c", "d", "e").edge_count() == 5
-
     def test_functions_well_with_at_most_one_fault(self):
         ring = ring_of("a", "b", "c", "d")
         assert ring.functions_well(["a", "b", "c", "d"])
@@ -133,14 +128,15 @@ class TestRegularHierarchy:
     def test_children_of_node(self, deep_hierarchy):
         top = deep_hierarchy.topmost_ring()
         for node in top.members:
-            child_ring_ids = deep_hierarchy.children_of_node(node)
+            child_ring_ids = deep_hierarchy.child_rings[node]
             assert len(child_ring_ids) == 1
             assert deep_hierarchy.ring(child_ring_ids[0]).tier == top.tier - 1
 
     def test_logical_edge_count(self):
         hierarchy = HierarchyBuilder("g").regular(ring_size=3, height=2)
         # 4 rings of 3 edges each + 3 leader->parent links.
-        assert hierarchy.logical_edge_count() == 4 * 3 + 3
+        ring_edges = sum(len(ring.members) for ring in hierarchy.rings.values())
+        assert ring_edges + len(hierarchy.parent_node) == 4 * 3 + 3
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -228,5 +224,8 @@ class TestHierarchyValidationAndEntities:
     def test_children_are_child_ring_leaders(self, deep_hierarchy):
         states = deep_hierarchy.build_entity_states()
         for node, state in states.items():
-            expected = set(deep_hierarchy.child_leaders(node))
+            expected = {
+                deep_hierarchy.rings[ring_id].leader
+                for ring_id in deep_hierarchy.child_rings.get(node, ())
+            }
             assert set(state.children) == expected

@@ -24,8 +24,7 @@ NODES = ["n0", "n1", "n2", "n3", "n4"]
 
 def build_injector(streams: RandomStreams) -> FaultInjector:
     network = Network()
-    for name in NODES:
-        network.add_node(NetworkNode(node_id=name, kind="AP"))
+    network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in NODES)
     for a, b in zip(NODES, NODES[1:]):
         network.add_link(a, b, INTRA_AS)
     return FaultInjector(SimulationEngine(), network, streams)

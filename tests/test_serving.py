@@ -288,12 +288,12 @@ class TestSnapshotEqualsObjectPath:
                 location[guid] = ap
             elif kind == "handoff":
                 if location[guid] != ap:
-                    engine.member_handoff(guid, location[guid], ap)
+                    engine.kernel.handoff(guid, ap, location[guid], now=0.0)
                     location[guid] = ap
             elif kind == "leave":
                 engine.member_leave(location.pop(guid), guid)
             else:
-                engine.member_failure(location.pop(guid), guid)
+                engine.kernel.fail_member(guid, location.pop(guid), now=0.0)
             read()
             for ring_id in engine.pending_rings()[:rounds_between]:
                 engine.run_round(ring_id)

@@ -80,7 +80,8 @@ class TestFaultInjector:
         injector = FaultInjector(engine, small_network, streams)
         seen = []
         injector.on_fault(lambda event: seen.append(event.kind))
-        injector.inject_now(FaultEvent(time=0.0, kind=FaultKind.CRASH, target="c"))
+        injector.apply_plan(FaultPlan().crash("c"))
+        engine.run()
         assert seen == [FaultKind.CRASH]
         assert injector.metrics.counter("faults.crash").value == 1
 
@@ -145,7 +146,7 @@ class TestMobilityModel:
 
     def test_events_for_host(self):
         trace = self._model().generate_population(5, 1.0)
-        events = trace.events_for_host("mh-00002")
+        events = [e for e in trace.all_events() if e.host_id == "mh-00002"]
         assert events and all(e.host_id == "mh-00002" for e in events)
 
     def test_invalid_parameters(self):

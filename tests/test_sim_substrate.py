@@ -277,13 +277,6 @@ class TestMetrics:
         assert snap["counter.sent"] == 3
         assert snap["histogram.lat"]["count"] == 1
 
-    def test_merge_counters(self):
-        registry = MetricRegistry()
-        registry.merge_counters({"a": 2, "b": 3})
-        registry.merge_counters({"a": 1})
-        assert registry.counter("a").value == 3
-        assert registry.counter("b").value == 3
-
 
 # ---------------------------------------------------------------------------
 # TraceRecorder
@@ -295,36 +288,12 @@ class TestTraceRecorder:
         trace = TraceRecorder()
         trace.record(1.0, "token", "ap-1", "token passed", hops=3)
         assert len(trace) == 1
-        assert trace.events[0].detail("hops") == 3
+        assert trace.events[0].details == (("hops", 3),)
 
     def test_disabled_recorder_is_noop(self):
         trace = TraceRecorder(enabled=False)
         trace.record(1.0, "token", "ap-1", "x")
         assert len(trace) == 0
-
-    def test_capacity_drops_extra_records(self):
-        trace = TraceRecorder(capacity=2)
-        for i in range(5):
-            trace.record(float(i), "cat", "actor", "msg")
-        assert len(trace) == 2
-        assert trace.dropped == 3
-
-    def test_filter_by_category_and_actor(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "token", "a", "x")
-        trace.record(2.0, "fault", "b", "y")
-        trace.record(3.0, "token", "b", "z")
-        assert len(trace.filter(category="token")) == 2
-        assert len(trace.filter(actor="b")) == 2
-        assert len(trace.filter(category="token", actor="b")) == 1
-        assert len(trace.filter(predicate=lambda e: e.time > 1.5)) == 2
-
-    def test_categories_histogram(self):
-        trace = TraceRecorder()
-        trace.record(1.0, "a", "x", "m")
-        trace.record(2.0, "a", "x", "m")
-        trace.record(3.0, "b", "x", "m")
-        assert trace.categories() == {"a": 2, "b": 1}
 
     def test_format_limits_output(self):
         trace = TraceRecorder()

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.query import MembershipScheme
 from repro.core.simulation import RGBSimulation, SimulationNotBuilt
+from repro.sim.mobility import HandoffEvent, MobilityModel
+from repro.sim.rng import RandomStreams
 from repro.workloads.churn import ChurnKind, ChurnWorkload
 from repro.workloads.handoffs import HandoffStorm
 from repro.workloads.queries import QueryWorkload
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestFacadeConstruction:
@@ -113,39 +108,35 @@ class TestFacadeOperations:
     def test_metric_snapshot_has_round_counters(self, sim):
         sim.join_member(ap_index=0)
         sim.run_until_quiescent()
-        snapshot = sim.metric_snapshot()
+        snapshot = sim.metrics.snapshot()
         assert snapshot["counter.rounds.completed"] > 0
+
+    def test_mobility_trace_replay(self, sim):
+        """A generated mobility trace over the participating proxies replays
+        through the facade's join / handoff / leave verbs."""
+        model = MobilityModel(
+            sim.access_proxies(), RandomStreams(0), mean_residency=50.0, mean_session=150.0
+        )
+        trace = model.generate_population(num_hosts=5, arrival_rate=1.0, horizon=200.0)
+        joins = leaves = 0
+        for event in trace.all_events():
+            if isinstance(event, HandoffEvent):
+                sim.handoff_member(event.host_id, event.to_ap)
+            elif event.attach:
+                sim.join_member(ap_id=event.ap_id, guid=event.host_id)
+                joins += 1
+            else:
+                sim.leave_member(event.host_id)
+                leaves += 1
+            sim.run_until_quiescent()
+        assert joins == 5
+        assert joins - leaves == len(sim.global_membership())
 
     def test_ap_index_out_of_range(self, sim):
         with pytest.raises(ValueError):
             sim.join_member(ap_index=99)
         with pytest.raises(ValueError):
             sim.join_member(ap_id="not-an-ap")
-
-    def test_mobility_trace_replay(self, sim):
-        model = sim.default_mobility_model(mean_residency=50.0, mean_session=150.0)
-        trace = model.generate_population(num_hosts=5, arrival_rate=1.0, horizon=200.0)
-        counts = sim.apply_mobility_trace(trace)
-        assert counts["joins"] == 5
-        assert counts["joins"] - counts["leaves"] == len(sim.global_membership())
-
-    def test_foreign_ap_fallback_is_stable_across_processes(self):
-        """A trace naming a non-participating proxy replays onto the same
-        proxy in every process, whatever the interpreter's hash seed."""
-        script = (
-            "from repro import RGBSimulation, SimulationConfig\n"
-            "sim = RGBSimulation(SimulationConfig(num_aps=25, ring_size=5, hosts_per_ap=0))\n"
-            "print(sim.build()._nearest_participating('ap-999-000-000'))\n"
-        )
-        proxies = set()
-        for hash_seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-            out = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-            )
-            proxies.add(out.stdout.strip())
-        assert len(proxies) == 1 and proxies.pop().startswith("ap-")
 
 
 class TestWorkloads:
@@ -160,9 +151,8 @@ class TestWorkloads:
             else:
                 assert event.member in population
                 population.remove(event.member)
-        summary = ChurnWorkload.summarize(events)
-        assert summary["total"] == len(events)
-        assert summary["join"] >= summary["leave"] + summary["failure"]
+        joins = sum(event.kind is ChurnKind.JOIN for event in events)
+        assert joins >= len(events) - joins
 
     def test_churn_events_are_time_ordered(self):
         events = ChurnWorkload(ap_ids=["a"], join_rate=2.0, horizon=50.0, seed=1).generate()
@@ -184,7 +174,7 @@ class TestWorkloads:
         )
         events = storm.generate()
         assert events
-        assert HandoffStorm.locality_ratio(events) > 0.9
+        assert sum(event.local for event in events) > 0.9 * len(events)
 
     def test_handoff_storm_moves_members_consistently(self):
         attachment = {"m0": "ap-0", "m1": "ap-1"}

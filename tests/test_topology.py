@@ -10,25 +10,26 @@ from repro.topology.architecture import (
     AccessNetworkKind,
     TopologySpec,
 )
-from repro.topology.generator import TopologyGenerator, generate_regular_topology
+from repro.topology.generator import TopologyGenerator
 from repro.topology.rendering import render_architecture, render_hierarchy, render_tier_counts
-from repro.topology.wireless import access_network_profile, all_profiles
+from repro.topology.wireless import access_network_profile
 
 
 class TestTopologySpec:
     def test_derived_sizes(self):
         spec = TopologySpec(num_border_routers=2, ags_per_br=3, aps_per_ag=4, hosts_per_ap=5)
-        assert spec.num_access_gateways == 6
-        assert spec.num_access_proxies == 24
-        assert spec.num_mobile_hosts == 120
+        counts = TopologyGenerator(spec, RandomStreams(0)).generate().architecture.tier_counts()
+        assert counts["access_gateways"] == 6
+        assert counts["access_proxies"] == 24
+        assert counts["mobile_hosts"] == 120
 
     def test_regular_height_two(self):
         spec = TopologySpec.regular(ring_size=5, height=2)
-        assert spec.num_access_proxies == 25
+        assert spec.num_border_routers * spec.ags_per_br * spec.aps_per_ag == 25
 
     def test_regular_height_three(self):
         spec = TopologySpec.regular(ring_size=5, height=3)
-        assert spec.num_access_proxies == 125
+        assert spec.num_border_routers * spec.ags_per_br * spec.aps_per_ag == 125
 
     def test_invalid_mix_rejected(self):
         with pytest.raises(ValueError):
@@ -49,8 +50,8 @@ class TestTopologySpec:
 
 class TestWirelessProfiles:
     def test_all_kinds_have_profiles(self):
-        profiles = all_profiles()
-        assert set(profiles) == set(AccessNetworkKind)
+        for kind in AccessNetworkKind:
+            assert access_network_profile(kind).kind is kind
 
     def test_satellite_has_highest_latency(self):
         sat = access_network_profile(AccessNetworkKind.SATELLITE)
@@ -108,14 +109,15 @@ class TestTopologyGenerator:
 
     def test_ap_neighbors_are_same_gateway_aps(self, small_topology):
         arch = small_topology.architecture
-        neighbors = arch.ap_neighbors()
-        for ap, others in neighbors.items():
-            assert ap not in others
-            for other in others:
-                assert arch.ap_parent[other] == arch.ap_parent[ap]
+        for ap, ag in arch.ap_parent.items():
+            siblings = arch.aps_of_ag(ag)
+            assert ap in siblings
+            for other in siblings:
+                assert arch.ap_parent[other] == ag
 
     def test_generate_regular_topology_sizes(self):
-        topo = generate_regular_topology(ring_size=3, height=3)
+        spec = TopologySpec.regular(ring_size=3, height=3)
+        topo = TopologyGenerator(spec, RandomStreams(0)).generate()
         assert len(topo.access_proxies) == 27
         assert len(topo.border_routers) == 3
 
