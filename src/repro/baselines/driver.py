@@ -552,8 +552,7 @@ class RGBRingProtocol(BaseProtocolDriver):
             diff("transport.sent") + diff("hops.token") + diff("messages.holder_ack")
         )
         rounds = diff("rounds.completed")
-        retrans = diff("transport.retransmissions") + diff("harness.notify_resends")
-        return hops, messages, rounds, retrans
+        return hops, messages, rounds, diff("harness.notify_resends")
 
     def _drive(self, schedule) -> Tuple[int, int, int, int]:
         before = self._snapshot()

@@ -1,14 +1,13 @@
 """Fault injection.
 
 The paper's reliability model (Section 5.2) assumes node faults with uniform
-and independent probability ``f`` and folds link faults into node faults.
-The injector supports:
+and independent probability ``f`` and folds link faults into node faults, so
+the injector has node faults only:
 
 * **Crash faults** — the node enters ``FAILED`` and never recovers on its own.
 * **Transient disconnection** — the node enters ``DISCONNECTED`` and recovers
   after a configurable downtime (the paper's "temporary disconnection" of
   mobile hosts).
-* **Link faults** — an individual link goes down (and optionally comes back).
 
 Faults can be injected three ways: a pre-computed :class:`FaultPlan` (used by
 Monte-Carlo reliability trials where each node is faulted with probability
@@ -38,17 +37,14 @@ class FaultKind(enum.Enum):
     CRASH = "crash"
     DISCONNECT = "disconnect"
     RECONNECT = "reconnect"
-    LINK_DOWN = "link-down"
-    LINK_UP = "link-up"
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """A single scheduled fault.
 
-    ``target`` is a node id for node faults or an ``(a, b)`` tuple for link
-    faults.  ``duration`` only applies to DISCONNECT / LINK_DOWN events with
-    automatic recovery; ``None`` means no automatic recovery.
+    ``target`` is a node id.  ``duration`` only applies to DISCONNECT events
+    with automatic recovery; ``None`` means no automatic recovery.
     """
 
     time: float
@@ -79,11 +75,6 @@ class FaultPlan:
     def disconnect(self, node_id: str, time: float, duration: Optional[float] = None) -> "FaultPlan":
         return self.add(
             FaultEvent(time=time, kind=FaultKind.DISCONNECT, target=node_id, duration=duration)
-        )
-
-    def link_down(self, a: str, b: str, time: float, duration: Optional[float] = None) -> "FaultPlan":
-        return self.add(
-            FaultEvent(time=time, kind=FaultKind.LINK_DOWN, target=(a, b), duration=duration)
         )
 
     def sorted_events(self) -> List[FaultEvent]:
@@ -180,19 +171,6 @@ class FaultInjector:
             # A crashed node does not silently come back; only disconnections heal.
             if node.state is NodeState.DISCONNECTED:
                 self.network.set_node_state(str(event.target), NodeState.UP)
-        elif event.kind is FaultKind.LINK_DOWN:
-            a, b = event.target  # type: ignore[misc]
-            self.network.set_link_state(a, b, up=False)
-            if event.duration is not None:
-                recover = FaultEvent(
-                    time=self.engine.now + event.duration,
-                    kind=FaultKind.LINK_UP,
-                    target=event.target,
-                )
-                self._schedule(recover)
-        elif event.kind is FaultKind.LINK_UP:
-            a, b = event.target  # type: ignore[misc]
-            self.network.set_link_state(a, b, up=True)
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown fault kind {event.kind}")
 

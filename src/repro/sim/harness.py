@@ -14,9 +14,10 @@ that gap:
   :class:`repro.core.kernel.MessageDispatch` seam is bound to a
   :class:`TransportDispatch` that turns Notification-to-Parent/Child into
   real :class:`repro.sim.transport.Transport` messages subject to
-  configurable latency and per-link loss.  Lost notifications are re-sent
-  with backoff until they land (the paper's retransmission masking), so a
-  lossy run converges to the same membership view as a lossless one.
+  configurable latency and loss.  Each send is one datagram, delivered once
+  or dropped; the notifier re-sends an unacknowledged notification after a
+  wait (the paper's retransmission masking, and the only retransmitter), so
+  a lossy run converges to the same membership view as a lossless one.
   Token hops and Holder-Acknowledgements change no receiver's state, so
   they never reach the transport: the kernel counts them (``hops.token``,
   ``messages.holder_ack``).
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.core.config import ProtocolConfig
 from repro.core.delivery import Notification, ReliableNotifier
@@ -79,10 +80,10 @@ class HarnessConfig:
     seed:
         Master seed for every named random stream of the run.
     loss:
-        Per-link message loss probability (each logical edge of the harness
-        network is one link; leader→parent paths are usually one link).
+        Probability that one notification send is lost (one logical hop,
+        one draw).
     latency_mean, latency_std:
-        Per-link delay distribution.  ``latency_std=0`` makes delays
+        Delay distribution of one send.  ``latency_std=0`` makes delays
         deterministic, which the golden-trace suite relies on.
     resend_limit, resend_backoff:
         Dispatch-level reliability: how often (and how spaced) an undelivered
@@ -173,8 +174,8 @@ class TransportDispatch(MessageDispatch):
     receiving handler confirms insertion, reroute when an endpoint crashed,
     give up after ``resend_limit`` attempts at a live target) are the shared
     :class:`repro.core.delivery.ReliableNotifier`, ``notifier``.  Here is only
-    what is the simulator's: the ``transport.send`` call with its ``no-path``
-    recovery link, and the arrival-time-plus-backoff wait.
+    what is the simulator's: the ``transport.send`` call and the
+    arrival-time-plus-backoff wait.
     """
 
     def __init__(self, harness: "ScenarioHarness") -> None:
@@ -217,12 +218,6 @@ class TransportDispatch(MessageDispatch):
         source, destination = str(entry.sender), str(entry.target)
         payload = {"dispatch_id": notify_id, "sender": source, "operations": entry.operations}
         receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload)
-        if not receipt.accepted and receipt.reason == "no-path":
-            # The minimal link graph lost its route (e.g. repair re-attached a
-            # ring under a new parent).  The underlying IP network routes
-            # anywhere, so materialise a recovery link and retry immediately.
-            harness._ensure_link(source, destination)
-            receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload)
         if receipt.accepted and receipt.expected_delivery is not None:
             return (receipt.expected_delivery - harness.engine.now) + harness.config.resend_backoff
         return harness.config.resend_backoff
@@ -250,15 +245,16 @@ class TopologySnapshot:
     hands each cell its own private, mutable copy — identical to a fresh
     build bit for bit (interned identifiers re-intern on load) — so a matrix
     sweep builds each distinct shape once instead of once per loss-rate ×
-    scenario cell.  Entity states and the link network are deliberately *not*
+    scenario cell.  Entity states and the network's nodes are deliberately *not*
     frozen: they derive deterministically from the hierarchy through bulk
     paths that are faster than unpickling their object graphs, so each cell
     rebuilds them from its rehydrated hierarchy.
 
     Invalidation rules: a snapshot is keyed by ``(ring_size, height)`` only,
     because everything else a cell varies (loss, latency, seed, scenario,
-    trace) lives outside the pickled state — the network is built per cell
-    with the cell's latency model and all RNG draws happen after rehydration.
+    trace) lives outside the pickled state — the network and the transport's
+    latency model are built per cell and all RNG draws happen after
+    rehydration.
     Anything that changes the *built structure* (builder logic, ring layout)
     invalidates by construction: snapshots are process-local, never persisted
     to disk, and rebuilt on first use by every new process.  A cell on the
@@ -279,9 +275,10 @@ def build_topology_snapshot(ring_size: int, height: int) -> TopologySnapshot:
     return TopologySnapshot(ring_size=ring_size, height=height, payload=payload)
 
 
-def _build_harness_network(hierarchy: RingHierarchy, latency: LatencyModel) -> Network:
-    """One network node per hierarchy entity; links mirror the logical
-    edges the protocol uses (ring circulation + member↔parent)."""
+def _build_harness_network(hierarchy: RingHierarchy) -> Network:
+    """One network node per hierarchy entity; its state is what the fault
+    injector changes and the transport reads.  There are no links: a send
+    between two live entities is one logical hop."""
     network = Network()
     bottom = hierarchy.bottom_tier()
     top = hierarchy.top_tier()
@@ -291,26 +288,6 @@ def _build_harness_network(hierarchy: RingHierarchy, latency: LatencyModel) -> N
             NetworkNode(node_id=node.value, kind=kind, tier=ring.tier)
             for node in ring.members
         )
-    links: List[Tuple[str, str, LatencyModel]] = []
-    have = set()
-    link_key = Network._link_key
-    for ring_id, ring in hierarchy.rings.items():
-        members = ring.members
-        if len(members) > 1:
-            for index, node in enumerate(members):
-                succ = members[(index + 1) % len(members)]
-                key = link_key(node.value, succ.value)
-                if key not in have:
-                    have.add(key)
-                    links.append((node.value, succ.value, latency))
-        parent = hierarchy.parent_node.get(ring_id)
-        if parent is not None:
-            for node in members:
-                key = link_key(parent.value, node.value)
-                if key not in have:
-                    have.add(key)
-                    links.append((parent.value, node.value, latency))
-    network.add_links(links)
     return network
 
 
@@ -356,16 +333,12 @@ class ScenarioHarness:
                 )
             self.hierarchy: RingHierarchy = hierarchy
             states = hierarchy.build_entity_states()
-            self._latency = LatencyModel(
-                mean=cfg.latency_mean,
-                std=cfg.latency_std,
-                loss=cfg.loss,
-            )
-            self.network = _build_harness_network(hierarchy, self._latency)
+            self.network = _build_harness_network(hierarchy)
         self.transport = Transport(
             self.engine,
             self.network,
             self.streams,
+            LatencyModel(mean=cfg.latency_mean, std=cfg.latency_std, loss=cfg.loss),
             metrics=self.metrics,
             trace=self.trace,
         )
@@ -407,15 +380,6 @@ class ScenarioHarness:
         self._round_listeners: List[Callable[[str, float], None]] = []
         # Partition counts recorded by schedule_partition_probe, in time order.
         self.partition_probes: List[int] = []
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    def _ensure_link(self, a: str, b: str) -> None:
-        if not self.network.has_link(a, b):
-            self.network.add_link(a, b, self._latency)
-            self.metrics.counter("harness.recovery_links").increment()
 
     # ------------------------------------------------------------------
     # structural information
@@ -601,7 +565,7 @@ class ScenarioHarness:
 
     def _on_fault(self, event: FaultEvent) -> None:
         if event.kind is not FaultKind.CRASH:
-            return  # disconnections/link faults act purely at the network level
+            return  # disconnections act purely at the network level
         key = coerce_node(str(event.target))
         if key not in self.kernel.entities or key in self.kernel.failed:
             return

@@ -2,17 +2,21 @@
 
 The transport connects protocol endpoints (anything exposing an
 ``on_message(message)`` callable registered with :meth:`Transport.register`)
-through the :class:`repro.sim.network.Network`.  Sending a message:
+between the nodes of a :class:`repro.sim.network.Network`.  A message between
+two live nodes is a datagram:
 
-1. resolves the current shortest usable path between the two nodes,
-2. samples latency and loss per link along that path,
-3. schedules delivery on the :class:`repro.sim.engine.SimulationEngine`, and
-4. records counters (messages sent / delivered / dropped, physical and
-   logical hops) in the :class:`repro.sim.stats.MetricRegistry`.
+1. one draw of delay and one draw of loss from the transport's
+   :class:`repro.sim.network.LatencyModel`;
+2. a loss drops it (``transport.dropped.lost``) and is never retried here —
+   masking loss is the protocol layer's job, as on the live wire;
+3. otherwise delivery is scheduled on the
+   :class:`repro.sim.engine.SimulationEngine`, and counters (messages sent /
+   delivered / dropped, logical hops) land in the
+   :class:`repro.sim.stats.MetricRegistry`.
 
 The paper's scalability metric counts *logical* hops — one logical hop per
-protocol message between two network entities regardless of the physical path
-length — so the transport tracks both.  In the scenario harness every
+protocol message between two network entities — so the transport does no
+routing.  In the scenario harness every
 message is a Notification-to-Parent/Child: token hops and
 Holder-Acknowledgements change no receiver's state, so the kernel counts them
 (``hops.token``, ``messages.holder_ack``) and they never reach the transport.
@@ -25,15 +29,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.network import Network, NodeState
+from repro.sim.network import LatencyModel, Network, NodeState
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry
 from repro.sim.trace import TraceRecorder
 
 MessageHandler = Callable[["Message"], None]
-
-#: Delay added after each lost transmission before its retransmission.
-RETRY_BACKOFF = 5.0
 
 
 class TransportError(RuntimeError):
@@ -79,14 +80,12 @@ class Transport:
     ----------
     engine, network, streams:
         The shared simulation substrate.
+    latency:
+        The delay and loss of one transmission between any two nodes.
     metrics:
-        Registry receiving transport counters and hop histograms.
+        Registry receiving transport counters and the latency histogram.
     trace:
         Optional trace recorder for per-message records.
-    default_retries:
-        Number of automatic retransmissions when a transmission is lost.
-        The paper assumes "token retransmission schemes" detect and mask
-        single losses, so the default is 2.
     """
 
     def __init__(
@@ -94,15 +93,15 @@ class Transport:
         engine: SimulationEngine,
         network: Network,
         streams: RandomStreams,
+        latency: LatencyModel,
         metrics: Optional[MetricRegistry] = None,
         trace: Optional[TraceRecorder] = None,
-        default_retries: int = 2,
     ) -> None:
         self.engine = engine
         self.network = network
+        self.latency = latency
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        self.default_retries = default_retries
         self._rng = streams.stream("transport")
         self._handlers: Dict[str, MessageHandler] = {}
         self._message_ids = itertools.count(1)
@@ -111,9 +110,7 @@ class Transport:
         self._c_sent = self.metrics.counter("transport.sent")
         self._c_logical = self.metrics.counter("transport.logical_hops")
         self._c_delivered = self.metrics.counter("transport.delivered")
-        self._c_retrans = self.metrics.counter("transport.retransmissions")
         self._c_dropped = self.metrics.counter("transport.dropped")
-        self._h_physical = self.metrics.histogram("transport.physical_hops")
         self._h_latency = self.metrics.histogram("transport.latency")
         self._sent_by_type: Dict[str, Any] = {}
 
@@ -157,7 +154,7 @@ class Transport:
 
         if source == destination:
             # Local delivery: no network traversal, immediate dispatch.
-            self._schedule_delivery(message, delay=0.0, physical_hops=0)
+            self._schedule_delivery(message, delay=0.0)
             return DeliveryReceipt(message, True, "local", self.engine.now)
 
         source_node = self.network.node(source)
@@ -170,39 +167,11 @@ class Transport:
             self._drop(message, "destination-failed")
             return DeliveryReceipt(message, False, "destination-failed")
 
-        path = self.network.path(source, destination)
-        if path is None:
-            self._drop(message, "no-path")
-            return DeliveryReceipt(message, False, "no-path")
-
-        max_attempts = 1 + self.default_retries
-        delay = 0.0
-        rng = self._rng
-        if len(path) == 2:
-            # Direct link (the overwhelmingly common case on the minimal link
-            # graph): sample the one link's model without building per-hop
-            # lists.  Draw order matches path_latency + path_loses exactly.
-            latency = self.network.link(path[0], path[1]).latency
-            for _attempt in range(max_attempts):
-                delay += latency.sample_delay(rng)
-                if not latency.sample_loss(rng):
-                    return self._accept(message, delay, 1)
-                self._c_retrans.increment()
-                delay += RETRY_BACKOFF
-        else:
-            for _attempt in range(max_attempts):
-                delay += self.network.path_latency(path, rng)
-                if not self.network.path_loses(path, rng):
-                    return self._accept(message, delay, len(path) - 1)
-                self._c_retrans.increment()
-                delay += RETRY_BACKOFF
-
-        self._drop(message, "lost-after-retries")
-        return DeliveryReceipt(message, False, "lost-after-retries")
-
-    def _accept(self, message: Message, delay: float, physical_hops: int) -> DeliveryReceipt:
-        """Account for a transmission that will arrive ``delay`` from now."""
-        self._schedule_delivery(message, delay=delay, physical_hops=physical_hops)
+        delay = self.latency.sample_delay(self._rng)
+        if self.latency.sample_loss(self._rng):
+            self._drop(message, "lost")
+            return DeliveryReceipt(message, False, "lost")
+        self._schedule_delivery(message, delay=delay)
         return DeliveryReceipt(message, True, "scheduled", self.engine.clock.now + delay)
 
     # Kept only because ``bench/tracing.py`` wraps this class attribute by
@@ -211,9 +180,7 @@ class Transport:
 
     # -- delivery -------------------------------------------------------------
 
-    def _schedule_delivery(self, message: Message, delay: float, physical_hops: int) -> None:
-        self._h_physical.observe(physical_hops)
-
+    def _schedule_delivery(self, message: Message, delay: float) -> None:
         def deliver(_engine: SimulationEngine) -> None:
             destination_node = self.network.node(message.destination)
             if not destination_node.is_operational:

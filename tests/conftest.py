@@ -33,20 +33,24 @@ def engine() -> SimulationEngine:
 
 @pytest.fixture
 def small_network() -> Network:
-    """A five-node line-plus-shortcut network used by transport tests."""
+    """A five-node line-plus-shortcut network used by network tests."""
     network = Network()
     network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in "abcde")
-    network.add_link("a", "b", INTRA_AS)
-    network.add_link("b", "c", INTRA_AS)
-    network.add_link("c", "d", INTRA_AS)
-    network.add_link("d", "e", INTRA_AS)
-    network.add_link("a", "e", INTRA_AS)
+    network.add_links((a, b, INTRA_AS) for a, b in ("ab", "bc", "cd", "de", "ae"))
     return network
 
 
 @pytest.fixture
-def transport(engine, small_network, streams) -> Transport:
-    return Transport(engine, small_network, streams)
+def node_network() -> Network:
+    """Five nodes and no links: the transport sends one logical hop."""
+    network = Network()
+    network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in "abcde")
+    return network
+
+
+@pytest.fixture
+def transport(engine, node_network, streams) -> Transport:
+    return Transport(engine, node_network, streams, INTRA_AS)
 
 
 @pytest.fixture

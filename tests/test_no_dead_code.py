@@ -63,8 +63,6 @@ ALLOWED = {
     "test_runtime_unit.py and test_delivery_core.py",
     "uniform_node_faults": "test-only fault generator kept while its four "
     "test_sim_faults_mobility.py::TestFaultPlan tests stay (ROADMAP)",
-    "link_down": "test-only fault, kept with "
-    "test_sim_faults_mobility.py::TestFaultInjector::test_link_down_and_recovery (ROADMAP)",
     "poisson_crashes": "test-only fault process, kept with its "
     "test_sim_faults_mobility.py and test_rng_substreams.py tests (ROADMAP)",
     "transient_disconnections": "test-only fault process, kept with its "

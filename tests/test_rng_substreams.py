@@ -16,7 +16,7 @@ import pytest
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultInjector
 from repro.sim.mobility import MobilityModel
-from repro.sim.network import INTRA_AS, Network, NetworkNode
+from repro.sim.network import Network, NetworkNode
 from repro.sim.rng import RandomStreams
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
@@ -25,8 +25,6 @@ NODES = ["n0", "n1", "n2", "n3", "n4"]
 def build_injector(streams: RandomStreams) -> FaultInjector:
     network = Network()
     network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in NODES)
-    for a, b in zip(NODES, NODES[1:]):
-        network.add_link(a, b, INTRA_AS)
     return FaultInjector(SimulationEngine(), network, streams)
 
 

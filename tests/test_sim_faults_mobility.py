@@ -68,14 +68,6 @@ class TestFaultInjector:
         engine.run()
         assert small_network.node("b").state is NodeState.FAILED
 
-    def test_link_down_and_recovery(self, engine, small_network, streams):
-        injector = FaultInjector(engine, small_network, streams)
-        injector.apply_plan(FaultPlan().link_down("a", "b", time=1.0, duration=3.0))
-        engine.run(until=2.0)
-        assert not small_network.link("a", "b").up
-        engine.run()
-        assert small_network.link("a", "b").up
-
     def test_listeners_are_notified(self, engine, small_network, streams):
         injector = FaultInjector(engine, small_network, streams)
         seen = []

@@ -83,7 +83,7 @@ class TestTopologyGenerator:
         network = small_topology.network
         for mh in arch.mobile_hosts:
             ap = arch.host_attachment[mh]
-            assert network.has_link(mh, ap)
+            assert ap in network.neighbors(mh)
 
     def test_border_routers_fully_meshed(self, small_topology):
         arch = small_topology.architecture
@@ -91,14 +91,14 @@ class TestTopologyGenerator:
         brs = arch.border_routers
         for i, a in enumerate(brs):
             for b in brs[i + 1 :]:
-                assert network.has_link(a, b)
+                assert b in network.neighbors(a)
 
     def test_all_entities_reachable_from_any_br(self, small_topology):
         arch = small_topology.architecture
         network = small_topology.network
-        source = arch.border_routers[0]
-        for ap in arch.access_proxies:
-            assert network.path(source, ap) is not None
+        (component,) = network.connected_components()
+        assert arch.border_routers[0] in component
+        assert set(arch.access_proxies) <= set(component)
 
     def test_deterministic_given_seed(self):
         spec = TopologySpec(num_border_routers=2, ags_per_br=2, aps_per_ag=2, hosts_per_ap=1)
