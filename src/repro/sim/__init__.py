@@ -6,11 +6,12 @@ border routers) is not available, so the protocol runs on this simulator
 instead.  The substrate provides:
 
 * :mod:`repro.sim.engine` — an event-driven scheduler with a virtual clock.
-* :mod:`repro.sim.transport` — message delivery between simulated nodes with
-  per-link latency distributions and loss.
-* :mod:`repro.sim.network` — the node/link graph the transport routes over.
-* :mod:`repro.sim.faults` — crash, transient-disconnect and link-fault
-  injection (the paper folds link faults into node faults; we support both).
+* :mod:`repro.sim.transport` — one-hop message delivery between simulated
+  nodes: one latency draw and one loss draw per send, never retried.
+* :mod:`repro.sim.network` — the nodes whose states the transport reads, and
+  the physical topology's links.
+* :mod:`repro.sim.faults` — crash and transient-disconnect injection (the
+  paper folds link faults into node faults).
 * :mod:`repro.sim.mobility` — handoff/attachment event generation for mobile
   hosts.
 * :mod:`repro.sim.rng` / :mod:`repro.sim.stats` / :mod:`repro.sim.trace` —

@@ -11,7 +11,7 @@ Sweeps the event-driven :class:`repro.sim.harness.ScenarioHarness` over
   (``flash_crowd``, ``correlated_failure``, …) run the same way;
 * **scales** — 1 000 / 10 000 / 100 000 access proxies (the paper's regular
   hierarchies at r=10, h=3/4/5; any ``r**h`` with 2 ≤ r ≤ 16 works);
-* **loss rates** — 0 / 1 / 5 % per-link message loss;
+* **loss rates** — 0 / 1 / 5 % message loss per notification send;
 * **protocols** — ``rgb`` (the kernel through the harness) plus the
   baselines behind the :class:`repro.baselines.driver.MembershipProtocol`
   seam: ``flat_ring``, ``gossip`` and ``tree``.

@@ -1,10 +1,10 @@
-"""Property: a lossy harness run (retries enabled) converges to the same
-final membership view as the lossless run for the same seed.
+"""Property: a lossy harness run converges to the same final membership
+view as the lossless run for the same seed.
 
-Message loss only delays delivery — the transport retransmits per link and
-the dispatch re-sends dropped notifications with backoff — so the *final*
-global view, the per-ring agreement and the member→AP attachment must be
-identical to the loss-free execution of the same seeded workload.
+Message loss only delays delivery — the transport drops a lost datagram and
+the notifier, the one retransmitter, re-sends it after a wait — so the
+*final* global view, the per-ring agreement and the member→AP attachment
+must be identical to the loss-free execution of the same seeded workload.
 """
 
 from __future__ import annotations
