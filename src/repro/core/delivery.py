@@ -24,12 +24,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.identifiers import NodeId
 from repro.core.kernel import TokenRoundKernel, stale_for
 from repro.core.token import TokenOperation
-from repro.sim.stats import MetricRegistry
+from repro.sim.stats import Counter, MetricRegistry
 
 __all__ = ["Notification", "ReliableNotifier"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Notification:
     """A reliable notification, from submission until it is accepted.
 
@@ -51,6 +51,8 @@ class Notification:
     sender_ring_id: Optional[str] = None
     #: What ``arm`` returned for the armed unacked check (see there).
     timer: Optional[object] = None
+    #: The id :meth:`ReliableNotifier.submit` gave it; every resend keeps it.
+    notify_id: int = 0
 
 
 class ReliableNotifier:
@@ -90,6 +92,10 @@ class ReliableNotifier:
         # and re-offered whenever a repair re-shapes the hierarchy.
         self._dead_letters: List[Notification] = []
         self._dead_letter_epoch = kernel.coverage_epoch
+        # The per-delivery counters, bound on first use so that a run which
+        # never counts one reports no key for it.
+        self._c_delivered: Optional[Counter] = None
+        self._c_stale: Optional[Counter] = None
 
     def pending_count(self) -> int:
         return len(self._pending)
@@ -111,22 +117,24 @@ class ReliableNotifier:
         self, sender: NodeId, target: NodeId, operations: Sequence[TokenOperation]
     ) -> Notification:
         """The record for a kernel ``deliver_notification`` call."""
-        hierarchy = self.kernel.hierarchy
+        ring_of_node = self.kernel.hierarchy.ring_of_node
         return Notification(
             sender,
             target,
             tuple(operations),
-            hierarchy.ring_of(target).ring_id,
-            sender_ring_id=hierarchy.ring_of_node.get(sender),
+            ring_of_node[target],
+            sender_ring_id=ring_of_node.get(sender),
         )
 
     def submit(self, entry: Notification) -> None:
         """Send ``entry`` and keep re-sending until it is acknowledged.  The
         id lives as long as the notification: a receiver can only dedup a
         resend after a lost acknowledgement by a stable id."""
-        self._transmit(next(self._ids), entry)
+        entry.notify_id = next(self._ids)
+        self._transmit(entry)
 
-    def _transmit(self, notify_id: int, entry: Notification) -> None:
+    def _transmit(self, entry: Notification) -> None:
+        notify_id = entry.notify_id
         self._pending[notify_id] = entry
         delay = self._send(notify_id, entry)
         entry.timer = self._arm(delay, lambda: self._check(notify_id))
@@ -157,7 +165,7 @@ class ReliableNotifier:
         else:
             self.metrics.counter("harness.notify_resends").increment()
             entry.attempts += 1
-            self._transmit(notify_id, entry)
+            self._transmit(entry)
 
     def _unmark_seen(self, entry: Notification) -> None:
         seen = self.kernel.ring_seen.get(entry.target_ring_id)
@@ -170,11 +178,11 @@ class ReliableNotifier:
         """``entry`` reached its destination: insert and ask for a round."""
         kernel = self.kernel
         target = entry.target
-        if target in kernel.failed or not kernel.hierarchy.has_node(target):
+        ring_id = None if target in kernel.failed else kernel.hierarchy.ring_of_node.get(target)
+        if ring_id is None:
             self.reroute(entry)
             return
-        entity = kernel.entity(target)
-        ring_id = kernel.hierarchy.ring_of(target).ring_id
+        entity = kernel.entities[target]
         now = self._now()
         inserted = False
         applied = kernel.ring_applied_seq.get(ring_id)
@@ -183,11 +191,17 @@ class ReliableNotifier:
             # operation about the same member already circulated here; such
             # stale operations must not resurrect outdated state.
             if stale_for(applied, op):
-                self.metrics.counter("harness.stale_ops_dropped").increment()
+                stale = self._c_stale
+                if stale is None:
+                    stale = self._c_stale = self.metrics.counter("harness.stale_ops_dropped")
+                stale._value += 1
                 continue
             entity.mq.insert(op, sender=entry.sender, now=now)
             inserted = True
-        self.metrics.counter("harness.notifications_delivered").increment()
+        delivered = self._c_delivered
+        if delivered is None:
+            delivered = self._c_delivered = self.metrics.counter("harness.notifications_delivered")
+        delivered._value += 1
         if inserted:
             self._schedule_round(ring_id)
 

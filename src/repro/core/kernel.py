@@ -1284,7 +1284,14 @@ class TokenRoundKernel:
     # ------------------------------------------------------------------
 
     def _ring_has_work(self, ring: LogicalRing) -> bool:
-        """True when some operational member of ``ring`` has queued work."""
+        """True when some operational member of ``ring`` has queued work.
+
+        A ring outside the dirty set has none (every queue insert marks its
+        ring, and a ring leaves the set only once a scan found it clean —
+        the invariant ``pending_rings`` relies on), so only dirty rings are
+        scanned."""
+        if ring.ring_id not in self._dirty_rings:
+            return False
         failed = self.failed
         entities = self.entities
         for node in ring.members:

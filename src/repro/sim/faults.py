@@ -9,24 +9,22 @@ the injector has node faults only:
   after a configurable downtime (the paper's "temporary disconnection" of
   mobile hosts).
 
-Faults can be injected three ways: a pre-computed :class:`FaultPlan` (used by
-Monte-Carlo reliability trials where each node is faulted with probability
-``f`` at time zero), scheduled individual :class:`FaultEvent` objects (used by
-scenario tests), or a Poisson process of random faults over a run (used by the
-churn workloads).
+Faults are injected as a :class:`FaultPlan` of timed :class:`FaultEvent`
+objects: built by hand (scenario scripts and tests) or drawn by
+:meth:`FaultPlan.uniform_node_faults`, which faults each node with
+probability ``f`` at one instant.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.network import Network, NodeState
-from repro.sim.rng import RandomStreams
+from repro.sim.network import NodeState
 from repro.sim.stats import MetricRegistry
 from repro.sim.trace import TraceRecorder
 
@@ -108,30 +106,26 @@ class FaultPlan:
 
 
 class FaultInjector:
-    """Applies fault plans and random fault processes to a network.
+    """Applies fault plans to the entities' liveness table, ``down``.
 
-    Protocol layers can subscribe with :meth:`on_fault` to learn about faults
-    as they are applied (failure detectors in the reproduction are driven by
-    timeouts, but tests use the callback to assert detection latency).
+    ``down`` maps each node id that is not UP to its
+    :class:`repro.sim.network.NodeState`; a node absent from it is up.  The
+    injector is its only writer and the transport reads it, so a run with no
+    faults keeps it empty.  Protocol layers subscribe with :meth:`on_fault`
+    to learn about faults as they are applied (the harness turns a crash
+    into the kernel's ``fail_entity``).
     """
 
     def __init__(
         self,
         engine: SimulationEngine,
-        network: Network,
-        streams: RandomStreams,
         metrics: Optional[MetricRegistry] = None,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.engine = engine
-        self.network = network
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # Each random fault *process* draws from its own named substream, so
-        # generating a crash plan never shifts the disconnection schedule (or
-        # any other component's draws) under the same master seed.
-        self._crash_rng = streams.substream("faults", "poisson")
-        self._disconnect_rng = streams.substream("faults", "transient")
+        self.down: Dict[str, NodeState] = {}
         self._listeners: List[Callable[[FaultEvent], None]] = []
         self.applied: List[FaultEvent] = []
 
@@ -155,10 +149,11 @@ class FaultInjector:
         self.engine.schedule(delay, fire, priority=-10, label=f"fault:{event.kind.value}")
 
     def _apply(self, event: FaultEvent) -> None:
+        target = str(event.target)
         if event.kind is FaultKind.CRASH:
-            self.network.set_node_state(str(event.target), NodeState.FAILED)
+            self.down[target] = NodeState.FAILED
         elif event.kind is FaultKind.DISCONNECT:
-            self.network.set_node_state(str(event.target), NodeState.DISCONNECTED)
+            self.down[target] = NodeState.DISCONNECTED
             if event.duration is not None:
                 recover = FaultEvent(
                     time=self.engine.now + event.duration,
@@ -167,65 +162,16 @@ class FaultInjector:
                 )
                 self._schedule(recover)
         elif event.kind is FaultKind.RECONNECT:
-            node = self.network.node(str(event.target))
             # A crashed node does not silently come back; only disconnections heal.
-            if node.state is NodeState.DISCONNECTED:
-                self.network.set_node_state(str(event.target), NodeState.UP)
+            if self.down.get(target) is NodeState.DISCONNECTED:
+                del self.down[target]
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown fault kind {event.kind}")
 
         self.applied.append(event)
         self.metrics.counter(f"faults.{event.kind.value}").increment()
         self.trace.record(
-            self.engine.now, "fault", str(event.target), event.kind.value, duration=event.duration
+            self.engine.now, "fault", target, event.kind.value, duration=event.duration
         )
         for listener in self._listeners:
             listener(event)
-
-    # -- random fault processes --------------------------------------------------
-
-    def poisson_crashes(
-        self,
-        node_ids: Sequence[str],
-        rate_per_node: float,
-        horizon: float,
-    ) -> FaultPlan:
-        """Build a plan of crash faults from a per-node Poisson process.
-
-        ``rate_per_node`` is the expected number of crashes per node per unit
-        time; each node crashes at most once (first arrival within the horizon).
-        """
-        if rate_per_node < 0:
-            raise ValueError(f"rate must be non-negative, got {rate_per_node}")
-        plan = FaultPlan()
-        if rate_per_node == 0:
-            return plan
-        for node_id in node_ids:
-            first_arrival = float(self._crash_rng.exponential(1.0 / rate_per_node))
-            if first_arrival <= horizon:
-                plan.crash(node_id, time=first_arrival)
-        return plan
-
-    def transient_disconnections(
-        self,
-        node_ids: Sequence[str],
-        rate_per_node: float,
-        mean_downtime: float,
-        horizon: float,
-    ) -> FaultPlan:
-        """Plan of transient disconnections with exponential downtimes."""
-        if mean_downtime <= 0:
-            raise ValueError(f"mean downtime must be positive, got {mean_downtime}")
-        plan = FaultPlan()
-        if rate_per_node == 0:
-            return plan
-        for node_id in node_ids:
-            t = 0.0
-            while True:
-                t += float(self._disconnect_rng.exponential(1.0 / rate_per_node))
-                if t > horizon:
-                    break
-                downtime = float(self._disconnect_rng.exponential(mean_downtime))
-                plan.disconnect(node_id, time=t, duration=downtime)
-                t += downtime
-        return plan

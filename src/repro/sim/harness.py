@@ -12,17 +12,19 @@ that gap:
   kernel's Figure 3 state machine at its simulated time.
 * **Messages through the transport.**  The kernel's
   :class:`repro.core.kernel.MessageDispatch` seam is bound to a
-  :class:`TransportDispatch` that turns Notification-to-Parent/Child into
-  real :class:`repro.sim.transport.Transport` messages subject to
-  configurable latency and loss.  Each send is one datagram, delivered once
-  or dropped; the notifier re-sends an unacknowledged notification after a
-  wait (the paper's retransmission masking, and the only retransmitter), so
-  a lossy run converges to the same membership view as a lossless one.
+  :class:`TransportDispatch` that hands each Notification-to-Parent/Child
+  record to :class:`repro.sim.transport.Transport`, subject to configurable
+  latency and loss.  Each send is one datagram, delivered once or dropped;
+  its arrival acknowledges it and cancels its resend check.  The notifier
+  re-sends an unacknowledged notification after a wait (the paper's
+  retransmission masking, and the only retransmitter), so a lossy run
+  converges to the same membership view as a lossless one.
   Token hops and Holder-Acknowledgements change no receiver's state, so
   they never reach the transport: the kernel counts them (``hops.token``,
   ``messages.holder_ack``).
 * **Faults and mobility drive the protocol.**  A
-  :class:`repro.sim.faults.FaultInjector` crash marks the entity failed in
+  :class:`repro.sim.faults.FaultInjector` writes the entities' liveness
+  table, which the transport reads; a crash also marks the entity failed in
   the kernel and lets the next token circulation *discover* it — the
   kernel's ring-repair surgery runs, instead of being simulated around.
   Mobility arrives as timed join/handoff/leave captures.
@@ -53,14 +55,14 @@ from repro.core.partition import PartitionReport, detect_partitions
 from repro.core.token import TokenOperation
 from repro.sim.engine import SimulationEngine
 from repro.sim.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.sim.network import LatencyModel, Network, NetworkNode
+from repro.sim.network import LatencyModel
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import MetricRegistry, RunRecord
 from repro.sim.trace import TraceRecorder
-from repro.sim.transport import Message, Transport
+from repro.sim.transport import Transport
 
-#: Wire tag of the harness's one message class.
-MSG_NOTIFY = "rgb.notify"
+_ROUND_LABEL = "round"
+_CHECK_LABEL = "notify-check"
 
 
 class HarnessError(RuntimeError):
@@ -174,8 +176,8 @@ class TransportDispatch(MessageDispatch):
     receiving handler confirms insertion, reroute when an endpoint crashed,
     give up after ``resend_limit`` attempts at a live target) are the shared
     :class:`repro.core.delivery.ReliableNotifier`, ``notifier``.  Here is only
-    what is the simulator's: the ``transport.send`` call and the
-    arrival-time-plus-backoff wait.
+    what is the simulator's: the ``transport.send`` call, the
+    arrival-time-plus-backoff wait and the engine event of the check.
     """
 
     def __init__(self, harness: "ScenarioHarness") -> None:
@@ -185,11 +187,17 @@ class TransportDispatch(MessageDispatch):
         """Create the delivery core (the kernel it acts on is itself
         constructed with this dispatch, so it arrives second)."""
         harness = self.harness
-        engine = harness.engine
+        clock = harness.engine.clock
+        # Bound once, after ``bench/tracing.py`` has patched the classes.
+        self._transport_send = harness.transport.send
+        self._arrive = harness._on_message
+        self._schedule = harness.engine.schedule
+        self._clock = clock
+        self._backoff = harness.config.resend_backoff
         self.notifier = ReliableNotifier(
             kernel,
             harness.metrics,
-            now=lambda: engine.now,
+            now=lambda: clock._now,
             send=self._send,
             arm=self._arm,
             schedule_round=harness._schedule_round,
@@ -214,26 +222,15 @@ class TransportDispatch(MessageDispatch):
     # -- the notifier's transport -------------------------------------------
 
     def _send(self, notify_id: int, entry: Notification) -> float:
-        harness = self.harness
-        source, destination = str(entry.sender), str(entry.target)
-        payload = {"dispatch_id": notify_id, "sender": source, "operations": entry.operations}
-        receipt = harness.transport.send(source, destination, MSG_NOTIFY, payload)
-        if receipt.accepted and receipt.expected_delivery is not None:
-            return (receipt.expected_delivery - harness.engine.now) + harness.config.resend_backoff
-        return harness.config.resend_backoff
+        arrival = self._transport_send(entry, self._arrive)
+        if arrival is None:
+            return self._backoff
+        return (arrival - self._clock._now) + self._backoff
 
     def _arm(self, delay: float, callback: Callable[[], None]) -> None:
         # Returns no handle: an acknowledged check must still fire (as a
         # no-op) — the engine's event count is in every record fingerprint.
-        self.harness.engine.schedule(delay, lambda _engine: callback(), label="notify-check")
-
-    def on_delivered(self, message: Message) -> None:
-        """A notify message arrived, which is its acknowledgement: it pops
-        the sender's pending entry (finding nothing means a duplicate)."""
-        dispatch_id = message.payload.get("dispatch_id")
-        entry = self.notifier.acknowledge(int(dispatch_id)) if dispatch_id is not None else None
-        if entry is not None:
-            self.notifier.accept(entry)
+        self._schedule(delay, lambda _engine: callback(), label=_CHECK_LABEL)
 
 
 @dataclass(frozen=True)
@@ -245,16 +242,15 @@ class TopologySnapshot:
     hands each cell its own private, mutable copy — identical to a fresh
     build bit for bit (interned identifiers re-intern on load) — so a matrix
     sweep builds each distinct shape once instead of once per loss-rate ×
-    scenario cell.  Entity states and the network's nodes are deliberately *not*
-    frozen: they derive deterministically from the hierarchy through bulk
-    paths that are faster than unpickling their object graphs, so each cell
-    rebuilds them from its rehydrated hierarchy.
+    scenario cell.  Entity states are deliberately *not* frozen: they derive
+    deterministically from the hierarchy through a bulk path that is faster
+    than unpickling their object graph, so each cell rebuilds them from its
+    rehydrated hierarchy.
 
     Invalidation rules: a snapshot is keyed by ``(ring_size, height)`` only,
     because everything else a cell varies (loss, latency, seed, scenario,
-    trace) lives outside the pickled state — the network and the transport's
-    latency model are built per cell and all RNG draws happen after
-    rehydration.
+    trace) lives outside the pickled state — the transport's latency model is
+    built per cell and all RNG draws happen after rehydration.
     Anything that changes the *built structure* (builder logic, ring layout)
     invalidates by construction: snapshots are process-local, never persisted
     to disk, and rebuilt on first use by every new process.  A cell on the
@@ -273,22 +269,6 @@ def build_topology_snapshot(ring_size: int, height: int) -> TopologySnapshot:
         hierarchy = HierarchyBuilder("harness").regular(ring_size=ring_size, height=height)
         payload = pickle.dumps(hierarchy, protocol=pickle.HIGHEST_PROTOCOL)
     return TopologySnapshot(ring_size=ring_size, height=height, payload=payload)
-
-
-def _build_harness_network(hierarchy: RingHierarchy) -> Network:
-    """One network node per hierarchy entity; its state is what the fault
-    injector changes and the transport reads.  There are no links: a send
-    between two live entities is one logical hop."""
-    network = Network()
-    bottom = hierarchy.bottom_tier()
-    top = hierarchy.top_tier()
-    for ring in hierarchy.rings.values():
-        kind = "AP" if ring.tier == bottom else ("BR" if ring.tier == top else "AG")
-        network.add_nodes(
-            NetworkNode(node_id=node.value, kind=kind, tier=ring.tier)
-            for node in ring.members
-        )
-    return network
 
 
 class ScenarioHarness:
@@ -333,10 +313,11 @@ class ScenarioHarness:
                 )
             self.hierarchy: RingHierarchy = hierarchy
             states = hierarchy.build_entity_states()
-            self.network = _build_harness_network(hierarchy)
+        self.faults = FaultInjector(self.engine, metrics=self.metrics, trace=self.trace)
+        self.faults.on_fault(self._on_fault)
         self.transport = Transport(
             self.engine,
-            self.network,
+            self.faults.down,
             self.streams,
             LatencyModel(mean=cfg.latency_mean, std=cfg.latency_std, loss=cfg.loss),
             metrics=self.metrics,
@@ -355,16 +336,6 @@ class ScenarioHarness:
             entities_pristine=True,
         )
         self.dispatch.bind(self.kernel)
-        self.faults = FaultInjector(
-            self.engine,
-            self.network,
-            self.streams,
-            metrics=self.metrics,
-            trace=self.trace,
-        )
-        self.faults.on_fault(self._on_fault)
-        for node_id in self.kernel.entities:
-            self.transport.register(str(node_id), self._on_message)
 
         self._round_scheduled: Set[str] = set()
         self._member_counter = 0
@@ -397,16 +368,13 @@ class ScenarioHarness:
         return out
 
     def operational_entities(self) -> List[NodeId]:
-        """Entities that are up at both the kernel and the network level."""
+        """Entities that the kernel has not failed and that are up (not
+        crashed or disconnected by the fault injector)."""
         failed = self.kernel.failed
-        out = []
-        for node in self.kernel.entities:
-            if node in failed:
-                continue
-            if self.network.has_node(node.value) and not self.network.node(node.value).is_operational:
-                continue
-            out.append(node)
-        return out
+        down = self.faults.down
+        return [
+            node for node in self.kernel.entities if node not in failed and node.value not in down
+        ]
 
     def global_membership(self) -> List[MemberInfo]:
         leader = self.hierarchy.topmost_ring().leader
@@ -559,13 +527,16 @@ class ScenarioHarness:
         self.metrics.counter(f"harness.injections_{kind}").increment()
         self.dispatch.notifier.submit(replace(record))
 
-    def _on_message(self, message: Message) -> None:
-        # A NOTIFY is the only message the harness sends.
-        self.dispatch.on_delivered(message)
+    def _on_message(self, entry: Notification) -> None:
+        """A notification arrived, which is its acknowledgement: it pops the
+        sender's pending entry (finding nothing means a duplicate)."""
+        notifier = self.dispatch.notifier
+        if notifier.acknowledge(entry.notify_id) is not None:
+            notifier.accept(entry)
 
     def _on_fault(self, event: FaultEvent) -> None:
         if event.kind is not FaultKind.CRASH:
-            return  # disconnections act purely at the network level
+            return  # disconnections act only on the liveness table
         key = coerce_node(str(event.target))
         if key not in self.kernel.entities or key in self.kernel.failed:
             return
@@ -620,7 +591,7 @@ class ScenarioHarness:
         self.engine.schedule(
             self.config.round_delay if delay is None else delay,
             lambda _e: self._run_ring_round(ring_id),
-            label=f"round:{ring_id}",
+            label=_ROUND_LABEL,
         )
 
     def _run_ring_round(self, ring_id: str) -> None:

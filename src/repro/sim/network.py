@@ -2,10 +2,12 @@
 
 The network is a graph of :class:`NetworkNode` objects joined by
 :class:`Link` objects.  The RGB hierarchy and its baselines sit *above* this
-layer, and the paper's analysis counts one "hop" per logical edge, so the
-network does no routing: the transport delivers a message between two live
-nodes in one draw of its :class:`LatencyModel`.  Links describe the physical
-topology (:mod:`repro.topology.generator`) and its connectivity.
+layer, and the paper's analysis counts one "hop" per logical edge, so
+nothing routes over it: the harness's transport carries a notification
+between two live entities in one draw of a :class:`LatencyModel`, and reads
+their liveness from the fault injector, not from a network.  Nodes and links
+describe the physical topology (:mod:`repro.topology.generator`) and its
+connectivity.
 
 Latency model
 -------------
@@ -212,9 +214,6 @@ class Network:
         return len(self._nodes)
 
     # -- state changes ------------------------------------------------------
-
-    def set_node_state(self, node_id: str, state: NodeState) -> None:
-        self.node(node_id).state = state
 
     # -- connectivity --------------------------------------------------------
 

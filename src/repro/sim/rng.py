@@ -56,20 +56,6 @@ class RandomStreams:
         """Materialise several named streams at once."""
         return {name: self.stream(name) for name in names}
 
-    def substream(self, base: str, label: str) -> np.random.Generator:
-        """The named stream ``"<base>.<label>"``.
-
-        Components that run several independent stochastic *processes* (e.g.
-        the fault injector's Poisson crash process and its transient
-        disconnection process) must give each process its own substream:
-        drawing from one then never shifts the draws of another, so adding a
-        workload to a scenario cannot perturb an unrelated workload's
-        schedule under the same master seed.
-        """
-        if not base or not label:
-            raise ValueError("substream base and label must be non-empty strings")
-        return self.stream(f"{base}.{label}")
-
     def fork(self, salt: int) -> "RandomStreams":
         """Return a new family whose master seed mixes in ``salt``.
 

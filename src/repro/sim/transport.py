@@ -1,89 +1,63 @@
-"""Message transport over the simulated network.
+"""Notification transport over the simulated network: one lossy hop.
 
-The transport connects protocol endpoints (anything exposing an
-``on_message(message)`` callable registered with :meth:`Transport.register`)
-between the nodes of a :class:`repro.sim.network.Network`.  A message between
-two live nodes is a datagram:
-
-1. one draw of delay and one draw of loss from the transport's
-   :class:`repro.sim.network.LatencyModel`;
-2. a loss drops it (``transport.dropped.lost``) and is never retried here —
-   masking loss is the protocol layer's job, as on the live wire;
-3. otherwise delivery is scheduled on the
-   :class:`repro.sim.engine.SimulationEngine`, and counters (messages sent /
-   delivered / dropped, logical hops) land in the
-   :class:`repro.sim.stats.MetricRegistry`.
-
-The paper's scalability metric counts *logical* hops — one logical hop per
-protocol message between two network entities — so the transport does no
-routing.  In the scenario harness every
-message is a Notification-to-Parent/Child: token hops and
+The harness's one message is a Notification-to-Parent/Child.  Token hops and
 Holder-Acknowledgements change no receiver's state, so the kernel counts them
 (``hops.token``, ``messages.holder_ack``) and they never reach the transport.
+A send carries one :class:`repro.core.delivery.Notification` record as one
+datagram:
+
+1. a send from a node that is not up, or to a crashed node, is dropped before
+   any draw (``transport.dropped.source-not-operational`` /
+   ``.destination-failed``);
+2. one draw of delay, then one draw of loss, from the ``transport`` stream of
+   the run's :class:`repro.sim.rng.RandomStreams`; a loss drops it
+   (``transport.dropped.lost``) and is never retried here — masking loss is
+   the notifier's job, as on the live wire;
+3. otherwise its arrival is one engine event, which drops it if the
+   destination went down in flight (``destination-down-at-delivery``) and
+   else hands the record to the sender's arrival callback.
+
+Liveness is ``down``: the sparse map of the node ids that are not UP, which
+:class:`repro.sim.faults.FaultInjector` writes.  The paper's scalability
+metric counts *logical* hops — one per protocol message between two network
+entities — so the transport does no routing.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.network import LatencyModel, Network, NodeState
+from repro.sim.network import LatencyModel, NodeState
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import MetricRegistry
+from repro.sim.stats import Counter, MetricRegistry
 from repro.sim.trace import TraceRecorder
 
-MessageHandler = Callable[["Message"], None]
+if TYPE_CHECKING:  # the delivery core imports the kernel; the lane only passes records
+    from repro.core.delivery import Notification
 
+#: Wire tag of the transport's one message class.
+MSG_NOTIFY = "rgb.notify"
+_DELIVER_LABEL = "deliver:" + MSG_NOTIFY
+_SENT_BY_TYPE = "transport.sent." + MSG_NOTIFY
 
-class TransportError(RuntimeError):
-    """Raised for invalid transport usage (unknown endpoint, etc.)."""
-
-
-@dataclass(frozen=True)
-class Message:
-    """A protocol message in flight.
-
-    ``payload`` is an arbitrary mapping owned by the protocol layer; the
-    transport never inspects it.
-    """
-
-    message_id: int
-    source: str
-    destination: str
-    msg_type: str
-    payload: Mapping[str, Any]
-    sent_at: float
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"Message(#{self.message_id} {self.msg_type} "
-            f"{self.source}->{self.destination} @{self.sent_at:.3f})"
-        )
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    """Outcome of a :meth:`Transport.send` call."""
-
-    message: Message
-    accepted: bool
-    reason: str = ""
-    expected_delivery: Optional[float] = None
+_FAILED = NodeState.FAILED
 
 
 class Transport:
-    """Delivers messages between registered endpoints.
+    """Carries notification records between simulated entities.
 
     Parameters
     ----------
-    engine, network, streams:
+    engine, streams:
         The shared simulation substrate.
+    down:
+        Node id → state, for every node that is not UP (read, never written).
     latency:
         The delay and loss of one transmission between any two nodes.
     metrics:
-        Registry receiving transport counters and the latency histogram.
+        Registry receiving the transport counters.
     trace:
         Optional trace recorder for per-message records.
     """
@@ -91,127 +65,109 @@ class Transport:
     def __init__(
         self,
         engine: SimulationEngine,
-        network: Network,
+        down: Mapping[str, NodeState],
         streams: RandomStreams,
         latency: LatencyModel,
         metrics: Optional[MetricRegistry] = None,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.engine = engine
-        self.network = network
+        self.down = down
         self.latency = latency
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self._rng = streams.stream("transport")
-        self._handlers: Dict[str, MessageHandler] = {}
+        # Read as ``_clock._now``, as the engine's dispatch loop writes it: the
+        # ``engine.now`` → ``clock.now`` properties are two calls per hop.
+        self._clock = engine.clock
         self._message_ids = itertools.count(1)
-        # Pre-bound counters/histograms: metrics.counter() is a dict probe per
-        # call and send() runs a hundred thousand times per large scenario.
+        # Pre-bound counters: send() runs a hundred thousand times per large
+        # scenario.  The per-type and per-reason ones appear on first use.
         self._c_sent = self.metrics.counter("transport.sent")
         self._c_logical = self.metrics.counter("transport.logical_hops")
         self._c_delivered = self.metrics.counter("transport.delivered")
         self._c_dropped = self.metrics.counter("transport.dropped")
-        self._h_latency = self.metrics.histogram("transport.latency")
-        self._sent_by_type: Dict[str, Any] = {}
-
-    # -- endpoint registration ---------------------------------------------
-
-    def register(self, node_id: str, handler: MessageHandler) -> None:
-        """Register the message handler for ``node_id``."""
-        if not self.network.has_node(node_id):
-            raise TransportError(f"cannot register handler for unknown node {node_id!r}")
-        self._handlers[node_id] = handler
-
-    def unregister(self, node_id: str) -> None:
-        self._handlers.pop(node_id, None)
-
-    # -- sending -------------------------------------------------------------
+        self._c_sent_notify: Optional[Counter] = None
+        self._c_dropped_by: Dict[str, Counter] = {}
 
     def send(
-        self,
-        source: str,
-        destination: str,
-        msg_type: str,
-        payload: Optional[Mapping[str, Any]] = None,
-    ) -> DeliveryReceipt:
-        """Send a message; returns a receipt describing what was scheduled."""
-        message = Message(
-            message_id=next(self._message_ids),
-            source=source,
-            destination=destination,
-            msg_type=msg_type,
-            payload=dict(payload or {}),
-            sent_at=self.engine.clock.now,
-        )
-        self._c_sent.increment()
-        type_counter = self._sent_by_type.get(msg_type)
-        if type_counter is None:
-            type_counter = self.metrics.counter(f"transport.sent.{msg_type}")
-            self._sent_by_type[msg_type] = type_counter
-        type_counter.increment()
-        if source != destination:
-            self._c_logical.increment()
-
+        self, entry: "Notification", arrive: Callable[["Notification"], None]
+    ) -> Optional[float]:
+        """Send ``entry``; ``arrive(entry)`` runs if and when it lands.
+        Returns the arrival time, or ``None`` when the send was dropped."""
+        message_id = next(self._message_ids)
+        self._c_sent._value += 1
+        by_type = self._c_sent_notify
+        if by_type is None:
+            by_type = self._c_sent_notify = self.metrics.counter(_SENT_BY_TYPE)
+        by_type._value += 1
+        now = self._clock._now
+        source, destination = entry.sender.value, entry.target.value
         if source == destination:
             # Local delivery: no network traversal, immediate dispatch.
-            self._schedule_delivery(message, delay=0.0)
-            return DeliveryReceipt(message, True, "local", self.engine.now)
-
-        source_node = self.network.node(source)
-        if not source_node.is_operational:
-            self._drop(message, "source-not-operational")
-            return DeliveryReceipt(message, False, "source-not-operational")
-
-        destination_node = self.network.node(destination)
-        if destination_node.state is NodeState.FAILED:
-            self._drop(message, "destination-failed")
-            return DeliveryReceipt(message, False, "destination-failed")
-
-        delay = self.latency.sample_delay(self._rng)
-        if self.latency.sample_loss(self._rng):
-            self._drop(message, "lost")
-            return DeliveryReceipt(message, False, "lost")
-        self._schedule_delivery(message, delay=delay)
-        return DeliveryReceipt(message, True, "scheduled", self.engine.clock.now + delay)
+            self._schedule_arrival(entry, arrive, message_id, 0.0)
+            return now
+        self._c_logical._value += 1
+        down = self.down
+        if down:
+            if source in down:
+                self._drop(entry, message_id, "source-not-operational")
+                return None
+            if down.get(destination) is _FAILED:
+                self._drop(entry, message_id, "destination-failed")
+                return None
+        latency = self.latency
+        delay = latency.sample_delay(self._rng)
+        if latency.sample_loss(self._rng):
+            self._drop(entry, message_id, "lost")
+            return None
+        self._schedule_arrival(entry, arrive, message_id, delay)
+        return now + delay
 
     # Kept only because ``bench/tracing.py`` wraps this class attribute by
     # name; nothing in the package calls it.
     send_fire_and_forget = send
 
-    # -- delivery -------------------------------------------------------------
-
-    def _schedule_delivery(self, message: Message, delay: float) -> None:
+    def _schedule_arrival(
+        self,
+        entry: "Notification",
+        arrive: Callable[["Notification"], None],
+        message_id: int,
+        delay: float,
+    ) -> None:
         def deliver(_engine: SimulationEngine) -> None:
-            destination_node = self.network.node(message.destination)
-            if not destination_node.is_operational:
-                self._drop(message, "destination-down-at-delivery")
+            down = self.down
+            if down and entry.target.value in down:
+                self._drop(entry, message_id, "destination-down-at-delivery")
                 return
-            handler = self._handlers.get(message.destination)
-            if handler is None:
-                self._drop(message, "no-handler")
-                return
-            self._c_delivered.increment()
-            now = self.engine.clock.now
-            self._h_latency.observe(now - message.sent_at)
-            if self.trace.enabled:
-                self.trace.record(
-                    now,
+            self._c_delivered._value += 1
+            trace = self.trace
+            if trace.enabled:
+                trace.record(
+                    self._clock._now,
                     "deliver",
-                    message.destination,
-                    f"{message.msg_type} from {message.source}",
-                    message_id=message.message_id,
+                    entry.target.value,
+                    f"{MSG_NOTIFY} from {entry.sender.value}",
+                    message_id=message_id,
                 )
-            handler(message)
+            arrive(entry)
 
-        self.engine.schedule(delay, deliver, label=f"deliver:{message.msg_type}")
+        self.engine.schedule(delay, deliver, label=_DELIVER_LABEL)
 
-    def _drop(self, message: Message, reason: str) -> None:
-        self._c_dropped.increment()
-        self.metrics.counter(f"transport.dropped.{reason}").increment()
-        self.trace.record(
-            self.engine.now,
-            "drop",
-            message.source,
-            f"{message.msg_type} to {message.destination}: {reason}",
-            message_id=message.message_id,
-        )
+    def _drop(self, entry: "Notification", message_id: int, reason: str) -> None:
+        self._c_dropped._value += 1
+        counter = self._c_dropped_by.get(reason)
+        if counter is None:
+            counter = self._c_dropped_by[reason] = self.metrics.counter(
+                f"transport.dropped.{reason}"
+            )
+        counter._value += 1
+        trace = self.trace
+        if trace.enabled:
+            trace.record(
+                self._clock._now,
+                "drop",
+                entry.sender.value,
+                f"{MSG_NOTIFY} to {entry.target.value}: {reason}",
+                message_id=message_id,
+            )

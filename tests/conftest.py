@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import hypothesis_profiles  # noqa: F401  (registers the tier1 / explore profiles)
 import pytest
 from hypothesis import settings
@@ -11,7 +13,7 @@ from repro.core.hierarchy import HierarchyBuilder, RingHierarchy
 from repro.core.one_round import OneRoundEngine
 from repro.core.simulation import RGBSimulation
 from repro.sim.engine import SimulationEngine
-from repro.sim.network import INTRA_AS, Network, NetworkNode
+from repro.sim.network import INTRA_AS, Network, NetworkNode, NodeState
 from repro.sim.rng import RandomStreams
 from repro.sim.transport import Transport
 from repro.topology.architecture import TopologySpec
@@ -41,16 +43,14 @@ def small_network() -> Network:
 
 
 @pytest.fixture
-def node_network() -> Network:
-    """Five nodes and no links: the transport sends one logical hop."""
-    network = Network()
-    network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in "abcde")
-    return network
+def down() -> Dict[str, NodeState]:
+    """The liveness table a transport reads: every node starts up."""
+    return {}
 
 
 @pytest.fixture
-def transport(engine, node_network, streams) -> Transport:
-    return Transport(engine, node_network, streams, INTRA_AS)
+def transport(engine, down, streams) -> Transport:
+    return Transport(engine, down, streams, INTRA_AS)
 
 
 @pytest.fixture

@@ -33,16 +33,6 @@ class TestHarnessBasics:
         with pytest.raises(HarnessError):
             HarnessConfig(round_delay=0.0)
 
-    def test_network_mirrors_hierarchy(self):
-        harness = small_harness()
-        # One network node per hierarchy entity, and no links: a send is
-        # one logical hop.
-        assert len(harness.network) == harness.hierarchy.total_nodes()
-        assert harness.network.links() == []
-        for ring in harness.hierarchy.rings.values():
-            for member in ring.members:
-                assert harness.network.node(member.value).tier == ring.tier
-
     def test_join_propagates_to_global_view(self):
         harness = small_harness()
         aps = harness.access_proxies()

@@ -13,7 +13,7 @@ not a caller.  A name the scan never finds is code nothing runs: delete it,
 with the tests that only exercised it.
 
 Dunder names are used by the interpreter and are skipped.  ``ALLOWED`` takes
-at most 15 names that only tests read, each with its reason and the test
+at most 12 names that only tests read, each with its reason and the test
 that reads it; an entry that is no longer defined, or that code outside
 ``tests/`` now uses, fails the gate.  The scan counts names, not
 definitions, so a name defined twice passes while one copy is dead, and a
@@ -39,7 +39,7 @@ from typing import Iterable
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CODE_ROOTS = tuple(ROOT / name for name in ("src", "bench", "benchmarks", "examples"))
-MAX_ALLOWED = 15
+MAX_ALLOWED = 12
 
 #: Names defined in ``src/repro`` that only tests read -> why, and the test.
 ALLOWED = {
@@ -63,10 +63,6 @@ ALLOWED = {
     "test_runtime_unit.py and test_delivery_core.py",
     "uniform_node_faults": "test-only fault generator kept while its four "
     "test_sim_faults_mobility.py::TestFaultPlan tests stay (ROADMAP)",
-    "poisson_crashes": "test-only fault process, kept with its "
-    "test_sim_faults_mobility.py and test_rng_substreams.py tests (ROADMAP)",
-    "transient_disconnections": "test-only fault process, kept with its "
-    "test_sim_faults_mobility.py and test_rng_substreams.py tests (ROADMAP)",
     "insert_member": "test-only ring edit, kept with "
     "test_ring_hierarchy.py::TestLogicalRing's insert tests (ROADMAP)",
     "value_at": "test-only time-series reader, kept with "

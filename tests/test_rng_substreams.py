@@ -1,68 +1,18 @@
-"""Regression tests: stochastic processes draw from independent substreams.
+"""Regression tests: stochastic processes draw from independent streams.
 
-The fault injector's Poisson-crash process and its transient-disconnection
-process used to share the single ``"faults"`` stream, so generating one plan
-shifted the draws — and therefore the schedule — of the other.  Each process
-now owns a named substream (``faults.poisson`` / ``faults.transient``), and
-the mobility model can be pointed at a dedicated stream, so adding one
-workload to a scenario can never perturb another workload's draws under the
-same master seed.
+Every component draws from its own named stream of one master seed, so
+adding one workload to a scenario can never perturb another workload's draws:
+fault draws leave the mobility trace unchanged, and two mobility models on
+different stream names draw independently.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.engine import SimulationEngine
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultPlan
 from repro.sim.mobility import MobilityModel
-from repro.sim.network import Network, NetworkNode
 from repro.sim.rng import RandomStreams
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
-
-
-def build_injector(streams: RandomStreams) -> FaultInjector:
-    network = Network()
-    network.add_nodes(NetworkNode(node_id=name, kind="AP") for name in NODES)
-    return FaultInjector(SimulationEngine(), network, streams)
-
-
-def crash_times(injector: FaultInjector):
-    plan = injector.poisson_crashes(NODES, rate_per_node=0.4, horizon=50.0)
-    return [(str(e.target), e.time) for e in plan.sorted_events()]
-
-
-def disconnect_times(injector: FaultInjector):
-    plan = injector.transient_disconnections(
-        NODES, rate_per_node=0.3, mean_downtime=4.0, horizon=50.0
-    )
-    return [(str(e.target), e.time, e.duration) for e in plan.sorted_events()]
-
-
-class TestFaultProcessIndependence:
-    def test_crash_plan_does_not_shift_disconnections(self):
-        """Generating a crash plan first must not change the transient plan."""
-        alone = disconnect_times(build_injector(RandomStreams(77)))
-        injector = build_injector(RandomStreams(77))
-        crash_times(injector)  # extra workload added to the same run
-        combined = disconnect_times(injector)
-        assert combined == alone
-
-    def test_disconnections_do_not_shift_crash_plan(self):
-        alone = crash_times(build_injector(RandomStreams(77)))
-        injector = build_injector(RandomStreams(77))
-        disconnect_times(injector)
-        combined = crash_times(injector)
-        assert combined == alone
-
-    def test_each_process_is_still_seed_deterministic(self):
-        assert crash_times(build_injector(RandomStreams(5))) == crash_times(
-            build_injector(RandomStreams(5))
-        )
-        assert crash_times(build_injector(RandomStreams(5))) != crash_times(
-            build_injector(RandomStreams(6))
-        )
 
 
 class TestMobilityStreamIndependence:
@@ -74,9 +24,8 @@ class TestMobilityStreamIndependence:
         )
 
         streams_mixed = RandomStreams(41)
-        injector = build_injector(streams_mixed)
-        crash_times(injector)
-        disconnect_times(injector)
+        faults = FaultPlan.uniform_node_faults(NODES, 0.5, streams_mixed.stream("faults"))
+        assert len(faults) > 0  # the faults really drew from the shared family
         mixed = MobilityModel(NODES, streams_mixed).generate_population(
             num_hosts=6, arrival_rate=0.5, horizon=300.0
         )
@@ -100,25 +49,3 @@ class TestMobilityStreamIndependence:
         again = MobilityModel(NODES, fresh, stream_name="mobility.a").generate_host("h", 0.0)
         assert again.attachments == trace_a.attachments
         assert again.handoffs == trace_a.handoffs
-
-
-class TestSubstreamHelper:
-    def test_substream_names_compose(self):
-        streams = RandomStreams(3)
-        sub = streams.substream("faults", "poisson")
-        assert "faults.poisson" in streams
-        direct = RandomStreams(3).stream("faults.poisson")
-        assert sub.random(4).tolist() == direct.random(4).tolist()
-
-    def test_substream_rejects_empty_parts(self):
-        streams = RandomStreams(3)
-        with pytest.raises(ValueError):
-            streams.substream("", "poisson")
-        with pytest.raises(ValueError):
-            streams.substream("faults", "")
-
-    def test_substream_independent_of_base_stream(self):
-        streams = RandomStreams(9)
-        base_draws = streams.stream("faults").random(5).tolist()
-        sub_draws = streams.substream("faults", "poisson").random(5).tolist()
-        assert base_draws != sub_draws

@@ -1,9 +1,11 @@
-"""Unit tests for the network graph, latency models and message transport."""
+"""Unit tests for the network graph, latency models and the notification transport."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.delivery import Notification
+from repro.core.identifiers import NodeId
 from repro.sim.network import (
     INTER_AS,
     INTRA_AS,
@@ -11,7 +13,7 @@ from repro.sim.network import (
     NetworkNode,
     NodeState,
 )
-from repro.sim.transport import Transport, TransportError
+from repro.sim.transport import Transport
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +122,13 @@ class TestNetwork:
         assert small_network.nodes("BR") == []
 
     def test_connected_components_when_partitioned(self, small_network):
-        small_network.set_node_state("b", NodeState.FAILED)
-        small_network.set_node_state("e", NodeState.FAILED)
+        small_network.node("b").state = NodeState.FAILED
+        small_network.node("e").state = NodeState.FAILED
         components = small_network.connected_components()
         assert sorted(len(c) for c in components) == [1, 2]
 
     def test_operational_nodes_excludes_failed(self, small_network):
-        small_network.set_node_state("a", NodeState.FAILED)
+        small_network.node("a").state = NodeState.FAILED
         assert len([n for n in small_network.nodes() if n.is_operational]) == 4
 
     def test_link_other_endpoint(self, small_network):
@@ -142,105 +144,96 @@ class TestNetwork:
 # ---------------------------------------------------------------------------
 
 
-class TestTransport:
-    def _register_collector(self, transport, node_id, inbox):
-        transport.register(node_id, lambda msg: inbox.append(msg))
+def _note(sender: str, target: str) -> Notification:
+    return Notification(NodeId(sender), NodeId(target), (), "ring-0")
 
+
+class TestTransport:
     def test_basic_delivery(self, engine, transport):
         inbox = []
-        self._register_collector(transport, "c", inbox)
-        receipt = transport.send("a", "c", "hello", {"x": 1})
-        assert receipt.accepted
+        entry = _note("a", "c")
+        arrival = transport.send(entry, inbox.append)
+        assert arrival is not None
         engine.run()
-        assert len(inbox) == 1
-        assert inbox[0].payload["x"] == 1
+        assert inbox == [entry]
+        assert engine.now == arrival
         assert transport.metrics.counter("transport.delivered").value == 1
-
-    def test_register_unknown_node_rejected(self, transport):
-        with pytest.raises(TransportError):
-            transport.register("nope", lambda msg: None)
 
     def test_delivery_takes_time(self, engine, transport):
         inbox = []
-        self._register_collector(transport, "d", inbox)
-        transport.send("a", "d", "ping")
+        transport.send(_note("a", "d"), inbox.append)
         engine.run()
         assert engine.now > 0.0
+        assert len(inbox) == 1
 
     def test_local_delivery_is_immediate(self, engine, transport):
         inbox = []
-        self._register_collector(transport, "a", inbox)
-        transport.send("a", "a", "self")
+        assert transport.send(_note("a", "a"), inbox.append) == 0.0
         engine.run()
         assert engine.now == 0.0
         assert len(inbox) == 1
 
-    def test_send_from_failed_source_dropped(self, engine, transport, node_network):
+    def test_send_from_failed_source_dropped(self, engine, transport, down):
         inbox = []
-        self._register_collector(transport, "b", inbox)
-        node_network.set_node_state("a", NodeState.FAILED)
-        receipt = transport.send("a", "b", "msg")
-        assert not receipt.accepted
-        assert receipt.reason == "source-not-operational"
+        down["a"] = NodeState.FAILED
+        assert transport.send(_note("a", "b"), inbox.append) is None
         engine.run()
         assert inbox == []
+        counters = transport.metrics.counters
+        assert counters["transport.dropped.source-not-operational"].value == 1
 
-    def test_send_to_failed_destination_dropped(self, engine, transport, node_network):
-        node_network.set_node_state("c", NodeState.FAILED)
-        receipt = transport.send("a", "c", "msg")
-        assert not receipt.accepted
+    def test_send_to_failed_destination_dropped(self, engine, transport, down):
+        down["c"] = NodeState.FAILED
+        assert transport.send(_note("a", "c"), [].append) is None
         assert transport.metrics.counter("transport.dropped").value == 1
 
-    def test_destination_fails_in_flight(self, engine, transport, node_network):
+    def test_destination_fails_in_flight(self, engine, transport, down):
         inbox = []
-        self._register_collector(transport, "c", inbox)
-        transport.send("a", "c", "msg")
-        node_network.set_node_state("c", NodeState.FAILED)
+        transport.send(_note("a", "c"), inbox.append)
+        down["c"] = NodeState.FAILED
         engine.run()
         assert inbox == []
-        assert transport.metrics.counter("transport.dropped").value == 1
+        counters = transport.metrics.counters
+        assert counters["transport.dropped"].value == 1
+        assert counters["transport.dropped.destination-down-at-delivery"].value == 1
 
-    def test_no_handler_counts_as_drop(self, engine, transport):
-        transport.send("a", "b", "msg")
+    def test_a_disconnected_destination_is_sent_to_and_healing_delivers(
+        self, engine, transport, down
+    ):
+        """Only a crash drops a send up front: a disconnected destination may
+        heal before the datagram lands."""
+        inbox = []
+        down["c"] = NodeState.DISCONNECTED
+        assert transport.send(_note("a", "c"), inbox.append) is not None
+        del down["c"]
         engine.run()
-        assert transport.metrics.counter("transport.dropped").value == 1
+        assert len(inbox) == 1
 
     def test_logical_hop_counting(self, engine, transport):
         inbox = []
-        self._register_collector(transport, "b", inbox)
-        self._register_collector(transport, "c", inbox)
-        transport.send("a", "b", "one")
-        transport.send("a", "c", "two")
-        transport.send("a", "a", "self")
+        transport.send(_note("a", "b"), inbox.append)
+        transport.send(_note("a", "c"), inbox.append)
+        transport.send(_note("a", "a"), inbox.append)
         engine.run()
         counters = transport.metrics.counters
         # A local delivery is sent but crosses no logical hop.
         assert counters["transport.logical_hops"].value == 2
         assert counters["transport.sent"].value == 3
-        assert counters["transport.sent.one"].value == 1
+        assert counters["transport.sent.rgb.notify"].value == 3
 
-    def test_a_loss_is_dropped_once_counted_and_never_retried(self, engine, node_network, streams):
-        lossy_transport = Transport(engine, node_network, streams, LatencyModel(mean=1.0, loss=0.4))
+    def test_a_loss_is_dropped_once_counted_and_never_retried(self, engine, down, streams):
+        lossy_transport = Transport(engine, down, streams, LatencyModel(mean=1.0, loss=0.4))
         inbox = []
-        lossy_transport.register("b", lambda msg: inbox.append(msg))
-        receipts = [lossy_transport.send("a", "b", "msg") for _ in range(40)]
+        sends = [_note("a", "b") for _ in range(40)]
+        arrivals = [lossy_transport.send(entry, inbox.append) for entry in sends]
         engine.run()
-        lost = [r for r in receipts if not r.accepted]
-        assert lost and all(r.reason == "lost" for r in lost)
+        lost = [entry for entry, arrival in zip(sends, arrivals) if arrival is None]
         counters = lossy_transport.metrics.counters
+        assert lost
         assert counters["transport.dropped.lost"].value == len(lost)
         assert counters["transport.dropped"].value == len(lost)
         # Each send is one datagram: delivered once or not at all.
-        assert sorted(m.message_id for m in inbox) == [
-            r.message.message_id for r in receipts if r.accepted
-        ]
+        assert sorted(map(id, inbox)) == sorted(
+            id(entry) for entry, arrival in zip(sends, arrivals) if arrival is not None
+        )
         assert len(inbox) + len(lost) == counters["transport.sent"].value == 40
-
-    def test_unregister(self, engine, transport):
-        inbox = []
-        self._register_collector(transport, "b", inbox)
-        transport.unregister("b")
-        transport.send("a", "b", "msg")
-        engine.run()
-        assert inbox == []
-        assert transport.metrics.counter("transport.dropped.no-handler").value == 1
