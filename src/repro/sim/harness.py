@@ -53,7 +53,7 @@ from repro.core.kernel import (
 from repro.core.member import MemberInfo
 from repro.core.partition import PartitionReport, detect_partitions
 from repro.core.token import TokenOperation
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 from repro.sim.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.sim.network import LatencyModel
 from repro.sim.rng import RandomStreams
@@ -227,10 +227,10 @@ class TransportDispatch(MessageDispatch):
             return self._backoff
         return (arrival - self._clock._now) + self._backoff
 
-    def _arm(self, delay: float, callback: Callable[[], None]) -> None:
-        # Returns no handle: an acknowledged check must still fire (as a
-        # no-op) — the engine's event count is in every record fingerprint.
-        self._schedule(delay, lambda _engine: callback(), label=_CHECK_LABEL)
+    def _arm(self, delay: float, callback: Callable[[], None]) -> Event:
+        # The acknowledgement cancels the returned event, so a check fires
+        # only for a notification that has not arrived.
+        return self._schedule(delay, lambda _engine: callback(), label=_CHECK_LABEL)
 
 
 @dataclass(frozen=True)
