@@ -69,6 +69,21 @@ class TestIdentifiers:
         assert NodeId("a") < NodeId("b")
         assert len({NodeId("a"), NodeId("a"), NodeId("b")}) == 2
 
+    def test_an_id_made_before_clearing_the_intern_tables_equals_a_new_one(self):
+        """Ids keep value equality, not identity: an id built before
+        ``clear_intern_tables()`` (a module-level constant in a test or a
+        long-lived process) must still equal, and hash like, the one that
+        re-interning builds afterwards — an identity comparison would not."""
+        from repro.core.identifiers import clear_intern_tables
+
+        before = NodeId("intern-probe")
+        clear_intern_tables()
+        after = NodeId("intern-probe")
+        assert after is not before
+        assert after == before and not (after != before)
+        assert hash(after) == hash(before)
+        assert {before: 1}[after] == 1
+
     def test_str_and_format(self):
         assert str(GroupId("g1")) == "g1"
         assert f"{NodeId('ap-1'):>6}" == "  ap-1"
